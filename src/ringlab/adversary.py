@@ -12,6 +12,16 @@ core-based analyst that first discards edges outside the union of
 maximum matchings, and an exact matching-count oracle that is
 Bayes-optimal under the uniform signer model but only feasible at
 brute-force scale.
+
+Each trial computes the core of the sampled graph once, from the signer
+assignment.  It decides ``graph_was_core_equal`` and, in the passive game,
+is the core the core adversary analyses.  That leaks nothing: every
+maximum matching yields the same core (pinned by
+``test_core_invariant_under_matching_strategy``).  In the corrupted-user
+game the adversary's view differs, so the core adversary computes the
+core of that view itself.  Every user signs (m = n), so once any user is
+corrupted the view's rings touch fewer than m users, no matching covers
+them, and the core adversary falls back to the trivial guess.
 """
 from __future__ import annotations
 
@@ -20,9 +30,9 @@ from math import floor
 
 from numpy.random import Generator
 
-from .core import _core_member_flags, enumerate_maximum_matchings
+from .core import _core_from_flags, _core_member_flags, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
-from .graph import Matching, Partition, TransactionGraph
+from .graph import Partition, TransactionGraph
 from .samplers import RandomSource, SamplerConfig, _sample_graph, _trial_streams
 from .stats import EstimateResult
 
@@ -83,7 +93,8 @@ class BlackMarbleConfig:
 # Adversaries receive the published graph only.  Reduced graphs produced by
 # the corrupted-user experiment may contain empty rings or may not admit a
 # full signer assignment; every strategy degrades to the trivial one when
-# its analysis is impossible, and empty rings are never guessed into.
+# its analysis is impossible, and empty rings are never guessed into.  Each
+# strategy takes (view, gen, view_core); only the core strategy uses view_core.
 
 
 def _guess_min_degree_ring(
@@ -103,25 +114,34 @@ def _guess_min_degree_ring(
     return (u, best_j)
 
 
-def _adv_trivial(graph: TransactionGraph, gen: Generator) -> tuple[int, int]:
-    return _guess_min_degree_ring(graph, gen)
+def _adv_trivial(view: TransactionGraph, gen: Generator, view_core=None) -> tuple[int, int]:
+    return _guess_min_degree_ring(view, gen)
 
 
-def _adv_core(graph: TransactionGraph, gen: Generator) -> tuple[int, int]:
+def _adv_core(view: TransactionGraph, gen: Generator, view_core=None) -> tuple[int, int]:
+    """Smallest-ring guess on core(view), or on view when no matching covers its rings.
+
+    ``view_core``, when given, is a callable returning core(view).  The
+    passive experiment passes the core it already computed from the signer
+    assignment, which any maximum matching would give too.  Without it the
+    core is computed from the view, as for a corrupted-user view.
+    """
     from .core import core as compute_core
 
     try:
-        c = compute_core(graph)
+        c = view_core() if view_core is not None else compute_core(view)
     except NotATransactionGraph:
-        return _guess_min_degree_ring(graph, gen)
+        return _guess_min_degree_ring(view, gen)
     return _guess_min_degree_ring(c, gen)
 
 
-def _adv_matching_count(graph: TransactionGraph, gen: Generator) -> tuple[int, int]:
+def _adv_matching_count(
+    view: TransactionGraph, gen: Generator, view_core=None
+) -> tuple[int, int]:
     try:
-        return adversary_matching_count(graph)
+        return adversary_matching_count(view)
     except NotATransactionGraph:
-        return _guess_min_degree_ring(graph, gen)
+        return _guess_min_degree_ring(view, gen)
 
 
 ADVERSARIES = {
@@ -188,10 +208,6 @@ def _remove_users(graph: TransactionGraph, corrupted: set[int]) -> TransactionGr
     return TransactionGraph._from_members(graph.n_users, members)
 
 
-def _is_core_equal_with(graph: TransactionGraph, matching: Matching) -> bool:
-    return all(all(row) for row in _core_member_flags(graph, matching))
-
-
 def _experiment(
     config: SamplerConfig,
     adversary_fn,
@@ -203,15 +219,18 @@ def _experiment(
     if marble is not None:
         corrupted = _corrupt_users(config, marble, gen)
     graph, matching = _sample_graph(config, n, gen)
-    shown = _remove_users(graph, corrupted) if corrupted else graph
-    guess = adversary_fn(shown, gen)
+    flags = _core_member_flags(graph, matching)
+    if corrupted:
+        guess = adversary_fn(_remove_users(graph, corrupted), gen)
+    else:
+        guess = adversary_fn(graph, gen, lambda: _core_from_flags(graph, flags, matching))
     success = guess in matching
     if marble is not None:
         success = success and marble.admissible(config.partition, corrupted)
     return ExperimentOutcome(
         guessed_edge=guess,
         success=success,
-        graph_was_core_equal=_is_core_equal_with(graph, matching),
+        graph_was_core_equal=all(map(all, flags)),
     )
 
 
@@ -277,7 +296,12 @@ def run_campaign(
     *,
     marble: BlackMarbleConfig | None = None,
 ) -> CampaignResult:
-    """Run independent trials on per-trial streams and aggregate both estimates."""
+    """Run independent trials on per-trial streams and aggregate both estimates.
+
+    Each trial computes the sampled graph's core once, from the signer
+    assignment; both the mismatch count and the passive core adversary use
+    it (see the module docstring for why that leaks nothing).
+    """
     _check_experiment_args(config, n_users)
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")

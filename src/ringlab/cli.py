@@ -78,8 +78,6 @@ def parse_edge_list(path: str) -> TransactionGraph:
         return TransactionGraph(header[0], header[1], edges)
     except (IndexOutOfRange, ValueError) as exc:
         raise _ParseError(path, 1, str(exc)) from exc
-    except NotATransactionGraph:
-        raise
 
 
 def _fmt(value: float) -> str:
@@ -220,14 +218,10 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         )
         return EXIT_USAGE
     beta = args.beta or 0.0
-    try:
-        marble = BlackMarbleConfig(beta) if beta > 0.0 else None
-    except InvalidBeta as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     if not 0.0 <= beta < 1.0:
         print("need 0 <= --beta < 1", file=sys.stderr)
         return EXIT_USAGE
+    marble = BlackMarbleConfig(beta) if beta > 0.0 else None
     partition = Partition.equal_chunks(args.users, args.chunk_size)
     kind = Regular(args.k) if args.k is not None else Binomial(args.p)
     config = SamplerConfig(partition, kind)

@@ -14,6 +14,7 @@ lower limit exceeds the closed-form bound.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -160,7 +161,8 @@ def check_conjectures_grid(spec: GridSpec, workers: int = 1) -> list[GridCell]:
 
     Each (cell, model) campaign owns stream ids ``index << 32 | trial``,
     so the result is a pure function of the grid parameters regardless
-    of ``workers``.
+    of ``workers``.  The pool never gets more processes than there are
+    tasks or CPUs.
     """
     cells = spec.cells()
     tasks = []
@@ -168,7 +170,8 @@ def check_conjectures_grid(spec: GridSpec, workers: int = 1) -> list[GridCell]:
         for mi, model in enumerate(("reg", "bin")):
             stream_base = (2 * ci + mi) << 32
             tasks.append((spec.seed, stream_base, model, k, n, spec.trials))
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_task, tasks))
     else:

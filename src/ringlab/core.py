@@ -16,11 +16,12 @@ from .errors import InstanceTooLarge, NotATransactionGraph
 from .graph import (
     Matching,
     TransactionGraph,
+    _induced_successors,
+    _reach,
+    _require_covering,
+    _tarjan,
     _user_relabel,
-    induced_digraph,
     maximum_matching,
-    reachable_from,
-    scc,
 )
 
 __all__ = [
@@ -43,39 +44,58 @@ def core(graph: TransactionGraph, *, matching: Matching | None = None) -> Transa
     ``matching`` may supply a known size-``n_rings`` maximum matching
     (e.g. the signer assignment of a freshly sampled graph) to skip the
     matching computation; the result does not depend on which maximum
-    matching is used.
+    matching is used.  When no edge is removed the graph itself is returned.
     """
     if matching is None:
+        # Hall's condition for the whole ring set, checked before matching
+        touched = len(set().union(*graph._members))
+        if touched < graph.n_rings:
+            raise NotATransactionGraph(
+                f"{graph.n_rings} rings have only {touched} distinct members"
+            )
         matching = maximum_matching(graph)
         if matching.size != graph.n_rings:
             raise NotATransactionGraph(
                 f"maximum matching has size {matching.size} < {graph.n_rings} rings"
             )
-    flags = _core_member_flags(graph, matching)
-    members = [
-        [u for u, keep in zip(graph.ring_members(r), flags[r]) if keep]
-        for r in range(graph.n_rings)
-    ]
-    return TransactionGraph._from_members(graph.n_users, members, matching=matching)
+    else:
+        _require_covering(graph, matching)
+    return _core_from_flags(graph, _core_member_flags(graph, matching), matching)
 
 
 def _core_member_flags(
     graph: TransactionGraph, matching: Matching
 ) -> list[list[bool]]:
-    """Per ring, which members' edges survive in the core."""
+    """Per ring, which members' edges survive in the core.
+
+    ``matching`` must cover every ring with edges of ``graph``; callers
+    check that once, this does not check it again.
+    """
     n, m = graph.n_users, graph.n_rings
     relabel = _user_relabel(graph, matching)
-    digraph = induced_digraph(graph, matching)
-    _, comp_of = scc(digraph)
-    from_unmatched = reachable_from(digraph, range(m, n))
-    flags: list[list[bool]] = []
-    for r in range(m):
-        row = []
-        for u in graph.ring_members(r):
-            i = relabel[u]
-            row.append(i == r or comp_of[i] == comp_of[r] or i in from_unmatched)
-        flags.append(row)
-    return flags
+    succ = _induced_successors(graph, relabel)
+    comp_of = _tarjan(succ)
+    from_unmatched = _reach(succ, range(m, n))
+    return [
+        [
+            (i := relabel[u]) == r or comp_of[i] == comp_of[r] or i in from_unmatched
+            for u in ms
+        ]
+        for r, ms in enumerate(graph._members)
+    ]
+
+
+def _core_from_flags(
+    graph: TransactionGraph, flags: list[list[bool]], matching: Matching
+) -> TransactionGraph:
+    """The core given its member flags: ``graph`` itself when nothing is removed."""
+    if all(map(all, flags)):
+        return graph
+    members = [
+        [u for u, keep in zip(ms, row) if keep]
+        for ms, row in zip(graph._members, flags)
+    ]
+    return TransactionGraph._from_members(graph.n_users, members, matching=matching)
 
 
 def is_core_equal(graph: TransactionGraph) -> bool:

@@ -17,6 +17,7 @@ values.  Indices are 0-based throughout, including file formats.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -103,12 +104,11 @@ class Matching:
 class TransactionGraph:
     """Bipartite graph of ``n_users`` users and ``n_rings`` rings.
 
-    Adjacency is stored in both directions (ring -> members and
-    user -> rings) for O(1)-ish membership work in the core computation;
-    the flat edge set is materialised lazily.
+    Adjacency is stored as one sorted member tuple per ring; the flat edge
+    set is materialised lazily.
     """
 
-    __slots__ = ("n_users", "n_rings", "_members", "_rings_of", "_edge_set")
+    __slots__ = ("n_users", "n_rings", "_members", "_edge_set")
 
     def __init__(
         self,
@@ -127,7 +127,6 @@ class TransactionGraph:
                 f"{n_rings} rings cannot all have distinct signers among {n_users} users"
             )
         members: list[list[int]] = [[] for _ in range(n_rings)]
-        rings_of: list[list[int]] = [[] for _ in range(n_users)]
         seen: set[tuple[int, int]] = set()
         for u, r in edges:
             u = int(u)
@@ -140,11 +139,9 @@ class TransactionGraph:
                 raise ValueError(f"duplicate edge ({u}, {r})")
             seen.add((u, r))
             members[r].append(u)
-            rings_of[u].append(r)
         self.n_users = n_users
         self.n_rings = n_rings
         self._members = tuple(tuple(sorted(ms)) for ms in members)
-        self._rings_of = tuple(tuple(sorted(rs)) for rs in rings_of)
         self._edge_set: frozenset[tuple[int, int]] | None = None
         if matching is not None:
             self._check_certificate(matching)
@@ -161,11 +158,6 @@ class TransactionGraph:
         g.n_users = n_users
         g.n_rings = len(members)
         g._members = tuple(tuple(ms) for ms in members)
-        rings_of: list[list[int]] = [[] for _ in range(n_users)]
-        for r, ms in enumerate(g._members):
-            for u in ms:
-                rings_of[u].append(r)
-        g._rings_of = tuple(tuple(rs) for rs in rings_of)
         g._edge_set = None
         if matching is not None:
             g._check_certificate(matching)
@@ -185,13 +177,10 @@ class TransactionGraph:
     def ring_members(self, ring: int) -> tuple[int, ...]:
         return self._members[ring]
 
-    def rings_of_user(self, user: int) -> tuple[int, ...]:
-        return self._rings_of[user]
-
     def has_edge(self, user: int, ring: int) -> bool:
         ms = self._members[ring]
         if len(ms) > 16:
-            lo = int(np.searchsorted(ms, user))
+            lo = bisect_left(ms, user)
             return lo < len(ms) and ms[lo] == user
         return user in ms
 
@@ -511,6 +500,23 @@ def _user_relabel(graph: TransactionGraph, matching: Matching) -> list[int]:
     return relabel
 
 
+def _induced_successors(
+    graph: TransactionGraph, relabel: Sequence[int]
+) -> list[list[int]]:
+    """Successor lists of the induced digraph, each in ascending order.
+
+    ``relabel`` comes from :func:`_user_relabel`; node r is ring r's signer,
+    so user node i gets the successor r for every ring r it sits in, r != i.
+    """
+    succ: list[list[int]] = [[] for _ in range(graph.n_users)]
+    for r, ms in enumerate(graph._members):
+        for u in ms:
+            i = relabel[u]
+            if i != r:
+                succ[i].append(r)
+    return succ
+
+
 def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
     """Digraph on user nodes: edge i -> j when user i sits in ring j (i != j).
 
@@ -518,23 +524,75 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
     users take nodes ``n_rings..n_users-1`` in ascending original order.
     """
     _require_covering(graph, matching)
-    relabel = _user_relabel(graph, matching)
-    src: list[int] = []
-    dst: list[int] = []
-    for r in range(graph.n_rings):
-        for u in graph.ring_members(r):
-            i = relabel[u]
-            if i != r:
-                src.append(i)
-                dst.append(r)
-    return Digraph._from_arrays(
-        graph.n_users,
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-    )
+    succ = _induced_successors(graph, _user_relabel(graph, matching))
+    src = np.repeat(np.arange(graph.n_users, dtype=np.int64), [len(ts) for ts in succ])
+    dst = np.fromiter((t for ts in succ for t in ts), dtype=np.int64, count=src.size)
+    return Digraph._from_arrays(graph.n_users, src, dst)
 
 
 # -- digraph algorithms ------------------------------------------------------
+#
+# The SCC and reachability routines work on plain successor lists, so the
+# core computation can call them without building a Digraph.
+
+
+def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Strong component id of every node (iterative Tarjan).
+
+    Ids count components in the order Tarjan closes them.  A node is on
+    Tarjan's stack exactly when it has an index but no component yet.
+    """
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    n_comps = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, it = frames[-1]
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    frames.append((w, iter(succ[w])))
+                    break
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+    return comp
+
+
+def _reach(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> set[int]:
+    """Nodes on some directed path from ``sources`` (sources included)."""
+    todo = list(sources)
+    seen = set(todo)
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def scc(digraph: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -544,60 +602,17 @@ def scc(digraph: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
     tuples ordered by their smallest node, and ``component_of[v]`` indexes
     into that ordering.
     """
-    n = digraph.n_nodes
-    adj = digraph.out_adjacency
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    tarjan_stack: list[int] = []
-    raw_comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        frames: list[list[int]] = [[root, 0]]
-        while frames:
-            frame = frames[-1]
-            v, ptr = frame
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                tarjan_stack.append(v)
-                on_stack[v] = True
-            succ = adj[v]
-            child = -1
-            while ptr < len(succ):
-                w = succ[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    child = w
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            frame[1] = ptr
-            if child != -1:
-                frames.append([child, 0])
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = tarjan_stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                raw_comps.append(comp)
-    comps = sorted((tuple(sorted(c)) for c in raw_comps), key=lambda c: c[0])
-    component_of = [0] * n
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(_tarjan(digraph.out_adjacency)):
+        members.setdefault(c, []).append(v)
+    # nodes are visited in ascending order, so each list is sorted and the
+    # dict's insertion order is the order of smallest nodes
+    comps = tuple(tuple(vs) for vs in members.values())
+    component_of = [0] * digraph.n_nodes
     for ci, comp in enumerate(comps):
         for v in comp:
             component_of[v] = ci
-    return tuple(comps), tuple(component_of)
+    return comps, tuple(component_of)
 
 
 # Above this node count the dense boolean-matrix reachability switches to a
@@ -695,19 +710,11 @@ def reachable_from(digraph: Digraph, sources: Iterable[int]) -> set[int]:
     returned set and (i, j) is an edge; the core computation relies on
     this equivalence.
     """
-    adj = digraph.out_adjacency
     todo = [int(s) for s in sources]
     for s in todo:
         if not 0 <= s < digraph.n_nodes:
             raise IndexOutOfRange(f"source {s} outside [0, {digraph.n_nodes})")
-    seen = set(todo)
-    while todo:
-        v = todo.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
+    return _reach(digraph.out_adjacency, todo)
 
 
 # -- partitioning ------------------------------------------------------------

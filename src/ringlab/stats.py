@@ -49,8 +49,3 @@ class EstimateResult:
             raise ValueError("failures must lie in [0, trials]")
         low, high = wilson_interval(failures, trials)
         return cls(trials, failures, failures / trials, low, high)
-
-    @property
-    def sigma(self) -> float:
-        """Normal-approximation standard error of the point estimate."""
-        return sqrt(self.estimate * (1.0 - self.estimate) / self.trials)

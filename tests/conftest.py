@@ -52,6 +52,10 @@ def weakly_connected(graph: TransactionGraph) -> bool:
         return True
     if graph.edge_count == 0:
         return False
+    rings_of: list[list[int]] = [[] for _ in range(graph.n_users)]
+    for r in range(graph.n_rings):
+        for u in graph.ring_members(r):
+            rings_of[u].append(r)
     seen_users: set[int] = set()
     seen_rings: set[int] = set()
     first_ring = next(
@@ -67,7 +71,7 @@ def weakly_connected(graph: TransactionGraph) -> bool:
                     seen_users.add(u)
                     stack.append(("u", u))
         else:
-            for r in graph.rings_of_user(idx):
+            for r in rings_of[idx]:
                 if r not in seen_rings:
                     seen_rings.add(r)
                     stack.append(("r", r))

@@ -204,6 +204,38 @@ def test_estimate_rejects_bad_args():
         estimate_success(cfg, 4, "trivial", 0, RandomSource(0))
 
 
+# (users, chunk size, sampler, adversary, beta) -> (successes, core mismatches)
+# of 300 trials from RandomSource(0, 3).  Recorded while the core adversary
+# still ran its own matching and core on every trial: sharing the sampled
+# graph's core with it must not change a single outcome.
+GOLDEN_CAMPAIGNS = [
+    ((40, 4, Regular(3), "trivial", None), (76, 0)),
+    ((40, 4, Regular(3), "core", None), (76, 0)),
+    ((40, 8, Regular(3), "trivial", None), (76, 171)),
+    ((40, 8, Regular(3), "core", None), (206, 171)),
+    ((40, 8, Regular(3), "trivial", 0.25), (74, 184)),
+    ((40, 8, Regular(3), "core", 0.25), (74, 184)),
+    ((40, 8, Regular(3), "core", 0.5), (74, 184)),
+    ((12, 4, Regular(1), "trivial", None), (131, 297)),
+    ((12, 4, Regular(1), "core", None), (297, 297)),
+    ((12, 4, Regular(1), "core", 0.5), (152, 300)),
+    ((9, 9, Binomial(0.2), "trivial", None), (273, 290)),
+    ((9, 9, Binomial(0.2), "core", None), (296, 290)),
+    ((9, 9, Binomial(0.2), "matching_count", None), (299, 290)),
+    ((9, 9, Binomial(0.2), "core", 0.25), (205, 281)),
+    ((9, 9, Binomial(0.2), "matching_count", 0.25), (205, 281)),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_CAMPAIGNS)
+def test_campaign_counts_golden(case, expected):
+    users, chunk, kind, adversary, beta = case
+    cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
+    marble = BlackMarbleConfig(beta) if beta else None
+    result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
+    assert (result.success.failures, result.core_mismatch.failures) == expected
+
+
 # -- black marbles ----------------------------------------------------------------------
 
 

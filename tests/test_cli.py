@@ -211,15 +211,17 @@ def test_simulate_flag_validation(capsys):
         )
         == 2
     )
-    assert (
-        main(
-            [
-                "simulate", "--users", "12", "--chunk-size", "4", "--k", "2",
-                "--beta", "1.0",
-            ]
+    for beta in ("1.0", "-0.1"):
+        assert (
+            main(
+                [
+                    "simulate", "--users", "12", "--chunk-size", "4", "--k", "2",
+                    "--beta", beta,
+                ]
+            )
+            == 2
         )
-        == 2
-    )
+        assert "need 0 <= --beta < 1" in capsys.readouterr().err
 
 
 # -- recommend ---------------------------------------------------------------------------

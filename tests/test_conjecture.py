@@ -214,6 +214,41 @@ def test_grid_deterministic_and_worker_independent():
     assert grid_csv_text(serial) == grid_csv_text(parallel)
 
 
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_grid_pool_bounded_by_tasks_and_cpus(monkeypatch):
+    import ringlab.conjecture as conjecture
+
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(conjecture, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(conjecture.os, "cpu_count", lambda: 4)
+    few = GridSpec(k_values=(1,), n_values=(4,), trials=20, seed=2)  # 2 tasks
+    many = GridSpec(k_values=(1, 2), n_values=(4, 8), trials=20, seed=2)  # 8 tasks
+    assert check_conjectures_grid(few, workers=10**6) == check_conjectures_grid(few)
+    check_conjectures_grid(many, workers=10**6)
+    check_conjectures_grid(many, workers=3)
+    assert _RecordingExecutor.sizes == [2, 4, 3]
+    monkeypatch.setattr(conjecture.os, "cpu_count", lambda: None)
+    check_conjectures_grid(many, workers=10**6)  # unknown CPU count: serial
+    assert _RecordingExecutor.sizes == [2, 4, 3]
+
+
 def test_grid_csv_schema():
     spec = GridSpec(k_values=(1,), n_values=(4,), trials=200, seed=1)
     text = grid_csv_text(check_conjectures_grid(spec))

@@ -121,7 +121,7 @@ def test_core_mismatch_bound_clamped():
 
 def test_core_mismatch_bound_dominates_monte_carlo():
     # end to end: measured Pr[G != core(G)] for a regular sampler stays
-    # below the analytic bound (plus noise allowance)
+    # below the analytic bound (the 95% Wilson interval reaches it)
     n_chunks, chunk_size, k = 4, 64, 6
     cfg = SamplerConfig(
         Partition.equal_chunks(n_chunks * chunk_size, chunk_size), Regular(k)
@@ -130,7 +130,7 @@ def test_core_mismatch_bound_dominates_monte_carlo():
         cfg, n_chunks * chunk_size, "trivial", 8000, RandomSource(33)
     )
     bound = core_mismatch_bound(n_chunks, chunk_size, k)
-    assert result.core_mismatch.estimate <= bound + 3 * result.core_mismatch.sigma
+    assert result.core_mismatch.ci_low <= bound
 
 
 # -- theorem chain ---------------------------------------------------------------------

@@ -32,7 +32,6 @@ def test_estimate_result_fields():
     est = EstimateResult.from_counts(400, 100)
     assert est.estimate == 0.25
     assert est.ci_low <= 0.25 <= est.ci_high
-    assert est.sigma == pytest.approx((0.25 * 0.75 / 400) ** 0.5)
     with pytest.raises(ValueError):
         EstimateResult.from_counts(0, 0)
     with pytest.raises(ValueError):
