@@ -23,14 +23,13 @@ from .adversary import BlackMarbleConfig, run_campaign
 from .core import BRUTE_FORCE_USER_CAP, core_report
 from .errors import (
     DomainError,
-    EmptyRing,
     IndexOutOfRange,
     InvalidBeta,
     NoFeasibleK,
     NotATransactionGraph,
     RinglabError,
 )
-from .graph import Partition, TransactionGraph, validate
+from .graph import Partition, TransactionGraph, _covering_matching
 from .samplers import Binomial, RandomSource, Regular, SamplerConfig
 
 __all__ = ["main", "entrypoint", "parse_edge_list"]
@@ -114,11 +113,11 @@ def _cmd_core(args: argparse.Namespace, out) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        validate(graph)
-    except (EmptyRing, NotATransactionGraph, IndexOutOfRange) as exc:
+        matching = _covering_matching(graph)
+    except NotATransactionGraph as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_GRAPH
-    report = core_report(graph)
+    report = core_report(graph, matching=matching)
     if args.format == "csv":
         out.write("ring_index,core_degree,deanonymised\n")
         deanon = {r for r, _ in report.deanonymised_rings}

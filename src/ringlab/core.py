@@ -12,16 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InstanceTooLarge, NotATransactionGraph
+from .errors import InstanceTooLarge
 from .graph import (
     Matching,
     TransactionGraph,
+    _covering_matching,
     _induced_successors,
     _reach,
     _require_covering,
     _tarjan,
     _user_relabel,
-    maximum_matching,
 )
 
 __all__ = [
@@ -45,19 +45,11 @@ def core(graph: TransactionGraph, *, matching: Matching | None = None) -> Transa
     (e.g. the signer assignment of a freshly sampled graph) to skip the
     matching computation; the result does not depend on which maximum
     matching is used.  When no edge is removed the graph itself is returned.
+    Without ``matching``, raises :class:`NotATransactionGraph` (or its
+    subclass :class:`EmptyRing`) when no matching covers every ring.
     """
     if matching is None:
-        # Hall's condition for the whole ring set, checked before matching
-        touched = len(set().union(*graph._members))
-        if touched < graph.n_rings:
-            raise NotATransactionGraph(
-                f"{graph.n_rings} rings have only {touched} distinct members"
-            )
-        matching = maximum_matching(graph)
-        if matching.size != graph.n_rings:
-            raise NotATransactionGraph(
-                f"maximum matching has size {matching.size} < {graph.n_rings} rings"
-            )
+        matching = _covering_matching(graph)
     else:
         _require_covering(graph, matching)
     return _core_from_flags(graph, _core_member_flags(graph, matching), matching)
@@ -117,8 +109,9 @@ class CoreReport:
     per_ring_core_degree: tuple[int, ...]
 
 
-def core_report(graph: TransactionGraph) -> CoreReport:
-    c = core(graph)
+def core_report(graph: TransactionGraph, *, matching: Matching | None = None) -> CoreReport:
+    """Core of ``graph`` summarised for an analyst; ``matching`` as for :func:`core`."""
+    c = core(graph, matching=matching)
     core_edges = c.edges
     removed = graph.edges - core_edges
     degrees = c.ring_sizes()
@@ -139,19 +132,16 @@ def enumerate_maximum_matchings(
     """All maximum matchings, by exhaustive backtracking over rings.
 
     Exponential; guarded by ``max_users``.  The graph must admit a
-    matching covering every ring, so each maximum matching assigns every
-    ring exactly one user and the enumeration can proceed ring by ring.
+    matching covering every ring (else :class:`NotATransactionGraph`), so
+    each maximum matching assigns every ring exactly one user and the
+    enumeration can proceed ring by ring.
     """
     if graph.n_users > max_users:
         raise InstanceTooLarge(
             f"{graph.n_users} users exceeds the brute-force cap of {max_users}"
         )
+    _covering_matching(graph)
     m = graph.n_rings
-    probe = maximum_matching(graph)
-    if probe.size != m:
-        raise NotATransactionGraph(
-            f"maximum matching has size {probe.size} < {m} rings"
-        )
     results: list[Matching] = []
     used = [False] * graph.n_users
     chosen: list[int] = []

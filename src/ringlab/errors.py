@@ -9,16 +9,16 @@ class IndexOutOfRange(RinglabError):
     """A user or ring index lies outside the declared vertex ranges."""
 
 
-class EmptyRing(RinglabError):
-    """A ring node has no member edges."""
+class NotATransactionGraph(RinglabError):
+    """No signer assignment covers every ring (maximum matching < ring count)."""
+
+
+class EmptyRing(NotATransactionGraph):
+    """A ring node has no member edges, so no signer assignment covers it."""
 
     def __init__(self, ring_index: int):
         self.ring_index = ring_index
         super().__init__(f"EmptyRing at ring {ring_index}")
-
-
-class NotATransactionGraph(RinglabError):
-    """No signer assignment covers every ring (maximum matching < ring count)."""
 
 
 class MatchingNotMaximum(RinglabError):

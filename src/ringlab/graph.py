@@ -383,67 +383,108 @@ class GraphChunk:
 
 
 def maximum_matching(graph: TransactionGraph) -> Matching:
-    """A maximum matching, deterministic for a fixed input.
+    """A maximum matching (Hopcroft-Karp), deterministic for a fixed input.
 
-    Augmenting paths are searched from rings in ascending index order and
-    members are tried in ascending user order, so repeated calls return the
-    identical matching.  Which maximum matching is returned is irrelevant to
-    the core computation (the core is invariant under the choice; a property
-    test pins this against an independent augmenting order).
+    A greedy pass gives each ring, in ascending order, its lowest free
+    member.  Each phase then grows the matching along a maximal set of
+    shortest augmenting paths: a BFS from the free rings layers the rings
+    by alternating-path distance, and a DFS from each free ring follows
+    only edges into the next layer, abandoning rings that lead nowhere.
+    Rings and members are always scanned in ascending order, so repeated
+    calls return the identical matching.  Which maximum matching is
+    returned is irrelevant to the core computation (the core is invariant
+    under the choice; a property test pins this against the matching of a
+    randomly relabelled copy of the graph).
     """
-    return _kuhn(graph)
-
-
-def _kuhn(
-    graph: TransactionGraph, rings_desc: bool = False, users_desc: bool = False
-) -> Matching:
-    """Augmenting-path (Kuhn) maximum matching with a configurable scan order.
-
-    The non-default orders exist for tests that assert order-invariance of
-    derived results; production callers use the defaults.
-    """
-    n_users, n_rings = graph.n_users, graph.n_rings
-    match_user = [-1] * n_users  # user -> ring
-    match_ring = [-1] * n_rings  # ring -> user
-    ring_order = range(n_rings - 1, -1, -1) if rings_desc else range(n_rings)
-
-    def members(j: int) -> tuple[int, ...]:
-        ms = graph.ring_members(j)
-        return tuple(reversed(ms)) if users_desc else ms
-
-    for start in ring_order:
-        if not graph.ring_members(start):
-            continue
-        visited: set[int] = set()
-        # frame: [ring, member iterator, member that led to the child frame]
-        stack: list[list] = [[start, iter(members(start)), -1]]
-        while stack:
-            frame = stack[-1]
-            ring, it = frame[0], frame[1]
-            descended = False
-            for u in it:
-                if u in visited:
-                    continue
-                visited.add(u)
-                owner = match_user[u]
-                if owner == -1:
-                    # free user: commit the augmenting path along the stack
-                    match_user[u] = ring
-                    match_ring[ring] = u
-                    for parent in stack[:-1]:
-                        pu = parent[2]
-                        match_user[pu] = parent[0]
-                        match_ring[parent[0]] = pu
-                    stack.clear()
-                    descended = True
-                    break
-                frame[2] = u
-                stack.append([owner, iter(members(owner)), -1])
-                descended = True
+    members = graph._members
+    ring_of = [-1] * graph.n_users  # user -> ring
+    user_of = [-1] * graph.n_rings  # ring -> user
+    for r, ms in enumerate(members):
+        for u in ms:
+            if ring_of[u] == -1:
+                ring_of[u] = r
+                user_of[r] = u
                 break
-            if not descended:
-                stack.pop()
-    return Matching((u, r) for r, u in enumerate(match_ring) if u != -1)
+    while True:
+        free = [r for r, u in enumerate(user_of) if u == -1 and members[r]]
+        # layer[r]: alternating-path distance of ring r from the free rings
+        layer = [-1] * graph.n_rings
+        for r in free:
+            layer[r] = 0
+        frontier = free
+        depth = 0
+        found = False
+        while frontier and not found:
+            nxt = []
+            for r in frontier:
+                for u in members[r]:
+                    owner = ring_of[u]
+                    if owner == -1:
+                        found = True
+                    elif layer[owner] == -1:
+                        layer[owner] = depth + 1
+                        nxt.append(owner)
+            if not found:
+                frontier = nxt
+                depth += 1
+        if not found:
+            break
+        # shortest augmenting paths end at a free user next to a ring of layer
+        # ``depth``; rings deeper than that were labelled in the last BFS
+        # layer and are not descended into
+        for root in free:
+            path = [root]  # rings from the root down
+            via: list[int] = []  # via[i]: user leading from path[i] to path[i + 1]
+            iters = [iter(members[root])]
+            while path:
+                r = path[-1]
+                for u in iters[-1]:
+                    owner = ring_of[u]
+                    if owner == -1:
+                        via.append(u)
+                        for ring, user in zip(path, via):
+                            ring_of[user] = ring
+                            user_of[ring] = user
+                        path = []
+                        break
+                    if layer[owner] == layer[r] + 1 <= depth:
+                        via.append(u)
+                        path.append(owner)
+                        iters.append(iter(members[owner]))
+                        break
+                else:
+                    layer[r] = -1  # dead end for the rest of this phase
+                    path.pop()
+                    iters.pop()
+                    if via:
+                        via.pop()
+    return Matching((u, r) for r, u in enumerate(user_of) if u != -1)
+
+
+def _covering_matching(graph: TransactionGraph) -> Matching:
+    """A maximum matching that covers every ring: the transaction-graph certificate.
+
+    Cheap necessary conditions are checked before any matching runs: every
+    ring has a member (:class:`EmptyRing`) and all rings together touch at
+    least as many users as there are rings (Hall's condition for the whole
+    ring set).  Raises :class:`NotATransactionGraph` when no matching
+    covers every ring.
+    """
+    members = graph._members
+    for j, ms in enumerate(members):
+        if not ms:
+            raise EmptyRing(j)
+    touched = len(set().union(*members))
+    if touched < graph.n_rings:
+        raise NotATransactionGraph(
+            f"{graph.n_rings} rings have only {touched} distinct members"
+        )
+    matching = maximum_matching(graph)
+    if matching.size != graph.n_rings:
+        raise NotATransactionGraph(
+            f"maximum matching has size {matching.size} < {graph.n_rings} rings"
+        )
+    return matching
 
 
 def validate(graph: TransactionGraph) -> TransactionGraph:
@@ -452,14 +493,7 @@ def validate(graph: TransactionGraph) -> TransactionGraph:
     Raises :class:`EmptyRing` for a memberless ring and
     :class:`NotATransactionGraph` when no matching covers every ring.
     """
-    for j in range(graph.n_rings):
-        if not graph.ring_members(j):
-            raise EmptyRing(j)
-    m = maximum_matching(graph)
-    if m.size != graph.n_rings:
-        raise NotATransactionGraph(
-            f"maximum matching has size {m.size} < {graph.n_rings} rings"
-        )
+    _covering_matching(graph)
     return graph
 
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from ringlab.graph import Digraph, Matching, TransactionGraph
+from ringlab.graph import Digraph, Matching, TransactionGraph, maximum_matching
 
 
 def make_graph(n_users, n_rings, edges, **kw):
@@ -43,6 +43,25 @@ def random_valid_graph(
                 edges.add((u, r))
     cert = Matching((int(signers[j]), j) for j in range(m))
     return TransactionGraph(n, m, edges, matching=cert)
+
+
+def relabelled_matching(graph: TransactionGraph, gen: np.random.Generator) -> Matching:
+    """A maximum matching of ``graph`` found under random user and ring labels.
+
+    ``maximum_matching`` runs on a copy with both sides permuted, which
+    changes the order it scans rings and members in, and the result is
+    mapped back to the original labels.
+    """
+    user_perm = gen.permutation(graph.n_users).tolist()
+    ring_perm = gen.permutation(graph.n_rings).tolist()
+    relabelled = TransactionGraph(
+        graph.n_users,
+        graph.n_rings,
+        ((user_perm[u], ring_perm[r]) for u, r in graph.edges),
+    )
+    user_back = {p: u for u, p in enumerate(user_perm)}
+    ring_back = {p: r for r, p in enumerate(ring_perm)}
+    return Matching((user_back[u], ring_back[r]) for u, r in maximum_matching(relabelled))
 
 
 def weakly_connected(graph: TransactionGraph) -> bool:

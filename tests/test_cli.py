@@ -1,9 +1,11 @@
 """Command-line behavior: formats, exit codes, determinism."""
+import hashlib
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ringlab.cli import _resolve_threads, main, parse_edge_list
@@ -55,6 +57,41 @@ def test_core_crlf_and_comments(tmp_path, capsys):
     path = _write(tmp_path, "crlf.txt", "2 2\r\n0 0\r\n# x\r\n\r\n1 1\r\n")
     assert main(["core", path]) == 0
     assert "graph users=2 rings=2 edges=2" in capsys.readouterr().out
+
+
+def _seeded_core_input(seed=4, n_users=500, n_rings=450):
+    """Edge list with distinct signers, 0-3 decoys per ring and one-member rings.
+
+    A one-member ring pins its signer, so that user's decoy edges in other
+    rings leave the core; the 50 users who sign nothing keep some of theirs.
+    """
+    gen = np.random.default_rng(seed)
+    signers = gen.permutation(n_users)[:n_rings]
+    lines = [f"{n_users} {n_rings}"]
+    for r in range(n_rings):
+        ring = {int(signers[r])}
+        ring.update(int(u) for u in gen.integers(0, n_users, size=int(gen.integers(0, 4))))
+        lines.extend(f"{u} {r}" for u in sorted(ring))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of `ringlab core` stdout on _seeded_core_input(), per --format.
+CORE_GOLDEN_SHA256 = {
+    "text": "d5f9abf48ac9f37c6685fbecc5915747733695dda9b84b6c61bc76ab2b9a8d7d",
+    "csv": "2e60cee0a6ae49d4ba381aa75d7dc39f18fed19a2b22b473b19f5b3be4b363d2",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CORE_GOLDEN_SHA256))
+def test_core_output_golden(tmp_path, capsys, fmt):
+    path = _write(tmp_path, "seeded.txt", _seeded_core_input())
+    assert main(["core", path, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "text":
+        removed = int(out.splitlines()[2].split("removed=")[1])
+        deanonymised = int(out.splitlines()[-1].split("count=")[1])
+        assert removed > 0 and 0 < deanonymised < 450
+    assert hashlib.sha256(out.encode()).hexdigest() == CORE_GOLDEN_SHA256[fmt]
 
 
 def test_core_empty_ring_exit3(tmp_path, capsys):

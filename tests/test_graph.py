@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ringlab.core import core
 from ringlab.errors import (
     EmptyRing,
     IndexOutOfRange,
@@ -18,7 +19,6 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
-    _kuhn,
     induced_digraph,
     is_strongly_connected,
     maximum_matching,
@@ -29,7 +29,7 @@ from ringlab.graph import (
     validate,
 )
 
-from conftest import make_graph, random_valid_graph, sc_bruteforce
+from conftest import make_graph, random_valid_graph, relabelled_matching, sc_bruteforce
 
 
 # -- construction and validation ------------------------------------------------
@@ -139,8 +139,82 @@ def test_matching_deterministic(toy_graph):
     for _ in range(30):
         g = random_valid_graph(gen)
         assert maximum_matching(g) == maximum_matching(g)
-        alt = _kuhn(g, rings_desc=True, users_desc=True)
+        alt = relabelled_matching(g, gen)
+        assert set(alt.pairs) <= g.edges
         assert alt.size == maximum_matching(g).size
+        assert core(g).edges == core(g, matching=alt).edges
+
+
+def _assert_maximum(graph, matching):
+    """A matching of ``graph`` with no augmenting path, hence maximum (Berge).
+
+    An alternating BFS from every unmatched ring follows any edge to a user
+    and a matched user's matching edge back to its ring; reaching a free
+    user would close an augmenting path.
+    """
+    assert all(graph.has_edge(u, r) for u, r in matching)
+    assert len(matching.users) == matching.size
+    ring_of = {u: r for u, r in matching}
+    todo = [r for r in range(graph.n_rings) if matching.user_for_ring(r) is None]
+    seen = set(todo)
+    while todo:
+        for u in graph.ring_members(todo.pop()):
+            assert u in ring_of, f"augmenting path ends at free user {u}"
+            if ring_of[u] not in seen:
+                seen.add(ring_of[u])
+                todo.append(ring_of[u])
+
+
+def test_matching_has_no_augmenting_path_on_random_graphs():
+    gen = np.random.default_rng(19)
+    deficient = 0
+    for n in (200, 700, 1500, 3000):
+        for reach in (1.0, 0.8):  # members drawn from the first reach * n users
+            m = int(gen.integers(n // 2, n + 1))
+            pool = int(reach * n)
+            edges = {
+                (int(u), r)
+                for r in range(m)
+                for u in gen.integers(0, pool, size=int(gen.integers(1, 4)))
+            }
+            g = make_graph(n, m, edges)
+            matching = maximum_matching(g)
+            _assert_maximum(g, matching)
+            deficient += matching.size < m
+    assert deficient > 0
+
+
+def _greedy_size(graph):
+    taken = set()
+    for r in range(graph.n_rings):
+        free = [u for u in graph.ring_members(r) if u not in taken]
+        if free:
+            taken.add(free[0])
+    return len(taken)
+
+
+def test_matching_exact_where_greedy_fails_at_every_length():
+    # One chain per length L: rings c_0..c_L with c_i = {a_i, a_(i+1)} and
+    # c_L = {a_L}.  Users are labelled in descending chain order, so a
+    # lowest-free-member pass gives c_i the user a_(i+1) and strands c_L;
+    # each chain then has one augmenting path of length 2L + 1, a distinct
+    # length per chain, so no single phase of shortest paths fixes them all.
+    edges, expected = [], []
+    users = rings = 0
+    for length in range(1, 13):
+        a = [users + length - i for i in range(length + 1)]
+        for i in range(length + 1):
+            edges.append((a[i], rings + i))
+            if i < length:
+                edges.append((a[i + 1], rings + i))
+            expected.append((a[i], rings + i))
+        users += length + 1
+        rings += length + 1
+    g = make_graph(users, rings, edges)
+    assert _greedy_size(g) == rings - 12
+    matching = maximum_matching(g)
+    _assert_maximum(g, matching)
+    assert matching == Matching(expected)
 
 
 def test_matching_pairs_are_edges():
