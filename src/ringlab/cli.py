@@ -29,7 +29,7 @@ from .errors import (
     NotATransactionGraph,
     RinglabError,
 )
-from .graph import Partition, TransactionGraph, _covering_matching
+from .graph import Partition, TransactionGraph
 from .samplers import Binomial, RandomSource, Regular, SamplerConfig
 
 __all__ = ["main", "entrypoint", "parse_edge_list"]
@@ -113,11 +113,10 @@ def _cmd_core(args: argparse.Namespace, out) -> int:
         print(f"cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        matching = _covering_matching(graph)
+        report = core_report(graph)
     except NotATransactionGraph as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_BAD_GRAPH
-    report = core_report(graph, matching=matching)
     if args.format == "csv":
         out.write("ring_index,core_degree,deanonymised\n")
         deanon = {r for r, _ in report.deanonymised_rings}

@@ -109,9 +109,8 @@ class CoreReport:
     per_ring_core_degree: tuple[int, ...]
 
 
-def core_report(graph: TransactionGraph, *, matching: Matching | None = None) -> CoreReport:
-    """Core of ``graph`` summarised for an analyst; ``matching`` as for :func:`core`."""
-    c = core(graph, matching=matching)
+def core_report(graph: TransactionGraph) -> CoreReport:
+    c = core(graph)
     core_edges = c.edges
     removed = graph.edges - core_edges
     degrees = c.ring_sizes()

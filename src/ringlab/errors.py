@@ -14,7 +14,11 @@ class NotATransactionGraph(RinglabError):
 
 
 class EmptyRing(NotATransactionGraph):
-    """A ring node has no member edges, so no signer assignment covers it."""
+    """A ring node has no member edges, so no signer assignment covers it.
+
+    Raised by the covering-matching check and by ``partition_graph``; a
+    handler for :class:`NotATransactionGraph` catches it from either.
+    """
 
     def __init__(self, ring_index: int):
         self.ring_index = ring_index

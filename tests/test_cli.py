@@ -105,6 +105,15 @@ def test_core_unmatchable_exit3(tmp_path, capsys):
     assert main(["core", path]) == 3
 
 
+def test_core_unmatchable_past_hall_exit_exit3(tmp_path, capsys):
+    # three rings touch three users, but rings 0 and 1 share their only member
+    path = _write(tmp_path, "short.txt", "3 3\n0 0\n0 1\n1 2\n2 2\n")
+    assert main(["core", path]) == 3
+    captured = capsys.readouterr()
+    assert "maximum matching has size 2 < 3 rings" in captured.err
+    assert captured.out == ""
+
+
 def test_core_parse_error_has_line_number(tmp_path, capsys):
     path = _write(tmp_path, "parse.txt", "3 3\n0 0\nnot numbers\n")
     assert main(["core", path]) == 2

@@ -264,6 +264,14 @@ def test_core_propagates_invalid_graph():
         core(g)
 
 
+def test_core_and_enumerate_reject_unmatchable_past_hall_exit():
+    # passes Hall's condition for the whole ring set; the matching falls short
+    g = make_graph(3, 3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    for fn in (core, core_report, enumerate_maximum_matchings):
+        with pytest.raises(NotATransactionGraph, match=r"maximum matching has size 2 < 3 rings"):
+            fn(g)
+
+
 def test_validate_then_core_weakly_connected_instances():
     # regression guard: imbalanced graphs exercise the unmatched-node
     # reachability term of the core characterisation

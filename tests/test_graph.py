@@ -51,6 +51,14 @@ def test_validate_rejects_unmatchable():
         validate(g)
 
 
+def test_validate_rejects_unmatchable_past_hall_exit():
+    # rings 0 and 1 share their only member, yet all three rings together
+    # touch three users, so only the matching-size check can reject it
+    g = make_graph(3, 3, [(0, 0), (0, 1), (1, 2), (2, 2)])
+    with pytest.raises(NotATransactionGraph, match=r"maximum matching has size 2 < 3 rings"):
+        validate(g)
+
+
 def test_validate_rejects_empty_ring():
     g = make_graph(3, 2, [(0, 0), (1, 0)])
     with pytest.raises(EmptyRing) as exc:
