@@ -17,13 +17,18 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
 from .errors import InvalidParams
 from .graph import is_strongly_connected
-from .samplers import RandomSource, _digraph_from_in_neighbors, _trial_streams
+from .samplers import (
+    RandomSource,
+    _binomial_in_degrees,
+    _digraph_from_in_neighbors,
+    _trial_streams,
+)
 from .stats import EstimateResult
 
 __all__ = [
@@ -43,21 +48,35 @@ __all__ = [
 LOW_CONFIDENCE_THRESHOLD = 1e-3
 
 
+def _estimate_not_sc(
+    n: int,
+    trials: int,
+    rng: RandomSource,
+    in_degrees: Callable[[np.random.Generator], np.ndarray],
+) -> EstimateResult:
+    """Fraction of ``trials`` digraphs that are not strongly connected.
+
+    Trial t draws its in-degrees with ``in_degrees`` and then its
+    in-neighbour subsets, both from stream t of ``rng``.
+    """
+    if trials < 1:
+        raise InvalidParams("trials must be >= 1")
+    failures = 0
+    for gen in _trial_streams(rng, trials):
+        digraph = _digraph_from_in_neighbors(n, gen, in_degrees(gen))
+        if not is_strongly_connected(digraph):
+            failures += 1
+    return EstimateResult.from_counts(trials, failures)
+
+
 def estimate_not_sc_regular(
     k: int, n: int, trials: int, rng: RandomSource
 ) -> EstimateResult:
     """Fraction of k-in-degree regular digraphs that are not strongly connected."""
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
     counts = np.full(n, k, dtype=np.int64)
-    failures = 0
-    for gen in _trial_streams(rng, trials):
-        digraph = _digraph_from_in_neighbors(n, gen, counts)
-        if not is_strongly_connected(digraph):
-            failures += 1
-    return EstimateResult.from_counts(trials, failures)
+    return _estimate_not_sc(n, trials, rng, lambda gen: counts)
 
 
 def estimate_not_sc_binomial(
@@ -66,19 +85,7 @@ def estimate_not_sc_binomial(
     """Fraction of p-binomial digraphs that are not strongly connected."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    if trials < 1:
-        raise InvalidParams("trials must be >= 1")
-    failures = 0
-    for gen in _trial_streams(rng, trials):
-        counts = (
-            gen.binomial(n - 1, p, size=n).astype(np.int64)
-            if n > 1
-            else np.zeros(1, dtype=np.int64)
-        )
-        digraph = _digraph_from_in_neighbors(n, gen, counts)
-        if not is_strongly_connected(digraph):
-            failures += 1
-    return EstimateResult.from_counts(trials, failures)
+    return _estimate_not_sc(n, trials, rng, lambda gen: _binomial_in_degrees(gen, n, p))
 
 
 def binomial_bound(k: float, n: int) -> float:
@@ -228,11 +235,3 @@ def write_grid_csv(cells: Iterable[GridCell], out: TextIO) -> None:
                 "true" if low_conf else "false",
             ]
             out.write(",".join(row) + "\n")
-
-
-def grid_csv_text(cells: Sequence[GridCell]) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_grid_csv(cells, buf)
-    return buf.getvalue()

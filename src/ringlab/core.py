@@ -111,15 +111,18 @@ class CoreReport:
 
 def core_report(graph: TransactionGraph) -> CoreReport:
     c = core(graph)
-    core_edges = c.edges
-    removed = graph.edges - core_edges
+    removed: set[tuple[int, int]] = set()
+    for r, (ms, kept) in enumerate(zip(graph._members, c._members)):
+        if len(kept) < len(ms):
+            kept_set = set(kept)
+            removed.update((u, r) for u in ms if u not in kept_set)
     degrees = c.ring_sizes()
     deanon = tuple(
         (r, c.ring_members(r)[0]) for r in range(c.n_rings) if degrees[r] == 1
     )
     return CoreReport(
-        core_edges=core_edges,
-        removed_edges=removed,
+        core_edges=c.edges,
+        removed_edges=frozenset(removed),
         deanonymised_rings=deanon,
         per_ring_core_degree=degrees,
     )

@@ -649,66 +649,23 @@ def scc(digraph: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
     return comps, tuple(component_of)
 
 
-# Above this node count the dense boolean-matrix reachability switches to a
-# CSR frontier walk; n*n bytes of adjacency stop being worth allocating.
-_DENSE_LIMIT = 1024
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """Whether node 0 reaches all n nodes along the edges ``tails[i] -> heads[i]``.
 
-
-def _reach_all_dense(adj: np.ndarray, reverse: bool) -> bool:
-    n = adj.shape[0]
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0])
+    Each step marks the head of every edge whose tail is already marked;
+    the walk fails as soon as a step marks nothing new.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
     covered = 1
-    while frontier.size:
-        if reverse:
-            new = adj[:, frontier].any(axis=1)
-        else:
-            new = adj[frontier].any(axis=0)
-        new &= ~visited
-        grown = int(new.sum())
-        if grown == 0:
-            return False
-        visited |= new
-        covered += grown
-        if covered == n:
+    while True:
+        seen[heads[seen[tails]]] = True
+        marked = int(np.count_nonzero(seen))
+        if marked == n:
             return True
-        frontier = np.flatnonzero(new)
-    return False
-
-
-def _csr_unsorted(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(src, kind="stable")
-    counts = np.bincount(src, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr, dst[order]
-
-
-def _reach_all_csr(n: int, indptr: np.ndarray, targets: np.ndarray) -> bool:
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    frontier = np.array([0])
-    covered = 1
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
+        if marked == covered:
             return False
-        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        succ = targets[offsets + np.arange(total)]
-        new = np.zeros(n, dtype=bool)
-        new[succ] = True
-        new &= ~visited
-        grown = int(new.sum())
-        if grown == 0:
-            return False
-        visited |= new
-        covered += grown
-        if covered == n:
-            return True
-        frontier = np.flatnonzero(new)
-    return False
+        covered = marked
 
 
 def is_strongly_connected(digraph: Digraph) -> bool:
@@ -718,6 +675,10 @@ def is_strongly_connected(digraph: Digraph) -> bool:
     from node 0, each required to cover all nodes; this is equivalent to
     having a single SCC and avoids the full SCC pass on the Monte Carlo
     hot path.  A single-node digraph counts as strongly connected.
+
+    Both walks run on the flat edge arrays.  Each step scans all m edges,
+    so a walk costs O(m) per step; the sampled digraph models have
+    logarithmic diameter, so the walks take few steps.
     """
     n = digraph.n_nodes
     if n <= 1:
@@ -726,15 +687,7 @@ def is_strongly_connected(digraph: Digraph) -> bool:
     if m < n:  # strong connectivity needs at least one cycle through all nodes
         return False
     src, dst = digraph._src, digraph._dst
-    if n <= _DENSE_LIMIT:
-        adj = np.zeros((n, n), dtype=bool)
-        adj[src, dst] = True
-        return _reach_all_dense(adj, reverse=False) and _reach_all_dense(adj, reverse=True)
-    indptr, targets = _csr_unsorted(n, src, dst)
-    if not _reach_all_csr(n, indptr, targets):
-        return False
-    rev_indptr, rev_targets = _csr_unsorted(n, dst, src)
-    return _reach_all_csr(n, rev_indptr, rev_targets)
+    return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
 
 
 def reachable_from(digraph: Digraph, sources: Iterable[int]) -> set[int]:

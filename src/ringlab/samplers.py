@@ -309,6 +309,13 @@ def _digraph_from_in_neighbors(n: int, gen: Generator, counts: np.ndarray) -> Di
     return Digraph._from_arrays(n, src, dst)
 
 
+def _binomial_in_degrees(gen: Generator, n: int, p: float) -> np.ndarray:
+    """In-degree of every node of a p-binomial digraph: Binomial(n - 1, p) each."""
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    return gen.binomial(n - 1, p, size=n).astype(np.int64)
+
+
 def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """Uniform digraph in which every node has exactly k in-neighbors.
 
@@ -332,7 +339,4 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     gen = rng.generator
-    counts = gen.binomial(n - 1, p, size=n).astype(np.int64) if n > 1 else np.zeros(
-        1, dtype=np.int64
-    )
-    return _digraph_from_in_neighbors(n, gen, counts)
+    return _digraph_from_in_neighbors(n, gen, _binomial_in_degrees(gen, n, p))

@@ -164,6 +164,27 @@ def test_conjecture_small_grid(tmp_path, capsys):
     assert b"\r" not in data
 
 
+# sha256 of the `ringlab conjecture` CSV for the grid below (n from 4 to 4096).
+CONJECTURE_GOLDEN_SHA256 = "5d9e5b80a23642320a8173925ea241c2f75a51bc1579bc2ae38fdeeac548eb7c"
+
+
+def test_conjecture_output_golden(tmp_path):
+    out_csv = tmp_path / "grid.csv"
+    rc = main(
+        [
+            "conjecture",
+            "--k-min", "1", "--k-max", "8",
+            "--n-min", "4", "--n-max", "4096",
+            "--trials", "20",
+            "--seed", "3",
+            "--threads", "1",
+            "--out", str(out_csv),
+        ]
+    )
+    assert rc == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CONJECTURE_GOLDEN_SHA256
+
+
 def test_conjecture_rejects_zero_trials(capsys):
     assert main(["conjecture", "--trials", "0"]) == 2
 

@@ -1,4 +1,5 @@
 """Digraph-connectivity estimates against exhaustive oracles, bounds, and the grid."""
+import io
 import math
 
 import pytest
@@ -10,13 +11,19 @@ from ringlab.conjecture import (
     estimate_not_sc_binomial,
     estimate_not_sc_regular,
     graham_pike_limit,
-    grid_csv_text,
+    write_grid_csv,
     GRID_CSV_HEADER,
 )
 from ringlab.errors import InvalidParams
 from ringlab.samplers import RandomSource
 
 from conftest import exact_not_sc_binomial, exact_not_sc_regular
+
+
+def grid_csv_text(cells):
+    buf = io.StringIO()
+    write_grid_csv(cells, buf)
+    return buf.getvalue()
 
 
 def test_exact_oracle_k1_n3_is_three_quarters():

@@ -28,6 +28,7 @@ from ringlab.graph import (
     upper_graph,
     validate,
 )
+from ringlab.samplers import RandomSource, sample_binomial_digraph, sample_regular_digraph
 
 from conftest import make_graph, random_valid_graph, relabelled_matching, sc_bruteforce
 
@@ -364,6 +365,11 @@ def test_is_strongly_connected_cases():
     n = 6
     cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
     assert is_strongly_connected(cycle)
+    triangle = [(0, 1), (1, 2), (2, 0)]
+    # both pass the m < n exit: node 0 cannot reach node 3 (forward walk fails)
+    assert not is_strongly_connected(Digraph(4, triangle + [(3, 0), (3, 1)]))
+    # node 3 cannot reach node 0 (only the reverse walk fails)
+    assert not is_strongly_connected(Digraph(4, triangle + [(0, 3), (1, 3)]))
 
 
 def test_is_strongly_connected_equals_single_scc():
@@ -374,15 +380,14 @@ def test_is_strongly_connected_equals_single_scc():
         assert is_strongly_connected(d) == by_scc == sc_bruteforce(d)
 
 
-def test_sparse_and_dense_reachability_agree(monkeypatch):
-    import ringlab.graph as graph_mod
-
-    gen = np.random.default_rng(31)
-    digraphs = [_random_digraph(gen, max_nodes=12) for _ in range(80)]
-    dense = [is_strongly_connected(d) for d in digraphs]
-    monkeypatch.setattr(graph_mod, "_DENSE_LIMIT", 0)
-    sparse = [is_strongly_connected(d) for d in digraphs]
-    assert dense == sparse
+@pytest.mark.parametrize("n", [1500, 2048])
+def test_is_strongly_connected_matches_scc_on_sampled_digraphs(n):
+    for k in (1, 2, 8):
+        for seed in range(3):
+            regular = sample_regular_digraph(k, n, RandomSource(seed, k))
+            binomial = sample_binomial_digraph(k / (n - 1), n, RandomSource(seed, 100 + k))
+            for d in (regular, binomial):
+                assert is_strongly_connected(d) == (len(scc(d)[0]) == 1)
 
 
 @given(st.data())
