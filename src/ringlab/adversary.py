@@ -223,7 +223,7 @@ def _experiment(
     if corrupted:
         guess = adversary_fn(_remove_users(graph, corrupted), gen)
     else:
-        guess = adversary_fn(graph, gen, lambda: _core_from_flags(graph, flags, matching))
+        guess = adversary_fn(graph, gen, lambda: _core_from_flags(graph, flags))
     success = guess in matching
     if marble is not None:
         success = success and marble.admissible(config.partition, corrupted)

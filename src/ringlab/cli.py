@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+import warnings
 from math import ceil
+
+import numpy as np
 
 from . import conjecture as conj
 from . import entropy as ent
@@ -31,6 +35,7 @@ from .errors import (
 )
 from .graph import Partition, TransactionGraph
 from .samplers import Binomial, RandomSource, Regular, SamplerConfig
+from .stats import format_number
 
 __all__ = ["main", "entrypoint", "parse_edge_list"]
 
@@ -46,41 +51,60 @@ class _ParseError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+# What np.loadtxt accepts as an int64 field: ASCII digits, optional sign.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_edge_list(path: str) -> TransactionGraph:
     """Read the edge-list format: header ``n_users n_rings``, then one
-    ``user ring`` pair per line; ``#`` comments and blank lines ignored."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
+    ``user ring`` pair per line; ``#`` comments and blank lines ignored.
+
+    The whole file is read by one ``np.loadtxt`` call.  Any file it rejects
+    or reads into something other than a non-negative header plus pairs goes
+    through :func:`_scan_edge_list`, which names the first bad line; a range
+    or duplicate error names the line of its edge.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file warns; the checks below catch it
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError:  # malformed line, ragged columns or a value beyond int64
+        rows = None
+    if rows is None or rows.shape[1] != 2 or len(rows) == 0 or (rows[0] < 0).any():
+        rows = _scan_edge_list(path)[1]
+    try:
+        return TransactionGraph(rows[0][0], rows[0][1], rows[1:])
+    except (IndexOutOfRange, ValueError) as exc:
+        line_nos = _scan_edge_list(path)[0]
+        raise _ParseError(path, line_nos[1 + exc.edge_index], str(exc)) from exc
+
+
+def _scan_edge_list(path: str) -> tuple[list[int], list[tuple[int, int]]]:
+    """Line-by-line reading of an edge-list file, for the error paths.
+
+    Raises :class:`_ParseError` at the first line that is not two integers
+    (the grammar ``np.loadtxt`` accepts), at a negative header and when no
+    header exists.  Otherwise returns the line number and the two integers
+    of each data line, header first; values beyond int64 stay Python ints.
+    """
+    line_nos: list[int] = []
+    rows: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
                 raise _ParseError(path, line_no, f"expected two integers, got {line!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise _ParseError(
-                    path, line_no, f"expected two integers, got {line!r}"
-                ) from None
-            if header is None:
-                if a < 0 or b < 0:
-                    raise _ParseError(path, line_no, "negative counts in header")
-                header = (a, b)
-            else:
-                edges.append((a, b))
-    if header is None:
+            a, b = int(parts[0]), int(parts[1])
+            if not rows and (a < 0 or b < 0):
+                raise _ParseError(path, line_no, "negative counts in header")
+            line_nos.append(line_no)
+            rows.append((a, b))
+    if not rows:
         raise _ParseError(path, 1, "missing 'n_users n_rings' header")
-    try:
-        return TransactionGraph(header[0], header[1], edges)
-    except (IndexOutOfRange, ValueError) as exc:
-        raise _ParseError(path, 1, str(exc)) from exc
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return line_nos, rows
 
 
 def _resolve_threads(flag_value: int | None) -> int:
@@ -232,22 +256,25 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         marble=marble,
     )
     kind_txt = (
-        f"sampler=regular k={args.k}" if args.k is not None else f"sampler=binomial p={_fmt(args.p)}"
+        f"sampler=regular k={args.k}"
+        if args.k is not None
+        else f"sampler=binomial p={format_number(args.p)}"
     )
     out.write(f"# seed {args.seed}\n")
     out.write(
         f"simulate users={args.users} chunk_size={args.chunk_size} {kind_txt} "
-        f"adversary={args.adversary} trials={args.trials} beta={_fmt(beta)}\n"
+        f"adversary={args.adversary} trials={args.trials} beta={format_number(beta)}\n"
     )
     s = result.success
     out.write(
-        f"success trials={s.trials} successes={s.failures} estimate={_fmt(s.estimate)} "
-        f"ci_low={_fmt(s.ci_low)} ci_high={_fmt(s.ci_high)}\n"
+        f"success trials={s.trials} successes={s.failures} estimate={format_number(s.estimate)} "
+        f"ci_low={format_number(s.ci_low)} ci_high={format_number(s.ci_high)}\n"
     )
     c = result.core_mismatch
     out.write(
-        f"core_mismatch trials={c.trials} mismatches={c.failures} estimate={_fmt(c.estimate)} "
-        f"ci_low={_fmt(c.ci_low)} ci_high={_fmt(c.ci_high)}\n"
+        f"core_mismatch trials={c.trials} mismatches={c.failures} "
+        f"estimate={format_number(c.estimate)} "
+        f"ci_low={format_number(c.ci_low)} ci_high={format_number(c.ci_high)}\n"
     )
     return EXIT_OK
 
@@ -284,22 +311,22 @@ def _cmd_recommend(args: argparse.Namespace, out) -> int:
         out.write("users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n")
         row = [
             str(args.users),
-            _fmt(beta),
+            format_number(beta),
             "" if args.chunks is None else str(args.chunks),
             "" if args.chunk_size is None else str(args.chunk_size),
             str(k),
             "" if k_numeric is None else str(k_numeric),
-            _fmt(result.target_security),
+            format_number(result.target_security),
         ]
         out.write(",".join(row) + "\n")
         return EXIT_OK
     out.write(f"# seed {args.seed}\n")
-    out.write(f"recommend users={args.users} beta={_fmt(beta)}\n")
+    out.write(f"recommend users={args.users} beta={format_number(beta)}\n")
     if beta > 0.0:
         out.write(f"k_closed_form {k} (heuristic corrupted-user adjustment)\n")
     else:
         out.write(f"k_closed_form {k}\n")
-    out.write(f"security 2/{k + 1} = {_fmt(result.target_security)}\n")
+    out.write(f"security 2/{k + 1} = {format_number(result.target_security)}\n")
     if args.chunks is not None:
         out.write(
             f"chunks n_chunks={args.chunks} chunk_size={args.chunk_size}\n"
@@ -360,18 +387,22 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
         dist = ent.SignerDistribution.uniform(args.chunk_size)
         weights_txt = "uniform"
     deviation = ent.DistributionDeviation.from_distribution(partition, dist)
-    kind_txt = f"sampler=regular k={args.k}" if args.k is not None else f"sampler=binomial p={_fmt(args.p)}"
+    kind_txt = (
+        f"sampler=regular k={args.k}"
+        if args.k is not None
+        else f"sampler=binomial p={format_number(args.p)}"
+    )
     out.write(f"# seed {args.seed}\n")
     out.write(f"entropy chunk_size={args.chunk_size} {kind_txt} weights={weights_txt}\n")
     if args.k is not None:
         bound = ent.anonymity_bound_regular(args.k, deviation)
-        out.write(f"alpha_bound_nats {_fmt(bound)} (k={args.k})\n")
+        out.write(f"alpha_bound_nats {format_number(bound)} (k={args.k})\n")
     else:
         # largest integer k with k < p * chunk_size
         k_bound = ceil(args.p * args.chunk_size) - 1
         if k_bound >= 1:
             bound = ent.anonymity_bound_binomial(k_bound, deviation, config)
-            out.write(f"alpha_bound_nats {_fmt(bound)} (k={k_bound})\n")
+            out.write(f"alpha_bound_nats {format_number(bound)} (k={k_bound})\n")
         else:
             out.write("alpha_bound_nats unavailable (p*chunk_size <= 1)\n")
     if args.exact:
@@ -380,7 +411,7 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
         except RinglabError as exc:
             print(str(exc), file=sys.stderr)
             return EXIT_USAGE
-        out.write(f"alpha_exact_nats {_fmt(alpha)}\n")
+        out.write(f"alpha_exact_nats {format_number(alpha)}\n")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ from .samplers import (
     _digraph_from_in_neighbors,
     _trial_streams,
 )
-from .stats import EstimateResult
+from .stats import EstimateResult, format_number
 
 __all__ = [
     "GridSpec",
@@ -203,10 +203,6 @@ def check_conjectures_grid(spec: GridSpec, workers: int = 1) -> list[GridCell]:
     return out
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 GRID_CSV_HEADER = (
     "model,k,n,p,trials,failures,estimate,ci_low,ci_high,"
     "bound,conj1_ok,conj2_ok,low_confidence"
@@ -223,13 +219,13 @@ def write_grid_csv(cells: Iterable[GridCell], out: TextIO) -> None:
                 model,
                 str(cell.k),
                 str(cell.n),
-                _fmt(cell.p),
+                format_number(cell.p),
                 str(est.trials),
                 str(est.failures),
-                _fmt(est.estimate),
-                _fmt(est.ci_low),
-                _fmt(est.ci_high),
-                _fmt(cell.bound),
+                format_number(est.estimate),
+                format_number(est.ci_low),
+                format_number(est.ci_high),
+                format_number(cell.bound),
                 "true" if cell.conj1_ok else "false",
                 "true" if cell.conj2_ok else "false",
                 "true" if low_conf else "false",

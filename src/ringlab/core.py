@@ -52,7 +52,7 @@ def core(graph: TransactionGraph, *, matching: Matching | None = None) -> Transa
         matching = _covering_matching(graph)
     else:
         _require_covering(graph, matching)
-    return _core_from_flags(graph, _core_member_flags(graph, matching), matching)
+    return _core_from_flags(graph, _core_member_flags(graph, matching))
 
 
 def _core_member_flags(
@@ -77,17 +77,19 @@ def _core_member_flags(
     ]
 
 
-def _core_from_flags(
-    graph: TransactionGraph, flags: list[list[bool]], matching: Matching
-) -> TransactionGraph:
-    """The core given its member flags: ``graph`` itself when nothing is removed."""
+def _core_from_flags(graph: TransactionGraph, flags: list[list[bool]]) -> TransactionGraph:
+    """The core given its member flags: ``graph`` itself when nothing is removed.
+
+    The flags keep every edge of the matching they were computed from, so
+    the core needs no certificate check of its own.
+    """
     if all(map(all, flags)):
         return graph
     members = [
         [u for u, keep in zip(ms, row) if keep]
         for ms, row in zip(graph._members, flags)
     ]
-    return TransactionGraph._from_members(graph.n_users, members, matching=matching)
+    return TransactionGraph._from_members(graph.n_users, members)
 
 
 def is_core_equal(graph: TransactionGraph) -> bool:

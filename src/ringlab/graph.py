@@ -126,22 +126,9 @@ class TransactionGraph:
             raise NotATransactionGraph(
                 f"{n_rings} rings cannot all have distinct signers among {n_users} users"
             )
-        members: list[list[int]] = [[] for _ in range(n_rings)]
-        seen: set[tuple[int, int]] = set()
-        for u, r in edges:
-            u = int(u)
-            r = int(r)
-            if not 0 <= u < n_users:
-                raise IndexOutOfRange(f"user index {u} outside [0, {n_users})")
-            if not 0 <= r < n_rings:
-                raise IndexOutOfRange(f"ring index {r} outside [0, {n_rings})")
-            if (u, r) in seen:
-                raise ValueError(f"duplicate edge ({u}, {r})")
-            seen.add((u, r))
-            members[r].append(u)
         self.n_users = n_users
         self.n_rings = n_rings
-        self._members = tuple(tuple(sorted(ms)) for ms in members)
+        self._members = _ring_members(n_users, n_rings, *_edge_columns(edges))
         self._edge_set: frozenset[tuple[int, int]] | None = None
         if matching is not None:
             self._check_certificate(matching)
@@ -220,6 +207,71 @@ class TransactionGraph:
             f"TransactionGraph(n_users={self.n_users}, n_rings={self.n_rings}, "
             f"edges={self.edge_count})"
         )
+
+
+_INT64_MAX = 2**63 - 1
+
+
+def _edge_columns(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """User and ring columns of an edge iterable or an (m, 2) array.
+
+    A Python int beyond int64 makes both columns object arrays, so that it
+    is reported as out of range instead of raising ``OverflowError``.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        pairs = np.asarray(edges, dtype=object)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (user, ring) pairs")
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _edge_error(index: int, exc: Exception) -> Exception:
+    """``exc`` tagged with the input position of the edge it names."""
+    exc.edge_index = index
+    return exc
+
+
+def _ring_members(
+    n_users: int, n_rings: int, users: np.ndarray, rings: np.ndarray
+) -> tuple[tuple[int, ...], ...]:
+    """Sorted member tuple per ring of the edges ``(users[i], rings[i])``.
+
+    Raises for the first bad edge in input order; within one edge a bad
+    user index precedes a bad ring index, which precedes a repeat of an
+    earlier edge.  The error carries that edge's input position as
+    ``edge_index``.  One stable sort by (ring, user) finds the repeats and
+    orders the members.
+    """
+    bad = np.flatnonzero((users < 0) | (users >= n_users) | (rings < 0) | (rings >= n_rings))
+    stop = int(bad[0]) if bad.size else len(users)
+    ok_users = users[:stop].astype(np.int64)
+    ok_rings = rings[:stop].astype(np.int64)
+    if n_rings * n_users <= _INT64_MAX:
+        order = np.argsort(ok_rings * n_users + ok_users, kind="stable")
+    else:  # ring * n_users + user would overflow int64
+        order = np.lexsort((ok_users, ok_rings))
+    sorted_users = ok_users[order]
+    sorted_rings = ok_rings[order]
+    repeats = order[1:][
+        (sorted_users[1:] == sorted_users[:-1]) & (sorted_rings[1:] == sorted_rings[:-1])
+    ]
+    if repeats.size:
+        i = int(repeats.min())
+        raise _edge_error(i, ValueError(f"duplicate edge ({ok_users[i]}, {ok_rings[i]})"))
+    if bad.size:
+        u, r = int(users[stop]), int(rings[stop])
+        if not 0 <= u < n_users:
+            raise _edge_error(stop, IndexOutOfRange(f"user index {u} outside [0, {n_users})"))
+        raise _edge_error(stop, IndexOutOfRange(f"ring index {r} outside [0, {n_rings})"))
+    flat = tuple(sorted_users.tolist())
+    ends = np.cumsum(np.bincount(ok_rings, minlength=n_rings)).tolist()
+    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 class Digraph:

@@ -1,8 +1,14 @@
-"""Bernoulli-proportion estimates with Wilson score confidence intervals."""
+"""Bernoulli-proportion estimates with Wilson score confidence intervals,
+and the one number format of every CLI and CSV output."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
+
+def format_number(value: float) -> str:
+    """``value`` to 12 significant digits, as every output line writes it."""
+    return f"{value:.12g}"
+
 
 # two-sided 95% normal quantile
 _Z95 = 1.96

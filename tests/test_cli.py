@@ -1,12 +1,17 @@
 """Command-line behavior: formats, exit codes, determinism."""
+import contextlib
 import hashlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ringlab.cli import _resolve_threads, main, parse_edge_list
 
@@ -124,6 +129,13 @@ def test_core_parse_error_has_line_number(tmp_path, capsys):
 def test_core_bad_index_is_parse_diagnostic(tmp_path, capsys):
     path = _write(tmp_path, "range.txt", "2 2\n0 0\n5 1\n")
     assert main(["core", path]) == 2
+    assert "range.txt:3: user index 5 outside [0, 2)" in capsys.readouterr().err
+
+
+def test_core_duplicate_edge_names_its_line(tmp_path, capsys):
+    path = _write(tmp_path, "d.txt", "2 2\n0 0\n1 1\n# the same edge again\n0 0\n")
+    assert main(["core", path]) == 2
+    assert "d.txt:5: duplicate edge (0, 0)" in capsys.readouterr().err
 
 
 def test_core_missing_file(tmp_path, capsys):
@@ -134,6 +146,145 @@ def test_parse_edge_list_roundtrip(tmp_path):
     path = _write(tmp_path, "toy.txt", TOY)
     g = parse_edge_list(path)
     assert g.n_users == 3 and g.n_rings == 3 and g.edge_count == 5
+
+
+# -- edge-list parsing against a line-by-line reference -------------------------------------
+
+_REF_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _reference_parse(text):
+    """The edge-list format read one line at a time, with Python ints.
+
+    Returns ("graph", (n_users, n_rings, sorted members per ring)) or
+    ("error", line number of the first bad line).
+    """
+    header, seen = None, set()
+    for line_no, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2 or not all(_REF_INTEGER.fullmatch(p) for p in parts):
+            return ("error", line_no)
+        a, b = int(parts[0]), int(parts[1])
+        if header is None:
+            if a < 0 or b < 0:
+                return ("error", line_no)
+            header = (a, b)
+        elif not (0 <= a < header[0] and 0 <= b < header[1]) or (a, b) in seen:
+            return ("error", line_no)
+        else:
+            seen.add((a, b))
+    if header is None:
+        return ("error", 1)
+    members = tuple(tuple(sorted(u for u, r in seen if r == ring)) for ring in range(header[1]))
+    return ("graph", (header[0], header[1], members))
+
+
+_FILLERS = ("", "  ", "\t", "# comment", " # 1 2", "#", "\t# x 3 4 5")
+_EOLS = ("\n", "\r\n")
+
+
+@st.composite
+def _edge_files(draw):
+    """A valid edge-list file as lines [lead, tokens, sep, trail, comment, eol];
+    a filler line (blank or comment only) has no tokens."""
+    n_users = draw(st.integers(1, 9))
+    n_rings = draw(st.integers(0, n_users))
+    pairs = [(u, r) for r in range(n_rings) for u in range(n_users)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=18)) if pairs else []
+    lines = []
+    for row in [(n_users, n_rings)] + edges:
+        for _ in range(draw(st.integers(0, 2))):
+            filler = draw(st.sampled_from(_FILLERS))
+            lines.append(["", [], "", "", filler, draw(st.sampled_from(_EOLS))])
+        tokens = [draw(st.sampled_from(["", "+"])) + str(v) for v in row]
+        lines.append([
+            draw(st.sampled_from(["", " ", "\t"])),
+            tokens,
+            draw(st.sampled_from([" ", "\t", "  ", " \t "])),
+            draw(st.sampled_from(["", " ", "\t "])),
+            draw(st.sampled_from(["", "# c", " #x 1"])),
+            draw(st.sampled_from(_EOLS)),
+        ])
+    return lines
+
+
+def _render(lines):
+    return "".join(lead + sep.join(tokens) + trail + comment + eol
+                   for lead, tokens, sep, trail, comment, eol in lines)
+
+
+def _run_core(path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["core", path])
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=_edge_files())
+def test_parse_edge_list_matches_reference(tmp_path_factory, lines):
+    path = str(tmp_path_factory.getbasetemp() / "property_ok.txt")
+    text = _render(lines)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    kind, (n_users, n_rings, members) = _reference_parse(text)
+    assert kind == "graph"
+    g = parse_edge_list(path)
+    assert (g.n_users, g.n_rings) == (n_users, n_rings)
+    assert tuple(g.ring_members(r) for r in range(g.n_rings)) == members
+
+
+_MUTATIONS = ("word", "third_column", "third_column_everywhere", "missing_header",
+              "negative_header", "out_of_range", "repeat", "beyond_int64")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_edge_files(), kind=st.sampled_from(_MUTATIONS), data=st.data())
+def test_parse_errors_match_reference(tmp_path_factory, lines, kind, data):
+    data_lines = [line for line in lines if line[1]]
+    edge_lines = data_lines[1:]
+    if kind in ("out_of_range", "repeat", "beyond_int64"):
+        assume(edge_lines)
+    if kind == "word":
+        line = data.draw(st.sampled_from(data_lines))
+        word = data.draw(st.sampled_from(["x", "one", "1_0", "\u0663", "1.0", "0x1", "+-1", "--"]))
+        line[1][data.draw(st.integers(0, 1))] = word
+    elif kind == "third_column":
+        data.draw(st.sampled_from(data_lines))[1].append("0")
+    elif kind == "third_column_everywhere":
+        for line in data_lines:
+            line[1].append("0")
+    elif kind == "missing_header":
+        lines = [line for line in lines if not line[1]]
+    elif kind == "negative_header":
+        data_lines[0][1][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(["-1", "-5"]))
+    elif kind == "out_of_range":
+        n_users, n_rings = (int(v) for v in data_lines[0][1])
+        line = data.draw(st.sampled_from(edge_lines))
+        field = data.draw(st.integers(0, 1))
+        limit = (n_users, n_rings)[field]
+        line[1][field] = str(data.draw(st.sampled_from([limit, limit + 3, -1, -7])))
+    elif kind == "repeat":
+        source = data.draw(st.sampled_from(edge_lines))
+        at = next(i for i, line in enumerate(lines) if line is source)
+        copy = [source[0], list(source[1]), *source[2:]]
+        lines.insert(data.draw(st.integers(at + 1, len(lines))), copy)
+    else:  # beyond_int64
+        line = data.draw(st.sampled_from(edge_lines))
+        value = data.draw(st.sampled_from([2**63, -(2**63) - 1, 10**30]))
+        line[1][data.draw(st.integers(0, 1))] = str(value)
+    text = _render(lines)
+    expected = _reference_parse(text)
+    assert expected[0] == "error"
+    path = str(tmp_path_factory.getbasetemp() / "property_bad.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    code, err = _run_core(path)
+    assert code == 2
+    assert f"{path}:{expected[1]}: " in err
 
 
 # -- conjecture -------------------------------------------------------------------------

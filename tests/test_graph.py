@@ -84,6 +84,54 @@ def test_duplicate_edge_rejected():
         make_graph(2, 2, [(0, 0), (0, 0), (1, 1)])
 
 
+BIG = 2**70  # beyond int64
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        # one edge: user range, then ring range
+        ([(5, 5)], IndexOutOfRange, "user index 5 outside [0, 2)"),
+        ([(-1, 0)], IndexOutOfRange, "user index -1 outside [0, 2)"),
+        ([(0, -1)], IndexOutOfRange, "ring index -1 outside [0, 2)"),
+        # several bad edges: the first one in input order wins
+        ([(0, 0), (5, 0), (0, 5)], IndexOutOfRange, "user index 5 outside [0, 2)"),
+        ([(0, 0), (0, 5), (5, 0)], IndexOutOfRange, "ring index 5 outside [0, 2)"),
+        ([(0, 0), (0, 0), (5, 0)], ValueError, "duplicate edge (0, 0)"),
+        ([(5, 0), (0, 0), (0, 0)], IndexOutOfRange, "user index 5 outside [0, 2)"),
+        ([(1, 1), (0, 0), (1, 1), (0, 0)], ValueError, "duplicate edge (1, 1)"),
+        ([(0, 0), (1, 0), (1, 0), (0, 0)], ValueError, "duplicate edge (1, 0)"),
+        ([(5, 0), (5, 0)], IndexOutOfRange, "user index 5 outside [0, 2)"),
+        # (0, 1) and (2, 0) share the key ring * n_users + user of a 2-user graph
+        ([(0, 1), (2, 0)], IndexOutOfRange, "user index 2 outside [0, 2)"),
+        ([(1, 0), (-1, 1)], IndexOutOfRange, "user index -1 outside [0, 2)"),
+        # integers beyond int64 are out of range, not an overflow
+        ([(0, 0), (BIG, 0)], IndexOutOfRange, f"user index {BIG} outside [0, 2)"),
+        ([(0, 0), (0, -BIG)], IndexOutOfRange, f"ring index {-BIG} outside [0, 2)"),
+        ([(0, 0), (0, 0), (BIG, 0)], ValueError, "duplicate edge (0, 0)"),
+        ([(1, BIG), (0, 0), (0, 0)], IndexOutOfRange, f"ring index {BIG} outside [0, 2)"),
+    ],
+)
+def test_constructor_error_precedence(edges, error, message):
+    forms = [list(edges), iter(edges)]
+    if all(abs(v) < 2**63 for edge in edges for v in edge):
+        forms.append(np.array(edges))
+    for form in forms:
+        with pytest.raises(error) as exc:
+            TransactionGraph(2, 2, form)
+        assert str(exc.value) == message
+
+
+def test_constructor_when_ring_user_key_exceeds_int64():
+    # n_rings * n_users > 2**63: ordering and repeats must not wrap around
+    n = 2**62
+    edges = [(n - 1, 3), (5, 3), (0, 0), (7, 1), (2, 2), (n - 2, 3)]
+    g = TransactionGraph(n, 4, edges)
+    assert [g.ring_members(r) for r in range(4)] == [(0,), (7,), (2,), (5, n - 2, n - 1)]
+    with pytest.raises(ValueError, match=r"duplicate edge \(5, 3\)"):
+        TransactionGraph(n, 4, edges + [(5, 3)])
+
+
 def test_certificate_must_cover_and_be_edges():
     edges = [(0, 0), (1, 1)]
     make_graph(2, 2, edges, matching=Matching([(0, 0), (1, 1)]))
