@@ -71,8 +71,6 @@ from .graph import (
     is_strongly_connected,
     maximum_matching,
     partition_graph,
-    reachable_from,
-    scc,
     upper_graph,
     validate,
 )

@@ -12,11 +12,13 @@ never changes any output byte.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
 import warnings
 from math import ceil
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +51,29 @@ THREADS_ENV_VAR = "RING_LAB_THREADS"
 class _ParseError(Exception):
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
+
+
+def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Line number and content of each line of a UTF-8 text file that holds data.
+
+    ``#`` starts a comment and blank lines are skipped; lines end as in
+    universal-newline mode.  A file that is not UTF-8 raises
+    :class:`_ParseError` at the line of its first undecodable byte.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
+        raise _ParseError(
+            path, head.count("\n") + 1,
+            f"byte 0x{raw[exc.start]:02x} starts no valid UTF-8 sequence",
+        ) from None
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 # What np.loadtxt accepts as an int64 field: ASCII digits, optional sign.
@@ -89,19 +114,15 @@ def _scan_edge_list(path: str) -> tuple[list[int], list[tuple[int, int]]]:
     """
     line_nos: list[int] = []
     rows: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
-                raise _ParseError(path, line_no, f"expected two integers, got {line!r}")
-            a, b = int(parts[0]), int(parts[1])
-            if not rows and (a < 0 or b < 0):
-                raise _ParseError(path, line_no, "negative counts in header")
-            line_nos.append(line_no)
-            rows.append((a, b))
+    for line_no, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+            raise _ParseError(path, line_no, f"expected two integers, got {line!r}")
+        a, b = int(parts[0]), int(parts[1])
+        if not rows and (a < 0 or b < 0):
+            raise _ParseError(path, line_no, "negative counts in header")
+        line_nos.append(line_no)
+        rows.append((a, b))
     if not rows:
         raise _ParseError(path, 1, "missing 'n_users n_rings' header")
     return line_nos, rows
@@ -187,8 +208,11 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
+    # cells() keeps only k < n; k_min stays so that a grid without cells is
+    # still a valid spec
+    k_top = max(args.k_min, min(args.k_max, n_values[-1] - 1))
     spec = conj.GridSpec(
-        k_values=tuple(range(args.k_min, args.k_max + 1)),
+        k_values=tuple(range(args.k_min, k_top + 1)),
         n_values=tuple(n_values),
         trials=args.trials,
         seed=args.seed,
@@ -340,15 +364,11 @@ def _cmd_recommend(args: argparse.Namespace, out) -> int:
 
 def _parse_weights_file(path: str, expected: int) -> ent.SignerDistribution:
     weights: list[float] = []
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                weights.append(float(line))
-            except ValueError:
-                raise _ParseError(path, line_no, f"expected a number, got {line!r}") from None
+    for line_no, line in _data_lines(path):
+        try:
+            weights.append(float(line))
+        except ValueError:
+            raise _ParseError(path, line_no, f"expected a number, got {line!r}") from None
     if len(weights) != expected:
         raise _ParseError(path, 1, f"expected {expected} weights, got {len(weights)}")
     try:

@@ -2,12 +2,13 @@
 
 A transaction graph records which users are members of which rings.  Its
 defining property is that some signer assignment covers every ring, i.e.
-a maximum matching of size ``n_rings`` exists.  The raw constructor only
+a maximum matching of size ``n_rings`` exists.  The constructor only
 enforces structural well-formedness (index ranges, no duplicate edges,
-``n_rings <= n_users``); the full transaction-graph property is
-established either by :func:`validate` or by passing a ``matching``
-certificate at construction.  Graphs produced by the ring samplers carry
-their signer assignment as certificate, so the expensive matching
+``n_rings <= n_users``).  The full property is established by
+:func:`validate`, which computes a covering matching, or by
+:func:`_require_covering`, the one check of a matching the caller
+supplies: it must cover every ring with edges of the graph.  The ring
+samplers check their signer assignment that way, so the matching
 computation never runs on the Monte Carlo hot path.  The one producer of
 structurally valid but *unvalidated* graphs is the corrupted-user
 reduction in :mod:`ringlab.adversary`, which may leave rings empty.
@@ -41,9 +42,7 @@ __all__ = [
     "maximum_matching",
     "upper_graph",
     "induced_digraph",
-    "scc",
     "is_strongly_connected",
-    "reachable_from",
     "partition_graph",
 ]
 
@@ -55,7 +54,7 @@ class Matching:
     particular graph is checked by the operations that take both.
     """
 
-    __slots__ = ("pairs", "_user_for_ring", "_pairset")
+    __slots__ = ("pairs", "_user_for_ring")
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         canon = tuple(sorted(((int(u), int(r)) for u, r in pairs), key=lambda p: p[1]))
@@ -67,7 +66,6 @@ class Matching:
             raise ValueError("matching reuses a ring")
         self.pairs = canon
         self._user_for_ring = {r: u for u, r in canon}
-        self._pairset = frozenset(canon)
 
     @property
     def size(self) -> int:
@@ -81,7 +79,8 @@ class Matching:
         return frozenset(u for u, _ in self.pairs)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return pair in self._pairset
+        u, r = pair
+        return self._user_for_ring.get(r) == u
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
@@ -110,14 +109,7 @@ class TransactionGraph:
 
     __slots__ = ("n_users", "n_rings", "_members", "_edge_set")
 
-    def __init__(
-        self,
-        n_users: int,
-        n_rings: int,
-        edges: Iterable[tuple[int, int]],
-        *,
-        matching: Matching | None = None,
-    ):
+    def __init__(self, n_users: int, n_rings: int, edges: Iterable[tuple[int, int]]):
         n_users = int(n_users)
         n_rings = int(n_rings)
         if n_users < 0 or n_rings < 0:
@@ -130,15 +122,10 @@ class TransactionGraph:
         self.n_rings = n_rings
         self._members = _ring_members(n_users, n_rings, *_edge_columns(edges))
         self._edge_set: frozenset[tuple[int, int]] | None = None
-        if matching is not None:
-            self._check_certificate(matching)
 
     @classmethod
     def _from_members(
-        cls,
-        n_users: int,
-        members: Sequence[Sequence[int]],
-        matching: Matching | None = None,
+        cls, n_users: int, members: Sequence[Sequence[int]]
     ) -> "TransactionGraph":
         """Trusted fast path for sampler output: per-ring sorted member lists."""
         g = cls.__new__(cls)
@@ -146,18 +133,7 @@ class TransactionGraph:
         g.n_rings = len(members)
         g._members = tuple(tuple(ms) for ms in members)
         g._edge_set = None
-        if matching is not None:
-            g._check_certificate(matching)
         return g
-
-    def _check_certificate(self, matching: Matching) -> None:
-        if matching.size != self.n_rings:
-            raise NotATransactionGraph(
-                f"certificate matching has size {matching.size}, need {self.n_rings}"
-            )
-        for u, r in matching:
-            if not self.has_edge(u, r):
-                raise ValueError(f"certificate pair ({u}, {r}) is not an edge")
 
     # -- accessors ---------------------------------------------------------
 
@@ -182,10 +158,6 @@ class TransactionGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(ms) for ms in self._members)
-
-    @property
-    def is_balanced(self) -> bool:
-        return self.n_users == self.n_rings
 
     def ring_sizes(self) -> tuple[int, ...]:
         return tuple(len(ms) for ms in self._members)
@@ -277,12 +249,12 @@ def _ring_members(
 class Digraph:
     """Directed graph on ``n_nodes`` nodes without self-loops or parallel edges.
 
-    Edges are held as flat source/target arrays; per-node sorted successor
-    lists are derived lazily.  Strong-connectivity checking works on the raw
-    arrays so the Monte Carlo samplers never pay for sorting.
+    Edges are held only as flat source/target arrays in sampling order, the
+    form the strong-connectivity walk reads, so the Monte Carlo samplers
+    never pay for sorting.  :meth:`edges` sorts them on request.
     """
 
-    __slots__ = ("n_nodes", "_src", "_dst", "_csr", "_adj")
+    __slots__ = ("n_nodes", "_src", "_dst")
 
     def __init__(self, n_nodes: int, edges: Iterable[tuple[int, int]] = ()):
         n_nodes = int(n_nodes)
@@ -306,8 +278,6 @@ class Digraph:
         self.n_nodes = n_nodes
         self._src = np.asarray(src, dtype=np.int64)
         self._dst = np.asarray(dst, dtype=np.int64)
-        self._csr = None
-        self._adj = None
 
     @classmethod
     def _from_arrays(cls, n_nodes: int, src: np.ndarray, dst: np.ndarray) -> "Digraph":
@@ -316,41 +286,16 @@ class Digraph:
         d.n_nodes = n_nodes
         d._src = src
         d._dst = dst
-        d._csr = None
-        d._adj = None
         return d
 
     @property
     def n_edges(self) -> int:
         return int(self._src.shape[0])
 
-    def _sorted_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            order = np.lexsort((self._dst, self._src))
-            targets = self._dst[order]
-            counts = np.bincount(self._src, minlength=self.n_nodes)
-            indptr = np.concatenate(([0], np.cumsum(counts)))
-            self._csr = (indptr, targets)
-        return self._csr
-
-    @property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        if self._adj is None:
-            indptr, targets = self._sorted_csr()
-            tl = targets.tolist()
-            ip = indptr.tolist()
-            self._adj = tuple(
-                tuple(tl[ip[v] : ip[v + 1]]) for v in range(self.n_nodes)
-            )
-        return self._adj
-
-    def successors(self, node: int) -> tuple[int, ...]:
-        return self.out_adjacency[node]
-
     def edges(self) -> list[tuple[int, int]]:
-        indptr, targets = self._sorted_csr()
-        src = np.repeat(np.arange(self.n_nodes), np.diff(indptr))
-        return list(zip(src.tolist(), targets.tolist()))
+        """All edges as (source, target) pairs in ascending order."""
+        order = np.lexsort((self._dst, self._src))
+        return list(zip(self._src[order].tolist(), self._dst[order].tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -550,6 +495,7 @@ def validate(graph: TransactionGraph) -> TransactionGraph:
 
 
 def _require_covering(graph: TransactionGraph, matching: Matching) -> None:
+    """Raise unless ``matching`` covers every ring of ``graph`` with its edges."""
     if matching.size != graph.n_rings:
         raise MatchingNotMaximum(
             f"matching covers {matching.size} of {graph.n_rings} rings"
@@ -567,9 +513,7 @@ def upper_graph(graph: TransactionGraph, matching: Matching) -> TransactionGraph
     members: list[list[int]] = []
     for r in range(m):
         members.append(sorted(new_index[u] for u in graph.ring_members(r) if u in new_index))
-    result = TransactionGraph._from_members(m, members)
-    result._check_certificate(Matching((j, j) for j in range(m)))
-    return result
+    return TransactionGraph._from_members(m, members)
 
 
 def _user_relabel(graph: TransactionGraph, matching: Matching) -> list[int]:
@@ -618,8 +562,8 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
 
 # -- digraph algorithms ------------------------------------------------------
 #
-# The SCC and reachability routines work on plain successor lists, so the
-# core computation can call them without building a Digraph.
+# The SCC and reachability kernels of the core computation work on plain
+# successor lists, so it never builds a Digraph.
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -681,26 +625,6 @@ def _reach(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> set[int]:
     return seen
 
 
-def scc(digraph: Digraph) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Strongly connected components (iterative Tarjan).
-
-    Returns ``(components, component_of)`` where components are sorted node
-    tuples ordered by their smallest node, and ``component_of[v]`` indexes
-    into that ordering.
-    """
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(_tarjan(digraph.out_adjacency)):
-        members.setdefault(c, []).append(v)
-    # nodes are visited in ascending order, so each list is sorted and the
-    # dict's insertion order is the order of smallest nodes
-    comps = tuple(tuple(vs) for vs in members.values())
-    component_of = [0] * digraph.n_nodes
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = ci
-    return comps, tuple(component_of)
-
-
 def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
     """Whether node 0 reaches all n nodes along the edges ``tails[i] -> heads[i]``.
 
@@ -740,20 +664,6 @@ def is_strongly_connected(digraph: Digraph) -> bool:
         return False
     src, dst = digraph._src, digraph._dst
     return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
-
-
-def reachable_from(digraph: Digraph, sources: Iterable[int]) -> set[int]:
-    """All nodes on some directed path starting in ``sources`` (sources included).
-
-    An edge (i, j) is reachable from the set exactly when i is in the
-    returned set and (i, j) is an edge; the core computation relies on
-    this equivalence.
-    """
-    todo = [int(s) for s in sources]
-    for s in todo:
-        if not 0 <= s < digraph.n_nodes:
-            raise IndexOutOfRange(f"source {s} outside [0, {digraph.n_nodes})")
-    return _reach(digraph.out_adjacency, todo)
 
 
 # -- partitioning ------------------------------------------------------------

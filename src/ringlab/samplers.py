@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import InvalidConfig, InvalidParams
-from .graph import Digraph, Matching, Partition, TransactionGraph
+from .graph import Digraph, Matching, Partition, TransactionGraph, _require_covering
 
 __all__ = [
     "RandomSource",
@@ -274,7 +274,8 @@ def _sample_graph(
         ring.sort()
         members.append(ring)
     matching = Matching(zip(signer_list, range(m)))
-    graph = TransactionGraph._from_members(n, members, matching=matching)
+    graph = TransactionGraph._from_members(n, members)
+    _require_covering(graph, matching)
     return graph, matching
 
 

@@ -6,11 +6,17 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from ringlab.graph import Digraph, Matching, TransactionGraph, maximum_matching
+from ringlab.graph import (
+    Digraph,
+    Matching,
+    TransactionGraph,
+    _require_covering,
+    maximum_matching,
+)
 
 
-def make_graph(n_users, n_rings, edges, **kw):
-    return TransactionGraph(n_users, n_rings, edges, **kw)
+def make_graph(n_users, n_rings, edges):
+    return TransactionGraph(n_users, n_rings, edges)
 
 
 @pytest.fixture
@@ -41,8 +47,9 @@ def random_valid_graph(
         for r in range(m):
             if (u, r) not in edges and gen.random() < extra_edge_prob:
                 edges.add((u, r))
-    cert = Matching((int(signers[j]), j) for j in range(m))
-    return TransactionGraph(n, m, edges, matching=cert)
+    graph = TransactionGraph(n, m, edges)
+    _require_covering(graph, Matching((int(signers[j]), j) for j in range(m)))
+    return graph
 
 
 def relabelled_matching(graph: TransactionGraph, gen: np.random.Generator) -> Matching:
@@ -104,6 +111,14 @@ def random_connected_balanced_graph(
         g = random_valid_graph(gen, max_users, balanced=True, min_users=min_users)
         if weakly_connected(g):
             return g
+
+
+def successor_lists(digraph: Digraph) -> list[list[int]]:
+    """Ascending successor list per node: the input form of the SCC and reach kernels."""
+    succ: list[list[int]] = [[] for _ in range(digraph.n_nodes)]
+    for i, j in digraph.edges():
+        succ[i].append(j)
+    return succ
 
 
 def sc_bruteforce(digraph: Digraph) -> bool:

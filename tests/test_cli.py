@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ def test_core_duplicate_edge_names_its_line(tmp_path, capsys):
     path = _write(tmp_path, "d.txt", "2 2\n0 0\n1 1\n# the same edge again\n0 0\n")
     assert main(["core", path]) == 2
     assert "d.txt:5: duplicate edge (0, 0)" in capsys.readouterr().err
+
+
+def test_core_non_utf8_names_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"2 1\n0 0\n\xff 0\n")
+    assert main(["core", str(path)]) == 2
+    assert "bad.txt:3: byte 0xff starts no valid UTF-8 sequence" in capsys.readouterr().err
 
 
 def test_core_missing_file(tmp_path, capsys):
@@ -336,6 +344,38 @@ def test_conjecture_output_golden(tmp_path):
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == CONJECTURE_GOLDEN_SHA256
 
 
+def _conjecture(tmp_path, capsys, k_min, k_max, n_max):
+    out_csv = tmp_path / "grid.csv"
+    assert main([
+        "conjecture",
+        "--k-min", str(k_min), "--k-max", str(k_max),
+        "--n-min", "4", "--n-max", str(n_max),
+        "--trials", "2", "--seed", "1", "--threads", "1", "--out", str(out_csv),
+    ]) == 0
+    return capsys.readouterr().out.replace(str(out_csv), "OUT"), out_csv.read_bytes()
+
+
+def test_conjecture_k_beyond_largest_n_costs_nothing(tmp_path, capsys, monkeypatch):
+    # a cell needs k < n, so k >= n_max adds no cell and must not be held in memory
+    monkeypatch.delenv("RING_LAB_THREADS", raising=False)
+    small_out, small_csv = _conjecture(tmp_path, capsys, 1, 3, 4)
+    tracemalloc.start()
+    try:
+        big = _conjecture(tmp_path, capsys, 1, 10**6, 4)
+        empty = _conjecture(tmp_path, capsys, 9, 10**6, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert big == (small_out.replace("grid k=1..3 ", "grid k=1..1000000 "), small_csv)
+    header = small_csv.split(b"\n")[0] + b"\n"
+    assert empty == (
+        "# seed 1\ngrid k=9..1000000 n=4..8 trials=2 cells=0\n"
+        "conj1_violations 0\nconj2_violations 0\nwrote OUT\n",
+        header,
+    )
+
+
 def test_conjecture_rejects_zero_trials(capsys):
     assert main(["conjecture", "--trials", "0"]) == 2
 
@@ -528,6 +568,13 @@ def test_entropy_weights_file_errors(tmp_path, capsys):
     assert "bad.txt:2" in capsys.readouterr().err
     short = _write(tmp_path, "short.txt", "0.5\n0.5\n")
     assert main(["entropy", "--chunk-size", "4", "--k", "1", "--weights", short]) == 2
+
+
+def test_entropy_weights_non_utf8_names_its_line(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_bytes(b"# weights\r\n0.5\r\n0.\xc3\r\n")
+    assert main(["entropy", "--chunk-size", "2", "--k", "1", "--weights", str(path)]) == 2
+    assert "w.txt:3: byte 0xc3 starts no valid UTF-8 sequence" in capsys.readouterr().err
 
 
 def test_entropy_flag_validation(capsys):

@@ -19,18 +19,24 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
+    _reach,
+    _tarjan,
     induced_digraph,
     is_strongly_connected,
     maximum_matching,
     partition_graph,
-    reachable_from,
-    scc,
     upper_graph,
     validate,
 )
 from ringlab.samplers import RandomSource, sample_binomial_digraph, sample_regular_digraph
 
-from conftest import make_graph, random_valid_graph, relabelled_matching, sc_bruteforce
+from conftest import (
+    make_graph,
+    random_valid_graph,
+    relabelled_matching,
+    sc_bruteforce,
+    successor_lists,
+)
 
 
 # -- construction and validation ------------------------------------------------
@@ -132,13 +138,16 @@ def test_constructor_when_ring_user_key_exceeds_int64():
         TransactionGraph(n, 4, edges + [(5, 3)])
 
 
-def test_certificate_must_cover_and_be_edges():
-    edges = [(0, 0), (1, 1)]
-    make_graph(2, 2, edges, matching=Matching([(0, 0), (1, 1)]))
-    with pytest.raises(NotATransactionGraph):
-        make_graph(2, 2, edges, matching=Matching([(0, 0)]))
-    with pytest.raises(ValueError):
-        make_graph(2, 2, edges, matching=Matching([(1, 0), (0, 1)]))
+def test_supplied_matching_must_cover_and_be_edges():
+    g = make_graph(2, 2, [(0, 0), (1, 1)])
+    uses = (lambda m: core(g, matching=m), lambda m: upper_graph(g, m),
+            lambda m: induced_digraph(g, m))
+    for use in uses:
+        use(Matching([(0, 0), (1, 1)]))
+        with pytest.raises(MatchingNotMaximum):
+            use(Matching([(0, 0)]))
+        with pytest.raises(ValueError, match=r"pair \(1, 0\) is not an edge"):
+            use(Matching([(1, 0), (0, 1)]))
 
 
 def test_matching_rejects_reuse():
@@ -306,7 +315,7 @@ def test_upper_graph_validates_and_is_balanced():
     for _ in range(40):
         g = random_valid_graph(gen)
         up = upper_graph(g, maximum_matching(g))
-        assert up.is_balanced
+        assert up.n_users == up.n_rings
         validate(up)
 
 
@@ -350,36 +359,35 @@ def test_induced_digraph_relabels_unmatched_ascending():
     assert sorted(d.edges()) == [(2, 0), (3, 1)]
 
 
-# -- scc / reachability -------------------------------------------------------------
+# -- scc / reachability kernels --------------------------------------------------------
+
+
+def _components(d: Digraph) -> list[tuple[int, ...]]:
+    """Strong components of ``d`` by ``_tarjan``, as sorted node tuples in order."""
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(_tarjan(successor_lists(d))):
+        groups.setdefault(c, []).append(v)
+    return sorted(tuple(vs) for vs in groups.values())
 
 
 def test_scc_cycle():
     d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-    comps, comp_of = scc(d)
-    assert comps == ((0, 1, 2),)
-    assert comp_of == (0, 0, 0)
+    assert _components(d) == [(0, 1, 2)]
 
 
 def test_scc_edgeless():
     d = Digraph(4)
-    comps, comp_of = scc(d)
-    assert comps == ((0,), (1,), (2,), (3,))
-    assert comp_of == (0, 1, 2, 3)
+    assert _components(d) == [(0,), (1,), (2,), (3,)]
 
 
 def test_scc_toy_induced(toy_graph):
     d = induced_digraph(toy_graph, maximum_matching(toy_graph))
-    comps, _ = scc(d)
-    assert comps == ((0,), (1,), (2,))
+    assert _components(d) == [(0,), (1,), (2,)]
 
 
 def test_scc_two_cycles_bridge():
     d = Digraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4)])
-    comps, comp_of = scc(d)
-    assert comps == ((0, 1), (2, 3), (4,))
-    assert comp_of[0] == comp_of[1]
-    assert comp_of[2] == comp_of[3]
-    assert comp_of[4] == 2
+    assert _components(d) == [(0, 1), (2, 3), (4,)]
 
 
 def _random_digraph(gen, max_nodes=8, p=0.3) -> Digraph:
@@ -397,14 +405,18 @@ def test_scc_partitions_nodes_and_matches_mutual_reachability():
     gen = np.random.default_rng(23)
     for _ in range(60):
         d = _random_digraph(gen)
-        comps, comp_of = scc(d)
-        all_nodes = sorted(v for comp in comps for v in comp)
-        assert all_nodes == list(range(d.n_nodes))
+        succ = successor_lists(d)
+        comp_of = _tarjan(succ)
+        assert len(comp_of) == d.n_nodes and min(comp_of) >= 0
         for i in range(d.n_nodes):
-            fwd = reachable_from(d, {i})
+            fwd = _reach(succ, {i})
             for j in range(d.n_nodes):
-                mutual = j in fwd and i in reachable_from(d, {j})
+                mutual = j in fwd and i in _reach(succ, {j})
                 assert (comp_of[i] == comp_of[j]) == (mutual or i == j)
+
+
+def _single_scc(d: Digraph) -> bool:
+    return len(set(_tarjan(successor_lists(d)))) == 1
 
 
 def test_is_strongly_connected_cases():
@@ -424,8 +436,7 @@ def test_is_strongly_connected_equals_single_scc():
     gen = np.random.default_rng(29)
     for _ in range(200):
         d = _random_digraph(gen)
-        by_scc = len(scc(d)[0]) == 1
-        assert is_strongly_connected(d) == by_scc == sc_bruteforce(d)
+        assert is_strongly_connected(d) == _single_scc(d) == sc_bruteforce(d)
 
 
 @pytest.mark.parametrize("n", [1500, 2048])
@@ -435,7 +446,7 @@ def test_is_strongly_connected_matches_scc_on_sampled_digraphs(n):
             regular = sample_regular_digraph(k, n, RandomSource(seed, k))
             binomial = sample_binomial_digraph(k / (n - 1), n, RandomSource(seed, 100 + k))
             for d in (regular, binomial):
-                assert is_strongly_connected(d) == (len(scc(d)[0]) == 1)
+                assert is_strongly_connected(d) == _single_scc(d)
 
 
 @given(st.data())
@@ -450,22 +461,22 @@ def test_reachable_from_monotone_idempotent(data):
             max_size=n * (n - 1),
         )
     )
-    d = Digraph(n, edges)
+    succ = successor_lists(Digraph(n, edges))
     small = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     extra = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     big = small | extra
-    r_small = reachable_from(d, small)
-    r_big = reachable_from(d, big)
+    r_small = _reach(succ, small)
+    r_big = _reach(succ, big)
     assert r_small <= r_big  # monotone
-    assert reachable_from(d, r_small) == r_small  # idempotent
+    assert _reach(succ, r_small) == r_small  # idempotent
     assert small <= r_small
 
 
 def test_reachable_from_examples():
-    d = Digraph(3, [(0, 1), (1, 2)])
-    assert reachable_from(d, {0}) == {0, 1, 2}
-    assert reachable_from(d, range(3)) == {0, 1, 2}
-    assert reachable_from(d, set()) == set()
+    succ = successor_lists(Digraph(3, [(0, 1), (1, 2)]))
+    assert _reach(succ, {0}) == {0, 1, 2}
+    assert _reach(succ, range(3)) == {0, 1, 2}
+    assert _reach(succ, set()) == set()
 
 
 def test_digraph_rejects_bad_edges():
@@ -515,7 +526,7 @@ def test_partition_graph_two_bicliques():
     assert len(chunks) == 2
     for chunk in chunks:
         assert chunk.graph.edge_count == 4
-        assert chunk.graph.is_balanced
+        assert chunk.graph.n_users == chunk.graph.n_rings
         validate(chunk.graph)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ringlab.errors import InvalidConfig, InvalidParams
-from ringlab.graph import Partition, validate
+from ringlab.graph import Partition, _require_covering, validate
 from ringlab.samplers import (
     Binomial,
     RandomSource,
@@ -167,16 +167,31 @@ def test_sample_transaction_graph_empty():
     validate(g)
 
 
-def test_sample_transaction_graph_validates_and_matching_is_true_assignment():
-    cfg = SamplerConfig(Partition.equal_chunks(12, 6), Regular(2))
-    for sid in range(25):
+_UNEQUAL = Partition([range(0, 2), range(2, 7), range(7, 12)])
+
+
+@pytest.mark.parametrize(
+    "partition, kind",
+    [
+        (Partition.equal_chunks(12, 6), Regular(0)),
+        (Partition.equal_chunks(12, 6), Regular(2)),
+        (Partition.equal_chunks(12, 6), Regular(5)),
+        (Partition.equal_chunks(12, 6), Binomial(0.0)),
+        (Partition.equal_chunks(12, 6), Binomial(1.0)),
+        (Partition.equal_chunks(12, 6), Binomial(0.4)),
+        (_UNEQUAL, Regular(1)),
+        (_UNEQUAL, Binomial(0.4)),
+    ],
+    ids=["reg0", "reg2", "reg5", "bin0", "bin1", "bin0.4", "ureg1", "ubin.4"],
+)
+def test_sample_transaction_graph_validates_and_matching_is_true_assignment(partition, kind):
+    cfg = SamplerConfig(partition, kind)
+    for sid in range(25):  # m runs over 0..12 twice, both ends included
         g, m = sample_transaction_graph(cfg, 12, int(sid % 13), RandomSource(4, sid))
         validate(g)
-        assert m.size == g.n_rings
+        _require_covering(g, m)
         signers = [u for u, _ in m.pairs]
         assert len(set(signers)) == len(signers)
-        for u, r in m.pairs:
-            assert g.has_edge(u, r)
 
 
 def test_sample_transaction_graph_bicliques_when_chunks_are_ring_sized():
