@@ -5,6 +5,11 @@ deanonymisation through matching cores of transaction graphs: exact core
 computation, security experiments with concrete adversaries, Monte Carlo
 campaigns over two random digraph models, closed-form ring-size
 recommendations, and a min-entropy anonymity measure.
+
+The package re-exports the function ``core``, which shadows the submodule
+of the same name: ``import ringlab.core as m`` and ``ringlab.core`` both
+give the function.  Tools that need the module reach it through
+``importlib.import_module("ringlab.core")``.
 """
 
 from .adversary import (

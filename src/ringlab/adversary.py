@@ -13,15 +13,16 @@ maximum matchings, and an exact matching-count oracle that is
 Bayes-optimal under the uniform signer model but only feasible at
 brute-force scale.
 
-Each trial computes the core of the sampled graph once, from the signer
-assignment.  It decides ``graph_was_core_equal`` and, in the passive game,
-is the core the core adversary analyses.  That leaks nothing: every
-maximum matching yields the same core (pinned by
-``test_core_invariant_under_matching_strategy``).  In the corrupted-user
-game the adversary's view differs, so the core adversary computes the
-core of that view itself.  Every user signs (m = n), so once any user is
-corrupted the view's rings touch fewer than m users, no matching covers
-them, and the core adversary falls back to the trivial guess.
+Each trial computes the core member flags of the sampled graph once, from
+the signer assignment.  They decide ``graph_was_core_equal`` and, in the
+passive game, give the core graph handed to the adversary with the view
+as ``view_core``.  That leaks nothing: every maximum matching yields the
+same core (pinned by ``test_core_invariant_under_matching_strategy``).
+In the corrupted-user game the view has no core: every user signs
+(m = n), so once any user is corrupted the view's rings touch fewer than
+m users and no matching covers them.  The trial then hands over
+``view_core=None``, and the core adversary falls back to the trivial
+guess.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from math import floor
 
 from numpy.random import Generator
 
-from .core import _core_from_flags, _core_member_flags, enumerate_maximum_matchings
+from .core import _core_from_flags, _core_member_flags, core, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
 from .graph import Partition, TransactionGraph
 from .samplers import RandomSource, SamplerConfig, _sample_graph, _trial_streams
@@ -94,7 +95,8 @@ class BlackMarbleConfig:
 # the corrupted-user experiment may contain empty rings or may not admit a
 # full signer assignment; every strategy degrades to the trivial one when
 # its analysis is impossible, and empty rings are never guessed into.  Each
-# strategy takes (view, gen, view_core); only the core strategy uses view_core.
+# strategy takes (view, gen, view_core), where view_core is core(view) or None
+# when no matching covers the view's rings; only the core strategy uses it.
 
 
 def _guess_min_degree_ring(
@@ -114,29 +116,17 @@ def _guess_min_degree_ring(
     return (u, best_j)
 
 
-def _adv_trivial(view: TransactionGraph, gen: Generator, view_core=None) -> tuple[int, int]:
+def _adv_trivial(view: TransactionGraph, gen: Generator, view_core) -> tuple[int, int]:
     return _guess_min_degree_ring(view, gen)
 
 
-def _adv_core(view: TransactionGraph, gen: Generator, view_core=None) -> tuple[int, int]:
-    """Smallest-ring guess on core(view), or on view when no matching covers its rings.
-
-    ``view_core``, when given, is a callable returning core(view).  The
-    passive experiment passes the core it already computed from the signer
-    assignment, which any maximum matching would give too.  Without it the
-    core is computed from the view, as for a corrupted-user view.
-    """
-    from .core import core as compute_core
-
-    try:
-        c = view_core() if view_core is not None else compute_core(view)
-    except NotATransactionGraph:
-        return _guess_min_degree_ring(view, gen)
-    return _guess_min_degree_ring(c, gen)
+def _adv_core(view: TransactionGraph, gen: Generator, view_core) -> tuple[int, int]:
+    """Smallest-ring guess on core(view), or on view when it has no core."""
+    return _guess_min_degree_ring(view if view_core is None else view_core, gen)
 
 
 def _adv_matching_count(
-    view: TransactionGraph, gen: Generator, view_core=None
+    view: TransactionGraph, gen: Generator, view_core
 ) -> tuple[int, int]:
     try:
         return adversary_matching_count(view)
@@ -153,12 +143,16 @@ ADVERSARIES = {
 
 def adversary_trivial(graph: TransactionGraph, rng: RandomSource) -> tuple[int, int]:
     """Pick the smallest ring (lowest index on ties), guess a uniform member."""
-    return _adv_trivial(graph, rng.generator)
+    return _adv_trivial(graph, rng.generator, None)
 
 
 def adversary_core(graph: TransactionGraph, rng: RandomSource) -> tuple[int, int]:
     """Guess a uniform core-connected member of the ring with least core degree."""
-    return _adv_core(graph, rng.generator)
+    try:
+        graph_core = core(graph)
+    except NotATransactionGraph:
+        graph_core = None
+    return _adv_core(graph, rng.generator, graph_core)
 
 
 def adversary_matching_count(graph: TransactionGraph) -> tuple[int, int]:
@@ -220,10 +214,10 @@ def _experiment(
         corrupted = _corrupt_users(config, marble, gen)
     graph, matching = _sample_graph(config, n, gen)
     flags = _core_member_flags(graph, matching)
-    if corrupted:
-        guess = adversary_fn(_remove_users(graph, corrupted), gen)
+    if corrupted:  # the reduced view has no core; see the module docstring
+        guess = adversary_fn(_remove_users(graph, corrupted), gen, None)
     else:
-        guess = adversary_fn(graph, gen, lambda: _core_from_flags(graph, flags))
+        guess = adversary_fn(graph, gen, _core_from_flags(graph, flags))
     success = guess in matching
     if marble is not None:
         success = success and marble.admissible(config.partition, corrupted)

@@ -19,7 +19,6 @@ from .graph import (
     _covering_matching,
     _induced_successors,
     _reach,
-    _require_covering,
     _tarjan,
     _user_relabel,
 )
@@ -38,21 +37,33 @@ __all__ = [
 BRUTE_FORCE_USER_CAP = 10
 
 
-def core(graph: TransactionGraph, *, matching: Matching | None = None) -> TransactionGraph:
+def core(graph: TransactionGraph) -> TransactionGraph:
     """Subgraph of edges that occur in at least one maximum matching.
 
-    ``matching`` may supply a known size-``n_rings`` maximum matching
-    (e.g. the signer assignment of a freshly sampled graph) to skip the
-    matching computation; the result does not depend on which maximum
-    matching is used.  When no edge is removed the graph itself is returned.
-    Without ``matching``, raises :class:`NotATransactionGraph` (or its
-    subclass :class:`EmptyRing`) when no matching covers every ring.
+    Computed from the member flags of one covering matching; when no edge
+    is removed the graph itself is returned.  Raises
+    :class:`NotATransactionGraph` (or its subclass :class:`EmptyRing`) when
+    no matching covers every ring.
     """
-    if matching is None:
-        matching = _covering_matching(graph)
-    else:
-        _require_covering(graph, matching)
-    return _core_from_flags(graph, _core_member_flags(graph, matching))
+    return _core_from_flags(graph, _covering_core_flags(graph))
+
+
+def _covering_core_flags(graph: TransactionGraph) -> list[list[bool]]:
+    """Core member flags of ``graph``, from a covering matching computed here.
+
+    The pass allocates per user.  When the header names more users than
+    there are edges, it runs on the users that occur instead, relabelled
+    in ascending order: a user in no ring changes no flag, and the flags
+    are per member position, so they are those of ``graph`` one to one.
+    Either way its work and memory are bounded by the edges and rings.
+    """
+    if graph.n_users > graph.edge_count:
+        members = graph._members
+        index = {u: i for i, u in enumerate(sorted(set().union(*members)))}
+        graph = TransactionGraph._from_members(
+            len(index), [[index[u] for u in ms] for ms in members]
+        )
+    return _core_member_flags(graph, _covering_matching(graph))
 
 
 def _core_member_flags(
@@ -60,8 +71,9 @@ def _core_member_flags(
 ) -> list[list[bool]]:
     """Per ring, which members' edges survive in the core.
 
-    ``matching`` must cover every ring with edges of ``graph``; callers
-    check that once, this does not check it again.
+    This is the one core computation; every core result is read from its
+    flags.  ``matching`` must cover every ring with edges of ``graph``;
+    callers check that once, this does not check it again.
     """
     n, m = graph.n_users, graph.n_rings
     relabel = _user_relabel(graph, matching)
@@ -78,10 +90,12 @@ def _core_member_flags(
 
 
 def _core_from_flags(graph: TransactionGraph, flags: list[list[bool]]) -> TransactionGraph:
-    """The core given its member flags: ``graph`` itself when nothing is removed.
+    """The core as a graph: the flagged members of each ring of ``graph``.
 
-    The flags keep every edge of the matching they were computed from, so
-    the core needs no certificate check of its own.
+    Returns ``graph`` itself when every flag is set, so ``core is graph``
+    tells whether the core removed nothing.  The flags keep every edge of
+    the matching they were computed from, so the core needs no certificate
+    check of its own.
     """
     if all(map(all, flags)):
         return graph
@@ -94,7 +108,7 @@ def _core_from_flags(graph: TransactionGraph, flags: list[list[bool]]) -> Transa
 
 def is_core_equal(graph: TransactionGraph) -> bool:
     """True when no edge of the graph can be ruled out, i.e. core(G) == G."""
-    return core(graph).edge_count == graph.edge_count
+    return all(map(all, _covering_core_flags(graph)))
 
 
 @dataclass(frozen=True)
@@ -112,18 +126,25 @@ class CoreReport:
 
 
 def core_report(graph: TransactionGraph) -> CoreReport:
-    c = core(graph)
-    removed: set[tuple[int, int]] = set()
-    for r, (ms, kept) in enumerate(zip(graph._members, c._members)):
-        if len(kept) < len(ms):
-            kept_set = set(kept)
-            removed.update((u, r) for u in ms if u not in kept_set)
-    degrees = c.ring_sizes()
+    """Core edges, removed edges, core degrees and deanonymised rings of ``graph``.
+
+    Every field is read from one set of core member flags; no core graph
+    is built.  Raises as :func:`core` does.
+    """
+    flags = _covering_core_flags(graph)
+    kept: list[tuple[int, int]] = []
+    removed: list[tuple[int, int]] = []
+    for r, (ms, row) in enumerate(zip(graph._members, flags)):
+        for u, keep in zip(ms, row):
+            (kept if keep else removed).append((u, r))
+    degrees = tuple(map(sum, flags))
     deanon = tuple(
-        (r, c.ring_members(r)[0]) for r in range(c.n_rings) if degrees[r] == 1
+        (r, graph._members[r][flags[r].index(True)])
+        for r, degree in enumerate(degrees)
+        if degree == 1
     )
     return CoreReport(
-        core_edges=c.edges,
+        core_edges=frozenset(kept),
         removed_edges=frozenset(removed),
         deanonymised_rings=deanon,
         per_ring_core_degree=degrees,

@@ -18,8 +18,8 @@ values.  Indices are 0-based throughout, including file formats.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -141,11 +141,7 @@ class TransactionGraph:
         return self._members[ring]
 
     def has_edge(self, user: int, ring: int) -> bool:
-        ms = self._members[ring]
-        if len(ms) > 16:
-            lo = bisect_left(ms, user)
-            return lo < len(ms) and ms[lo] == user
-        return user in ms
+        return user in self._members[ring]
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -310,28 +306,39 @@ class Digraph:
 
 
 class Partition:
-    """Disjoint cover of the user set ``[0, n_users)`` by non-empty chunks."""
+    """Disjoint cover of the user set ``[0, n_users)`` by non-empty chunks.
 
-    __slots__ = ("chunks", "n_users", "_chunk_of")
+    The chunk layout, as arrays: ``_chunk_flat`` holds the chunks' users in
+    order, chunk c at ``_chunk_start[c]:_chunk_start[c + 1]``;
+    ``_chunk_of`` and ``_pos_in_chunk`` give each user's chunk and its
+    position there.
+    """
+
+    __slots__ = ("chunks", "n_users", "_chunk_of", "_pos_in_chunk", "_chunk_flat", "_chunk_start")
 
     def __init__(self, chunks: Iterable[Iterable[int]]):
         canon = [tuple(sorted(int(u) for u in c)) for c in chunks]
         if any(len(c) == 0 for c in canon):
             raise ValueError("empty chunk")
         canon.sort(key=lambda c: c[0])
-        n = sum(len(c) for c in canon)
-        chunk_of = np.full(n, -1, dtype=np.int64)
-        for idx, c in enumerate(canon):
-            for u in c:
-                if not 0 <= u < n:
-                    raise IndexOutOfRange(f"user {u} outside [0, {n})")
-                if chunk_of[u] != -1:
-                    raise ValueError(f"user {u} appears in two chunks")
-                chunk_of[u] = idx
+        sizes = [len(c) for c in canon]
+        n = sum(sizes)
+        bad = [u for c in canon for u in (c[0], c[-1]) if not 0 <= u < n]
+        if bad:
+            raise IndexOutOfRange(f"user {bad[0]} outside [0, {n})")
+        flat = np.fromiter(chain.from_iterable(canon), dtype=np.int64, count=n)
+        twice = np.flatnonzero(np.bincount(flat, minlength=n) > 1)
+        if twice.size:
+            raise ValueError(f"user {twice[0]} appears in two chunks")
         # disjointness plus total size n implies the union covers [0, n)
         self.chunks = tuple(canon)
         self.n_users = n
-        self._chunk_of = chunk_of
+        self._chunk_flat = flat
+        self._chunk_start = np.cumsum([0] + sizes, dtype=np.int64)
+        self._chunk_of = np.empty(n, dtype=np.int64)
+        self._chunk_of[flat] = np.repeat(np.arange(len(canon)), sizes)
+        self._pos_in_chunk = np.empty(n, dtype=np.int64)
+        self._pos_in_chunk[flat] = np.arange(n) - np.repeat(self._chunk_start[:-1], sizes)
 
     @classmethod
     def equal_chunks(cls, n_users: int, chunk_size: int) -> "Partition":
@@ -680,10 +687,7 @@ def partition_graph(graph: TransactionGraph, partition: Partition) -> list[Graph
         raise ValueError(
             f"partition covers {partition.n_users} users, graph has {graph.n_users}"
         )
-    local_user = [0] * graph.n_users
-    for chunk in partition.chunks:
-        for li, u in enumerate(chunk):
-            local_user[u] = li
+    local_user = partition._pos_in_chunk.tolist()
     ring_home: list[list[int]] = [[] for _ in range(partition.n_chunks)]
     for r in range(graph.n_rings):
         ms = graph.ring_members(r)

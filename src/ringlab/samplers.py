@@ -58,10 +58,6 @@ class RandomSource:
             self._generator = Generator(Philox(key=key))
         return self._generator
 
-    def stream(self, stream_id: int) -> "RandomSource":
-        """A fresh source with the same seed and the given stream id."""
-        return RandomSource(self.seed, stream_id)
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
 
@@ -165,15 +161,7 @@ class Binomial:
 class SamplerConfig:
     """A partition of the users plus the decoy rule applied within chunks."""
 
-    __slots__ = (
-        "partition",
-        "kind",
-        "_chunk_of",
-        "_pos_in_chunk",
-        "_chunk_flat",
-        "_chunk_start",
-        "_chunk_sizes",
-    )
+    __slots__ = ("partition", "kind")
 
     def __init__(self, partition: Partition, kind: Regular | Binomial):
         if isinstance(kind, Regular):
@@ -191,23 +179,6 @@ class SamplerConfig:
             raise InvalidConfig(f"unknown sampler kind {kind!r}")
         self.partition = partition
         self.kind = kind
-        n = partition.n_users
-        chunk_of = np.empty(n, dtype=np.int64)
-        pos_in_chunk = np.empty(n, dtype=np.int64)
-        flat = np.empty(n, dtype=np.int64)
-        starts = np.empty(partition.n_chunks + 1, dtype=np.int64)
-        starts[0] = 0
-        for ci, chunk in enumerate(partition.chunks):
-            starts[ci + 1] = starts[ci] + len(chunk)
-            for pos, u in enumerate(chunk):
-                chunk_of[u] = ci
-                pos_in_chunk[u] = pos
-                flat[starts[ci] + pos] = u
-        self._chunk_of = chunk_of
-        self._pos_in_chunk = pos_in_chunk
-        self._chunk_flat = flat
-        self._chunk_start = starts
-        self._chunk_sizes = np.asarray(partition.chunk_sizes(), dtype=np.int64)
 
     @property
     def n_users(self) -> int:
@@ -231,14 +202,14 @@ def _sample_decoys(
     ``decoys`` is ``(k_max, m)``; column j holds the decoys of signer j's
     ring, drawn from the signer's chunk minus the signer.
     """
-    cids = config._chunk_of[signers]
-    pools = config._chunk_sizes[cids] - 1
+    part = config.partition
+    cids = part._chunk_of[signers]
+    starts = part._chunk_start[cids]
+    pools = part._chunk_start[cids + 1] - starts - 1
     counts = _decoy_counts(config, gen, pools)
     chosen = _floyd_subsets(gen, pools, counts)
-    local = _skip_self(chosen, config._pos_in_chunk[signers])
-    decoys = np.where(
-        chosen >= 0, config._chunk_flat[config._chunk_start[cids] + local], -1
-    )
+    local = _skip_self(chosen, part._pos_in_chunk[signers])
+    decoys = np.where(chosen >= 0, part._chunk_flat[starts + local], -1)
     return decoys, counts
 
 

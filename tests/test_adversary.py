@@ -18,7 +18,7 @@ from ringlab.adversary import (
     _corrupt_users,
     _remove_users,
 )
-from ringlab.core import is_core_equal
+from ringlab.core import core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
 from ringlab.graph import Partition
 from ringlab.samplers import (
@@ -119,8 +119,8 @@ def test_paired_core_beats_trivial_on_core_mismatched_instances():
         if is_core_equal(g):
             continue
         considered += 1
-        triv += _adv_trivial(g, gen) in m
-        core_adv += _adv_core(g, gen) in m
+        triv += _adv_trivial(g, gen, None) in m
+        core_adv += _adv_core(g, gen, core(g)) in m
     assert considered > 1000
     p1, p2 = core_adv / considered, triv / considered
     noise = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / considered)
@@ -136,7 +136,7 @@ def test_paired_matching_count_beats_core_on_small_instances():
     for t in range(trials):
         gen = fam.generator(t)
         g, m = sample_transaction_graph(cfg, 6, 6, RandomSource(8, t))
-        core_adv += _adv_core(g, gen) in m
+        core_adv += _adv_core(g, gen, core(g)) in m
         count_adv += adversary_matching_count(g) in m
     p1, p2 = count_adv / trials, core_adv / trials
     noise = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / trials)

@@ -59,6 +59,21 @@ def test_core_toy_csv(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("n_users", [2**63, 2**40])
+def test_core_work_is_bounded_by_edges_not_header(tmp_path, capsys, n_users):
+    # users in no ring take no memory: a header past int64 or RAM still runs
+    path = _write(tmp_path, "wide.txt", f"{n_users} 1\n0 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["core", path, "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out == "ring_index,core_degree,deanonymised\n0,1,true\n"
+    assert peak < 2**20
+
+
 def test_core_crlf_and_comments(tmp_path, capsys):
     path = _write(tmp_path, "crlf.txt", "2 2\r\n0 0\r\n# x\r\n\r\n1 1\r\n")
     assert main(["core", path]) == 0

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from ringlab.core import (
+    CoreReport,
+    _core_member_flags,
     core,
     core_bruteforce_oracle,
     core_report,
@@ -69,6 +71,45 @@ def test_core_equals_bruteforce_oracle_on_random_graphs():
     for _ in range(300):
         g = random_valid_graph(gen, max_users=7)
         assert core(g).edges == core_bruteforce_oracle(g).edges
+
+
+def test_is_core_equal_matches_oracle_on_random_graphs():
+    gen = np.random.default_rng(104)
+    unequal = wide = 0
+    for _ in range(300):
+        g = random_valid_graph(gen, max_users=7)
+        assert is_core_equal(g) == (core_bruteforce_oracle(g) == g)
+        unequal += not is_core_equal(g)
+        wide += g.n_users > g.edge_count  # the pass runs on the users that occur
+    assert unequal > 30 and wide > 30
+
+
+def _core_report_by_diff(g):
+    """The report derived from the core graph, diffed against ``g`` ring by ring."""
+    c = core(g)
+    removed = set()
+    for r in range(g.n_rings):
+        removed.update((u, r) for u in set(g.ring_members(r)) - set(c.ring_members(r)))
+    degrees = c.ring_sizes()
+    return CoreReport(
+        core_edges=c.edges,
+        removed_edges=frozenset(removed),
+        deanonymised_rings=tuple(
+            (r, c.ring_members(r)[0]) for r in range(c.n_rings) if degrees[r] == 1
+        ),
+        per_ring_core_degree=degrees,
+    )
+
+
+def test_core_report_matches_core_diff_on_random_graphs():
+    gen = np.random.default_rng(105)
+    removing = 0
+    for _ in range(300):
+        g = random_valid_graph(gen, max_users=9)
+        rep = core_report(g)
+        assert rep == _core_report_by_diff(g)
+        removing += bool(rep.removed_edges)
+    assert removing > 30
 
 
 def test_core_degree_one_means_same_user_in_every_matching():
@@ -153,7 +194,7 @@ def test_core_invariant_under_matching_strategy():
         m = maximum_matching(g)
         alt = relabelled_matching(g, gen)
         assert alt.size == m.size
-        assert core(g).edges == core(g, matching=alt).edges
+        assert _core_member_flags(g, alt) == _core_member_flags(g, m)
         differing += alt != m
     assert differing > 0
 
