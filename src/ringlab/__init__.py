@@ -23,7 +23,6 @@ from .adversary import (
     estimate_success,
     run_campaign,
     run_experiment,
-    run_experiment_black_marble,
 )
 from .conjecture import (
     GridCell,

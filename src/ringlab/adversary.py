@@ -45,7 +45,6 @@ __all__ = [
     "adversary_core",
     "adversary_matching_count",
     "run_experiment",
-    "run_experiment_black_marble",
     "estimate_success",
     "run_campaign",
     "ADVERSARIES",
@@ -245,24 +244,18 @@ def _check_experiment_args(config: SamplerConfig, n_users: int) -> None:
 
 
 def run_experiment(
-    config: SamplerConfig, n_users: int, adversary: str, rng: RandomSource
-) -> ExperimentOutcome:
-    """One passive trial: all users sign, the adversary sees the graph alone."""
-    _check_experiment_args(config, n_users)
-    return _experiment(config, _resolve_adversary(adversary), rng.generator, None)
-
-
-def run_experiment_black_marble(
     config: SamplerConfig,
     n_users: int,
-    marble: BlackMarbleConfig,
     adversary: str,
     rng: RandomSource,
+    *,
+    marble: BlackMarbleConfig | None = None,
 ) -> ExperimentOutcome:
-    """One active trial: corrupt users first, then remove their edges.
+    """One trial: all users sign, the adversary sees the graph alone.
 
-    With beta = 0 nothing is corrupted, no randomness is consumed by the
-    corruption step, and the trial is identical to :func:`run_experiment`.
+    With ``marble`` the trial is active: users are corrupted first and
+    their edges removed.  With beta = 0 nothing is corrupted, no randomness
+    is consumed by the corruption step, and the trial is the passive one.
     """
     _check_experiment_args(config, n_users)
     return _experiment(config, _resolve_adversary(adversary), rng.generator, marble)

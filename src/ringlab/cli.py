@@ -174,7 +174,8 @@ def _cmd_core(args: argparse.Namespace, out) -> int:
         f"graph users={graph.n_users} rings={graph.n_rings} edges={graph.edge_count}\n"
     )
     out.write(
-        f"core edges={len(report.core_edges)} removed={len(report.removed_edges)}\n"
+        f"core edges={graph.edge_count - len(report.removed_edges)} "
+        f"removed={len(report.removed_edges)}\n"
     )
     for u, r in sorted(report.removed_edges):
         out.write(f"removed_edge user={u} ring={r}\n")

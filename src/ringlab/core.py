@@ -18,6 +18,7 @@ from .graph import (
     TransactionGraph,
     _covering_matching,
     _induced_successors,
+    _occurring_users,
     _reach,
     _tarjan,
     _user_relabel,
@@ -51,18 +52,10 @@ def core(graph: TransactionGraph) -> TransactionGraph:
 def _covering_core_flags(graph: TransactionGraph) -> list[list[bool]]:
     """Core member flags of ``graph``, from a covering matching computed here.
 
-    The pass allocates per user.  When the header names more users than
-    there are edges, it runs on the users that occur instead, relabelled
-    in ascending order: a user in no ring changes no flag, and the flags
-    are per member position, so they are those of ``graph`` one to one.
-    Either way its work and memory are bounded by the edges and rings.
+    The pass allocates per user, so it runs on the users that occur; the
+    flags are per member position, so they are those of ``graph``.
     """
-    if graph.n_users > graph.edge_count:
-        members = graph._members
-        index = {u: i for i, u in enumerate(sorted(set().union(*members)))}
-        graph = TransactionGraph._from_members(
-            len(index), [[index[u] for u in ms] for ms in members]
-        )
+    graph, _ = _occurring_users(graph)
     return _core_member_flags(graph, _covering_matching(graph))
 
 
@@ -116,36 +109,39 @@ class CoreReport:
     """Attack-oriented summary of a core computation.
 
     ``deanonymised_rings`` lists rings whose core degree is 1 together
-    with their only possible signer.
+    with their only possible signer.  The core's own edge set is
+    ``core(graph).edges``.
     """
 
-    core_edges: frozenset[tuple[int, int]]
     removed_edges: frozenset[tuple[int, int]]
     deanonymised_rings: tuple[tuple[int, int], ...]
     per_ring_core_degree: tuple[int, ...]
 
 
 def core_report(graph: TransactionGraph) -> CoreReport:
-    """Core edges, removed edges, core degrees and deanonymised rings of ``graph``.
+    """Removed edges, core degrees and deanonymised rings of ``graph``.
 
     Every field is read from one set of core member flags; no core graph
-    is built.  Raises as :func:`core` does.
+    is built, and only the rings that lose a member are visited edge by
+    edge.  Raises as :func:`core` does.
     """
     flags = _covering_core_flags(graph)
-    kept: list[tuple[int, int]] = []
-    removed: list[tuple[int, int]] = []
-    for r, (ms, row) in enumerate(zip(graph._members, flags)):
-        for u, keep in zip(ms, row):
-            (kept if keep else removed).append((u, r))
+    members = graph._members
     degrees = tuple(map(sum, flags))
+    removed = frozenset(
+        (u, r)
+        for r, degree in enumerate(degrees)
+        if degree < len(members[r])
+        for u, keep in zip(members[r], flags[r])
+        if not keep
+    )
     deanon = tuple(
-        (r, graph._members[r][flags[r].index(True)])
+        (r, members[r][flags[r].index(True)])
         for r, degree in enumerate(degrees)
         if degree == 1
     )
     return CoreReport(
-        core_edges=frozenset(kept),
-        removed_edges=frozenset(removed),
+        removed_edges=removed,
         deanonymised_rings=deanon,
         per_ring_core_degree=degrees,
     )

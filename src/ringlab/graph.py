@@ -103,11 +103,11 @@ class Matching:
 class TransactionGraph:
     """Bipartite graph of ``n_users`` users and ``n_rings`` rings.
 
-    Adjacency is stored as one sorted member tuple per ring; the flat edge
-    set is materialised lazily.
+    Adjacency is stored as one sorted member tuple per ring; :attr:`edges`
+    builds the flat edge set on each call.
     """
 
-    __slots__ = ("n_users", "n_rings", "_members", "_edge_set")
+    __slots__ = ("n_users", "n_rings", "_members")
 
     def __init__(self, n_users: int, n_rings: int, edges: Iterable[tuple[int, int]]):
         n_users = int(n_users)
@@ -121,7 +121,6 @@ class TransactionGraph:
         self.n_users = n_users
         self.n_rings = n_rings
         self._members = _ring_members(n_users, n_rings, *_edge_columns(edges))
-        self._edge_set: frozenset[tuple[int, int]] | None = None
 
     @classmethod
     def _from_members(
@@ -132,7 +131,6 @@ class TransactionGraph:
         g.n_users = n_users
         g.n_rings = len(members)
         g._members = tuple(tuple(ms) for ms in members)
-        g._edge_set = None
         return g
 
     # -- accessors ---------------------------------------------------------
@@ -145,11 +143,7 @@ class TransactionGraph:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(
-                (u, r) for r, ms in enumerate(self._members) for u in ms
-            )
-        return self._edge_set
+        return frozenset((u, r) for r, ms in enumerate(self._members) for u in ms)
 
     @property
     def edge_count(self) -> int:
@@ -398,8 +392,9 @@ def maximum_matching(graph: TransactionGraph) -> Matching:
     calls return the identical matching.  Which maximum matching is
     returned is irrelevant to the core computation (the core is invariant
     under the choice; a property test pins this against the matching of a
-    randomly relabelled copy of the graph).
+    randomly relabelled copy of the graph).  It runs on the users that occur.
     """
+    graph, users = _occurring_users(graph)
     members = graph._members
     ring_of = [-1] * graph.n_users  # user -> ring
     user_of = [-1] * graph.n_rings  # ring -> user
@@ -462,7 +457,24 @@ def maximum_matching(graph: TransactionGraph) -> Matching:
                     iters.pop()
                     if via:
                         via.pop()
-    return Matching((u, r) for r, u in enumerate(user_of) if u != -1)
+    return Matching((users[u], r) for r, u in enumerate(user_of) if u != -1)
+
+
+def _occurring_users(graph: TransactionGraph) -> tuple[TransactionGraph, Sequence[int]]:
+    """``graph`` on the users that occur, and each of its users' index in ``graph``.
+
+    Returns ``graph`` itself and ``range(n_users)`` unless the header names
+    more users than there are edges, so work sized by users is bounded by
+    the edges.  The users that occur are relabelled in ascending order,
+    which keeps each ring's member order: per-member results carry over.
+    """
+    if graph.n_users <= graph.edge_count:
+        return graph, range(graph.n_users)
+    members = graph._members
+    users = sorted(set().union(*members))
+    index = {u: i for i, u in enumerate(users)}
+    relabelled = [[index[u] for u in ms] for ms in members]
+    return TransactionGraph._from_members(len(users), relabelled), users
 
 
 def _covering_matching(graph: TransactionGraph) -> Matching:

@@ -235,16 +235,12 @@ def _sample_graph(
 ) -> tuple[TransactionGraph, Matching]:
     n = config.n_users
     signers = gen.permutation(n)[:m].astype(np.int64)
-    decoys, _counts = _sample_decoys(config, gen, signers)
-    signer_list = signers.tolist()
-    decoy_cols = decoys.T.tolist()
-    members = []
-    for j in range(m):
-        ring = [u for u in decoy_cols[j] if u >= 0]
-        ring.append(signer_list[j])
-        ring.sort()
-        members.append(ring)
-    matching = Matching(zip(signer_list, range(m)))
+    decoys, counts = _sample_decoys(config, gen, signers)
+    # per column the -1 padding sorts first; the ring is the rest
+    k_max = decoys.shape[0]
+    cols = np.sort(np.vstack((decoys, signers)), axis=0).T.tolist()
+    members = [col[k_max - c:] for col, c in zip(cols, counts.tolist())]
+    matching = Matching(zip(signers.tolist(), range(m)))
     graph = TransactionGraph._from_members(n, members)
     _require_covering(graph, matching)
     return graph, matching

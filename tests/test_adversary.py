@@ -12,7 +12,6 @@ from ringlab.adversary import (
     estimate_success,
     run_campaign,
     run_experiment,
-    run_experiment_black_marble,
     _adv_core,
     _adv_trivial,
     _corrupt_users,
@@ -243,7 +242,7 @@ def test_black_marble_beta_zero_is_noop():
     cfg = SamplerConfig(Partition.equal_chunks(12, 4), Regular(2))
     marble = BlackMarbleConfig(0.0)
     for sid in range(40):
-        active = run_experiment_black_marble(cfg, 12, marble, "core", RandomSource(14, sid))
+        active = run_experiment(cfg, 12, "core", RandomSource(14, sid), marble=marble)
         passive = run_experiment(cfg, 12, "core", RandomSource(14, sid))
         assert active == passive
 

@@ -1,5 +1,6 @@
 """Graph types and operations against small oracles and stated invariants."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,20 @@ def test_validate_toy(toy_graph):
 def test_validate_zero_rings():
     g = make_graph(3, 0, [])
     assert validate(g) is g
+
+
+@pytest.mark.parametrize("n_users", [2**63, 2**40])
+def test_validate_and_matching_bounded_by_edges_not_header(n_users):
+    # users in no ring take no memory: a header past int64 or RAM still runs
+    g = TransactionGraph(n_users, 1, [(0, 0)])
+    tracemalloc.start()
+    try:
+        assert validate(g) is g
+        assert maximum_matching(g) == Matching([(0, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_validate_rejects_unmatchable():
