@@ -155,13 +155,15 @@ def enumerate_maximum_matchings(
     Exponential; guarded by ``max_users``.  The graph must admit a
     matching covering every ring (else :class:`NotATransactionGraph`), so
     each maximum matching assigns every ring exactly one user and the
-    enumeration can proceed ring by ring.
+    enumeration can proceed ring by ring.  The backtracking runs on the
+    users that occur, so its memory does not grow with the header.
     """
     if graph.n_users > max_users:
         raise InstanceTooLarge(
             f"{graph.n_users} users exceeds the brute-force cap of {max_users}"
         )
     _covering_matching(graph)
+    graph, users = _occurring_users(graph)
     m = graph.n_rings
     results: list[Matching] = []
     used = [False] * graph.n_users
@@ -169,7 +171,7 @@ def enumerate_maximum_matchings(
 
     def backtrack(ring: int) -> None:
         if ring == m:
-            results.append(Matching((u, r) for r, u in enumerate(chosen)))
+            results.append(Matching((users[u], r) for r, u in enumerate(chosen)))
             return
         for u in graph.ring_members(ring):
             if not used[u]:

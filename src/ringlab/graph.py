@@ -644,45 +644,56 @@ def _reach(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> set[int]:
     return seen
 
 
-def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
-    """Whether node 0 reaches all n nodes along the edges ``tails[i] -> heads[i]``.
+def _strongly_connected_graphs(
+    n: int, src: np.ndarray, dst: np.ndarray, in_degrees: np.ndarray
+) -> np.ndarray:
+    """Per graph of a block-diagonal digraph, whether it is strongly connected.
 
-    Each step marks the head of every edge whose tail is already marked;
-    the walk fails as soon as a step marks nothing new.
+    Graph g owns nodes ``g*n .. g*n + n - 1`` of the edges ``src[i] ->
+    dst[i]``; ``in_degrees`` holds every node's in-degree.  A graph with a
+    node lacking an in-edge or an out-edge fails at once.  The others need
+    forward and reverse reachability from their node 0 to cover all their
+    nodes, which is equivalent to having a single SCC.  Each walk step
+    marks the head of every edge whose tail is marked, in all live graphs
+    at once; a walk stops when every live graph is covered or no graph
+    gains.  The sampled digraph models have logarithmic diameter, so the
+    walks take few steps.  Single-node graphs count as strongly connected.
     """
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    covered = 1
-    while True:
-        seen[heads[seen[tails]]] = True
-        marked = int(np.count_nonzero(seen))
-        if marked == n:
-            return True
-        if marked == covered:
-            return False
-        covered = marked
+    if n == 1:
+        return np.ones(in_degrees.shape[0], dtype=bool)
+    has_out = np.zeros(in_degrees.shape[0], dtype=bool)
+    has_out[src] = True
+    live = (has_out & (in_degrees > 0)).reshape(-1, n).all(axis=1)
+    for tails, heads in ((src, dst), (dst, src)):
+        roots = np.flatnonzero(live) * n
+        if not roots.size:
+            break
+        seen = np.zeros(in_degrees.shape[0], dtype=bool)
+        seen[roots] = True
+        covered, target = roots.size, roots.size * n
+        while covered < target:
+            seen[heads[seen[tails]]] = True
+            marked = int(np.count_nonzero(seen))
+            if marked == covered:
+                break
+            covered = marked
+        live &= seen.reshape(-1, n).all(axis=1)
+    return live
 
 
 def is_strongly_connected(digraph: Digraph) -> bool:
     """Whether every ordered node pair is joined by a directed path.
 
-    Checked as forward reachability from node 0 plus reverse reachability
-    from node 0, each required to cover all nodes; this is equivalent to
-    having a single SCC and avoids the full SCC pass on the Monte Carlo
-    hot path.  A single-node digraph counts as strongly connected.
-
-    Both walks run on the flat edge arrays.  Each step scans all m edges,
-    so a walk costs O(m) per step; the sampled digraph models have
-    logarithmic diameter, so the walks take few steps.
+    The one-graph case of :func:`_strongly_connected_graphs`, run on the
+    flat edge arrays.  A single-node digraph counts as strongly connected
+    and the empty digraph does not.
     """
     n = digraph.n_nodes
-    if n <= 1:
-        return n == 1
-    m = digraph.n_edges
-    if m < n:  # strong connectivity needs at least one cycle through all nodes
+    if n == 0:
         return False
     src, dst = digraph._src, digraph._dst
-    return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
+    in_degrees = np.bincount(dst, minlength=n)
+    return bool(_strongly_connected_graphs(n, src, dst, in_degrees)[0])
 
 
 # -- partitioning ------------------------------------------------------------

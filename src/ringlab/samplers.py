@@ -5,16 +5,20 @@ Randomness is organised as counter-based Philox streams keyed by
 are reproducible bit-for-bit regardless of how trials are scheduled
 across workers.
 
-All subset drawing funnels through one kernel, :func:`_floyd_subsets`,
-a vectorised Floyd sampler that draws, for each row, a uniform
-without-replacement subset of its candidate pool.  The regular sampler
-uses constant subset sizes; the binomial sampler first draws per-row
-binomial sizes and reuses the same kernel.
+All subset drawing funnels through one Floyd kernel: :func:`_floyd_draw`
+makes the one bounded integer draw and :func:`_floyd_resolve` turns it,
+all rows in lockstep, into a uniform without-replacement subset of each
+row's candidate pool; :func:`_floyd_subsets` is the two together.  The
+regular sampler uses constant subset sizes; the binomial sampler first
+draws per-row binomial sizes and reuses the same kernel.  The conjecture
+grid draws a block of trials one stream at a time and resolves the whole
+block at once (:func:`_digraph_block`); each trial's draws are the ones it
+would make alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -89,7 +93,11 @@ class _StreamFamily:
 
 
 def _trial_streams(rng: RandomSource, trials: int) -> Iterator[Generator]:
-    """One generator per trial: stream ids ``rng.stream_id + t``."""
+    """One generator per trial: stream ids ``rng.stream_id + t``.
+
+    Every yield is the same generator object, re-keyed to the next stream,
+    so a trial's draws must be finished before the iterator is advanced.
+    """
     family = _StreamFamily(rng.seed)
     base = rng.stream_id
     for t in range(trials):
@@ -104,33 +112,47 @@ def _floyd_subsets(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -
 
     Returns a ``(k_max, n)`` int array whose column i holds the chosen
     values in rows ``k_max - counts[i] .. k_max - 1``; unused slots are -1.
-    Implements Floyd's algorithm with all rows advanced in lockstep, the
-    step alignment chosen so that every active row shares the same
-    pool-relative bound; all randomness comes from a single bounded
-    integer draw of shape ``(k_max, n)``.
+    All randomness comes from :func:`_floyd_draw`; :func:`_floyd_resolve`
+    turns the draw into subsets.
+    """
+    return _floyd_resolve(_floyd_draw(gen, pool_sizes, counts), pool_sizes, counts)
+
+
+def _floyd_draw(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The one bounded integer draw of Floyd's algorithm, shape ``(k_max, n)``.
+
+    Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  Nothing
+    is drawn when ``k_max`` is 0.
     """
     n = int(counts.shape[0])
     k_max = int(counts.max()) if n else 0
     if k_max == 0:
         return np.empty((0, n), dtype=np.int64)
     steps = np.arange(k_max, dtype=np.int64)[:, None]
-    t = pool_sizes[None, :] - k_max + steps  # candidate bound per (step, row)
-    x = gen.integers(0, np.maximum(t + 1, 1), dtype=np.int64)
-    chosen = np.full((k_max, n), -1, dtype=np.int64)
+    return gen.integers(0, np.maximum(pool_sizes + (steps - k_max + 1), 1), dtype=np.int64)
+
+
+def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Floyd's algorithm on a ``(K, n)`` draw, all rows advanced in lockstep.
+
+    Resolves ``x`` in place and returns it.  Row i takes its ``counts[i]``
+    values in steps ``K - counts[i] .. K - 1``; at step s a drawn value
+    already taken is replaced by the bound ``pool_sizes[i] - K + s``.
+    Because the bound depends on the step only through ``s - K``, a column
+    drawn with a smaller ``k_max`` and placed in the last ``k_max`` rows
+    resolves exactly as it would alone.  Unused slots become -1.
+    """
+    k_max = x.shape[0]
     first_step = k_max - counts
     all_active = bool((first_step == 0).all())
     for s in range(k_max):
         xs = x[s]
         if s:
-            collide = (chosen[:s] == xs).any(axis=0)
-            vals = np.where(collide, t[s], xs)
-        else:
-            vals = xs
-        if all_active:
-            chosen[s] = vals
-        else:
-            np.copyto(chosen[s], vals, where=first_step <= s)
-    return chosen
+            taken = (x[:s] == xs).any(axis=0)
+            np.copyto(xs, pool_sizes + (s - k_max), where=taken)
+        if not all_active:
+            np.copyto(xs, -1, where=first_step > s)
+    return x
 
 
 def _skip_self(chosen: np.ndarray, self_pos: np.ndarray) -> np.ndarray:
@@ -267,14 +289,60 @@ def sample_transaction_graph(
 # -- random digraph models ----------------------------------------------------
 
 
-def _digraph_from_in_neighbors(n: int, gen: Generator, counts: np.ndarray) -> Digraph:
-    pools = np.full(n, n - 1, dtype=np.int64)
-    chosen = _floyd_subsets(gen, pools, counts)
-    nbrs = _skip_self(chosen, np.arange(n, dtype=np.int64))
+def _in_neighbor_edges(n: int, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays ``(src, dst)`` of the in-neighbour subsets in ``chosen``.
+
+    Column c is node c of a block-diagonal union of n-node digraphs: graph
+    b owns nodes ``b*n .. b*n + n - 1``, and the entries of column c are
+    in-neighbours drawn from the other n - 1 nodes of its graph.
+    """
     valid = chosen >= 0
-    src = nbrs[valid]
-    dst = np.broadcast_to(np.arange(n, dtype=np.int64), chosen.shape)[valid]
-    return Digraph._from_arrays(n, src, dst)
+    src = chosen[valid]
+    dst = np.broadcast_to(np.arange(chosen.shape[1], dtype=np.int64), chosen.shape)[valid]
+    local = dst % n
+    # skip the node itself, then move into its graph's node range
+    src += src >= local
+    src += dst
+    src -= local
+    return src, dst
+
+
+def _digraph_from_in_neighbors(n: int, gen: Generator, counts: np.ndarray) -> Digraph:
+    chosen = _floyd_subsets(gen, np.full(n, n - 1, dtype=np.int64), counts)
+    return Digraph._from_arrays(n, *_in_neighbor_edges(n, chosen))
+
+
+def _digraph_block(
+    n: int,
+    gens: Iterable[Generator],
+    in_degrees: Callable[[Generator], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One in-neighbour digraph per generator, as a block-diagonal union.
+
+    Each generator draws exactly what :func:`_digraph_from_in_neighbors`
+    draws from it: its in-degrees, then its Floyd block.  Each generator's
+    draws finish before the next one is advanced, so the generators may be
+    one re-keyed object.  All subsets are then resolved in one lockstep
+    pass.  Returns ``(in_degrees, src, dst)`` with graph b on nodes
+    ``b*n .. b*n + n - 1``, in the layout of :func:`_in_neighbor_edges`.
+    """
+    pools = np.full(n, n - 1, dtype=np.int64)
+    counts: list[np.ndarray] = []
+    draws: list[np.ndarray] = []
+    for gen in gens:
+        degrees = in_degrees(gen)
+        counts.append(degrees)
+        draws.append(_floyd_draw(gen, pools, degrees))
+    if len(draws) == 1:  # n >= 1024: resolve the draw itself, no block copy
+        x = draws[0]
+    else:
+        k_max = max(xb.shape[0] for xb in draws)
+        x = np.zeros((k_max, n * len(draws)), dtype=np.int64)
+        for b, xb in enumerate(draws):
+            x[k_max - xb.shape[0]:, b * n:(b + 1) * n] = xb
+    degrees = np.concatenate(counts)
+    chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
+    return (degrees, *_in_neighbor_edges(n, chosen))
 
 
 def _binomial_in_degrees(gen: Generator, n: int, p: float) -> np.ndarray:

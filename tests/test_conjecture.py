@@ -1,10 +1,12 @@
 """Digraph-connectivity estimates against exhaustive oracles, bounds, and the grid."""
 import io
 import math
+from collections import Counter
 
 import pytest
 
 from ringlab.conjecture import (
+    _BLOCK_NODES,
     GridSpec,
     binomial_bound,
     check_conjectures_grid,
@@ -15,7 +17,8 @@ from ringlab.conjecture import (
     GRID_CSV_HEADER,
 )
 from ringlab.errors import InvalidParams
-from ringlab.samplers import RandomSource
+from ringlab.graph import is_strongly_connected
+from ringlab.samplers import RandomSource, sample_binomial_digraph, sample_regular_digraph
 
 from conftest import exact_not_sc_binomial, exact_not_sc_regular
 
@@ -82,6 +85,62 @@ def test_estimates_deterministic():
     a = estimate_not_sc_regular(2, 8, 400, RandomSource(26, 5))
     b = estimate_not_sc_regular(2, 8, 400, RandomSource(26, 5))
     assert a == b
+
+
+# -- trial blocks --------------------------------------------------------------------
+
+
+def _block_size(n):
+    return max(1, _BLOCK_NODES // n)
+
+
+# (n, k of the regular model, p of the binomial model), chosen so that both
+# outcomes occur; n = 300 leaves a ragged last block and n = 1024 runs one
+# trial per block
+BLOCK_CASES = [(2, 1, 0.5), (4, 1, 0.5), (16, 3, 0.2), (300, 6, 0.022), (1024, 7, 0.0075)]
+
+
+@pytest.mark.parametrize("n, k, p", BLOCK_CASES)
+def test_block_estimates_match_per_trial_reference(n, k, p):
+    block = _block_size(n)
+    trial_counts = sorted({t for t in (1, block - 1, block, block + 1, 2 * block + 3) if t >= 1})
+    seed, base = 41, (3 << 32) + 17
+    # the reference uses only the public API: trial t draws stream base + t
+    ids = range(base, base + trial_counts[-1])
+    regular = [sample_regular_digraph(k, n, RandomSource(seed, sid)) for sid in ids]
+    binomial = [sample_binomial_digraph(p, n, RandomSource(seed, sid)) for sid in ids]
+    reg_fail = [not is_strongly_connected(d) for d in regular]
+    bin_fail = [not is_strongly_connected(d) for d in binomial]
+    for trials in trial_counts:
+        reg = estimate_not_sc_regular(k, n, trials, RandomSource(seed, base))
+        bin_ = estimate_not_sc_binomial(p, n, trials, RandomSource(seed, base))
+        assert reg.failures == sum(reg_fail[:trials])
+        assert bin_.failures == sum(bin_fail[:trials])
+    assert 0 < sum(bin_fail) < len(bin_fail)
+    assert 0 < sum(reg_fail) < len(reg_fail) or n == 2  # k = 1 at n = 2 is complete
+    if block > 1:
+        # the first block's binomial trials have different largest in-degrees
+        k_max = {max(Counter(b for _, b in d.edges()).values(), default=0)
+                 for d in binomial[:block]}
+        assert len(k_max) > 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 300, 1024])
+def test_block_estimates_at_the_extremes(n):
+    trials = 2 * _block_size(n) + 3
+    rng = RandomSource(43, 9)
+    if n == 1:
+        # a single node is strongly connected
+        assert estimate_not_sc_regular(0, 1, trials, rng).failures == 0
+        for p in (0.0, 0.5, 1.0):
+            assert estimate_not_sc_binomial(p, 1, trials, rng).failures == 0
+        return
+    # no edges at all: every trial fails
+    assert estimate_not_sc_regular(0, n, trials, rng).failures == trials
+    assert estimate_not_sc_binomial(0.0, n, trials, rng).failures == trials
+    if n <= 300:  # complete digraphs: Floyd costs O(n^3) per trial
+        assert estimate_not_sc_binomial(1.0, n, trials, rng).failures == 0
+        assert estimate_not_sc_regular(n - 1, n, trials, rng).failures == 0
 
 
 # -- closed forms --------------------------------------------------------------------

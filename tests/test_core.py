@@ -1,4 +1,6 @@
 """Core computation against exhaustive enumeration and the structural lemmas."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from ringlab.core import (
 )
 from ringlab.errors import InstanceTooLarge, NotATransactionGraph
 from ringlab.graph import (
+    Matching,
     Partition,
+    TransactionGraph,
     induced_digraph,
     is_strongly_connected,
     maximum_matching,
@@ -146,6 +150,19 @@ def test_enumerate_complete_3x3_gives_6():
     ms = enumerate_maximum_matchings(g)
     assert len(ms) == 6
     assert len(set(ms)) == 6
+
+
+@pytest.mark.parametrize("n_users", [2**63, 2**40])
+def test_enumerate_bounded_by_edges_not_header(n_users):
+    # with the cap raised to the header, users in no ring take no memory
+    g = TransactionGraph(n_users, 1, [(0, 0)])
+    tracemalloc.start()
+    try:
+        assert enumerate_maximum_matchings(g, max_users=n_users) == [Matching([(0, 0)])]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_enumerate_count_matches_permanent_on_balanced():
