@@ -24,7 +24,7 @@ import numpy as np
 
 from . import conjecture as conj
 from . import entropy as ent
-from .recommend import recommend as make_recommendation
+from .recommend import minimal_decoys_numeric, recommend as make_recommendation
 from .adversary import BlackMarbleConfig, run_campaign
 from .core import BRUTE_FORCE_USER_CAP, core_report
 from .errors import (
@@ -312,25 +312,17 @@ def _cmd_recommend(args: argparse.Namespace, out) -> int:
         print("--chunks and --chunk-size must be given together", file=sys.stderr)
         return EXIT_USAGE
     beta = args.beta or 0.0
+    k_numeric: int | str | None = None
     try:
-        result = make_recommendation(
-            args.users, beta=beta, n_chunks=args.chunks, chunk_size=args.chunk_size
-        )
-        k_numeric: int | str | None = result.k_numeric
-    except NoFeasibleK:
-        result = None
-        k_numeric = "infeasible"
+        result = make_recommendation(args.users, beta=beta)
+        if args.chunks is not None:
+            try:
+                k_numeric = minimal_decoys_numeric(args.chunks, args.chunk_size)
+            except NoFeasibleK:
+                k_numeric = "infeasible"
     except (DomainError, InvalidBeta) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    if result is None:
-        # chunk geometry admits no feasible k; still report the closed form
-        try:
-            base = make_recommendation(args.users, beta=beta)
-        except (DomainError, InvalidBeta) as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
-        result = base
     k = result.k_closed_form
     if args.csv:
         out.write("users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n")

@@ -2,11 +2,16 @@
 
 Edges outside the core belong to no maximum matching, so they are
 impossible signer assignments and can be discarded by an analyst.  The
-core is computed in near-linear time from a single maximum matching M:
-an edge (u_i, r_j) survives exactly when it is in M, or its induced
-digraph edge (i, j) lies within a strongly connected component, or (i, j)
-is reachable from the unmatched user nodes.  An exponential
-matching-enumeration oracle is kept alongside for verification only.
+core is computed in near-linear time from a single maximum matching M
+and one strong-components pass (Dulmage & Mendelsohn 1958; Tassa 2012).
+With ring j's M-signer relabelled to node j, the induced digraph has an
+edge i -> j for every user i in ring j, i != j.  An edge (u_i, r_j) survives
+exactly when it is in M, when i and j lie in one strong component, or
+when i is reachable from an unmatched user.  A virtual node that every
+node reaches and that reaches the unmatched users folds the last case
+into the second: its component is exactly the nodes reachable from the
+unmatched users.  An exponential matching-enumeration oracle is kept
+alongside for verification only.
 """
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ from .graph import (
     _covering_matching,
     _induced_successors,
     _occurring_users,
-    _reach,
     _tarjan,
     _user_relabel,
 )
@@ -67,17 +71,24 @@ def _core_member_flags(
     This is the one core computation; every core result is read from its
     flags.  ``matching`` must cover every ring with edges of ``graph``;
     callers check that once, this does not check it again.
+
+    Virtual node n, added when some user is unmatched, follows every node
+    and precedes the unmatched user nodes ``m..n-1``.  Its strong component
+    is therefore n plus the nodes reachable from the unmatched users, and
+    any cycle it adds passes through n, so the other components are those
+    of the induced digraph.  A member survives exactly when its node shares
+    ring r's component; ring r's signer is node r itself.
     """
     n, m = graph.n_users, graph.n_rings
     relabel = _user_relabel(graph, matching)
     succ = _induced_successors(graph, relabel)
+    if n > m:
+        for ts in succ:
+            ts.append(n)
+        succ.append(range(m, n))
     comp_of = _tarjan(succ)
-    from_unmatched = _reach(succ, range(m, n))
     return [
-        [
-            (i := relabel[u]) == r or comp_of[i] == comp_of[r] or i in from_unmatched
-            for u in ms
-        ]
+        [comp_of[relabel[u]] == comp_of[r] for u in ms]
         for r, ms in enumerate(graph._members)
     ]
 

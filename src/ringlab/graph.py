@@ -528,10 +528,8 @@ def upper_graph(graph: TransactionGraph, matching: Matching) -> TransactionGraph
     """Balanced subgraph on the matched users, relabelled so user j signs ring j."""
     _require_covering(graph, matching)
     m = graph.n_rings
-    new_index = {matching.user_for_ring(j): j for j in range(m)}
-    members: list[list[int]] = []
-    for r in range(m):
-        members.append(sorted(new_index[u] for u in graph.ring_members(r) if u in new_index))
+    relabel = _user_relabel(graph, matching)
+    members = [sorted(i for u in ms if (i := relabel[u]) < m) for ms in graph._members]
     return TransactionGraph._from_members(m, members)
 
 
@@ -581,8 +579,9 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
 
 # -- digraph algorithms ------------------------------------------------------
 #
-# The SCC and reachability kernels of the core computation work on plain
-# successor lists, so it never builds a Digraph.
+# The core computation's one kernel, Tarjan's strong components, works on
+# plain successor lists, so the core never builds a Digraph.  The sampled
+# digraphs are checked by the array walk below instead.
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -630,18 +629,6 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
                             break
                     n_comps += 1
     return comp
-
-
-def _reach(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> set[int]:
-    """Nodes on some directed path from ``sources`` (sources included)."""
-    todo = list(sources)
-    seen = set(todo)
-    while todo:
-        for w in succ[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
 
 
 def _strongly_connected_graphs(

@@ -26,10 +26,7 @@ __all__ = [
 
 def recommended_decoys(n_users: int) -> int:
     """Smallest integer k satisfying the closed-form sufficient condition."""
-    if n_users < 1:
-        raise DomainError(f"need at least one user, got {n_users}")
-    log_term = math.log(2 * n_users)
-    return math.ceil(log_term + math.sqrt(2.0 * log_term))
+    return recommended_decoys_black_marble(n_users, 0.0)
 
 
 def core_mismatch_bound(n_chunks: int, chunk_size: float, k: float) -> float:

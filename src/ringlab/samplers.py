@@ -8,12 +8,14 @@ across workers.
 All subset drawing funnels through one Floyd kernel: :func:`_floyd_draw`
 makes the one bounded integer draw and :func:`_floyd_resolve` turns it,
 all rows in lockstep, into a uniform without-replacement subset of each
-row's candidate pool; :func:`_floyd_subsets` is the two together.  The
-regular sampler uses constant subset sizes; the binomial sampler first
-draws per-row binomial sizes and reuses the same kernel.  The conjecture
-grid draws a block of trials one stream at a time and resolves the whole
-block at once (:func:`_digraph_block`); each trial's draws are the ones it
-would make alone.
+row's candidate pool; :func:`_floyd_subsets` is the two together, used by
+the ring samplers.  The regular sampler uses constant subset sizes; the
+binomial sampler first draws per-row binomial sizes and reuses the same
+kernel.  Every random digraph comes from :func:`_digraph_block`, which
+draws a block of digraphs one stream at a time and resolves the whole
+block at once: the conjecture grid passes a block of trials, the public
+samplers a block of one, and each digraph's draws are the ones it would
+make alone.
 """
 from __future__ import annotations
 
@@ -307,11 +309,6 @@ def _in_neighbor_edges(n: int, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return src, dst
 
 
-def _digraph_from_in_neighbors(n: int, gen: Generator, counts: np.ndarray) -> Digraph:
-    chosen = _floyd_subsets(gen, np.full(n, n - 1, dtype=np.int64), counts)
-    return Digraph._from_arrays(n, *_in_neighbor_edges(n, chosen))
-
-
 def _digraph_block(
     n: int,
     gens: Iterable[Generator],
@@ -319,8 +316,8 @@ def _digraph_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One in-neighbour digraph per generator, as a block-diagonal union.
 
-    Each generator draws exactly what :func:`_digraph_from_in_neighbors`
-    draws from it: its in-degrees, then its Floyd block.  Each generator's
+    Each generator draws its in-degrees, then its Floyd block, so a
+    digraph's draws do not depend on the block it is in.  Each generator's
     draws finish before the next one is advanced, so the generators may be
     one re-keyed object.  All subsets are then resolved in one lockstep
     pass.  Returns ``(in_degrees, src, dst)`` with graph b on nodes
@@ -333,7 +330,7 @@ def _digraph_block(
         degrees = in_degrees(gen)
         counts.append(degrees)
         draws.append(_floyd_draw(gen, pools, degrees))
-    if len(draws) == 1:  # n >= 1024: resolve the draw itself, no block copy
+    if len(draws) == 1:  # the public samplers, and grid blocks at n >= 1024
         x = draws[0]
     else:
         k_max = max(xb.shape[0] for xb in draws)
@@ -360,9 +357,8 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    return _digraph_from_in_neighbors(
-        n, rng.generator, np.full(n, k, dtype=np.int64)
-    )
+    _, src, dst = _digraph_block(n, [rng.generator], lambda gen: np.full(n, k, dtype=np.int64))
+    return Digraph._from_arrays(n, src, dst)
 
 
 def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
@@ -374,5 +370,5 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    gen = rng.generator
-    return _digraph_from_in_neighbors(n, gen, _binomial_in_degrees(gen, n, p))
+    _, src, dst = _digraph_block(n, [rng.generator], lambda gen: _binomial_in_degrees(gen, n, p))
+    return Digraph._from_arrays(n, src, dst)

@@ -114,18 +114,17 @@ def random_connected_balanced_graph(
 
 
 def successor_lists(digraph: Digraph) -> list[list[int]]:
-    """Ascending successor list per node: the input form of the SCC and reach kernels."""
+    """Ascending successor list per node: the input form of the SCC kernel."""
     succ: list[list[int]] = [[] for _ in range(digraph.n_nodes)]
     for i, j in digraph.edges():
         succ[i].append(j)
     return succ
 
 
-def sc_bruteforce(digraph: Digraph) -> bool:
-    """Independent strong-connectivity oracle: Floyd-Warshall closure."""
+def reach_matrix(digraph: Digraph) -> list[list[bool]]:
+    """Independent reachability oracle: ``reach[i][j]`` when a directed path
+    leads from i to j (every node reaches itself), by Floyd-Warshall closure."""
     n = digraph.n_nodes
-    if n == 0:
-        return False
     reach = [[i == j for j in range(n)] for i in range(n)]
     for i, j in digraph.edges():
         reach[i][j] = True
@@ -137,7 +136,12 @@ def sc_bruteforce(digraph: Digraph) -> bool:
                 for j in range(n):
                     if rk[j]:
                         ri[j] = True
-    return all(all(row) for row in reach)
+    return reach
+
+
+def sc_bruteforce(digraph: Digraph) -> bool:
+    """Independent strong-connectivity oracle: every node reaches every node."""
+    return digraph.n_nodes > 0 and all(map(all, reach_matrix(digraph)))
 
 
 def exact_not_sc_regular(k: int, n: int) -> float:

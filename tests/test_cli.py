@@ -549,6 +549,48 @@ def test_recommend_requires_paired_chunk_flags(capsys):
     assert main(["recommend", "--users", "100", "--chunks", "2"]) == 2
 
 
+_CLOSED_FORM_ERROR = "effective user count 2*(1-beta)*|U| <= 1 for beta=0.99, users=2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ("--users 18446744073709551616", 0,
+         "# seed 0\nrecommend users=18446744073709551616 beta=0\nk_closed_form 55\n"
+         "security 2/56 = 0.0357142857143\n", ""),
+        ("--users 18446744073709551616 --csv", 0,
+         "users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n"
+         "18446744073709551616,0,,,55,,0.0357142857143\n", ""),
+        ("--users 1000 --beta 0.5", 0,
+         "# seed 0\nrecommend users=1000 beta=0.5\n"
+         "k_closed_form 22 (heuristic corrupted-user adjustment)\n"
+         "security 2/23 = 0.0869565217391\n", ""),
+        ("--users 1048576 --chunks 16 --chunk-size 65536", 0,
+         "# seed 0\nrecommend users=1048576 beta=0\nk_closed_form 20\n"
+         "security 2/21 = 0.0952380952381\nchunks n_chunks=16 chunk_size=65536\n"
+         "k_numeric 18\n", ""),
+        ("--users 1048576 --chunks 16 --chunk-size 65536 --csv", 0,
+         "users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n"
+         "1048576,0,16,65536,20,18,0.0952380952381\n", ""),
+        ("--users 16 --chunks 4 --chunk-size 4", 0,
+         "# seed 0\nrecommend users=16 beta=0\nk_closed_form 7\nsecurity 2/8 = 0.25\n"
+         "chunks n_chunks=4 chunk_size=4\nk_numeric infeasible\n", ""),
+        ("--users 16 --chunks 4 --chunk-size 4 --csv", 0,
+         "users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n"
+         "16,0,4,4,7,infeasible,0.25\n", ""),
+        ("--users 16 --chunks 16 --chunk-size 1", 2, "", "need chunk_size >= 2, got 1\n"),
+        ("--users 2 --beta 0.99", 2, "", _CLOSED_FORM_ERROR),
+        # the closed form is checked before the chunk geometry
+        ("--users 2 --beta 0.99 --chunks 2 --chunk-size 1", 2, "", _CLOSED_FORM_ERROR),
+        ("--users 2 --beta 0.99 --chunks 4 --chunk-size 4", 2, "", _CLOSED_FORM_ERROR),
+    ],
+)
+def test_recommend_output_bytes(capsys, argv, code, out, err):
+    assert main(["recommend", *argv.split()]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 # -- entropy -----------------------------------------------------------------------------
 
 
@@ -620,3 +662,16 @@ def test_out_flag_writes_file(tmp_path):
 
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_import_pulls_in_neither_scipy_nor_mpmath():
+    # scipy's import costs start-up time and memory; mpmath is not a declared
+    # dependency.  Both are often installed, so only a fresh interpreter shows
+    # whether the package imports them.
+    code = (
+        "import sys, ringlab, ringlab.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

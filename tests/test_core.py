@@ -1,4 +1,5 @@
 """Core computation against exhaustive enumeration and the structural lemmas."""
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -69,11 +70,28 @@ def test_core_report_bicliques_nothing_deanonymised():
 # -- oracle equivalence -------------------------------------------------------------
 
 
+def _small_graphs_with_covering_matching():
+    """Every graph with at most 4 users and 3 rings that a matching covers.
+
+    3,677 graphs: they include m = 0, m = n (no unmatched user), and
+    unmatched users that reach some strong components but not others.
+    """
+    for n in range(5):
+        for m in range(min(n, 3) + 1):
+            slots = [(u, r) for u in range(n) for r in range(m)]
+            for mask in range(1 << len(slots)):
+                g = make_graph(n, m, [e for b, e in enumerate(slots) if mask >> b & 1])
+                if maximum_matching(g).size == m:
+                    yield g
+
+
 def test_core_equals_bruteforce_oracle_on_random_graphs():
     gen = np.random.default_rng(101)
-    for _ in range(300):
-        g = random_valid_graph(gen, max_users=7)
-        assert core(g).edges == core_bruteforce_oracle(g).edges
+    random_graphs = (random_valid_graph(gen, max_users=7) for _ in range(300))
+    for g in itertools.chain(random_graphs, _small_graphs_with_covering_matching()):
+        oracle = core_bruteforce_oracle(g)
+        assert core(g).edges == oracle.edges
+        assert is_core_equal(g) == (oracle == g)
 
 
 def test_is_core_equal_matches_oracle_on_random_graphs():
@@ -340,8 +358,8 @@ def test_validate_then_core_weakly_connected_instances():
 
 
 def test_core_unmatched_reachability_term():
-    # users 2,3 unmatched; their edges make rings 0 and 1 ambiguous in
-    # any matching, so everything they can reach stays in the core
+    # user 2 is unmatched; its edge makes ring 0 ambiguous in any
+    # matching, so everything it can reach stays in the core
     g = make_graph(3, 2, [(0, 0), (1, 1), (2, 0)])
     c = core(g)
     assert (2, 0) in c.edges  # unmatched user edge is always matchable
