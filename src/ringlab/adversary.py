@@ -13,28 +13,53 @@ maximum matchings, and an exact matching-count oracle that is
 Bayes-optimal under the uniform signer model but only feasible at
 brute-force scale.
 
-Each trial computes the core member flags of the sampled graph once, from
+Campaigns run in blocks of ``max(1, _BLOCK_USERS // n_users)`` trials.
+Trial t draws only from stream ``base + t``, in this order: the
+corruption permutations, the signer permutation, the binomial decoy
+counts, the Floyd draw, and last the adversary's one guess draw.  The
+block engine makes each trial's draws up to the Floyd draw in turn and
+keeps a snapshot of the generator state after them.  One Floyd resolve
+then gives the whole block as arrays: ring j of trial b is column
+``b*n + j`` of a sorted ``(k_max + 1, B*n)`` member array.  The guess
+draw is made last, from the trial's restored snapshot, so every count
+and guess equals that of running the trials one by one.
+
+Each trial decides whether its sampled graph is core-equal.  Every user
+signs, so the graph is balanced, and its digraph with an edge from each
+decoy to the signer of its ring splits into one digraph per chunk.  When
+every chunk's digraph is strongly connected, no edge leaves the core; one
+strong-connectivity call per chunk size checks a whole block.  Strong
+connectivity is sufficient, not necessary (two disjoint cycles are
+core-equal too), so the other trials get exact core member flags from
 the signer assignment.  They decide ``graph_was_core_equal`` and, in the
-passive game, give the core graph handed to the adversary with the view
-as ``view_core``.  That leaks nothing: every maximum matching yields the
-same core (pinned by ``test_core_invariant_under_matching_strategy``).
-In the corrupted-user game the view has no core: every user signs
-(m = n), so once any user is corrupted the view's rings touch fewer than
-m users and no matching covers them.  The trial then hands over
-``view_core=None``, and the core adversary falls back to the trivial
-guess.
+passive game, give the core handed to the core adversary.  That leaks
+nothing: every maximum matching yields the same core (pinned by
+``test_core_invariant_under_matching_strategy``).  In the corrupted-user
+game the view has no core: every user signs (m = n), so once any user is
+corrupted the view's rings touch fewer than m users and no matching
+covers them.  The core adversary then falls back to the trivial guess.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import floor
+from typing import Iterable
 
+import numpy as np
 from numpy.random import Generator
 
-from .core import _core_from_flags, _core_member_flags, core, enumerate_maximum_matchings
+from .core import _core_member_flags, core, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
-from .graph import Partition, TransactionGraph
-from .samplers import RandomSource, SamplerConfig, _sample_graph, _trial_streams
+from .graph import Partition, TransactionGraph, _strongly_connected_graphs
+from .samplers import (
+    RandomSource,
+    SamplerConfig,
+    _block_graph,
+    _graph_block,
+    _graph_draw,
+    _trial_streams,
+)
 from .stats import EstimateResult
 
 __all__ = [
@@ -77,15 +102,20 @@ class BlackMarbleConfig:
     def corrupted_count(self, chunk_size: int) -> int:
         return floor(self.beta * chunk_size)
 
-    def admissible(self, partition: Partition, corrupted: set[int]) -> bool:
+    def admissible(self, partition: Partition, corrupted: Iterable[int]) -> bool:
         """The admissibility predicate: |B ∩ C| <= beta * |C| for every chunk."""
-        per_chunk = [0] * partition.n_chunks
-        for u in corrupted:
-            per_chunk[partition.chunk_of(u)] += 1
-        return all(
-            cnt <= self.beta * size
-            for cnt, size in zip(per_chunk, partition.chunk_sizes())
-        )
+        rows = np.zeros((1, partition.n_users), dtype=bool)
+        rows[0, np.fromiter(corrupted, dtype=np.int64)] = True
+        return bool(self._admissible_rows(partition, rows)[0])
+
+    def _admissible_rows(self, partition: Partition, corrupted: np.ndarray) -> np.ndarray:
+        """:meth:`admissible` for each row of a ``(B, n_users)`` corrupted-user mask."""
+        row, users = np.nonzero(corrupted)
+        chunks = partition.n_chunks
+        per_chunk = np.bincount(
+            row * chunks + partition._chunk_of[users], minlength=corrupted.shape[0] * chunks
+        ).reshape(-1, chunks)
+        return (per_chunk <= self.beta * np.diff(partition._chunk_start)).all(axis=1)
 
 
 # -- adversaries ---------------------------------------------------------------
@@ -96,6 +126,8 @@ class BlackMarbleConfig:
 # its analysis is impossible, and empty rings are never guessed into.  Each
 # strategy takes (view, gen, view_core), where view_core is core(view) or None
 # when no matching covers the view's rings; only the core strategy uses it.
+# Campaigns apply the smallest-ring rule to whole blocks of arrays instead
+# (:class:`_Campaign`); these per-graph forms serve the single-graph API.
 
 
 def _guess_min_degree_ring(
@@ -174,17 +206,27 @@ def adversary_matching_count(graph: TransactionGraph) -> tuple[int, int]:
 
 # -- experiments ---------------------------------------------------------------
 
+# Users per trial block: small graphs share one Floyd resolve and one
+# strong-connectivity call per chunk size; from 1024 users up every trial
+# is its own block.
+_BLOCK_USERS = 1024
+
 
 def _corrupt_users(
     config: SamplerConfig, marble: BlackMarbleConfig, gen: Generator
-) -> set[int]:
-    corrupted: set[int] = set()
-    for chunk in config.partition.chunks:
-        count = marble.corrupted_count(len(chunk))
+) -> np.ndarray:
+    """One trial's corrupted users: ``floor(beta*|C|)`` uniform users of every chunk C.
+
+    Each chunk with a nonzero count draws one permutation of its
+    positions, in chunk order.
+    """
+    part = config.partition
+    picks = [np.empty(0, dtype=np.int64)]
+    for start, size in zip(part._chunk_start.tolist(), part.chunk_sizes()):
+        count = marble.corrupted_count(size)
         if count:
-            picks = gen.permutation(len(chunk))[:count]
-            corrupted.update(chunk[i] for i in picks.tolist())
-    return corrupted
+            picks.append(start + gen.permutation(size)[:count])
+    return part._chunk_flat[np.concatenate(picks)]
 
 
 def _remove_users(graph: TransactionGraph, corrupted: set[int]) -> TransactionGraph:
@@ -201,30 +243,146 @@ def _remove_users(graph: TransactionGraph, corrupted: set[int]) -> TransactionGr
     return TransactionGraph._from_members(graph.n_users, members)
 
 
-def _experiment(
-    config: SamplerConfig,
-    adversary_fn,
-    gen: Generator,
-    marble: BlackMarbleConfig | None,
-) -> ExperimentOutcome:
-    n = config.n_users
-    corrupted: set[int] = set()
-    if marble is not None:
-        corrupted = _corrupt_users(config, marble, gen)
-    graph, matching = _sample_graph(config, n, gen)
-    flags = _core_member_flags(graph, matching)
-    if corrupted:  # the reduced view has no core; see the module docstring
-        guess = adversary_fn(_remove_users(graph, corrupted), gen, None)
-    else:
-        guess = adversary_fn(graph, gen, _core_from_flags(graph, flags))
-    success = guess in matching
-    if marble is not None:
-        success = success and marble.admissible(config.partition, corrupted)
-    return ExperimentOutcome(
-        guessed_edge=guess,
-        success=success,
-        graph_was_core_equal=all(map(all, flags)),
-    )
+def _chunk_groups(partition: Partition) -> list[tuple[int, int, np.ndarray]]:
+    """The chunks grouped by size, for the strong-connectivity kernel.
+
+    Per distinct size s: ``(s, q, node)`` with q chunks of that size, and
+    ``node[u] = rank*s + pos`` for user u at position pos of the chunk of
+    rank ``rank`` among them; -1 for users of other chunks.
+    """
+    sizes = np.diff(partition._chunk_start)
+    groups = []
+    for s in sorted(set(sizes.tolist())):
+        chunks = np.flatnonzero(sizes == s)
+        rank = np.full(partition.n_chunks, -1, dtype=np.int64)
+        rank[chunks] = np.arange(chunks.size)
+        of_user = rank[partition._chunk_of]
+        node = np.where(of_user >= 0, of_user * s + partition._pos_in_chunk, -1)
+        groups.append((s, int(chunks.size), node))
+    return groups
+
+
+class _Campaign:
+    """The campaign engine for one (config, adversary, marble): runs blocks of trials."""
+
+    def __init__(
+        self, config: SamplerConfig, adversary: str, marble: BlackMarbleConfig | None
+    ):
+        _resolve_adversary(adversary)
+        self.config = config
+        self.adversary = adversary
+        self.marble = marble
+        self.corrupting = marble is not None and any(
+            marble.corrupted_count(size) for size in config.partition.chunk_sizes()
+        )
+        self.draw = _graph_draw(config, config.n_users)
+        self.groups = _chunk_groups(config.partition)
+
+    def run(
+        self, gens: Iterable[Generator]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per trial of a block, one per generator: guessed user and ring, win, core-equal.
+
+        Each generator's draws finish before the next one is advanced, so
+        the generators may be one re-keyed object.
+        """
+        config, n = self.config, self.config.n_users
+        gen_of: list[Generator] = []
+        states: list[dict] = []
+        corrupted: list[np.ndarray] = []
+        draws = []
+        for gen in gens:
+            if self.marble is not None:
+                corrupted.append(_corrupt_users(config, self.marble, gen))
+            draws.append(self.draw(gen))
+            states.append(gen.bit_generator.state)
+            gen_of.append(gen)
+        b_count = len(draws)
+        block = _graph_block(config, n, draws)
+        signers, counts, members = block
+        valid = members >= 0
+        trial = np.arange(b_count * n) // n  # the trial of each ring column
+        core_equal = self._chunks_connected(b_count, signers, counts, members, trial)
+
+        keep = valid.copy()  # the members the adversary's guess ranges over
+        if self.marble is not None:
+            is_corrupted = np.zeros(b_count * n, dtype=bool)
+            is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
+            keep &= ~is_corrupted[members + trial * n]
+        core_view = self.adversary == "core" and not self.corrupting
+        for b in np.flatnonzero(~core_equal).tolist():
+            graph, matching = _block_graph(n, n, block, b)
+            flags = _core_member_flags(graph, matching)
+            core_equal[b] = all(map(all, flags))
+            if core_view:
+                cols = slice(b * n, (b + 1) * n)
+                keep[:, cols].T[valid[:, cols].T] = np.fromiter(
+                    chain.from_iterable(flags), dtype=bool
+                )
+
+        # the smallest nonempty view ring, lowest index on ties; with every
+        # ring empty, ring 0 and user 0: a fixed blind guess
+        sizes = keep.sum(axis=0).reshape(b_count, n)
+        rings = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
+        trials = np.arange(b_count)
+        lengths = sizes[trials, rings]
+        users = np.zeros(b_count, dtype=np.int64)
+        counted = np.zeros(b_count, dtype=bool)
+        if self.adversary == "matching_count":
+            for b in range(b_count):
+                graph = _block_graph(n, n, block, b)[0]
+                if self.corrupting:
+                    graph = _remove_users(graph, set(corrupted[b].tolist()))
+                try:
+                    users[b], rings[b] = adversary_matching_count(graph)
+                except NotATransactionGraph:
+                    continue
+                counted[b] = True
+        guessing = ~counted & (lengths > 0)
+        picks = np.zeros(b_count, dtype=np.int64)
+        for b in np.flatnonzero(guessing).tolist():
+            gen = gen_of[b]
+            gen.bit_generator.state = states[b]
+            picks[b] = gen.integers(0, int(lengths[b]))
+        # the picks-th member of the guessed ring's view, in ascending order
+        cols = trials * n + rings
+        kept = keep[:, cols]
+        row = ((np.cumsum(kept, axis=0) == picks + 1) & kept).argmax(axis=0)
+        users = np.where(guessing, members[row, cols], users)
+        success = signers[cols] == users
+        if self.marble is not None:
+            corrupted_rows = is_corrupted.reshape(b_count, n)
+            success &= self.marble._admissible_rows(config.partition, corrupted_rows)
+        return users, rings, success, core_equal
+
+    def _chunks_connected(
+        self,
+        b_count: int,
+        signers: np.ndarray,
+        counts: np.ndarray,
+        members: np.ndarray,
+        trial: np.ndarray,
+    ) -> np.ndarray:
+        """Per trial, whether every chunk's decoy-to-signer digraph is strongly connected.
+
+        For the q chunks of one size s, the chunk of rank r in trial t is
+        graph ``t*q + r`` on nodes ``(t*q + r)*s + pos``: the block-diagonal
+        layout of :func:`_strongly_connected_graphs`, one call per size.
+        """
+        is_decoy = (members >= 0) & (members != signers)
+        connected = np.ones(b_count, dtype=bool)
+        for size, q, node in self.groups:
+            width = q * size
+            in_group = node[signers] >= 0
+            heads = trial * width + node[signers]
+            edges = is_decoy & in_group
+            src = (trial * width + node[members])[edges]
+            dst = np.broadcast_to(heads, members.shape)[edges]
+            degrees = np.zeros(b_count * width, dtype=np.int64)
+            degrees[heads[in_group]] = counts[in_group]
+            sc = _strongly_connected_graphs(size, src, dst, degrees)
+            connected &= sc.reshape(b_count, q).all(axis=1)
+        return connected
 
 
 def _resolve_adversary(adversary: str):
@@ -241,6 +399,8 @@ def _check_experiment_args(config: SamplerConfig, n_users: int) -> None:
         raise InvalidConfig(
             f"config partitions {config.n_users} users, caller declared {n_users}"
         )
+    if n_users < 1:
+        raise InvalidConfig("an experiment needs at least one user")
 
 
 def run_experiment(
@@ -256,9 +416,18 @@ def run_experiment(
     With ``marble`` the trial is active: users are corrupted first and
     their edges removed.  With beta = 0 nothing is corrupted, no randomness
     is consumed by the corruption step, and the trial is the passive one.
+    The trial is a campaign block of one on ``rng``'s own generator, which
+    continues its stream.
     """
     _check_experiment_args(config, n_users)
-    return _experiment(config, _resolve_adversary(adversary), rng.generator, marble)
+    users, rings, success, core_equal = _Campaign(config, adversary, marble).run(
+        [rng.generator]
+    )
+    return ExperimentOutcome(
+        guessed_edge=(int(users[0]), int(rings[0])),
+        success=bool(success[0]),
+        graph_was_core_equal=bool(core_equal[0]),
+    )
 
 
 @dataclass(frozen=True)
@@ -274,6 +443,24 @@ class CampaignResult:
     core_mismatch: EstimateResult
 
 
+def _campaign_outcomes(
+    config: SamplerConfig,
+    adversary: str,
+    trials: int,
+    base_rng: RandomSource,
+    marble: BlackMarbleConfig | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per trial: guessed user and ring, win, core-equal; trial t on stream ``base + t``."""
+    engine = _Campaign(config, adversary, marble)
+    block = max(1, _BLOCK_USERS // config.n_users)
+    streams = _trial_streams(base_rng, trials)
+    blocks = [
+        engine.run(islice(streams, min(block, trials - start)))
+        for start in range(0, trials, block)
+    ]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
 def run_campaign(
     config: SamplerConfig,
     n_users: int,
@@ -285,23 +472,22 @@ def run_campaign(
 ) -> CampaignResult:
     """Run independent trials on per-trial streams and aggregate both estimates.
 
-    Each trial computes the sampled graph's core once, from the signer
-    assignment; both the mismatch count and the passive core adversary use
-    it (see the module docstring for why that leaks nothing).
+    Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
+    run in blocks of ``max(1, _BLOCK_USERS // n_users)``: each block is
+    sampled as arrays, its core equality is decided by one
+    strong-connectivity call per chunk size (exact core flags only where
+    that fails), and each guess draw is made from its trial's generator
+    state snapshot, so the counts equal those of trials run one by one.
+    Both the mismatch count and the passive core adversary read the same
+    core (see the module docstring for why that leaks nothing).
     """
     _check_experiment_args(config, n_users)
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    fn = _resolve_adversary(adversary)
-    wins = 0
-    mismatches = 0
-    for gen in _trial_streams(base_rng, trials):
-        outcome = _experiment(config, fn, gen, marble)
-        wins += outcome.success
-        mismatches += not outcome.graph_was_core_equal
+    _, _, success, core_equal = _campaign_outcomes(config, adversary, trials, base_rng, marble)
     return CampaignResult(
-        success=EstimateResult.from_counts(trials, wins),
-        core_mismatch=EstimateResult.from_counts(trials, mismatches),
+        success=EstimateResult.from_counts(trials, int(np.count_nonzero(success))),
+        core_mismatch=EstimateResult.from_counts(trials, trials - int(np.count_nonzero(core_equal))),
     )
 
 
@@ -316,9 +502,9 @@ def estimate_success(
 ) -> EstimateResult:
     """Adversary success rate over ``trials`` experiments with a Wilson 95% CI.
 
-    Trial t draws from stream ``base_rng.stream_id + t``, so the estimate
-    is a pure function of (seed, stream_id, arguments) no matter how the
-    trials are scheduled.
+    Trial t draws only from stream ``base_rng.stream_id + t``, also inside
+    the blocks of :func:`run_campaign`, so the estimate is a pure function
+    of (seed, stream_id, arguments) no matter how the trials are scheduled.
     """
     return run_campaign(
         config, n_users, adversary, trials, base_rng, marble=marble

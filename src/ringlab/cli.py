@@ -47,6 +47,12 @@ EXIT_BAD_GRAPH = 3
 
 THREADS_ENV_VAR = "RING_LAB_THREADS"
 
+# The largest sampled instance: the ring memberships one ``simulate`` trial
+# can hold (users x chunk size) and the in-edges of the largest
+# ``conjecture`` digraph (largest k x largest n).  Larger requests are
+# rejected before anything is allocated.
+INSTANCE_CAP = 2**22
+
 
 class _ParseError(Exception):
     def __init__(self, path: str, line_no: int, message: str):
@@ -212,6 +218,13 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
     # cells() keeps only k < n; k_min stays so that a grid without cells is
     # still a valid spec
     k_top = max(args.k_min, min(args.k_max, n_values[-1] - 1))
+    if k_top * n_values[-1] > INSTANCE_CAP:
+        print(
+            f"k x n = {k_top} x {n_values[-1]} in-edges exceeds the instance cap of "
+            f"{INSTANCE_CAP}",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     spec = conj.GridSpec(
         k_values=tuple(range(args.k_min, k_top + 1)),
         n_values=tuple(n_values),
@@ -251,6 +264,13 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         return EXIT_USAGE
     if args.users < 1 or args.chunk_size < 1 or args.users % args.chunk_size != 0:
         print("--chunk-size must divide --users", file=sys.stderr)
+        return EXIT_USAGE
+    if args.users * args.chunk_size > INSTANCE_CAP:
+        print(
+            f"--users x --chunk-size = {args.users * args.chunk_size} ring memberships "
+            f"exceeds the instance cap of {INSTANCE_CAP}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     if args.k is not None and not 0 <= args.k < args.chunk_size:
         print("need 0 <= --k < --chunk-size", file=sys.stderr)

@@ -29,7 +29,13 @@ import numpy as np
 
 from .errors import InvalidParams
 from .graph import _strongly_connected_graphs
-from .samplers import RandomSource, _binomial_in_degrees, _digraph_block, _trial_streams
+from .samplers import (
+    RandomSource,
+    _binomial_draw,
+    _digraph_block,
+    _regular_draw,
+    _trial_streams,
+)
 from .stats import EstimateResult, format_number
 
 __all__ = [
@@ -57,12 +63,12 @@ def _estimate_not_sc(
     n: int,
     trials: int,
     rng: RandomSource,
-    in_degrees: Callable[[np.random.Generator], np.ndarray],
+    draw: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
 ) -> EstimateResult:
     """Fraction of ``trials`` digraphs that are not strongly connected.
 
-    Trial t draws its in-degrees with ``in_degrees`` and then its
-    in-neighbour subsets, both from stream t of ``rng``.  Trials run in
+    Trial t makes its draws with ``draw`` (its in-degrees, then its
+    in-neighbour subsets) from stream t of ``rng``.  Trials run in
     blocks of ``max(1, _BLOCK_NODES // n)``: each block's subsets are
     resolved together and its graphs checked by one kernel call.
     """
@@ -73,7 +79,7 @@ def _estimate_not_sc(
     failures = 0
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        degrees, src, dst = _digraph_block(n, islice(streams, size), in_degrees)
+        degrees, src, dst = _digraph_block(n, islice(streams, size), draw)
         connected = _strongly_connected_graphs(n, src, dst, degrees)
         failures += size - int(np.count_nonzero(connected))
     return EstimateResult.from_counts(trials, failures)
@@ -85,8 +91,7 @@ def estimate_not_sc_regular(
     """Fraction of k-in-degree regular digraphs that are not strongly connected."""
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    counts = np.full(n, k, dtype=np.int64)
-    return _estimate_not_sc(n, trials, rng, lambda gen: counts)
+    return _estimate_not_sc(n, trials, rng, _regular_draw(n, k))
 
 
 def estimate_not_sc_binomial(
@@ -95,7 +100,7 @@ def estimate_not_sc_binomial(
     """Fraction of p-binomial digraphs that are not strongly connected."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    return _estimate_not_sc(n, trials, rng, lambda gen: _binomial_in_degrees(gen, n, p))
+    return _estimate_not_sc(n, trials, rng, _binomial_draw(n, p))
 
 
 def binomial_bound(k: float, n: int) -> float:

@@ -7,9 +7,10 @@ enforces structural well-formedness (index ranges, no duplicate edges,
 ``n_rings <= n_users``).  The full property is established by
 :func:`validate`, which computes a covering matching, or by
 :func:`_require_covering`, the one check of a matching the caller
-supplies: it must cover every ring with edges of the graph.  The ring
-samplers check their signer assignment that way, so the matching
-computation never runs on the Monte Carlo hot path.  The one producer of
+supplies: it must cover every ring with edges of the graph.  The graph
+sampler checks its signer assignments with the array form of that check,
+a block of graphs at a time, so the matching computation never runs on
+the Monte Carlo hot path.  The one producer of
 structurally valid but *unvalidated* graphs is the corrupted-user
 reduction in :mod:`ringlab.adversary`, which may leave rings empty.
 

@@ -5,17 +5,19 @@ Randomness is organised as counter-based Philox streams keyed by
 are reproducible bit-for-bit regardless of how trials are scheduled
 across workers.
 
-All subset drawing funnels through one Floyd kernel: :func:`_floyd_draw`
-makes the one bounded integer draw and :func:`_floyd_resolve` turns it,
-all rows in lockstep, into a uniform without-replacement subset of each
-row's candidate pool; :func:`_floyd_subsets` is the two together, used by
-the ring samplers.  The regular sampler uses constant subset sizes; the
-binomial sampler first draws per-row binomial sizes and reuses the same
-kernel.  Every random digraph comes from :func:`_digraph_block`, which
-draws a block of digraphs one stream at a time and resolves the whole
-block at once: the conjecture grid passes a block of trials, the public
-samplers a block of one, and each digraph's draws are the ones it would
-make alone.
+All subset drawing funnels through one Floyd kernel: :func:`_floyd_bound`
+and :func:`_floyd_draw` make the one bounded integer draw and
+:func:`_floyd_resolve` turns it, all rows in lockstep, into a uniform
+without-replacement subset of each row's candidate pool;
+:func:`_floyd_subsets` is the three together, used by :func:`sample_ring`.
+The regular sampler uses constant subset sizes, so a campaign whose
+pools are constant too builds its bound once; the binomial sampler first
+draws per-row binomial sizes and reuses the same kernel.  Sampled objects
+come in blocks that draw one stream at a time and resolve together, each
+object's draws being the ones it would make alone: every random digraph
+comes from :func:`_digraph_block` and every transaction graph from
+:func:`_graph_block`.  Campaigns pass a block of trials, the public
+samplers a block of one.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import InvalidConfig, InvalidParams
-from .graph import Digraph, Matching, Partition, TransactionGraph, _require_covering
+from .graph import Digraph, Matching, Partition, TransactionGraph
 
 __all__ = [
     "RandomSource",
@@ -117,21 +119,45 @@ def _floyd_subsets(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -
     All randomness comes from :func:`_floyd_draw`; :func:`_floyd_resolve`
     turns the draw into subsets.
     """
-    return _floyd_resolve(_floyd_draw(gen, pool_sizes, counts), pool_sizes, counts)
+    x = _floyd_draw(gen, _floyd_bound(pool_sizes, counts))
+    return _floyd_resolve(x, pool_sizes, counts)
 
 
-def _floyd_draw(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The one bounded integer draw of Floyd's algorithm, shape ``(k_max, n)``.
+def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Exclusive bounds of Floyd's draw, shape ``(k_max, n)``.
 
-    Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  Nothing
-    is drawn when ``k_max`` is 0.
+    Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  A
+    campaign whose pools and counts are the same in every trial builds the
+    bound once and passes it to every trial's draw.
     """
-    n = int(counts.shape[0])
-    k_max = int(counts.max()) if n else 0
-    if k_max == 0:
-        return np.empty((0, n), dtype=np.int64)
+    k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
-    return gen.integers(0, np.maximum(pool_sizes + (steps - k_max + 1), 1), dtype=np.int64)
+    return np.maximum(pool_sizes + (steps - k_max + 1), 1)
+
+
+def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
+    """The one bounded integer draw of Floyd's algorithm, shaped like ``bound``.
+
+    Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).
+    """
+    if not bound.shape[0]:
+        return np.empty(bound.shape, dtype=np.int64)
+    return gen.integers(0, bound, dtype=np.int64)
+
+
+def _stack_draws(draws: list[np.ndarray], width: int) -> np.ndarray:
+    """Floyd draws of ``width`` columns each, side by side in one ``(k_max, B*width)`` array.
+
+    A draw with fewer rows fills the last rows of its columns, where
+    :func:`_floyd_resolve` reads it as it would alone; the rows above are 0.
+    """
+    if len(draws) == 1:
+        return draws[0]
+    k_max = max(xb.shape[0] for xb in draws)
+    x = np.zeros((k_max, width * len(draws)), dtype=np.int64)
+    for b, xb in enumerate(draws):
+        x[k_max - xb.shape[0]:, b * width:(b + 1) * width] = xb
+    return x
 
 
 def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -218,23 +244,21 @@ def _decoy_counts(config: SamplerConfig, gen: Generator, pools: np.ndarray) -> n
     return gen.binomial(pools, config.kind.p).astype(np.int64)
 
 
-def _sample_decoys(
-    config: SamplerConfig, gen: Generator, signers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decoy users for each signer: ``(decoys, counts)`` with -1 padding.
+def _pool_sizes(partition: Partition, signers: np.ndarray) -> np.ndarray:
+    """Decoy pool of each signer: the size of its chunk minus the signer."""
+    cids = partition._chunk_of[signers]
+    return partition._chunk_start[cids + 1] - partition._chunk_start[cids] - 1
 
-    ``decoys`` is ``(k_max, m)``; column j holds the decoys of signer j's
-    ring, drawn from the signer's chunk minus the signer.
+
+def _decoy_users(partition: Partition, signers: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Users named by the pool-relative subsets ``chosen``, -1 padding kept.
+
+    Column j of ``chosen`` indexes signer j's chunk with the signer
+    skipped.
     """
-    part = config.partition
-    cids = part._chunk_of[signers]
-    starts = part._chunk_start[cids]
-    pools = part._chunk_start[cids + 1] - starts - 1
-    counts = _decoy_counts(config, gen, pools)
-    chosen = _floyd_subsets(gen, pools, counts)
-    local = _skip_self(chosen, part._pos_in_chunk[signers])
-    decoys = np.where(chosen >= 0, part._chunk_flat[starts + local], -1)
-    return decoys, counts
+    starts = partition._chunk_start[partition._chunk_of[signers]]
+    local = _skip_self(chosen, partition._pos_in_chunk[signers])
+    return np.where(chosen >= 0, partition._chunk_flat[starts + local], -1)
 
 
 def sample_ring(
@@ -247,27 +271,116 @@ def sample_ring(
         )
     if not 0 <= signer < n_users:
         raise InvalidConfig(f"signer {signer} outside [0, {n_users})")
+    part = config.partition
     signers = np.array([signer], dtype=np.int64)
-    decoys, counts = _sample_decoys(config, rng.generator, signers)
+    pools = _pool_sizes(part, signers)
+    counts = _decoy_counts(config, rng.generator, pools)
+    decoys = _decoy_users(part, signers, _floyd_subsets(rng.generator, pools, counts))
     ring = decoys[decoys >= 0].tolist()
     ring.append(signer)
     return frozenset(ring)
 
 
+def _graph_draw(
+    config: SamplerConfig, m: int
+) -> Callable[[Generator], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The draws of one m-signer graph, for every graph of a campaign.
+
+    The returned function makes, from one generator and in this order,
+    the signer permutation, the decoy counts (drawn under the binomial
+    model only) and the Floyd draw, and returns ``(signers, counts, x)``.
+    Under the regular model with equal chunks every pool and count is the
+    same in every graph, so the Floyd bound is built here, once.
+    """
+    n = config.n_users
+    part = config.partition
+    fixed = None
+    if isinstance(config.kind, Regular) and len(set(part.chunk_sizes())) == 1:
+        counts = np.full(m, config.kind.k, dtype=np.int64)
+        pools = np.full(m, part.chunk_sizes()[0] - 1, dtype=np.int64)
+        fixed = counts, _floyd_bound(pools, counts)
+
+    def draw(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        signers = gen.permutation(n)[:m]
+        if fixed is not None:
+            counts, bound = fixed
+        else:
+            pools = _pool_sizes(part, signers)
+            counts = _decoy_counts(config, gen, pools)
+            bound = _floyd_bound(pools, counts)
+        return signers, counts, _floyd_draw(gen, bound)
+
+    return draw
+
+
+def _graph_block(
+    config: SamplerConfig,
+    m: int,
+    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block of m-signer graphs, one per draw of :func:`_graph_draw`.
+
+    Returns ``(signers, counts, members)``.  Ring j of graph b is column
+    ``i = b*m + j``: its signer is ``signers[i]`` and it has ``counts[i]``
+    decoys.  ``members`` is ``(k_max + 1, B*m)``; each column is sorted with
+    its -1 padding first, so the ring is ``members[k_max - counts[i]:, i]``.
+    All subsets are resolved in one lockstep pass, and every graph's
+    signer assignment is checked by :func:`_require_block_covering`.
+    """
+    signers = np.concatenate([d[0] for d in draws])
+    counts = np.concatenate([d[1] for d in draws])
+    x = _stack_draws([d[2] for d in draws], m)
+    chosen = _floyd_resolve(x, _pool_sizes(config.partition, signers), counts)
+    decoys = _decoy_users(config.partition, signers, chosen)
+    members = np.sort(np.vstack((decoys, signers)), axis=0)
+    _require_block_covering(config.n_users, m, signers, members)
+    return signers, counts, members
+
+
+def _require_block_covering(
+    n: int, m: int, signers: np.ndarray, members: np.ndarray
+) -> None:
+    """Raise unless in every graph the signers are distinct and each ring holds its signer.
+
+    The array form, over a block of :func:`_graph_block`, of what
+    ``Matching`` and :func:`_require_covering` check for one graph.
+    """
+    if not signers.shape[0]:
+        return
+    graph = np.arange(signers.shape[0]) // m
+    if (np.bincount(graph * n + signers) > 1).any():
+        raise ValueError("matching reuses a user")
+    missing = np.flatnonzero(~(members == signers).any(axis=0))
+    if missing.size:
+        i = int(missing[0])
+        raise ValueError(f"matching pair ({int(signers[i])}, {i % m}) is not an edge")
+
+
+def _block_graph(
+    n: int,
+    m: int,
+    block: tuple[np.ndarray, np.ndarray, np.ndarray],
+    b: int,
+) -> tuple[TransactionGraph, Matching]:
+    """Graph b of a :func:`_graph_block` block, with its signer assignment."""
+    signers, counts, members = block
+    cols = slice(b * m, (b + 1) * m)
+    k_max = members.shape[0] - 1
+    rings = [
+        col[k_max - c:] for col, c in zip(members[:, cols].T.tolist(), counts[cols].tolist())
+    ]
+    return (
+        TransactionGraph._from_members(n, rings),
+        Matching(zip(signers[cols].tolist(), range(m))),
+    )
+
+
 def _sample_graph(
     config: SamplerConfig, m: int, gen: Generator
 ) -> tuple[TransactionGraph, Matching]:
-    n = config.n_users
-    signers = gen.permutation(n)[:m].astype(np.int64)
-    decoys, counts = _sample_decoys(config, gen, signers)
-    # per column the -1 padding sorts first; the ring is the rest
-    k_max = decoys.shape[0]
-    cols = np.sort(np.vstack((decoys, signers)), axis=0).T.tolist()
-    members = [col[k_max - c:] for col, c in zip(cols, counts.tolist())]
-    matching = Matching(zip(signers.tolist(), range(m)))
-    graph = TransactionGraph._from_members(n, members)
-    _require_covering(graph, matching)
-    return graph, matching
+    """One m-signer graph: a block of one."""
+    block = _graph_block(config, m, [_graph_draw(config, m)(gen)])
+    return _block_graph(config.n_users, m, block, 0)
 
 
 def sample_transaction_graph(
@@ -312,41 +425,54 @@ def _in_neighbor_edges(n: int, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _digraph_block(
     n: int,
     gens: Iterable[Generator],
-    in_degrees: Callable[[Generator], np.ndarray],
+    draw: Callable[[Generator], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One in-neighbour digraph per generator, as a block-diagonal union.
 
-    Each generator draws its in-degrees, then its Floyd block, so a
-    digraph's draws do not depend on the block it is in.  Each generator's
-    draws finish before the next one is advanced, so the generators may be
-    one re-keyed object.  All subsets are then resolved in one lockstep
-    pass.  Returns ``(in_degrees, src, dst)`` with graph b on nodes
-    ``b*n .. b*n + n - 1``, in the layout of :func:`_in_neighbor_edges`.
+    ``draw`` makes one digraph's draws, its in-degrees and then its Floyd
+    draw (see :func:`_regular_draw` and :func:`_binomial_draw`), so a
+    digraph's draws do not depend on the block it is in.  Each
+    generator's draws finish before the next one is advanced, so the
+    generators may be one re-keyed object.  All subsets are then resolved
+    in one lockstep pass.  Returns ``(in_degrees, src, dst)`` with graph b
+    on nodes ``b*n .. b*n + n - 1``, in the layout of
+    :func:`_in_neighbor_edges`.
     """
-    pools = np.full(n, n - 1, dtype=np.int64)
     counts: list[np.ndarray] = []
     draws: list[np.ndarray] = []
     for gen in gens:
-        degrees = in_degrees(gen)
+        degrees, x = draw(gen)
         counts.append(degrees)
-        draws.append(_floyd_draw(gen, pools, degrees))
-    if len(draws) == 1:  # the public samplers, and grid blocks at n >= 1024
-        x = draws[0]
-    else:
-        k_max = max(xb.shape[0] for xb in draws)
-        x = np.zeros((k_max, n * len(draws)), dtype=np.int64)
-        for b, xb in enumerate(draws):
-            x[k_max - xb.shape[0]:, b * n:(b + 1) * n] = xb
+        draws.append(x)
     degrees = np.concatenate(counts)
+    x = _stack_draws(draws, n)
     chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
     return (degrees, *_in_neighbor_edges(n, chosen))
 
 
-def _binomial_in_degrees(gen: Generator, n: int, p: float) -> np.ndarray:
-    """In-degree of every node of a p-binomial digraph: Binomial(n - 1, p) each."""
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    return gen.binomial(n - 1, p, size=n).astype(np.int64)
+def _regular_draw(n: int, k: int) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
+    """One k-in-degree regular digraph's draw: its Floyd draw alone.
+
+    Every node has in-degree k from a pool of n - 1, so the Floyd bound is
+    built once, here, for every digraph of a campaign.
+    """
+    degrees = np.full(n, k, dtype=np.int64)
+    bound = _floyd_bound(np.full(n, n - 1, dtype=np.int64), degrees)
+    return lambda gen: (degrees, _floyd_draw(gen, bound))
+
+
+def _binomial_draw(n: int, p: float) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
+    """One p-binomial digraph's draws: in-degrees Binomial(n - 1, p), then Floyd."""
+    pools = np.full(n, n - 1, dtype=np.int64)
+
+    def draw(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+        if n == 1:
+            degrees = np.zeros(1, dtype=np.int64)
+        else:
+            degrees = gen.binomial(n - 1, p, size=n).astype(np.int64)
+        return degrees, _floyd_draw(gen, _floyd_bound(pools, degrees))
+
+    return draw
 
 
 def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
@@ -357,7 +483,7 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    _, src, dst = _digraph_block(n, [rng.generator], lambda gen: np.full(n, k, dtype=np.int64))
+    _, src, dst = _digraph_block(n, [rng.generator], _regular_draw(n, k))
     return Digraph._from_arrays(n, src, dst)
 
 
@@ -370,5 +496,5 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    _, src, dst = _digraph_block(n, [rng.generator], lambda gen: _binomial_in_degrees(gen, n, p))
+    _, src, dst = _digraph_block(n, [rng.generator], _binomial_draw(n, p))
     return Digraph._from_arrays(n, src, dst)

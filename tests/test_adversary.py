@@ -2,10 +2,14 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from ringlab import adversary as adversary_module
 from ringlab.adversary import (
+    ADVERSARIES,
     BlackMarbleConfig,
+    _campaign_outcomes,
     adversary_core,
     adversary_matching_count,
     adversary_trivial,
@@ -17,7 +21,7 @@ from ringlab.adversary import (
     _corrupt_users,
     _remove_users,
 )
-from ringlab.core import core, is_core_equal
+from ringlab.core import _core_from_flags, _core_member_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
 from ringlab.graph import Partition
 from ringlab.samplers import (
@@ -25,7 +29,9 @@ from ringlab.samplers import (
     RandomSource,
     Regular,
     SamplerConfig,
+    _sample_graph,
     _StreamFamily,
+    _trial_streams,
     sample_transaction_graph,
 )
 
@@ -235,6 +241,118 @@ def test_campaign_counts_golden(case, expected):
     assert (result.success.failures, result.core_mismatch.failures) == expected
 
 
+# -- block engine against the per-trial reference ----------------------------------------
+
+
+def _reference_trial(config, adversary, gen, marble):
+    """One trial as the per-trial loop ran it before the block engine: the reference.
+
+    Returns the guessed edge, the win and whether the sampled graph is core-equal.
+    """
+    corrupted = set()
+    if marble is not None:
+        corrupted = set(_corrupt_users(config, marble, gen).tolist())
+    graph, matching = _sample_graph(config, config.n_users, gen)
+    flags = _core_member_flags(graph, matching)
+    if corrupted:  # the reduced view has no core
+        guess = ADVERSARIES[adversary](_remove_users(graph, corrupted), gen, None)
+    else:
+        guess = ADVERSARIES[adversary](graph, gen, _core_from_flags(graph, flags))
+    success = guess in matching
+    if marble is not None:
+        success = success and marble.admissible(config.partition, corrupted)
+    return guess, success, all(map(all, flags))
+
+
+_ENGINE_CONFIGS = [
+    (Partition.equal_chunks(8, 4), Regular(0)),
+    (Partition.equal_chunks(8, 4), Regular(1)),
+    (Partition.equal_chunks(8, 4), Regular(3)),
+    (Partition.equal_chunks(9, 3), Binomial(0.0)),
+    (Partition.equal_chunks(9, 3), Binomial(0.2)),
+    (Partition.single(6), Binomial(0.2)),
+    (Partition.equal_chunks(9, 3), Binomial(1.0)),
+    (Partition([range(0, 2), range(2, 5), range(5, 9)]), Regular(1)),
+    (Partition([range(0, 2), range(2, 5), range(5, 9)]), Binomial(0.4)),
+    (Partition([range(0, 1), range(1, 4), range(4, 6), range(6, 9)]), Binomial(0.6)),
+]
+
+
+@pytest.mark.parametrize("beta", [None, 0.1, 0.5])
+@pytest.mark.parametrize("adversary", ["trivial", "core", "matching_count"])
+@pytest.mark.parametrize(
+    "config",
+    [SamplerConfig(part, kind) for part, kind in _ENGINE_CONFIGS],
+    ids=["reg0", "reg1", "reg3", "bin0", "bin.2", "bin.2single", "bin1", "ureg1", "ubin.4",
+         "ubin.6"],
+)
+def test_block_engine_matches_per_trial_reference(monkeypatch, config, adversary, beta):
+    # blocks of 4 trials: 1, B - 1, B, B + 1 and 2B + 1 trials cross every
+    # kind of block boundary; beta = 0.1 corrupts nobody (floor(0.1 * |C|) = 0)
+    n = config.n_users
+    monkeypatch.setattr(adversary_module, "_BLOCK_USERS", 4 * n)
+    marble = BlackMarbleConfig(beta) if beta else None
+    for trials in (1, 3, 4, 5, 9):
+        rng = RandomSource(21, 5 + trials)
+        expected = [
+            _reference_trial(config, adversary, gen, marble)
+            for gen in _trial_streams(rng, trials)
+        ]
+        users, rings, success, core_equal = _campaign_outcomes(
+            config, adversary, trials, rng, marble
+        )
+        assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
+        assert success.tolist() == [e[1] for e in expected]
+        assert core_equal.tolist() == [e[2] for e in expected]
+        result = run_campaign(config, n, adversary, trials, rng, marble=marble)
+        wins = sum(e[1] for e in expected)
+        mismatches = sum(not e[2] for e in expected)
+        assert (result.success.failures, result.core_mismatch.failures) == (wins, mismatches)
+
+
+def test_block_engine_matches_reference_at_the_block_size():
+    # the module's own block size, crossed once: 2B + 1 trials
+    config = SamplerConfig(Partition.equal_chunks(40, 8), Regular(3))
+    marble = BlackMarbleConfig(0.25)
+    block = adversary_module._BLOCK_USERS // 40
+    trials = 2 * block + 1
+    rng = RandomSource(22)
+    expected = [
+        _reference_trial(config, "core", gen, marble) for gen in _trial_streams(rng, trials)
+    ]
+    users, rings, success, core_equal = _campaign_outcomes(config, "core", trials, rng, marble)
+    assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
+    assert success.tolist() == [e[1] for e in expected]
+    assert core_equal.tolist() == [e[2] for e in expected]
+
+
+@pytest.mark.parametrize("adversary", ["trivial", "core", "matching_count"])
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_run_experiment_is_a_one_trial_campaign(adversary, beta):
+    config = SamplerConfig(Partition.equal_chunks(8, 4), Regular(1))
+    marble = BlackMarbleConfig(beta) if beta else None
+    for sid in range(30):
+        outcome = run_experiment(config, 8, adversary, RandomSource(23, sid), marble=marble)
+        users, rings, success, core_equal = _campaign_outcomes(
+            config, adversary, 1, RandomSource(23, sid), marble
+        )
+        assert outcome.guessed_edge == (users[0], rings[0])
+        assert outcome.success == success[0]
+        assert outcome.graph_was_core_equal == core_equal[0]
+        assert outcome == _reference_outcome(config, adversary, RandomSource(23, sid), marble)
+
+
+def _reference_outcome(config, adversary, rng, marble):
+    guess, success, core_equal = _reference_trial(config, adversary, rng.generator, marble)
+    return adversary_module.ExperimentOutcome(guess, success, core_equal)
+
+
+def test_campaign_rejects_a_partition_without_users():
+    config = SamplerConfig(Partition([]), Binomial(0.5))
+    with pytest.raises(InvalidConfig):
+        run_campaign(config, 0, "trivial", 3, RandomSource(0))
+
+
 # -- black marbles ----------------------------------------------------------------------
 
 
@@ -265,6 +383,17 @@ def test_black_marble_corruption_is_admissible():
             assert marble.admissible(part, corrupted)
             per_chunk = Counter(part.chunk_of(u) for u in corrupted)
             assert all(per_chunk[c] == math.floor(beta * 5) for c in range(4))
+
+
+def test_black_marble_admissible_rejects_an_overfull_chunk():
+    part = Partition.equal_chunks(10, 5)
+    marble = BlackMarbleConfig(0.2)  # one corrupted user per chunk at most
+    assert marble.admissible(part, {0, 5})
+    assert not marble.admissible(part, {0, 1})
+    rows = np.zeros((3, 10), dtype=bool)
+    rows[1, [5, 9]] = True
+    rows[2, [4, 5]] = True
+    assert marble._admissible_rows(part, rows).tolist() == [True, False, True]
 
 
 def test_black_marble_invalid_beta():

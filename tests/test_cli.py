@@ -497,6 +497,87 @@ def test_simulate_flag_validation(capsys):
         assert "need 0 <= --beta < 1" in capsys.readouterr().err
 
 
+# Output bytes of ``ringlab simulate``, recorded before the block campaign
+# engine replaced the per-trial loop: both README commands at reduced
+# --trials, the binomial sampler, --beta, matching_count and --chunk-size 1.
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        ("--users 40 --chunk-size 4 --k 3 --adversary trivial --trials 2000",
+         "# seed 0\n"
+         "simulate users=40 chunk_size=4 sampler=regular k=3 adversary=trivial trials=2000 beta=0\n"
+         "success trials=2000 successes=511 estimate=0.2555 ci_low=0.236866553613 ci_high=0.275070916894\n"
+         "core_mismatch trials=2000 mismatches=0 estimate=0 ci_low=0 ci_high=0.00191711760051\n"),
+        ("--users 40 --chunk-size 8 --k 3 --adversary core --beta 0.25 --trials 1000",
+         "# seed 0\n"
+         "simulate users=40 chunk_size=8 sampler=regular k=3 adversary=core trials=1000 beta=0.25\n"
+         "success trials=1000 successes=255 estimate=0.255 ci_low=0.228958076921 ci_high=0.282917103386\n"
+         "core_mismatch trials=1000 mismatches=606 estimate=0.606 ci_low=0.575363732365 ci_high=0.635824965135\n"),
+        ("--users 12 --chunk-size 4 --p 0.3 --adversary core --trials 500 --seed 2",
+         "# seed 2\n"
+         "simulate users=12 chunk_size=4 sampler=binomial p=0.3 adversary=core trials=500 beta=0\n"
+         "success trials=500 successes=500 estimate=1 ci_low=0.992375381469 ci_high=1\n"
+         "core_mismatch trials=500 mismatches=500 estimate=1 ci_low=0.992375381469 ci_high=1\n"),
+        ("--users 12 --chunk-size 4 --k 2 --adversary core --beta 0.5 --trials 500 --seed 3",
+         "# seed 3\n"
+         "simulate users=12 chunk_size=4 sampler=regular k=2 adversary=core trials=500 beta=0.5\n"
+         "success trials=500 successes=150 estimate=0.3 ci_low=0.261481256494 ci_high=0.341568590918\n"
+         "core_mismatch trials=500 mismatches=206 estimate=0.412 ci_low=0.369687716405 ci_high=0.455654216456\n"),
+        ("--users 9 --chunk-size 9 --p 0.2 --adversary matching_count --trials 200 --seed 4",
+         "# seed 4\n"
+         "simulate users=9 chunk_size=9 sampler=binomial p=0.2 adversary=matching_count trials=200 beta=0\n"
+         "success trials=200 successes=198 estimate=0.99 ci_low=0.964277514804 ci_high=0.997253399396\n"
+         "core_mismatch trials=200 mismatches=189 estimate=0.945 ci_low=0.904212075534 ci_high=0.969014979199\n"),
+        ("--users 6 --chunk-size 3 --k 1 --adversary matching_count --beta 0.5 --trials 100 --seed 5",
+         "# seed 5\n"
+         "simulate users=6 chunk_size=3 sampler=regular k=1 adversary=matching_count trials=100 beta=0.5\n"
+         "success trials=100 successes=47 estimate=0.47 ci_low=0.375106519821 ci_high=0.567113168628\n"
+         "core_mismatch trials=100 mismatches=94 estimate=0.94 ci_low=0.875230314688 ci_high=0.972214254733\n"),
+        ("--users 8 --chunk-size 1 --k 0 --adversary core --trials 100 --seed 6",
+         "# seed 6\n"
+         "simulate users=8 chunk_size=1 sampler=regular k=0 adversary=core trials=100 beta=0\n"
+         "success trials=100 successes=100 estimate=1 ci_low=0.963005192524 ci_high=1\n"
+         "core_mismatch trials=100 mismatches=0 estimate=0 ci_low=0 ci_high=0.036994807476\n"),
+        ("--users 16 --chunk-size 4 --p 1 --adversary trivial --trials 300 --seed 7",
+         "# seed 7\n"
+         "simulate users=16 chunk_size=4 sampler=binomial p=1 adversary=trivial trials=300 beta=0\n"
+         "success trials=300 successes=69 estimate=0.23 ci_low=0.185971076737 ci_high=0.280856375461\n"
+         "core_mismatch trials=300 mismatches=0 estimate=0 ci_low=0 ci_high=0.0126434299977\n"),
+        ("--users 30 --chunk-size 10 --p 0 --adversary core --beta 0.3 --trials 50 --seed 8",
+         "# seed 8\n"
+         "simulate users=30 chunk_size=10 sampler=binomial p=0 adversary=core trials=50 beta=0.3\n"
+         "success trials=50 successes=50 estimate=1 ci_low=0.928649965826 ci_high=1\n"
+         "core_mismatch trials=50 mismatches=0 estimate=0 ci_low=0 ci_high=0.0713500341743\n"),
+    ],
+)
+def test_simulate_output_bytes(capsys, argv, out):
+    assert main(["simulate", *argv.split()]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --users 4294967296 --chunk-size 4294967296 --k 1",
+        "simulate --users 4096 --chunk-size 2048 --k 1",
+        "conjecture --n-min 1073741824 --n-max 1073741824",
+        "conjecture --k-max 1024 --n-min 8192 --n-max 8192",
+    ],
+)
+def test_instance_cap_rejects_before_allocating(capsys, argv):
+    # the check runs before any partition or array is built, so even the
+    # 2^32-user request exits at once
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the instance cap of 4194304" in captured.err
+
+
+def test_instance_cap_admits_its_edge(capsys):
+    assert main("simulate --users 2048 --chunk-size 2048 --k 1 --trials 1".split()) == 0
+
+
 # -- recommend ---------------------------------------------------------------------------
 
 

@@ -14,6 +14,9 @@ from ringlab.samplers import (
     Regular,
     SamplerConfig,
     _floyd_subsets,
+    _graph_block,
+    _graph_draw,
+    _require_block_covering,
     _StreamFamily,
     sample_binomial_digraph,
     sample_regular_digraph,
@@ -192,6 +195,24 @@ def test_sample_transaction_graph_validates_and_matching_is_true_assignment(part
         _require_covering(g, m)
         signers = [u for u, _ in m.pairs]
         assert len(set(signers)) == len(signers)
+
+
+def test_block_covering_check_raises_on_a_corrupted_signer_row():
+    # three graphs of singleton rings (k = 0): ring j is {signers[j]} alone
+    cfg = SamplerConfig(Partition.equal_chunks(6, 3), Regular(0))
+    draw = _graph_draw(cfg, 6)
+    fam = _StreamFamily(3)
+    block = _graph_block(cfg, 6, [draw(fam.generator(t)) for t in range(3)])
+    signers, _, members = block
+    _require_block_covering(6, 6, signers, members)
+    swapped = signers.copy()
+    swapped[[7, 8]] = signers[[8, 7]]  # graph 1 keeps distinct signers, rings 1 and 2 lose theirs
+    with pytest.raises(ValueError, match=rf"matching pair \({swapped[7]}, 1\) is not an edge"):
+        _require_block_covering(6, 6, swapped, members)
+    reused = signers.copy()
+    reused[13] = reused[12]  # graph 2 names one user twice
+    with pytest.raises(ValueError, match="reuses a user"):
+        _require_block_covering(6, 6, reused, members)
 
 
 def test_sample_transaction_graph_bicliques_when_chunks_are_ring_sized():
