@@ -13,23 +13,24 @@ maximum matchings, and an exact matching-count oracle that is
 Bayes-optimal under the uniform signer model but only feasible at
 brute-force scale.
 
-Campaigns run in blocks of ``max(1, _BLOCK_USERS // n_users)`` trials.
-Trial t draws only from stream ``base + t``, in this order: the
-corruption permutations, the signer permutation, the binomial decoy
-counts, the Floyd draw, and last the adversary's one guess draw.  The
-block engine makes each trial's draws up to the Floyd draw in turn and
-keeps a snapshot of the generator state after them.  One Floyd resolve
-then gives the whole block as arrays: ring j of trial b is column
-``b*n + j`` of a sorted ``(k_max + 1, B*n)`` member array.  The guess
-draw is made last, from the trial's restored snapshot, so every count
-and guess equals that of running the trials one by one.
+Campaigns run in the blocks of ``samplers._trial_blocks``, of
+``max(1, _BLOCK_NODES // n_users)`` trials each.  Trial t draws only from
+stream ``base + t``, in this order: the corruption permutations, the
+signer permutation, the binomial decoy counts, the Floyd draw, and last
+the adversary's one guess draw.  The block engine makes each trial's
+draws up to the Floyd draw in turn and keeps a snapshot of the generator
+state after them.  One Floyd resolve then gives the whole block as
+arrays: ring j of trial b is column ``b*n + j`` of a sorted
+``(k_max + 1, B*n)`` member array.  The guess draw is made last, from the
+trial's restored snapshot, so every count and guess equals that of
+running the trials one by one.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
 signs, so the graph is balanced, and its digraph with an edge from each
 decoy to the signer of its ring splits into one digraph per chunk.  When
 every chunk's digraph is strongly connected, no edge leaves the core; one
-strong-connectivity call per chunk size checks a whole block.  Strong
-connectivity is sufficient, not necessary (two disjoint cycles are
+strong-connectivity call per block checks every chunk of every trial.
+Strong connectivity is sufficient, not necessary (two disjoint cycles are
 core-equal too), so the other trials get exact core member flags from
 the signer assignment.  They decide ``graph_was_core_equal`` and, in the
 passive game, give the core handed to the core adversary.  That leaks
@@ -42,7 +43,7 @@ covers them.  The core adversary then falls back to the trivial guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import floor
 from typing import Iterable
 
@@ -58,7 +59,7 @@ from .samplers import (
     _block_graph,
     _graph_block,
     _graph_draw,
-    _trial_streams,
+    _trial_blocks,
 )
 from .stats import EstimateResult
 
@@ -206,12 +207,6 @@ def adversary_matching_count(graph: TransactionGraph) -> tuple[int, int]:
 
 # -- experiments ---------------------------------------------------------------
 
-# Users per trial block: small graphs share one Floyd resolve and one
-# strong-connectivity call per chunk size; from 1024 users up every trial
-# is its own block.
-_BLOCK_USERS = 1024
-
-
 def _corrupt_users(
     config: SamplerConfig, marble: BlackMarbleConfig, gen: Generator
 ) -> np.ndarray:
@@ -243,25 +238,6 @@ def _remove_users(graph: TransactionGraph, corrupted: set[int]) -> TransactionGr
     return TransactionGraph._from_members(graph.n_users, members)
 
 
-def _chunk_groups(partition: Partition) -> list[tuple[int, int, np.ndarray]]:
-    """The chunks grouped by size, for the strong-connectivity kernel.
-
-    Per distinct size s: ``(s, q, node)`` with q chunks of that size, and
-    ``node[u] = rank*s + pos`` for user u at position pos of the chunk of
-    rank ``rank`` among them; -1 for users of other chunks.
-    """
-    sizes = np.diff(partition._chunk_start)
-    groups = []
-    for s in sorted(set(sizes.tolist())):
-        chunks = np.flatnonzero(sizes == s)
-        rank = np.full(partition.n_chunks, -1, dtype=np.int64)
-        rank[chunks] = np.arange(chunks.size)
-        of_user = rank[partition._chunk_of]
-        node = np.where(of_user >= 0, of_user * s + partition._pos_in_chunk, -1)
-        groups.append((s, int(chunks.size), node))
-    return groups
-
-
 class _Campaign:
     """The campaign engine for one (config, adversary, marble): runs blocks of trials."""
 
@@ -276,7 +252,9 @@ class _Campaign:
             marble.corrupted_count(size) for size in config.partition.chunk_sizes()
         )
         self.draw = _graph_draw(config, config.n_users)
-        self.groups = _chunk_groups(config.partition)
+        part = config.partition
+        # each user's position in the chunk order of the partition
+        self.node = part._chunk_start[part._chunk_of] + part._pos_in_chunk
 
     def run(
         self, gens: Iterable[Generator]
@@ -365,24 +343,23 @@ class _Campaign:
     ) -> np.ndarray:
         """Per trial, whether every chunk's decoy-to-signer digraph is strongly connected.
 
-        For the q chunks of one size s, the chunk of rank r in trial t is
-        graph ``t*q + r`` on nodes ``(t*q + r)*s + pos``: the block-diagonal
-        layout of :func:`_strongly_connected_graphs`, one call per size.
+        User u of trial t is node ``t*n + node[u]``, so chunk c of trial t
+        is the graph on nodes from ``t*n + _chunk_start[c]`` up to the next
+        chunk's first node: the layout of :func:`_strongly_connected_graphs`,
+        one call for every chunk of the block.
         """
-        is_decoy = (members >= 0) & (members != signers)
-        connected = np.ones(b_count, dtype=bool)
-        for size, q, node in self.groups:
-            width = q * size
-            in_group = node[signers] >= 0
-            heads = trial * width + node[signers]
-            edges = is_decoy & in_group
-            src = (trial * width + node[members])[edges]
-            dst = np.broadcast_to(heads, members.shape)[edges]
-            degrees = np.zeros(b_count * width, dtype=np.int64)
-            degrees[heads[in_group]] = counts[in_group]
-            sc = _strongly_connected_graphs(size, src, dst, degrees)
-            connected &= sc.reshape(b_count, q).all(axis=1)
-        return connected
+        n, part = self.config.n_users, self.config.partition
+        offset = trial * n
+        heads = offset + self.node[signers]
+        edges = (members >= 0) & (members != signers)
+        src = (offset + self.node[members])[edges]
+        dst = np.broadcast_to(heads, members.shape)[edges]
+        degrees = np.zeros(b_count * n, dtype=np.int64)
+        degrees[heads] = counts
+        firsts = np.add.outer(np.arange(b_count) * n, part._chunk_start[:-1]).ravel()
+        starts = np.append(firsts, b_count * n)
+        sc = _strongly_connected_graphs(starts, src, dst, degrees)
+        return sc.reshape(b_count, part.n_chunks).all(axis=1)
 
 
 def _resolve_adversary(adversary: str):
@@ -443,24 +420,6 @@ class CampaignResult:
     core_mismatch: EstimateResult
 
 
-def _campaign_outcomes(
-    config: SamplerConfig,
-    adversary: str,
-    trials: int,
-    base_rng: RandomSource,
-    marble: BlackMarbleConfig | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per trial: guessed user and ring, win, core-equal; trial t on stream ``base + t``."""
-    engine = _Campaign(config, adversary, marble)
-    block = max(1, _BLOCK_USERS // config.n_users)
-    streams = _trial_streams(base_rng, trials)
-    blocks = [
-        engine.run(islice(streams, min(block, trials - start)))
-        for start in range(0, trials, block)
-    ]
-    return tuple(np.concatenate(column) for column in zip(*blocks))
-
-
 def run_campaign(
     config: SamplerConfig,
     n_users: int,
@@ -473,21 +432,28 @@ def run_campaign(
     """Run independent trials on per-trial streams and aggregate both estimates.
 
     Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
-    run in blocks of ``max(1, _BLOCK_USERS // n_users)``: each block is
-    sampled as arrays, its core equality is decided by one
-    strong-connectivity call per chunk size (exact core flags only where
-    that fails), and each guess draw is made from its trial's generator
-    state snapshot, so the counts equal those of trials run one by one.
-    Both the mismatch count and the passive core adversary read the same
-    core (see the module docstring for why that leaks nothing).
+    run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
+    block is sampled as arrays, its core equality is decided by one
+    strong-connectivity call per block (exact core flags only where that
+    fails), and each guess draw is made from its trial's generator state
+    snapshot, so the counts equal those of trials run one by one.  Wins
+    and core-equal trials are counted block by block; no per-trial array
+    outlives its block.  Both the mismatch count and the passive core
+    adversary read the same core (see the module docstring for why that
+    leaks nothing).
     """
     _check_experiment_args(config, n_users)
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
-    _, _, success, core_equal = _campaign_outcomes(config, adversary, trials, base_rng, marble)
+    engine = _Campaign(config, adversary, marble)
+    wins = core_equal = 0
+    for gens in _trial_blocks(base_rng, trials, n_users):
+        _, _, success, equal = engine.run(gens)
+        wins += int(np.count_nonzero(success))
+        core_equal += int(np.count_nonzero(equal))
     return CampaignResult(
-        success=EstimateResult.from_counts(trials, int(np.count_nonzero(success))),
-        core_mismatch=EstimateResult.from_counts(trials, trials - int(np.count_nonzero(core_equal))),
+        success=EstimateResult.from_counts(trials, wins),
+        core_mismatch=EstimateResult.from_counts(trials, trials - core_equal),
     )
 
 

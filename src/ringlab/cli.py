@@ -48,9 +48,9 @@ EXIT_BAD_GRAPH = 3
 THREADS_ENV_VAR = "RING_LAB_THREADS"
 
 # The largest sampled instance: the ring memberships one ``simulate`` trial
-# can hold (users x chunk size) and the in-edges of the largest
-# ``conjecture`` digraph (largest k x largest n).  Larger requests are
-# rejected before anything is allocated.
+# can hold (users x chunk size), the in-edges of the largest ``conjecture``
+# digraph (largest k x largest n) and the one ``entropy`` chunk.  Larger
+# requests are rejected before anything is allocated.
 INSTANCE_CAP = 2**22
 
 
@@ -396,6 +396,12 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
         return EXIT_USAGE
     if args.chunk_size < 1:
         print("--chunk-size must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.chunk_size > INSTANCE_CAP:
+        print(
+            f"--chunk-size {args.chunk_size} exceeds the instance cap of {INSTANCE_CAP}",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
     if args.k is not None and not 1 <= args.k < args.chunk_size:
         print("need 1 <= --k < --chunk-size", file=sys.stderr)

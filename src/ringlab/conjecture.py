@@ -12,9 +12,10 @@ estimate exceeds the binomial upper limit, the second when the binomial
 lower limit exceeds the closed-form bound.
 
 Trial t of a campaign draws from stream ``base + t`` alone.  Trials run in
-blocks of about 1024 nodes: each trial's draws are made in turn, then one
-Floyd resolve and one strong-connectivity call serve the whole block, so
-the counts equal those of running the trials one by one.
+the blocks of ``samplers._trial_blocks``, about 1024 nodes each: each
+trial's draws are made in turn, then one Floyd resolve and one
+strong-connectivity call per block serve the whole block, so the counts
+equal those of running the trials one by one.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, TextIO
 
 import numpy as np
@@ -34,7 +34,7 @@ from .samplers import (
     _binomial_draw,
     _digraph_block,
     _regular_draw,
-    _trial_streams,
+    _trial_blocks,
 )
 from .stats import EstimateResult, format_number
 
@@ -54,10 +54,6 @@ __all__ = [
 # at the default trial count.
 LOW_CONFIDENCE_THRESHOLD = 1e-3
 
-# Nodes per trial block: small graphs share one Floyd resolve and one
-# strong-connectivity call; from n = 1024 up every trial is its own block.
-_BLOCK_NODES = 1024
-
 
 def _estimate_not_sc(
     n: int,
@@ -68,21 +64,17 @@ def _estimate_not_sc(
     """Fraction of ``trials`` digraphs that are not strongly connected.
 
     Trial t makes its draws with ``draw`` (its in-degrees, then its
-    in-neighbour subsets) from stream t of ``rng``.  Trials run in
-    blocks of ``max(1, _BLOCK_NODES // n)``: each block's subsets are
-    resolved together and its graphs checked by one kernel call.
+    in-neighbour subsets) from stream t of ``rng``.  Each block of
+    :func:`~ringlab.samplers._trial_blocks` has its subsets resolved
+    together and its graphs checked by one kernel call.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
-    block = max(1, _BLOCK_NODES // n)
-    streams = _trial_streams(rng, trials)
-    failures = 0
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        degrees, src, dst = _digraph_block(n, islice(streams, size), draw)
-        connected = _strongly_connected_graphs(n, src, dst, degrees)
-        failures += size - int(np.count_nonzero(connected))
-    return EstimateResult.from_counts(trials, failures)
+    connected = 0
+    for gens in _trial_blocks(rng, trials, n):
+        sc = _strongly_connected_graphs(*_digraph_block(n, gens, draw))
+        connected += int(np.count_nonzero(sc))
+    return EstimateResult.from_counts(trials, trials - connected)
 
 
 def estimate_not_sc_regular(

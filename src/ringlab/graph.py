@@ -582,7 +582,9 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
 #
 # The core computation's one kernel, Tarjan's strong components, works on
 # plain successor lists, so the core never builds a Digraph.  The sampled
-# digraphs are checked by the array walk below instead.
+# digraphs are checked by the array walk below instead, one call per block:
+# a block holds graphs of any sizes side by side, so the conjecture grid and
+# the adversary campaign share it.
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -633,40 +635,42 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _strongly_connected_graphs(
-    n: int, src: np.ndarray, dst: np.ndarray, in_degrees: np.ndarray
+    starts: np.ndarray, src: np.ndarray, dst: np.ndarray, in_degrees: np.ndarray
 ) -> np.ndarray:
     """Per graph of a block-diagonal digraph, whether it is strongly connected.
 
-    Graph g owns nodes ``g*n .. g*n + n - 1`` of the edges ``src[i] ->
-    dst[i]``; ``in_degrees`` holds every node's in-degree.  A graph with a
-    node lacking an in-edge or an out-edge fails at once.  The others need
-    forward and reverse reachability from their node 0 to cover all their
-    nodes, which is equivalent to having a single SCC.  Each walk step
-    marks the head of every edge whose tail is marked, in all live graphs
-    at once; a walk stops when every live graph is covered or no graph
-    gains.  The sampled digraph models have logarithmic diameter, so the
-    walks take few steps.  Single-node graphs count as strongly connected.
+    Graph g owns nodes ``starts[g] .. starts[g + 1] - 1`` of the edges
+    ``src[i] -> dst[i]``; every graph has at least one node, and
+    ``in_degrees`` holds every node's in-degree.  A graph with a node
+    lacking an in-edge or an out-edge fails at once.  The others need
+    forward and reverse reachability from their first node to cover all
+    their nodes, which is equivalent to having a single SCC.  Each walk
+    step marks the head of every edge whose tail is marked, in all live
+    graphs at once; a walk stops when every live graph is covered or no
+    graph gains.  The sampled digraph models have logarithmic diameter, so
+    the walks take few steps.  Single-node graphs count as strongly
+    connected.
     """
-    if n == 1:
-        return np.ones(in_degrees.shape[0], dtype=bool)
+    firsts = starts[:-1]
+    sizes = np.diff(starts)
     has_out = np.zeros(in_degrees.shape[0], dtype=bool)
     has_out[src] = True
-    live = (has_out & (in_degrees > 0)).reshape(-1, n).all(axis=1)
+    live = np.logical_and.reduceat(has_out & (in_degrees > 0), firsts)
     for tails, heads in ((src, dst), (dst, src)):
-        roots = np.flatnonzero(live) * n
+        roots = firsts[live]
         if not roots.size:
             break
         seen = np.zeros(in_degrees.shape[0], dtype=bool)
         seen[roots] = True
-        covered, target = roots.size, roots.size * n
+        covered, target = roots.size, int(sizes[live].sum())
         while covered < target:
             seen[heads[seen[tails]]] = True
             marked = int(np.count_nonzero(seen))
             if marked == covered:
                 break
             covered = marked
-        live &= seen.reshape(-1, n).all(axis=1)
-    return live
+        live &= np.logical_and.reduceat(seen, firsts)
+    return live | (sizes == 1)
 
 
 def is_strongly_connected(digraph: Digraph) -> bool:
@@ -681,7 +685,7 @@ def is_strongly_connected(digraph: Digraph) -> bool:
         return False
     src, dst = digraph._src, digraph._dst
     in_degrees = np.bincount(dst, minlength=n)
-    return bool(_strongly_connected_graphs(n, src, dst, in_degrees)[0])
+    return bool(_strongly_connected_graphs(np.array([0, n]), src, dst, in_degrees)[0])
 
 
 # -- partitioning ------------------------------------------------------------

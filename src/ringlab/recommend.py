@@ -35,7 +35,11 @@ def core_mismatch_bound(n_chunks: int, chunk_size: float, k: float) -> float:
         raise DomainError("need n_chunks >= 1 and chunk_size > 0")
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
-    value = n_chunks * -math.expm1(-2.0 * math.exp(math.log(chunk_size) - k))
+    per_chunk = -math.expm1(-2.0 * math.exp(math.log(chunk_size) - k))
+    try:
+        value = n_chunks * per_chunk
+    except OverflowError:  # n_chunks beyond float range: the product in log space
+        value = math.exp(min(math.log(n_chunks) + math.log(per_chunk), 0.0)) if per_chunk else 0.0
     return min(max(value, 0.0), 1.0)
 
 

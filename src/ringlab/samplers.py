@@ -17,11 +17,15 @@ come in blocks that draw one stream at a time and resolve together, each
 object's draws being the ones it would make alone: every random digraph
 comes from :func:`_digraph_block` and every transaction graph from
 :func:`_graph_block`.  Campaigns pass a block of trials, the public
-samplers a block of one.
+samplers a block of one.  Both campaigns, the conjecture grid and the
+adversary game, take their blocks from :func:`_trial_blocks`, about
+``_BLOCK_NODES`` nodes each, and check each block's strong connectivity
+with one call per block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -106,6 +110,23 @@ def _trial_streams(rng: RandomSource, trials: int) -> Iterator[Generator]:
     base = rng.stream_id
     for t in range(trials):
         yield family.generator((base + t) & _U64)
+
+
+# Nodes per trial block: small graphs share one Floyd resolve and one
+# strong-connectivity call; from 1024 nodes up every trial is its own block.
+_BLOCK_NODES = 1024
+
+
+def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[Iterator[Generator]]:
+    """The streams of :func:`_trial_streams` in blocks of ``max(1, _BLOCK_NODES // n)`` trials.
+
+    Each block is an iterator over its trials' generators, to be used up
+    before the next block is taken.
+    """
+    block = max(1, _BLOCK_NODES // n)
+    streams = _trial_streams(rng, trials)
+    for start in range(0, trials, block):
+        yield islice(streams, min(block, trials - start))
 
 
 # -- subset sampling kernel ---------------------------------------------------
@@ -434,8 +455,9 @@ def _digraph_block(
     digraph's draws do not depend on the block it is in.  Each
     generator's draws finish before the next one is advanced, so the
     generators may be one re-keyed object.  All subsets are then resolved
-    in one lockstep pass.  Returns ``(in_degrees, src, dst)`` with graph b
-    on nodes ``b*n .. b*n + n - 1``, in the layout of
+    in one lockstep pass.  Returns ``(starts, src, dst, in_degrees)``, the
+    arguments of :func:`~ringlab.graph._strongly_connected_graphs`, with
+    graph b on nodes ``b*n .. b*n + n - 1`` in the layout of
     :func:`_in_neighbor_edges`.
     """
     counts: list[np.ndarray] = []
@@ -447,7 +469,8 @@ def _digraph_block(
     degrees = np.concatenate(counts)
     x = _stack_draws(draws, n)
     chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
-    return (degrees, *_in_neighbor_edges(n, chosen))
+    starts = np.arange(0, degrees.shape[0] + 1, n, dtype=np.int64)
+    return (starts, *_in_neighbor_edges(n, chosen), degrees)
 
 
 def _regular_draw(n: int, k: int) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
@@ -483,7 +506,7 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    _, src, dst = _digraph_block(n, [rng.generator], _regular_draw(n, k))
+    _, src, dst, _ = _digraph_block(n, [rng.generator], _regular_draw(n, k))
     return Digraph._from_arrays(n, src, dst)
 
 
@@ -496,5 +519,5 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    _, src, dst = _digraph_block(n, [rng.generator], _binomial_draw(n, p))
+    _, src, dst, _ = _digraph_block(n, [rng.generator], _binomial_draw(n, p))
     return Digraph._from_arrays(n, src, dst)

@@ -1,15 +1,17 @@
 """Adversary strategies and the security experiments."""
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ringlab import adversary as adversary_module
+from ringlab import samplers as samplers_module
 from ringlab.adversary import (
     ADVERSARIES,
     BlackMarbleConfig,
-    _campaign_outcomes,
+    _Campaign,
     adversary_core,
     adversary_matching_count,
     adversary_trivial,
@@ -31,6 +33,7 @@ from ringlab.samplers import (
     SamplerConfig,
     _sample_graph,
     _StreamFamily,
+    _trial_blocks,
     _trial_streams,
     sample_transaction_graph,
 )
@@ -244,6 +247,13 @@ def test_campaign_counts_golden(case, expected):
 # -- block engine against the per-trial reference ----------------------------------------
 
 
+def _campaign_outcomes(config, adversary, trials, rng, marble):
+    """Per trial: guessed user and ring, win, core-equal; the engine's blocks concatenated."""
+    engine = _Campaign(config, adversary, marble)
+    blocks = [engine.run(gens) for gens in _trial_blocks(rng, trials, config.n_users)]
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
 def _reference_trial(config, adversary, gen, marble):
     """One trial as the per-trial loop ran it before the block engine: the reference.
 
@@ -290,7 +300,7 @@ def test_block_engine_matches_per_trial_reference(monkeypatch, config, adversary
     # blocks of 4 trials: 1, B - 1, B, B + 1 and 2B + 1 trials cross every
     # kind of block boundary; beta = 0.1 corrupts nobody (floor(0.1 * |C|) = 0)
     n = config.n_users
-    monkeypatch.setattr(adversary_module, "_BLOCK_USERS", 4 * n)
+    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 4 * n)
     marble = BlackMarbleConfig(beta) if beta else None
     for trials in (1, 3, 4, 5, 9):
         rng = RandomSource(21, 5 + trials)
@@ -314,7 +324,7 @@ def test_block_engine_matches_reference_at_the_block_size():
     # the module's own block size, crossed once: 2B + 1 trials
     config = SamplerConfig(Partition.equal_chunks(40, 8), Regular(3))
     marble = BlackMarbleConfig(0.25)
-    block = adversary_module._BLOCK_USERS // 40
+    block = samplers_module._BLOCK_NODES // 40
     trials = 2 * block + 1
     rng = RandomSource(22)
     expected = [
@@ -345,6 +355,23 @@ def test_run_experiment_is_a_one_trial_campaign(adversary, beta):
 def _reference_outcome(config, adversary, rng, marble):
     guess, success, core_equal = _reference_trial(config, adversary, rng.generator, marble)
     return adversary_module.ExperimentOutcome(guess, success, core_equal)
+
+
+def test_campaign_peak_memory_does_not_grow_with_trials():
+    # wins and core mismatches are counted block by block, so 80 blocks of
+    # trials peak no higher than one
+    config = SamplerConfig(Partition.equal_chunks(40, 4), Regular(3))
+    block = samplers_module._BLOCK_NODES // 40
+    run_campaign(config, 40, "trivial", block, RandomSource(24))  # one-off allocations
+    peaks = []
+    for trials in (block, 80 * block):
+        tracemalloc.start()
+        try:
+            run_campaign(config, 40, "trivial", trials, RandomSource(24))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**14
 
 
 def test_campaign_rejects_a_partition_without_users():

@@ -563,12 +563,19 @@ def test_simulate_output_bytes(capsys, argv, out):
         "simulate --users 4096 --chunk-size 2048 --k 1",
         "conjecture --n-min 1073741824 --n-max 1073741824",
         "conjecture --k-max 1024 --n-min 8192 --n-max 8192",
+        "entropy --chunk-size 1099511627776 --k 3",
     ],
 )
 def test_instance_cap_rejects_before_allocating(capsys, argv):
     # the check runs before any partition or array is built, so even the
     # 2^32-user request exits at once
-    assert main(argv.split()) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv.split()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds the instance cap of 4194304" in captured.err
@@ -659,6 +666,10 @@ _CLOSED_FORM_ERROR = "effective user count 2*(1-beta)*|U| <= 1 for beta=0.99, us
         ("--users 16 --chunks 4 --chunk-size 4 --csv", 0,
          "users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n"
          "16,0,4,4,7,infeasible,0.25\n", ""),
+        # a chunk count beyond float range is compared in log space
+        (f"--users 10 --chunks {10**400} --chunk-size 8", 0,
+         "# seed 0\nrecommend users=10 beta=0\nk_closed_form 6\nsecurity 2/7 = 0.285714285714\n"
+         f"chunks n_chunks={10**400} chunk_size=8\nk_numeric infeasible\n", ""),
         ("--users 16 --chunks 16 --chunk-size 1", 2, "", "need chunk_size >= 2, got 1\n"),
         ("--users 2 --beta 0.99", 2, "", _CLOSED_FORM_ERROR),
         # the closed form is checked before the chunk geometry

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from ringlab.conjecture import (
-    _BLOCK_NODES,
     GridSpec,
     binomial_bound,
     check_conjectures_grid,
@@ -18,7 +17,12 @@ from ringlab.conjecture import (
 )
 from ringlab.errors import InvalidParams
 from ringlab.graph import is_strongly_connected
-from ringlab.samplers import RandomSource, sample_binomial_digraph, sample_regular_digraph
+from ringlab.samplers import (
+    _BLOCK_NODES,
+    RandomSource,
+    sample_binomial_digraph,
+    sample_regular_digraph,
+)
 
 from conftest import exact_not_sc_binomial, exact_not_sc_regular
 

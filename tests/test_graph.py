@@ -19,6 +19,7 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
+    _strongly_connected_graphs,
     _tarjan,
     induced_digraph,
     is_strongly_connected,
@@ -496,6 +497,67 @@ def test_is_strongly_connected_matches_scc_on_sampled_digraphs(n):
             binomial = sample_binomial_digraph(k / (n - 1), n, RandomSource(seed, 100 + k))
             for d in (regular, binomial):
                 assert is_strongly_connected(d) == _single_scc(d)
+
+
+# -- the block kernel on graphs of mixed sizes ------------------------------------------
+
+
+def _cycle(nodes):
+    return [(a, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+
+
+_TWO_CYCLES = _cycle([0, 1]) + _cycle([2, 3])
+# graphs that fail at the in/out-degree exit, and graphs that pass it and
+# fail only in the walk
+_DEGREE_EXIT = [
+    Digraph(2, [(0, 1)]),  # node 0 has no in-edge
+    Digraph(3, _cycle([0, 1]) + [(1, 2)]),  # node 2 has no out-edge
+    Digraph(4, _cycle([0, 1, 2]) + [(3, 0), (3, 1)]),  # node 3 has no in-edge
+]
+_WALK_ONLY = [
+    Digraph(4, _TWO_CYCLES),  # neither walk covers the graph
+    Digraph(4, _TWO_CYCLES + [(2, 0)]),  # the forward walk fails
+    Digraph(4, _TWO_CYCLES + [(0, 2)]),  # only the reverse walk fails
+    Digraph(9, _cycle([0, 1, 2, 3, 4]) + _cycle([5, 6, 7, 8]) + [(4, 5)]),
+]
+
+
+def _ragged_block(graphs):
+    """The kernel's arguments for ``graphs`` side by side, graph g from ``starts[g]``."""
+    starts = np.cumsum([0] + [d.n_nodes for d in graphs])
+    src = np.concatenate([d._src + first for d, first in zip(graphs, starts)])
+    dst = np.concatenate([d._dst + first for d, first in zip(graphs, starts)])
+    return starts, src, dst, np.bincount(dst, minlength=starts[-1])
+
+
+def _passes_degree_exit(d: Digraph) -> bool:
+    """Whether every node has an in-edge and an out-edge."""
+    return len(set(d._src.tolist())) == len(set(d._dst.tolist())) == d.n_nodes
+
+
+def test_kernel_verdicts_on_ragged_blocks_equal_each_graph_alone():
+    gen = np.random.default_rng(31)
+    fixed = [Digraph(1), Digraph(5, _cycle([0, 1, 2, 3, 4]))] + _DEGREE_EXIT + _WALK_ONLY
+    verdicts = []
+    for _ in range(60):
+        graphs = [
+            _random_digraph(gen, max_nodes=9, p=float(gen.choice([0.15, 0.3, 0.6])))
+            for _ in range(int(gen.integers(1, 10)))
+        ]
+        graphs += [fixed[i] for i in gen.choice(len(fixed), size=3, replace=False)]
+        graphs = [graphs[i] for i in gen.permutation(len(graphs))]
+        sc = _strongly_connected_graphs(*_ragged_block(graphs))
+        assert sc.shape == (len(graphs),)
+        for d, verdict in zip(graphs, sc.tolist()):
+            assert verdict == is_strongly_connected(d) == _single_scc(d)
+            verdicts.append((d.n_nodes, verdict, _passes_degree_exit(d)))
+    # every kind of graph occurs: single nodes, connected ones, and failures of each exit
+    assert {n for n, _, _ in verdicts} == set(range(1, 10))
+    assert any(n == 1 and v for n, v, _ in verdicts)
+    assert any(n > 1 and v for n, v, _ in verdicts)
+    assert any(n > 1 and not ok for n, _, ok in verdicts)
+    assert any(not v and ok for n, v, ok in verdicts)
+    assert all(not v for n, v, ok in verdicts if n > 1 and not ok)
 
 
 def test_digraph_rejects_bad_edges():
