@@ -26,15 +26,16 @@ trial's restored snapshot, so every count and guess equals that of
 running the trials one by one.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
-signs, so the graph is balanced, and its digraph with an edge from each
-decoy to the signer of its ring splits into one digraph per chunk.  When
-every chunk's digraph is strongly connected, no edge leaves the core; one
-strong-connectivity call per block checks every chunk of every trial.
-Strong connectivity is sufficient, not necessary (two disjoint cycles are
-core-equal too), so the other trials get exact core member flags from
-the signer assignment.  They decide ``graph_was_core_equal`` and, in the
-passive game, give the core handed to the core adversary.  That leaks
-nothing: every maximum matching yields the same core (pinned by
+signs, so the graph is balanced, and an edge of it leaves the core
+exactly when, in the digraph with an edge from each decoy to the signer
+of its ring, that edge joins two strong components (Dulmage & Mendelsohn
+1958; Tassa 2012).  One label-propagation call per block
+(:func:`~ringlab.graph._core_equal_graphs`) decides that for every trial
+on the block's arrays, so counting core mismatches builds no per-trial
+graph.  Only the passive core adversary needs more: on the trials that
+are not core-equal it takes exact core member flags from the signer
+assignment and guesses on the core.  That leaks nothing: every maximum
+matching yields the same core (pinned by
 ``test_core_invariant_under_matching_strategy``).  In the corrupted-user
 game the view has no core: every user signs (m = n), so once any user is
 corrupted the view's rings touch fewer than m users and no matching
@@ -52,7 +53,7 @@ from numpy.random import Generator
 
 from .core import _core_member_flags, core, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
-from .graph import Partition, TransactionGraph, _strongly_connected_graphs
+from .graph import Partition, TransactionGraph, _core_equal_graphs
 from .samplers import (
     RandomSource,
     SamplerConfig,
@@ -252,9 +253,6 @@ class _Campaign:
             marble.corrupted_count(size) for size in config.partition.chunk_sizes()
         )
         self.draw = _graph_draw(config, config.n_users)
-        part = config.partition
-        # each user's position in the chunk order of the partition
-        self.node = part._chunk_start[part._chunk_of] + part._pos_in_chunk
 
     def run(
         self, gens: Iterable[Generator]
@@ -277,22 +275,20 @@ class _Campaign:
             gen_of.append(gen)
         b_count = len(draws)
         block = _graph_block(config, n, draws)
-        signers, counts, members = block
+        signers, _, members = block
         valid = members >= 0
-        trial = np.arange(b_count * n) // n  # the trial of each ring column
-        core_equal = self._chunks_connected(b_count, signers, counts, members, trial)
+        core_equal = _block_core_equal(n, signers, members)
 
         keep = valid.copy()  # the members the adversary's guess ranges over
         if self.marble is not None:
             is_corrupted = np.zeros(b_count * n, dtype=bool)
             is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
+            trial = np.arange(b_count * n) // n  # the trial of each ring column
             keep &= ~is_corrupted[members + trial * n]
-        core_view = self.adversary == "core" and not self.corrupting
-        for b in np.flatnonzero(~core_equal).tolist():
-            graph, matching = _block_graph(n, n, block, b)
-            flags = _core_member_flags(graph, matching)
-            core_equal[b] = all(map(all, flags))
-            if core_view:
+        if self.adversary == "core" and not self.corrupting:
+            # the passive core adversary guesses on the core: per-member flags
+            for b in np.flatnonzero(~core_equal).tolist():
+                flags = _core_member_flags(*_block_graph(n, n, block, b))
                 cols = slice(b * n, (b + 1) * n)
                 keep[:, cols].T[valid[:, cols].T] = np.fromiter(
                     chain.from_iterable(flags), dtype=bool
@@ -333,33 +329,19 @@ class _Campaign:
             success &= self.marble._admissible_rows(config.partition, corrupted_rows)
         return users, rings, success, core_equal
 
-    def _chunks_connected(
-        self,
-        b_count: int,
-        signers: np.ndarray,
-        counts: np.ndarray,
-        members: np.ndarray,
-        trial: np.ndarray,
-    ) -> np.ndarray:
-        """Per trial, whether every chunk's decoy-to-signer digraph is strongly connected.
 
-        User u of trial t is node ``t*n + node[u]``, so chunk c of trial t
-        is the graph on nodes from ``t*n + _chunk_start[c]`` up to the next
-        chunk's first node: the layout of :func:`_strongly_connected_graphs`,
-        one call for every chunk of the block.
-        """
-        n, part = self.config.n_users, self.config.partition
-        offset = trial * n
-        heads = offset + self.node[signers]
-        edges = (members >= 0) & (members != signers)
-        src = (offset + self.node[members])[edges]
-        dst = np.broadcast_to(heads, members.shape)[edges]
-        degrees = np.zeros(b_count * n, dtype=np.int64)
-        degrees[heads] = counts
-        firsts = np.add.outer(np.arange(b_count) * n, part._chunk_start[:-1]).ravel()
-        starts = np.append(firsts, b_count * n)
-        sc = _strongly_connected_graphs(starts, src, dst, degrees)
-        return sc.reshape(b_count, part.n_chunks).all(axis=1)
+def _block_core_equal(n: int, signers: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Core equality of each n-user graph of a :func:`~ringlab.samplers._graph_block` block.
+
+    User u of graph t is node ``t*n + u`` of one decoy-to-signer digraph
+    over the block, and :func:`_core_equal_graphs` decides every graph in
+    one call.
+    """
+    offset = np.arange(signers.shape[0]) // n * n
+    edges = (members >= 0) & (members != signers)
+    src = (offset + members)[edges]
+    dst = np.broadcast_to(offset + signers, members.shape)[edges]
+    return _core_equal_graphs(np.arange(0, signers.shape[0] + 1, n), src, dst)
 
 
 def _resolve_adversary(adversary: str):
@@ -433,14 +415,14 @@ def run_campaign(
 
     Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
     run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
-    block is sampled as arrays, its core equality is decided by one
-    strong-connectivity call per block (exact core flags only where that
-    fails), and each guess draw is made from its trial's generator state
-    snapshot, so the counts equal those of trials run one by one.  Wins
-    and core-equal trials are counted block by block; no per-trial array
-    outlives its block.  Both the mismatch count and the passive core
-    adversary read the same core (see the module docstring for why that
-    leaks nothing).
+    block is sampled as arrays, its core equality is decided exactly by
+    one label-propagation call per block, and each guess draw is made from
+    its trial's generator state snapshot, so the counts equal those of
+    trials run one by one.  Wins and core-equal trials are counted block
+    by block; no per-trial array outlives its block.  Only the passive
+    core adversary builds a graph per trial, and only on the trials that
+    are not core-equal, to guess on their core (see the module docstring
+    for why that leaks nothing).
     """
     _check_experiment_args(config, n_users)
     if trials < 1:

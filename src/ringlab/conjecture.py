@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
@@ -186,6 +185,8 @@ def check_conjectures_grid(spec: GridSpec, workers: int = 1) -> list[GridCell]:
             tasks.append((spec.seed, stream_base, model, k, n, spec.trials))
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_grid_task, tasks))
     else:

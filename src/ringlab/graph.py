@@ -581,10 +581,11 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
 # -- digraph algorithms ------------------------------------------------------
 #
 # The core computation's one kernel, Tarjan's strong components, works on
-# plain successor lists, so the core never builds a Digraph.  The sampled
-# digraphs are checked by the array walk below instead, one call per block:
-# a block holds graphs of any sizes side by side, so the conjecture grid and
-# the adversary campaign share it.
+# plain successor lists, so the core never builds a Digraph.  Sampled
+# digraphs are checked on edge arrays instead, one call per block of graphs
+# of any sizes side by side: the conjecture grid asks for strong
+# connectivity (the array walk), the adversary campaign for core equality
+# (the label test).
 
 
 def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
@@ -671,6 +672,33 @@ def _strongly_connected_graphs(
             covered = marked
         live &= np.logical_and.reduceat(seen, firsts)
     return live | (sizes == 1)
+
+
+def _core_equal_graphs(starts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Per graph of a block-diagonal digraph, whether no edge joins two strong components.
+
+    The layout is that of :func:`_strongly_connected_graphs`.  ``fwd[v]``
+    becomes the least node that reaches v and ``bwd[v]`` the least node v
+    reaches, each by ``np.minimum.at`` label propagation along the edges
+    to a fixpoint.  A graph passes iff ``fwd == bwd`` on all its nodes:
+    then each v shares a strong component with its label m, and an edge
+    a -> b gives ``m_b = fwd[b] <= fwd[a] = m_a = bwd[a] <= bwd[b] = m_b``;
+    conversely, when every weak component is strongly connected both
+    labels are the least node of v's component.  For the decoy -> signer
+    digraph of a balanced graph this is core equality.  After s sweeps
+    each node holds the least label within s edges of it, so the sweeps
+    number one more than the longest such distance, below the size of the
+    largest graph.
+    """
+    labels = []
+    for tails, heads in ((src, dst), (dst, src)):
+        label = np.arange(starts[-1])
+        total = -1
+        while total != (total := int(label.sum())):  # labels only fall
+            np.minimum.at(label, heads, label[tails])
+        labels.append(label)
+    fwd, bwd = labels
+    return np.logical_and.reduceat(fwd == bwd, starts[:-1])
 
 
 def is_strongly_connected(digraph: Digraph) -> bool:

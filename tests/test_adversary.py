@@ -12,6 +12,7 @@ from ringlab.adversary import (
     ADVERSARIES,
     BlackMarbleConfig,
     _Campaign,
+    _block_core_equal,
     adversary_core,
     adversary_matching_count,
     adversary_trivial,
@@ -25,12 +26,15 @@ from ringlab.adversary import (
 )
 from ringlab.core import _core_from_flags, _core_member_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
-from ringlab.graph import Partition
+from ringlab.graph import Partition, _tarjan, induced_digraph
 from ringlab.samplers import (
     Binomial,
     RandomSource,
     Regular,
     SamplerConfig,
+    _block_graph,
+    _graph_block,
+    _graph_draw,
     _sample_graph,
     _StreamFamily,
     _trial_blocks,
@@ -38,7 +42,7 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import make_graph
+from conftest import make_graph, successor_lists
 
 
 def _three_sigma(p, n):
@@ -242,6 +246,69 @@ def test_campaign_counts_golden(case, expected):
     marble = BlackMarbleConfig(beta) if beta else None
     result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
     assert (result.success.failures, result.core_mismatch.failures) == expected
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_CAMPAIGNS)
+def test_core_flags_run_only_for_the_passive_core_guess(monkeypatch, case, expected):
+    # core mismatches are counted on the block's arrays; only the passive
+    # core adversary takes core flags, once per trial that is not core-equal
+    users, chunk, kind, adversary, beta = case
+    passive_core = adversary == "core" and beta is None
+    real_flags = adversary_module._core_member_flags
+    calls = []
+
+    def flags(graph, matching):
+        if not passive_core:
+            raise AssertionError("core flags computed outside the passive core guess")
+        calls.append(graph)
+        return real_flags(graph, matching)
+
+    monkeypatch.setattr(adversary_module, "_core_member_flags", flags)
+    cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
+    marble = BlackMarbleConfig(beta) if beta else None
+    result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
+    assert (result.success.failures, result.core_mismatch.failures) == expected
+    assert len(calls) == (expected[1] if passive_core else 0)
+
+
+_ORACLE_CONFIGS = [
+    (Partition.equal_chunks(8, 4), Regular(0)),
+    (Partition.equal_chunks(8, 4), Regular(3)),  # k = chunk - 1
+    (Partition.single(6), Regular(5)),
+    (Partition.equal_chunks(24, 8), Regular(2)),
+    (Partition.equal_chunks(9, 3), Binomial(0.0)),
+    (Partition.equal_chunks(9, 3), Binomial(0.2)),
+    (Partition.single(4), Regular(1)),
+    (Partition.single(5), Binomial(0.25)),
+    (Partition.single(6), Binomial(0.2)),
+    (Partition.single(10), Binomial(0.3)),
+    (Partition.equal_chunks(9, 3), Binomial(1.0)),
+    (Partition([range(0, 2), range(2, 5), range(5, 9)]), Regular(1)),
+    (Partition([range(0, 2), range(2, 5), range(5, 9)]), Binomial(0.4)),
+    (Partition([range(0, 1), range(1, 4), range(4, 6), range(6, 9)]), Binomial(0.6)),
+    (Partition.equal_chunks(5, 1), Regular(0)),  # chunks of one user
+]
+
+
+def test_block_core_equality_equals_core_flags_on_sampled_blocks():
+    tally = Counter()
+    for i, (part, kind) in enumerate(_ORACLE_CONFIGS):
+        config = SamplerConfig(part, kind)
+        n = config.n_users
+        draw = _graph_draw(config, n)
+        for sid in range(4):  # blocks of 50 graphs
+            draws = [draw(gen) for gen in _trial_streams(RandomSource(24, 100 * i + sid), 50)]
+            block = _graph_block(config, n, draws)
+            verdicts = _block_core_equal(n, block[0], block[2]).tolist()
+            assert len(verdicts) == len(draws)
+            for b, verdict in enumerate(verdicts):
+                graph, matching = _block_graph(n, n, block, b)
+                assert verdict == all(map(all, _core_member_flags(graph, matching)))
+                # components never cross chunks: one per chunk iff every chunk is SC
+                comps = set(_tarjan(successor_lists(induced_digraph(graph, matching))))
+                tally[verdict, len(comps) == part.n_chunks] += 1
+    # both verdicts occur where some chunk is not strongly connected
+    assert tally[True, False] >= 100 and tally[False, False] >= 100
 
 
 # -- block engine against the per-trial reference ----------------------------------------

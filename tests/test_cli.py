@@ -767,3 +767,15 @@ def test_import_pulls_in_neither_scipy_nor_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_pulls_in_no_process_pool():
+    # only ``--threads`` above 1 makes a process pool; a serial run should not
+    # pay for loading concurrent.futures and multiprocessing at import
+    code = (
+        "import sys, ringlab, ringlab.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

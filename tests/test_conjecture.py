@@ -303,10 +303,13 @@ class _RecordingExecutor:
 
 
 def test_grid_pool_bounded_by_tasks_and_cpus(monkeypatch):
+    import concurrent.futures
+
     import ringlab.conjecture as conjecture
 
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
-    monkeypatch.setattr(conjecture, "ProcessPoolExecutor", _RecordingExecutor)
+    # the pool class is imported when a pool is made, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(conjecture.os, "cpu_count", lambda: 4)
     few = GridSpec(k_values=(1,), n_values=(4,), trials=20, seed=2)  # 2 tasks
     many = GridSpec(k_values=(1, 2), n_values=(4, 8), trials=20, seed=2)  # 8 tasks

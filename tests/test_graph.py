@@ -19,6 +19,7 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
+    _core_equal_graphs,
     _strongly_connected_graphs,
     _tarjan,
     induced_digraph,
@@ -558,6 +559,76 @@ def test_kernel_verdicts_on_ragged_blocks_equal_each_graph_alone():
     assert any(n > 1 and not ok for n, _, ok in verdicts)
     assert any(not v and ok for n, v, ok in verdicts)
     assert all(not v for n, v, ok in verdicts if n > 1 and not ok)
+
+
+# -- the core-equality label test ---------------------------------------------------
+
+
+def _no_edge_between_components(d: Digraph) -> bool:
+    """Whether every edge of ``d`` lies inside one Tarjan component."""
+    comp_of = _tarjan(successor_lists(d))
+    return all(comp_of[a] == comp_of[b] for a, b in zip(d._src.tolist(), d._dst.tolist()))
+
+
+def test_label_test_on_ragged_blocks_equals_tarjan():
+    gen = np.random.default_rng(37)
+    fixed = [Digraph(1), Digraph(5, _cycle([0, 1, 2, 3, 4]))] + _DEGREE_EXIT + _WALK_ONLY
+    verdicts = []
+    for _ in range(60):
+        graphs = [
+            _random_digraph(gen, max_nodes=9, p=float(gen.choice([0.1, 0.2, 0.4])))
+            for _ in range(int(gen.integers(1, 10)))
+        ]
+        graphs += [fixed[i] for i in gen.choice(len(fixed), size=3, replace=False)]
+        graphs = [graphs[i] for i in gen.permutation(len(graphs))]
+        starts, src, dst, _ = _ragged_block(graphs)
+        equal = _core_equal_graphs(starts, src, dst)
+        assert equal.shape == (len(graphs),)
+        for d, verdict in zip(graphs, equal.tolist()):
+            assert verdict == _no_edge_between_components(d)
+            verdicts.append((verdict, is_strongly_connected(d)))
+    # both verdicts occur, and some graphs pass without being strongly connected
+    assert {v for v, _ in verdicts} == {True, False}
+    assert any(v and not sc for v, sc in verdicts)
+
+
+def _decoy_digraph(graph: TransactionGraph) -> Digraph:
+    """Edges from each decoy to the signer of a balanced graph whose ring j user j signs."""
+    return Digraph(graph.n_users, [
+        (u, r) for r in range(graph.n_rings) for u in graph.ring_members(r) if u != r
+    ])
+
+
+def _label_verdict(graph: TransactionGraph) -> bool:
+    d = _decoy_digraph(graph)
+    return bool(_core_equal_graphs(np.array([0, d.n_nodes]), d._src, d._dst)[0])
+
+
+def _flags_verdict(graph: TransactionGraph) -> bool:
+    matching = Matching((j, j) for j in range(graph.n_rings))
+    return all(map(all, _core_member_flags(graph, matching)))
+
+
+_PAIR_CYCLES = [[0, 1], [0, 1], [2, 3], [2, 3]]  # rings j, signed by user j
+_CYCLE_64 = [sorted({j, (j + 1) % 64}) for j in range(64)]
+
+
+@pytest.mark.parametrize(
+    "rings, core_equal, sc",
+    [
+        (_PAIR_CYCLES, True, False),  # two disjoint 2-cycles
+        ([[0, 1, 2]] + _PAIR_CYCLES[1:], False, False),  # plus the edge 2 -> 0
+        ([[0], [1, 2], [1, 2]], True, False),  # an isolated signer without decoys
+        ([[0]], True, True),
+        (_CYCLE_64, True, True),  # 64 nodes: the deepest propagation
+        ([[0]] + _CYCLE_64[1:], False, False),  # the cycle cut into a path
+    ],
+    ids=["two-cycles", "bridged", "isolated", "single", "cycle64", "path64"],
+)
+def test_label_test_hand_built_cases(rings, core_equal, sc):
+    graph = TransactionGraph._from_members(len(rings), rings)
+    assert _label_verdict(graph) == _flags_verdict(graph) == core_equal
+    assert is_strongly_connected(_decoy_digraph(graph)) == sc
 
 
 def test_digraph_rejects_bad_edges():
