@@ -29,13 +29,14 @@ Each trial decides whether its sampled graph is core-equal.  Every user
 signs, so the graph is balanced, and an edge of it leaves the core
 exactly when, in the digraph with an edge from each decoy to the signer
 of its ring, that edge joins two strong components (Dulmage & Mendelsohn
-1958; Tassa 2012).  One label-propagation call per block
-(:func:`~ringlab.graph._core_equal_graphs`) decides that for every trial
-on the block's arrays, so counting core mismatches builds no per-trial
-graph.  Only the passive core adversary needs more: on the trials that
-are not core-equal it takes exact core member flags from the signer
-assignment and guesses on the core.  That leaks nothing: every maximum
-matching yields the same core (pinned by
+1958; Tassa 2012).  User u of trial t is node ``t*n + u`` of one such
+digraph over the block: one label-propagation call per block
+(:func:`~ringlab.graph._core_equal_graphs`) decides core equality for
+every trial, and for a block that holds a core mismatch the passive core
+adversary takes every member's core flag from one
+:func:`~ringlab.core._core_flags` call, so no per-trial graph is built.
+The flags come from the signer assignment, which leaks nothing: every
+maximum matching yields the same core (pinned by
 ``test_core_invariant_under_matching_strategy``).  In the corrupted-user
 game the view has no core: every user signs (m = n), so once any user is
 corrupted the view's rings touch fewer than m users and no matching
@@ -44,14 +45,13 @@ covers them.  The core adversary then falls back to the trivial guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import floor
 from typing import Iterable
 
 import numpy as np
 from numpy.random import Generator
 
-from .core import _core_member_flags, core, enumerate_maximum_matchings
+from .core import _core_flags, core, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
 from .graph import Partition, TransactionGraph, _core_equal_graphs
 from .samplers import (
@@ -285,14 +285,9 @@ class _Campaign:
             is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
             trial = np.arange(b_count * n) // n  # the trial of each ring column
             keep &= ~is_corrupted[members + trial * n]
-        if self.adversary == "core" and not self.corrupting:
-            # the passive core adversary guesses on the core: per-member flags
-            for b in np.flatnonzero(~core_equal).tolist():
-                flags = _core_member_flags(*_block_graph(n, n, block, b))
-                cols = slice(b * n, (b + 1) * n)
-                keep[:, cols].T[valid[:, cols].T] = np.fromiter(
-                    chain.from_iterable(flags), dtype=bool
-                )
+        if self.adversary == "core" and not self.corrupting and not core_equal.all():
+            # the passive core adversary guesses on the core: one flag per member
+            keep[valid] = _core_flags(b_count * n, *_block_members(n, signers, members))
 
         # the smallest nonempty view ring, lowest index on ties; with every
         # ring empty, ring 0 and user 0: a fixed blind guess
@@ -330,18 +325,29 @@ class _Campaign:
         return users, rings, success, core_equal
 
 
+def _block_members(
+    n: int, signers: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node and signer node of each member of a :func:`~ringlab.samplers._graph_block` block.
+
+    User u of n-user graph t is node ``t*n + u``; members come in row-major order.
+    """
+    offset = np.arange(signers.shape[0]) // n * n
+    valid = members >= 0
+    return (offset + members)[valid], np.broadcast_to(offset + signers, members.shape)[valid]
+
+
 def _block_core_equal(n: int, signers: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Core equality of each n-user graph of a :func:`~ringlab.samplers._graph_block` block.
 
-    User u of graph t is node ``t*n + u`` of one decoy-to-signer digraph
+    The decoy-to-signer edges of :func:`_block_members` form one digraph
     over the block, and :func:`_core_equal_graphs` decides every graph in
     one call.
     """
-    offset = np.arange(signers.shape[0]) // n * n
-    edges = (members >= 0) & (members != signers)
-    src = (offset + members)[edges]
-    dst = np.broadcast_to(offset + signers, members.shape)[edges]
-    return _core_equal_graphs(np.arange(0, signers.shape[0] + 1, n), src, dst)
+    users, signed = _block_members(n, signers, members)
+    decoys = users != signed
+    starts = np.arange(0, signers.shape[0] + 1, n)
+    return _core_equal_graphs(starts, users[decoys], signed[decoys])
 
 
 def _resolve_adversary(adversary: str):
@@ -419,10 +425,10 @@ def run_campaign(
     one label-propagation call per block, and each guess draw is made from
     its trial's generator state snapshot, so the counts equal those of
     trials run one by one.  Wins and core-equal trials are counted block
-    by block; no per-trial array outlives its block.  Only the passive
-    core adversary builds a graph per trial, and only on the trials that
-    are not core-equal, to guess on their core (see the module docstring
-    for why that leaks nothing).
+    by block; no per-trial array outlives its block.  The passive core
+    adversary takes core flags once per block that holds a core mismatch
+    (see the module docstring for why that leaks nothing); only the
+    matching-count adversary builds a graph per trial.
     """
     _check_experiment_args(config, n_users)
     if trials < 1:

@@ -59,6 +59,17 @@ class _ParseError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+class _OutputError(Exception):
+    """An output file that cannot be opened; raised before any work is done."""
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from None
+
+
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
     """Line number and content of each line of a UTF-8 text file that holds data.
 
@@ -232,8 +243,8 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
         seed=args.seed,
     )
     workers = _resolve_threads(args.threads)
-    cells = conj.check_conjectures_grid(spec, workers=workers)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(args.out) as fh:
+        cells = conj.check_conjectures_grid(spec, workers=workers)
         conj.write_grid_csv(cells, fh)
     out.write(f"# seed {args.seed}\n")
     out.write(
@@ -534,10 +545,10 @@ def main(argv: list[str] | None = None) -> int:
     out_path = getattr(args, "out", None) if args.command != "conjecture" else None
     try:
         if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            with _open_output(out_path) as fh:
                 return handler(args, fh)
         return handler(args, sys.stdout)
-    except RinglabError as exc:
+    except (_OutputError, RinglabError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,28 +4,34 @@ Edges outside the core belong to no maximum matching, so they are
 impossible signer assignments and can be discarded by an analyst.  The
 core is computed in near-linear time from a single maximum matching M
 and one strong-components pass (Dulmage & Mendelsohn 1958; Tassa 2012).
-With ring j's M-signer relabelled to node j, the induced digraph has an
-edge i -> j for every user i in ring j, i != j.  An edge (u_i, r_j) survives
-exactly when it is in M, when i and j lie in one strong component, or
-when i is reachable from an unmatched user.  A virtual node that every
-node reaches and that reaches the unmatched users folds the last case
-into the second: its component is exactly the nodes reachable from the
-unmatched users.  An exponential matching-enumeration oracle is kept
-alongside for verification only.
+The nodes of the digraph are the users themselves: each edge whose user
+is not its ring's M-signer gives the edge user -> signer.  An edge
+survives exactly when it is in M, when its user and its ring's signer
+lie in one strong component, or when its user is reachable from a user
+that signs nothing.  When such users exist, a virtual node n that every
+user reaches and that reaches each of them folds the last case into the
+second: its component is exactly the nodes reachable from them.  Every
+core result is read from one flat flag per edge, so the core, the
+report and the campaign's core adversary share :func:`_core_flags`.  An
+exponential matching-enumeration oracle is kept alongside for
+verification only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InstanceTooLarge
 from .graph import (
     Matching,
     TransactionGraph,
     _covering_matching,
-    _induced_successors,
+    _member_columns,
     _occurring_users,
+    _ring_members,
+    _ring_signers,
     _tarjan,
-    _user_relabel,
 )
 
 __all__ = [
@@ -45,74 +51,67 @@ BRUTE_FORCE_USER_CAP = 10
 def core(graph: TransactionGraph) -> TransactionGraph:
     """Subgraph of edges that occur in at least one maximum matching.
 
-    Computed from the member flags of one covering matching; when no edge
-    is removed the graph itself is returned.  Raises
-    :class:`NotATransactionGraph` (or its subclass :class:`EmptyRing`) when
-    no matching covers every ring.
+    Computed from the flags of one covering matching; when no edge is
+    removed the graph itself is returned, so ``core is graph`` tells
+    whether the core removed nothing.  Raises :class:`NotATransactionGraph`
+    (or its subclass :class:`EmptyRing`) when no matching covers every
+    ring.
     """
-    return _core_from_flags(graph, _covering_core_flags(graph))
-
-
-def _covering_core_flags(graph: TransactionGraph) -> list[list[bool]]:
-    """Core member flags of ``graph``, from a covering matching computed here.
-
-    The pass allocates per user, so it runs on the users that occur; the
-    flags are per member position, so they are those of ``graph``.
-    """
-    graph, _ = _occurring_users(graph)
-    return _core_member_flags(graph, _covering_matching(graph))
-
-
-def _core_member_flags(
-    graph: TransactionGraph, matching: Matching
-) -> list[list[bool]]:
-    """Per ring, which members' edges survive in the core.
-
-    This is the one core computation; every core result is read from its
-    flags.  ``matching`` must cover every ring with edges of ``graph``;
-    callers check that once, this does not check it again.
-
-    Virtual node n, added when some user is unmatched, follows every node
-    and precedes the unmatched user nodes ``m..n-1``.  Its strong component
-    is therefore n plus the nodes reachable from the unmatched users, and
-    any cycle it adds passes through n, so the other components are those
-    of the induced digraph.  A member survives exactly when its node shares
-    ring r's component; ring r's signer is node r itself.
-    """
-    n, m = graph.n_users, graph.n_rings
-    relabel = _user_relabel(graph, matching)
-    succ = _induced_successors(graph, relabel)
-    if n > m:
-        for ts in succ:
-            ts.append(n)
-        succ.append(range(m, n))
-    comp_of = _tarjan(succ)
-    return [
-        [comp_of[relabel[u]] == comp_of[r] for u in ms]
-        for r, ms in enumerate(graph._members)
-    ]
-
-
-def _core_from_flags(graph: TransactionGraph, flags: list[list[bool]]) -> TransactionGraph:
-    """The core as a graph: the flagged members of each ring of ``graph``.
-
-    Returns ``graph`` itself when every flag is set, so ``core is graph``
-    tells whether the core removed nothing.  The flags keep every edge of
-    the matching they were computed from, so the core needs no certificate
-    check of its own.
-    """
-    if all(map(all, flags)):
+    users, rings, flags = _covering_core_flags(graph)
+    if flags.all():
         return graph
-    members = [
-        [u for u, keep in zip(ms, row) if keep]
-        for ms, row in zip(graph._members, flags)
-    ]
-    return TransactionGraph._from_members(graph.n_users, members)
+    n, m = graph.n_users, graph.n_rings
+    return TransactionGraph._from_members(n, _ring_members(n, m, users[flags], rings[flags]))
+
+
+def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndarray:
+    """Whether each edge survives in the core: the one core computation.
+
+    Edge i puts user ``users[i]`` in a ring whose signer under one
+    maximum matching is ``signers[i]``; every ring has its signer's edge.
+    Edge i survives iff ``users[i]`` and ``signers[i]`` share a strong
+    component of the digraph with the edges ``users[i] -> signers[i]``,
+    plus, when some user signs nothing, the virtual node ``n_users``
+    after every user and before each user that signs nothing.  Any cycle
+    through the virtual node lies in its component, so the other
+    components are those of the decoy-to-signer digraph.  A header that
+    names more users than there are edges is cut down to the users that
+    occur, so the work is bounded by the edges.
+    """
+    if n_users > users.size:
+        occurring, users = np.unique(users, return_inverse=True)
+        signers = np.searchsorted(occurring, signers)
+        n_users = occurring.size
+    decoys = users != signers
+    tails, heads = users[decoys], signers[decoys]
+    unsigned = np.flatnonzero(np.bincount(signers, minlength=n_users) == 0)
+    if unsigned.size:
+        tails = np.concatenate((tails, np.arange(n_users), np.full(unsigned.size, n_users)))
+        heads = np.concatenate((heads, np.full(n_users, n_users), unsigned))
+    comp = _tarjan(n_users + 1, tails, heads)
+    return comp[users] == comp[signers]
+
+
+def _core_member_flags(graph: TransactionGraph, matching: Matching) -> np.ndarray:
+    """Per edge of ``graph``, ring by ring in member order, whether it is in the core.
+
+    ``matching`` must cover every ring with edges of ``graph``; callers
+    check that once, this does not check it again.
+    """
+    users, rings = _member_columns(graph)
+    return _core_flags(graph.n_users, users, _ring_signers(matching)[rings])
+
+
+def _covering_core_flags(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """User, ring and core flag of every edge, from a covering matching computed here."""
+    signers = _ring_signers(_covering_matching(graph))
+    users, rings = _member_columns(graph)
+    return users, rings, _core_flags(graph.n_users, users, signers[rings])
 
 
 def is_core_equal(graph: TransactionGraph) -> bool:
     """True when no edge of the graph can be ruled out, i.e. core(G) == G."""
-    return all(map(all, _covering_core_flags(graph)))
+    return bool(_covering_core_flags(graph)[2].all())
 
 
 @dataclass(frozen=True)
@@ -132,29 +131,17 @@ class CoreReport:
 def core_report(graph: TransactionGraph) -> CoreReport:
     """Removed edges, core degrees and deanonymised rings of ``graph``.
 
-    Every field is read from one set of core member flags; no core graph
-    is built, and only the rings that lose a member are visited edge by
-    edge.  Raises as :func:`core` does.
+    Every field is read from one set of flat core flags; no core graph is
+    built.  Raises as :func:`core` does.
     """
-    flags = _covering_core_flags(graph)
-    members = graph._members
-    degrees = tuple(map(sum, flags))
-    removed = frozenset(
-        (u, r)
-        for r, degree in enumerate(degrees)
-        if degree < len(members[r])
-        for u, keep in zip(members[r], flags[r])
-        if not keep
-    )
-    deanon = tuple(
-        (r, members[r][flags[r].index(True)])
-        for r, degree in enumerate(degrees)
-        if degree == 1
-    )
+    users, rings, flags = _covering_core_flags(graph)
+    degrees = np.bincount(rings[flags], minlength=graph.n_rings)
+    removed = ~flags
+    sole = flags & (degrees == 1)[rings]
     return CoreReport(
-        removed_edges=removed,
-        deanonymised_rings=deanon,
-        per_ring_core_degree=degrees,
+        removed_edges=frozenset(zip(users[removed].tolist(), rings[removed].tolist())),
+        deanonymised_rings=tuple(zip(rings[sole].tolist(), users[sole].tolist())),
+        per_ring_core_degree=tuple(degrees.tolist()),
     )
 
 

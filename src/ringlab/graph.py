@@ -529,40 +529,29 @@ def upper_graph(graph: TransactionGraph, matching: Matching) -> TransactionGraph
     """Balanced subgraph on the matched users, relabelled so user j signs ring j."""
     _require_covering(graph, matching)
     m = graph.n_rings
-    relabel = _user_relabel(graph, matching)
-    members = [sorted(i for u in ms if (i := relabel[u]) < m) for ms in graph._members]
-    return TransactionGraph._from_members(m, members)
+    users, rings = _member_columns(graph)
+    nodes = _user_relabel(graph, matching)[users]
+    signed = nodes < m
+    return TransactionGraph._from_members(m, _ring_members(m, m, nodes[signed], rings[signed]))
 
 
-def _user_relabel(graph: TransactionGraph, matching: Matching) -> list[int]:
+def _member_columns(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarray]:
+    """User and ring of every edge, ring by ring in member order."""
+    users = np.fromiter(chain.from_iterable(graph._members), dtype=np.int64, count=graph.edge_count)
+    return users, np.repeat(np.arange(graph.n_rings), graph.ring_sizes())
+
+
+def _ring_signers(matching: Matching) -> np.ndarray:
+    """The user of each ring of a matching that covers rings ``0..size-1``."""
+    return np.fromiter((u for u, _ in matching.pairs), dtype=np.int64, count=matching.size)
+
+
+def _user_relabel(graph: TransactionGraph, matching: Matching) -> np.ndarray:
     """Node index per user: ring j's signer becomes node j, the rest follow ascending."""
-    m = graph.n_rings
-    relabel = [-1] * graph.n_users
-    for u, r in matching:
-        relabel[u] = r
-    nxt = m
-    for u in range(graph.n_users):
-        if relabel[u] == -1:
-            relabel[u] = nxt
-            nxt += 1
+    relabel = np.full(graph.n_users, -1, dtype=np.int64)
+    relabel[_ring_signers(matching)] = np.arange(graph.n_rings)
+    relabel[relabel < 0] = np.arange(graph.n_rings, graph.n_users)
     return relabel
-
-
-def _induced_successors(
-    graph: TransactionGraph, relabel: Sequence[int]
-) -> list[list[int]]:
-    """Successor lists of the induced digraph, each in ascending order.
-
-    ``relabel`` comes from :func:`_user_relabel`; node r is ring r's signer,
-    so user node i gets the successor r for every ring r it sits in, r != i.
-    """
-    succ: list[list[int]] = [[] for _ in range(graph.n_users)]
-    for r, ms in enumerate(graph._members):
-        for u in ms:
-            i = relabel[u]
-            if i != r:
-                succ[i].append(r)
-    return succ
 
 
 def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
@@ -572,36 +561,39 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
     users take nodes ``n_rings..n_users-1`` in ascending original order.
     """
     _require_covering(graph, matching)
-    succ = _induced_successors(graph, _user_relabel(graph, matching))
-    src = np.repeat(np.arange(graph.n_users, dtype=np.int64), [len(ts) for ts in succ])
-    dst = np.fromiter((t for ts in succ for t in ts), dtype=np.int64, count=src.size)
-    return Digraph._from_arrays(graph.n_users, src, dst)
+    users, rings = _member_columns(graph)
+    nodes = _user_relabel(graph, matching)[users]
+    decoys = nodes != rings
+    return Digraph._from_arrays(graph.n_users, nodes[decoys], rings[decoys])
 
 
 # -- digraph algorithms ------------------------------------------------------
 #
-# The core computation's one kernel, Tarjan's strong components, works on
-# plain successor lists, so the core never builds a Digraph.  Sampled
-# digraphs are checked on edge arrays instead, one call per block of graphs
-# of any sizes side by side: the conjecture grid asks for strong
-# connectivity (the array walk), the adversary campaign for core equality
-# (the label test).
+# Every kernel takes a digraph as flat edge arrays, ``tails[i] -> heads[i]``.
+# The core asks for strong components (Tarjan); sampled digraphs are checked
+# one call per block of graphs of any sizes side by side: the conjecture
+# grid asks for strong connectivity (the array walk), the adversary
+# campaign for core equality (the label test).
 
 
-def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Strong component id of every node (iterative Tarjan).
+def _tarjan(n_nodes: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Strong component id of every node (iterative Tarjan, O(n + m)).
 
-    Ids count components in the order Tarjan closes them.  A node is on
-    Tarjan's stack exactly when it has an index but no component yet.
+    Ids count components in the order Tarjan closes them.  One stable
+    argsort of ``tails`` gives the successor lists, each in edge order.  A
+    node is on Tarjan's stack exactly when it has an index but no
+    component yet.
     """
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
+    flat = heads[np.argsort(tails, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(tails, minlength=n_nodes)).tolist()
+    succ = [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    index = [-1] * n_nodes
+    low = [0] * n_nodes
+    comp = [-1] * n_nodes
     stack: list[int] = []
     counter = 0
     n_comps = 0
-    for root in range(n):
+    for root in range(n_nodes):
         if index[root] != -1:
             continue
         index[root] = low[root] = counter
@@ -632,7 +624,7 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> list[int]:
                         if w == v:
                             break
                     n_comps += 1
-    return comp
+    return np.array(comp, dtype=np.int64)
 
 
 def _strongly_connected_graphs(

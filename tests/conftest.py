@@ -113,14 +113,6 @@ def random_connected_balanced_graph(
             return g
 
 
-def successor_lists(digraph: Digraph) -> list[list[int]]:
-    """Ascending successor list per node: the input form of the SCC kernel."""
-    succ: list[list[int]] = [[] for _ in range(digraph.n_nodes)]
-    for i, j in digraph.edges():
-        succ[i].append(j)
-    return succ
-
-
 def reach_matrix(digraph: Digraph) -> list[list[bool]]:
     """Independent reachability oracle: ``reach[i][j]`` when a directed path
     leads from i to j (every node reaches itself), by Floyd-Warshall closure."""

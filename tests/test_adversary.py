@@ -13,6 +13,7 @@ from ringlab.adversary import (
     BlackMarbleConfig,
     _Campaign,
     _block_core_equal,
+    _block_members,
     adversary_core,
     adversary_matching_count,
     adversary_trivial,
@@ -24,7 +25,7 @@ from ringlab.adversary import (
     _corrupt_users,
     _remove_users,
 )
-from ringlab.core import _core_from_flags, _core_member_flags, core, is_core_equal
+from ringlab.core import _core_flags, _core_member_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
 from ringlab.graph import Partition, _tarjan, induced_digraph
 from ringlab.samplers import (
@@ -42,7 +43,7 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import make_graph, successor_lists
+from conftest import make_graph
 
 
 def _three_sigma(p, n):
@@ -251,24 +252,30 @@ def test_campaign_counts_golden(case, expected):
 @pytest.mark.parametrize("case, expected", GOLDEN_CAMPAIGNS)
 def test_core_flags_run_only_for_the_passive_core_guess(monkeypatch, case, expected):
     # core mismatches are counted on the block's arrays; only the passive
-    # core adversary takes core flags, once per trial that is not core-equal
+    # core adversary takes core flags, once per block that holds a trial
+    # that is not core-equal
     users, chunk, kind, adversary, beta = case
     passive_core = adversary == "core" and beta is None
-    real_flags = adversary_module._core_member_flags
+    real_flags = adversary_module._core_flags
     calls = []
 
-    def flags(graph, matching):
+    def flags(n_nodes, nodes, signers):
         if not passive_core:
             raise AssertionError("core flags computed outside the passive core guess")
-        calls.append(graph)
-        return real_flags(graph, matching)
+        calls.append(n_nodes)
+        return real_flags(n_nodes, nodes, signers)
 
-    monkeypatch.setattr(adversary_module, "_core_member_flags", flags)
+    monkeypatch.setattr(adversary_module, "_core_flags", flags)
     cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
     marble = BlackMarbleConfig(beta) if beta else None
+    mismatched_blocks = 0
+    for gens in _trial_blocks(RandomSource(0, 3), 300, users):
+        equal = _Campaign(cfg, adversary, marble).run(gens)[3]
+        mismatched_blocks += not equal.all()
+    calls.clear()
     result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
     assert (result.success.failures, result.core_mismatch.failures) == expected
-    assert len(calls) == (expected[1] if passive_core else 0)
+    assert len(calls) == (mismatched_blocks if passive_core else 0)
 
 
 _ORACLE_CONFIGS = [
@@ -299,13 +306,22 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
         for sid in range(4):  # blocks of 50 graphs
             draws = [draw(gen) for gen in _trial_streams(RandomSource(24, 100 * i + sid), 50)]
             block = _graph_block(config, n, draws)
-            verdicts = _block_core_equal(n, block[0], block[2]).tolist()
+            signers, _, members = block
+            verdicts = _block_core_equal(n, signers, members).tolist()
             assert len(verdicts) == len(draws)
+            valid = members >= 0
+            block_flags = np.zeros(members.shape, dtype=bool)
+            block_flags[valid] = _core_flags(len(draws) * n, *_block_members(n, signers, members))
             for b, verdict in enumerate(verdicts):
                 graph, matching = _block_graph(n, n, block, b)
-                assert verdict == all(map(all, _core_member_flags(graph, matching)))
+                flags = _core_member_flags(graph, matching)
+                assert verdict == flags.all()
+                # the block's flags of trial b's members, ring by ring
+                cols = slice(b * n, (b + 1) * n)
+                assert np.array_equal(block_flags[:, cols].T[valid[:, cols].T], flags)
                 # components never cross chunks: one per chunk iff every chunk is SC
-                comps = set(_tarjan(successor_lists(induced_digraph(graph, matching))))
+                d = induced_digraph(graph, matching)
+                comps = set(_tarjan(d.n_nodes, d._src, d._dst).tolist())
                 tally[verdict, len(comps) == part.n_chunks] += 1
     # both verdicts occur where some chunk is not strongly connected
     assert tally[True, False] >= 100 and tally[False, False] >= 100
@@ -334,11 +350,11 @@ def _reference_trial(config, adversary, gen, marble):
     if corrupted:  # the reduced view has no core
         guess = ADVERSARIES[adversary](_remove_users(graph, corrupted), gen, None)
     else:
-        guess = ADVERSARIES[adversary](graph, gen, _core_from_flags(graph, flags))
+        guess = ADVERSARIES[adversary](graph, gen, core(graph))
     success = guess in matching
     if marble is not None:
         success = success and marble.admissible(config.partition, corrupted)
-    return guess, success, all(map(all, flags))
+    return guess, success, bool(flags.all())
 
 
 _ENGINE_CONFIGS = [

@@ -395,6 +395,26 @@ def test_conjecture_rejects_zero_trials(capsys):
     assert main(["conjecture", "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["core", "TOY"],
+    ["conjecture", "--k-max", "2", "--n-max", "8", "--trials", "2"],
+    ["simulate", "--users", "4", "--chunk-size", "2", "--k", "1", "--trials", "5"],
+    ["recommend", "--users", "100"],
+    ["entropy", "--chunk-size", "4", "--k", "1"],
+])
+def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid ran before the output was opened")
+
+    monkeypatch.setattr("ringlab.cli.conj.check_conjectures_grid", no_grid)
+    target = tmp_path / "missing" / "out.txt"
+    argv = [_write(tmp_path, "toy.txt", TOY) if a == "TOY" else a for a in argv]
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {target}: ")
+    assert captured.out == ""
+
+
 def test_conjecture_byte_identical_across_threads(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "RING_LAB_THREADS"}
     outputs = []

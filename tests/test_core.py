@@ -228,7 +228,7 @@ def test_core_invariant_under_matching_strategy():
         m = maximum_matching(g)
         alt = relabelled_matching(g, gen)
         assert alt.size == m.size
-        assert _core_member_flags(g, alt) == _core_member_flags(g, m)
+        assert np.array_equal(_core_member_flags(g, alt), _core_member_flags(g, m))
         differing += alt != m
     assert differing > 0
 
@@ -367,3 +367,19 @@ def test_core_unmatched_reachability_term():
     rep = core_report(g)
     assert rep.per_ring_core_degree[0] == 2
     assert rep.per_ring_core_degree[1] == 1
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_core_of_a_deep_chain(step):
+    # step 1: ring j = {j, j+1}, last ring {m-1}; ring m-1 forces signer
+    # m-1, which forces every ring's signer down the chain.  The digraph is
+    # a path of 2^15 single-node components: a label-propagation core
+    # would need one round per ring, the O(n + m) strong-components pass
+    # needs one.  step -1 mirrors the chain (ring j = {j-1, j}, first ring
+    # {0}), so the depth-first search runs 2^15 nodes deep.
+    m = 2**15
+    decoys = [(j + step, j) for j in range(m) if 0 <= j + step < m]
+    rep = core_report(make_graph(m, m, [(j, j) for j in range(m)] + decoys))
+    assert rep.removed_edges == frozenset(decoys)
+    assert rep.deanonymised_rings == tuple((j, j) for j in range(m))
+    assert rep.per_ring_core_degree == (1,) * m
