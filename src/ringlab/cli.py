@@ -18,7 +18,7 @@ import re
 import sys
 import warnings
 from math import ceil
-from typing import Iterator
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -63,11 +63,34 @@ class _OutputError(Exception):
     """An output file that cannot be opened; raised before any work is done."""
 
 
-def _open_output(path: str):
+def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
+    """Exit code of ``write(fh)``, with ``fh`` writing the output file ``path``.
+
+    The output goes to a new file beside ``path`` that replaces it only
+    when ``write`` returns 0, so a failed run leaves an existing file as it
+    was.  An existing ``path`` that is not a regular file (a device such as
+    ``/dev/stdout``, a pipe, a symlink) is written in place.  Raises
+    :class:`_OutputError` before ``write`` runs when the output cannot be
+    opened.
+    """
+    in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
+    head, tail = os.path.split(path)
+    tmp = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc}") from None
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+    code = None
+    try:
+        with fh:
+            code = write(fh)
+    finally:
+        if not in_place:
+            if code == EXIT_OK:
+                os.replace(tmp, path)
+            else:
+                os.unlink(tmp)
+    return code
 
 
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -243,9 +266,14 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
         seed=args.seed,
     )
     workers = _resolve_threads(args.threads)
-    with _open_output(args.out) as fh:
-        cells = conj.check_conjectures_grid(spec, workers=workers)
+    cells: list[conj.GridCell] = []
+
+    def write_csv(fh: TextIO) -> int:
+        cells.extend(conj.check_conjectures_grid(spec, workers=workers))
         conj.write_grid_csv(cells, fh)
+        return EXIT_OK
+
+    _write_output(args.out, write_csv)
     out.write(f"# seed {args.seed}\n")
     out.write(
         f"grid k={args.k_min}..{args.k_max} n={n_values[0]}..{n_values[-1]} "
@@ -545,8 +573,7 @@ def main(argv: list[str] | None = None) -> int:
     out_path = getattr(args, "out", None) if args.command != "conjecture" else None
     try:
         if out_path:
-            with _open_output(out_path) as fh:
-                return handler(args, fh)
+            return _write_output(out_path, lambda fh: handler(args, fh))
         return handler(args, sys.stdout)
     except (_OutputError, RinglabError) as exc:
         print(str(exc), file=sys.stderr)

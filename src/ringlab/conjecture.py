@@ -13,9 +13,10 @@ lower limit exceeds the closed-form bound.
 
 Trial t of a campaign draws from stream ``base + t`` alone.  Trials run in
 the blocks of ``samplers._trial_blocks``, about 1024 nodes each: each
-trial's draws are made in turn, then one Floyd resolve and one
-strong-connectivity call per block serve the whole block, so the counts
-equal those of running the trials one by one.
+trial's draws are made in turn, then one Floyd resolve gives the block's
+in-neighbour table and one strong-connectivity call reads that table for
+the whole block, so the counts equal those of running the trials one by
+one.
 """
 from __future__ import annotations
 

@@ -241,8 +241,8 @@ class Digraph:
     """Directed graph on ``n_nodes`` nodes without self-loops or parallel edges.
 
     Edges are held only as flat source/target arrays in sampling order, the
-    form the strong-connectivity walk reads, so the Monte Carlo samplers
-    never pay for sorting.  :meth:`edges` sorts them on request.
+    form :func:`_tarjan` reads, so the samplers never pay for sorting.
+    :meth:`edges` sorts them on request.
     """
 
     __slots__ = ("n_nodes", "_src", "_dst")
@@ -569,11 +569,12 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
 
 # -- digraph algorithms ------------------------------------------------------
 #
-# Every kernel takes a digraph as flat edge arrays, ``tails[i] -> heads[i]``.
-# The core asks for strong components (Tarjan); sampled digraphs are checked
-# one call per block of graphs of any sizes side by side: the conjecture
-# grid asks for strong connectivity (the array walk), the adversary
-# campaign for core equality (the label test).
+# The core asks for strong components (Tarjan) and the adversary campaign
+# for core equality (the label test), both of digraphs given as flat edge
+# arrays, ``tails[i] -> heads[i]``.  The conjecture grid asks for strong
+# connectivity (the array walk) of digraphs given as the sampler's
+# in-neighbour table.  The two block kernels check graphs of any sizes side
+# by side, one call per block.
 
 
 def _tarjan(n_nodes: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -628,41 +629,77 @@ def _tarjan(n_nodes: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
 
 
 def _strongly_connected_graphs(
-    starts: np.ndarray, src: np.ndarray, dst: np.ndarray, in_degrees: np.ndarray
+    starts: np.ndarray, table: np.ndarray, in_degrees: np.ndarray
 ) -> np.ndarray:
     """Per graph of a block-diagonal digraph, whether it is strongly connected.
 
-    Graph g owns nodes ``starts[g] .. starts[g + 1] - 1`` of the edges
-    ``src[i] -> dst[i]``; every graph has at least one node, and
-    ``in_degrees`` holds every node's in-degree.  A graph with a node
-    lacking an in-edge or an out-edge fails at once.  The others need
-    forward and reverse reachability from their first node to cover all
-    their nodes, which is equivalent to having a single SCC.  Each walk
-    step marks the head of every edge whose tail is marked, in all live
-    graphs at once; a walk stops when every live graph is covered or no
-    graph gains.  The sampled digraph models have logarithmic diameter, so
-    the walks take few steps.  Single-node graphs count as strongly
-    connected.
+    Graph g owns nodes ``starts[g] .. starts[g + 1] - 1`` of the ``N``
+    nodes; every graph has at least one node.  Column v of the ``(K, N)``
+    in-neighbour table holds v's ``in_degrees[v]`` in-neighbours, and every
+    other entry is the sentinel node N, which is never marked.  A graph
+    with a node lacking an in-edge or an out-edge fails at once.  The
+    others need forward and reverse reachability from their first node to
+    cover all their nodes, which is equivalent to having a single SCC.  A
+    forward step marks every node with a marked in-neighbour, in all live
+    graphs at once, and the walk stops when every live graph is covered or
+    no graph gains.  The reverse walk marks the in-neighbours of the nodes
+    it reached last, so each node's column is read once.  The sampled
+    digraph models have logarithmic diameter, so the walks take few steps.
+    Single-node graphs count as strongly connected.
     """
+    n_nodes = table.shape[1]
     firsts = starts[:-1]
     sizes = np.diff(starts)
-    has_out = np.zeros(in_degrees.shape[0], dtype=bool)
-    has_out[src] = True
-    live = np.logical_and.reduceat(has_out & (in_degrees > 0), firsts)
-    for tails, heads in ((src, dst), (dst, src)):
-        roots = firsts[live]
-        if not roots.size:
+    has_out = np.zeros(n_nodes + 1, dtype=bool)
+    has_out[table] = True
+    live = np.logical_and.reduceat(has_out[:n_nodes] & (in_degrees > 0), firsts)
+    # forward: a node is reached once one of its in-neighbours is
+    seen = np.zeros(n_nodes + 1, dtype=bool)
+    seen[firsts[live]] = True
+    covered, target = int(np.count_nonzero(live)), int(sizes[live].sum())
+    while covered < target:
+        seen[:n_nodes] |= seen[table].any(axis=0)
+        marked = int(np.count_nonzero(seen))
+        if marked == covered:
             break
-        seen = np.zeros(in_degrees.shape[0], dtype=bool)
-        seen[roots] = True
-        covered, target = roots.size, int(sizes[live].sum())
-        while covered < target:
-            seen[heads[seen[tails]]] = True
-            marked = int(np.count_nonzero(seen))
-            if marked == covered:
-                break
-            covered = marked
-        live &= np.logical_and.reduceat(seen, firsts)
+        covered = marked
+    live &= np.logical_and.reduceat(seen[:n_nodes], firsts)
+    # reverse: the in-neighbours of the nodes reached last are reached
+    frontier = firsts[live]
+    seen = np.zeros(n_nodes, dtype=bool)
+    seen[frontier] = True
+    covered, target = frontier.size, int(sizes[live].sum())
+    while covered < target and frontier.size:
+        step = np.zeros(n_nodes + 1, dtype=bool)
+        step[table[:, frontier]] = True
+        frontier = np.flatnonzero(step[:n_nodes] & ~seen)
+        seen[frontier] = True
+        covered += frontier.size
+    live &= np.logical_and.reduceat(seen, firsts)
+    return live | (sizes == 1)
+    target = int(sizes[live].sum())
+    seen = np.zeros(n_nodes + 1, dtype=bool)
+    seen[roots] = True
+    covered = roots.size
+    while covered < target:
+        seen[:n_nodes] |= seen[table].any(axis=0)
+        marked = int(np.count_nonzero(seen))
+        if marked == covered:
+            break
+        covered = marked
+    live &= np.logical_and.reduceat(seen[:n_nodes], firsts)
+    roots = firsts[live]
+    seen[:] = False
+    seen[roots] = True
+    frontier = roots
+    covered, target = roots.size, int(sizes[live].sum())
+    while covered < target and frontier.size:
+        step = np.zeros(n_nodes + 1, dtype=bool)
+        step[table[:, frontier]] = True
+        frontier = np.flatnonzero(step[:n_nodes] & ~seen[:n_nodes])
+        seen[frontier] = True
+        covered += frontier.size
+    live &= np.logical_and.reduceat(seen[:n_nodes], firsts)
     return live | (sizes == 1)
 
 
@@ -696,16 +733,12 @@ def _core_equal_graphs(starts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> 
 def is_strongly_connected(digraph: Digraph) -> bool:
     """Whether every ordered node pair is joined by a directed path.
 
-    The one-graph case of :func:`_strongly_connected_graphs`, run on the
-    flat edge arrays.  A single-node digraph counts as strongly connected
-    and the empty digraph does not.
+    True when :func:`_tarjan` finds one strong component, in O(n + m).  A
+    single-node digraph counts as strongly connected and the empty digraph
+    does not.
     """
     n = digraph.n_nodes
-    if n == 0:
-        return False
-    src, dst = digraph._src, digraph._dst
-    in_degrees = np.bincount(dst, minlength=n)
-    return bool(_strongly_connected_graphs(np.array([0, n]), src, dst, in_degrees)[0])
+    return n > 0 and int(_tarjan(n, digraph._src, digraph._dst).max()) == 0
 
 
 # -- partitioning ------------------------------------------------------------

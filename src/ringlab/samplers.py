@@ -19,8 +19,10 @@ comes from :func:`_digraph_block` and every transaction graph from
 :func:`_graph_block`.  Campaigns pass a block of trials, the public
 samplers a block of one.  Both campaigns, the conjecture grid and the
 adversary game, take their blocks from :func:`_trial_blocks`, about
-``_BLOCK_NODES`` nodes each, and check each block's strong connectivity
-with one call per block.
+``_BLOCK_NODES`` nodes each, and check each block with one call.  A
+digraph block stays the in-neighbour table that the Floyd resolve leaves,
+one column per node, which the grid's strong-connectivity kernel reads as
+it is; only the public digraph samplers flatten it into edges.
 """
 from __future__ import annotations
 
@@ -425,24 +427,6 @@ def sample_transaction_graph(
 # -- random digraph models ----------------------------------------------------
 
 
-def _in_neighbor_edges(n: int, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge arrays ``(src, dst)`` of the in-neighbour subsets in ``chosen``.
-
-    Column c is node c of a block-diagonal union of n-node digraphs: graph
-    b owns nodes ``b*n .. b*n + n - 1``, and the entries of column c are
-    in-neighbours drawn from the other n - 1 nodes of its graph.
-    """
-    valid = chosen >= 0
-    src = chosen[valid]
-    dst = np.broadcast_to(np.arange(chosen.shape[1], dtype=np.int64), chosen.shape)[valid]
-    local = dst % n
-    # skip the node itself, then move into its graph's node range
-    src += src >= local
-    src += dst
-    src -= local
-    return src, dst
-
-
 def _digraph_block(
     n: int,
     gens: Iterable[Generator],
@@ -455,10 +439,11 @@ def _digraph_block(
     digraph's draws do not depend on the block it is in.  Each
     generator's draws finish before the next one is advanced, so the
     generators may be one re-keyed object.  All subsets are then resolved
-    in one lockstep pass.  Returns ``(starts, src, dst, in_degrees)``, the
-    arguments of :func:`~ringlab.graph._strongly_connected_graphs`, with
-    graph b on nodes ``b*n .. b*n + n - 1`` in the layout of
-    :func:`_in_neighbor_edges`.
+    in one lockstep pass.  Returns ``(starts, table, in_degrees)``, the
+    arguments of :func:`~ringlab.graph._strongly_connected_graphs`: graph
+    b owns nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and
+    column v of the ``(K, N)`` table holds v's in-neighbours in its last
+    ``in_degrees[v]`` rows, the sentinel node N in the rows above.
     """
     counts: list[np.ndarray] = []
     draws: list[np.ndarray] = []
@@ -468,9 +453,16 @@ def _digraph_block(
         draws.append(x)
     degrees = np.concatenate(counts)
     x = _stack_draws(draws, n)
-    chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
-    starts = np.arange(0, degrees.shape[0] + 1, n, dtype=np.int64)
-    return (starts, *_in_neighbor_edges(n, chosen), degrees)
+    table = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
+    n_nodes = degrees.shape[0]
+    padding = table < 0
+    # skip the node itself, then move into its graph's node range
+    cols = np.arange(n_nodes, dtype=np.int64)
+    local = cols % n
+    table += table >= local
+    table += cols - local
+    table[padding] = n_nodes
+    return np.arange(0, n_nodes + 1, n, dtype=np.int64), table, degrees
 
 
 def _regular_draw(n: int, k: int) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
@@ -498,6 +490,14 @@ def _binomial_draw(n: int, p: float) -> Callable[[Generator], tuple[np.ndarray, 
     return draw
 
 
+def _table_digraph(table: np.ndarray) -> Digraph:
+    """The digraph of a one-graph :func:`_digraph_block` table, edges in row-major order."""
+    n = table.shape[1]
+    valid = table < n
+    dst = np.broadcast_to(np.arange(n, dtype=np.int64), table.shape)[valid]
+    return Digraph._from_arrays(n, table[valid], dst)
+
+
 def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """Uniform digraph in which every node has exactly k in-neighbors.
 
@@ -506,8 +506,7 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    _, src, dst, _ = _digraph_block(n, [rng.generator], _regular_draw(n, k))
-    return Digraph._from_arrays(n, src, dst)
+    return _table_digraph(_digraph_block(n, [rng.generator], _regular_draw(n, k))[1])
 
 
 def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
@@ -519,5 +518,4 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    _, src, dst, _ = _digraph_block(n, [rng.generator], _binomial_draw(n, p))
-    return Digraph._from_arrays(n, src, dst)
+    return _table_digraph(_digraph_block(n, [rng.generator], _binomial_draw(n, p))[1])

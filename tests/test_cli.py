@@ -772,6 +772,30 @@ def test_out_flag_writes_file(tmp_path):
     assert "deanonymised_rings count=3" in target.read_text()
 
 
+@pytest.mark.parametrize("text, code", [
+    ("2 1\n0 0\n0 7\n", 2),  # ring index out of range: a parse error
+    ("2 2\n0 0\n0 1\n", 3),  # no matching covers both rings
+])
+def test_failed_run_keeps_the_previous_out_file(tmp_path, text, code):
+    target = tmp_path / "prev.txt"
+    target.write_bytes(b"previous output\r\n")
+    path = _write(tmp_path, "bad.txt", text)
+    assert main(["core", path, "--out", str(target)]) == code
+    assert target.read_bytes() == b"previous output\r\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "prev.txt"]
+
+
+def test_out_through_a_symlink_is_written_in_place(tmp_path):
+    # like /dev/stdout, a symlink is not replaced: its target is written
+    target = tmp_path / "real.txt"
+    target.write_text("previous output\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["recommend", "--users", "100", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert "k_closed_form" in target.read_text()
+
+
 def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -29,7 +29,14 @@ from ringlab.graph import (
     upper_graph,
     validate,
 )
-from ringlab.samplers import RandomSource, sample_binomial_digraph, sample_regular_digraph
+from ringlab.samplers import (
+    RandomSource,
+    _binomial_draw,
+    _digraph_block,
+    _regular_draw,
+    sample_binomial_digraph,
+    sample_regular_digraph,
+)
 
 from conftest import (
     make_graph,
@@ -492,13 +499,19 @@ def test_is_strongly_connected_equals_single_scc():
 
 
 @pytest.mark.parametrize("n", [1500, 2048])
-def test_is_strongly_connected_matches_scc_on_sampled_digraphs(n):
+def test_block_kernel_matches_scc_on_sampled_digraphs(n):
+    # the grid kernel reads the sampler's table; Tarjan reads the same
+    # digraph's flat edges
     for k in (1, 2, 8):
         for seed in range(3):
-            regular = sample_regular_digraph(k, n, RandomSource(seed, k))
-            binomial = sample_binomial_digraph(k / (n - 1), n, RandomSource(seed, 100 + k))
-            for d in (regular, binomial):
-                assert is_strongly_connected(d) == _single_scc(d)
+            for draw, stream, sample in (
+                (_regular_draw(n, k), k, lambda rng: sample_regular_digraph(k, n, rng)),
+                (_binomial_draw(n, k / (n - 1)), 100 + k,
+                 lambda rng: sample_binomial_digraph(k / (n - 1), n, rng)),
+            ):
+                block = _digraph_block(n, [RandomSource(seed, stream).generator], draw)
+                verdict = bool(_strongly_connected_graphs(*block)[0])
+                assert verdict == _single_scc(sample(RandomSource(seed, stream)))
 
 
 # -- the block kernel on graphs of mixed sizes ------------------------------------------
@@ -524,12 +537,32 @@ _WALK_ONLY = [
 ]
 
 
-def _ragged_block(graphs):
-    """The kernel's arguments for ``graphs`` side by side, graph g from ``starts[g]``."""
+def _ragged_edges(graphs):
+    """``graphs`` side by side as flat edges, graph g from node ``starts[g]``."""
     starts = np.cumsum([0] + [d.n_nodes for d in graphs])
     src = np.concatenate([d._src + first for d, first in zip(graphs, starts)])
     dst = np.concatenate([d._dst + first for d, first in zip(graphs, starts)])
-    return starts, src, dst, np.bincount(dst, minlength=starts[-1])
+    return starts, src, dst
+
+
+def _ragged_table(graphs):
+    """The grid kernel's arguments for ``graphs`` side by side: starts, table, in-degrees.
+
+    Column v of the table holds v's in-neighbours in its last rows and the
+    sentinel node N (the node count) in the rows above, as the sampler
+    leaves it.
+    """
+    starts, src, dst = _ragged_edges(graphs)
+    n_nodes = int(starts[-1])
+    in_degrees = np.bincount(dst, minlength=n_nodes)
+    k_max = int(in_degrees.max(initial=0))
+    table = np.full((k_max, n_nodes), n_nodes, dtype=np.int64)
+    columns = [[] for _ in range(n_nodes)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        columns[b].append(a)
+    for v, ins in enumerate(columns):
+        table[k_max - len(ins):, v] = ins
+    return starts, table, in_degrees
 
 
 def _passes_degree_exit(d: Digraph) -> bool:
@@ -548,7 +581,7 @@ def test_kernel_verdicts_on_ragged_blocks_equal_each_graph_alone():
         ]
         graphs += [fixed[i] for i in gen.choice(len(fixed), size=3, replace=False)]
         graphs = [graphs[i] for i in gen.permutation(len(graphs))]
-        sc = _strongly_connected_graphs(*_ragged_block(graphs))
+        sc = _strongly_connected_graphs(*_ragged_table(graphs))
         assert sc.shape == (len(graphs),)
         for d, verdict in zip(graphs, sc.tolist()):
             assert verdict == is_strongly_connected(d) == _single_scc(d)
@@ -560,6 +593,51 @@ def test_kernel_verdicts_on_ragged_blocks_equal_each_graph_alone():
     assert any(n > 1 and not ok for n, _, ok in verdicts)
     assert any(not v and ok for n, v, ok in verdicts)
     assert all(not v for n, v, ok in verdicts if n > 1 and not ok)
+
+
+_S = "sentinel"  # the node count N of the table it sits in
+
+
+@pytest.mark.parametrize(
+    "sizes, rows, expected",
+    [
+        # a single node, a 3-cycle plus a chord, a single node, and two
+        # 2-cycles joined by 7 -> 5: nodes 7 and 8 have padding and are not
+        # reached forward from 5, so a marked sentinel would pass them
+        ([1, 3, 1, 4],
+         [[_S, _S, _S, 2, _S, 6, _S, _S, _S],
+          [_S, 3, 1, 1, _S, 7, 5, 8, 7]],
+         [True, True, True, False]),
+        # node 2 has no out-edge; the last node, 5, has no in-edge
+        ([3, 3],
+         [[_S, _S, 0, 4, 3, _S],
+          [1, 0, 1, 5, 5, _S]],
+         [False, False]),
+        # every graph of more than one node fails the degree exit
+        ([2, 1], [[_S, 0, _S]], [False, True]),
+        # no edge at all: a table without rows
+        ([1, 2, 1], [], [True, False, True]),
+    ],
+    ids=["mixed-sizes", "degree-exits", "no-walk", "no-rows"],
+)
+def test_kernel_on_hand_built_tables(sizes, rows, expected):
+    starts = np.cumsum([0] + sizes)
+    n_nodes = int(starts[-1])
+    table = np.array(
+        [[n_nodes if v == _S else v for v in row] for row in rows], dtype=np.int64
+    ).reshape(len(rows), n_nodes)
+    in_degrees = np.count_nonzero(table < n_nodes, axis=0)
+    before = table.copy()
+    assert _strongly_connected_graphs(starts, table, in_degrees).tolist() == expected
+    assert (table == before).all()
+    # the same graphs as flat edges, one at a time
+    src = table[table < n_nodes]
+    dst = np.broadcast_to(np.arange(n_nodes), table.shape)[table < n_nodes]
+    for g, verdict in enumerate(expected):
+        first, stop = starts[g], starts[g + 1]
+        inside = (dst >= first) & (dst < stop)
+        d = Digraph(stop - first, zip((src[inside] - first).tolist(), (dst[inside] - first).tolist()))
+        assert is_strongly_connected(d) == verdict
 
 
 # -- the core-equality label test ---------------------------------------------------
@@ -582,7 +660,7 @@ def test_label_test_on_ragged_blocks_equals_tarjan():
         ]
         graphs += [fixed[i] for i in gen.choice(len(fixed), size=3, replace=False)]
         graphs = [graphs[i] for i in gen.permutation(len(graphs))]
-        starts, src, dst, _ = _ragged_block(graphs)
+        starts, src, dst = _ragged_edges(graphs)
         equal = _core_equal_graphs(starts, src, dst)
         assert equal.shape == (len(graphs),)
         for d, verdict in zip(graphs, equal.tolist()):

@@ -13,11 +13,15 @@ from ringlab.samplers import (
     RandomSource,
     Regular,
     SamplerConfig,
+    _binomial_draw,
+    _digraph_block,
     _floyd_subsets,
     _graph_block,
     _graph_draw,
+    _regular_draw,
     _require_block_covering,
     _StreamFamily,
+    _trial_blocks,
     sample_binomial_digraph,
     sample_regular_digraph,
     sample_ring,
@@ -258,6 +262,35 @@ def test_digraph_param_validation():
 def test_binomial_digraph_extremes():
     assert sample_binomial_digraph(1.0, 5, RandomSource(9)).n_edges == 20
     assert sample_binomial_digraph(0.0, 5, RandomSource(9)).n_edges == 0
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 2), (16, 3), (300, 8), (1100, 4)])
+@pytest.mark.parametrize("model", ["regular", "binomial"])
+def test_digraph_block_table_layout(n, k, model):
+    # every column holds its node's in-neighbours in its last in-degree
+    # rows, distinct, other than the node and inside its own graph; the
+    # sentinel N fills the rows above
+    draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, k / (n - 1))
+    padded = 0
+    for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, 1024 // n) + 1, n):
+        starts, table, in_degrees = _digraph_block(n, gens, draw)
+        k_max, n_nodes = table.shape
+        assert starts.tolist() == list(range(0, n_nodes + 1, n))
+        if model == "regular":
+            assert (in_degrees == k).all() and k_max == k
+        rows = np.arange(k_max)[:, None]
+        is_sentinel = rows < k_max - in_degrees
+        assert ((table == n_nodes) == is_sentinel).all()
+        assert (np.count_nonzero(table < n_nodes, axis=0) == in_degrees).all()
+        nodes = np.arange(n_nodes)
+        first = nodes - nodes % n
+        valid = ~is_sentinel
+        assert (table != nodes)[valid].all()
+        assert ((table >= first) & (table < first + n))[valid].all()
+        ordered = np.sort(table, axis=0)
+        assert not ((ordered[1:] == ordered[:-1]) & (ordered[1:] < n_nodes)).any()
+        padded += int(np.count_nonzero(is_sentinel))
+    assert (padded > 0) == (model == "binomial" and k < n - 1)
 
 
 def _digraph_key(d):
