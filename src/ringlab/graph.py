@@ -677,30 +677,6 @@ def _strongly_connected_graphs(
         covered += frontier.size
     live &= np.logical_and.reduceat(seen, firsts)
     return live | (sizes == 1)
-    target = int(sizes[live].sum())
-    seen = np.zeros(n_nodes + 1, dtype=bool)
-    seen[roots] = True
-    covered = roots.size
-    while covered < target:
-        seen[:n_nodes] |= seen[table].any(axis=0)
-        marked = int(np.count_nonzero(seen))
-        if marked == covered:
-            break
-        covered = marked
-    live &= np.logical_and.reduceat(seen[:n_nodes], firsts)
-    roots = firsts[live]
-    seen[:] = False
-    seen[roots] = True
-    frontier = roots
-    covered, target = roots.size, int(sizes[live].sum())
-    while covered < target and frontier.size:
-        step = np.zeros(n_nodes + 1, dtype=bool)
-        step[table[:, frontier]] = True
-        frontier = np.flatnonzero(step[:n_nodes] & ~seen[:n_nodes])
-        seen[frontier] = True
-        covered += frontier.size
-    live &= np.logical_and.reduceat(seen[:n_nodes], firsts)
-    return live | (sizes == 1)
 
 
 def _core_equal_graphs(starts: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

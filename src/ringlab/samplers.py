@@ -5,24 +5,28 @@ Randomness is organised as counter-based Philox streams keyed by
 are reproducible bit-for-bit regardless of how trials are scheduled
 across workers.
 
-All subset drawing funnels through one Floyd kernel: :func:`_floyd_bound`
-and :func:`_floyd_draw` make the one bounded integer draw and
-:func:`_floyd_resolve` turns it, all rows in lockstep, into a uniform
-without-replacement subset of each row's candidate pool;
-:func:`_floyd_subsets` is the three together, used by :func:`sample_ring`.
-The regular sampler uses constant subset sizes, so a campaign whose
-pools are constant too builds its bound once; the binomial sampler first
-draws per-row binomial sizes and reuses the same kernel.  Sampled objects
-come in blocks that draw one stream at a time and resolve together, each
-object's draws being the ones it would make alone: every random digraph
-comes from :func:`_digraph_block` and every transaction graph from
-:func:`_graph_block`.  Campaigns pass a block of trials, the public
-samplers a block of one.  Both campaigns, the conjecture grid and the
-adversary game, take their blocks from :func:`_trial_blocks`, about
-``_BLOCK_NODES`` nodes each, and check each block with one call.  A
-digraph block stays the in-neighbour table that the Floyd resolve leaves,
-one column per node, which the grid's strong-connectivity kernel reads as
-it is; only the public digraph samplers flatten it into edges.
+All subset drawing funnels through one Floyd kernel: one bounded integer
+draw, which :func:`_floyd_resolve` turns, all rows in lockstep, into a
+uniform without-replacement subset of each row's candidate pool.  Rings
+and transaction graphs make the draw with :func:`_floyd_bound` and
+:func:`_floyd_draw` (:func:`_floyd_subsets` is the three together, used
+by :func:`sample_ring`).  The digraph models, where every pool is n - 1
+and so every row of the draw has one bound, make it with
+:func:`_row_draw`, which reads raw Philox words and gives the same
+integers.  The regular sampler uses constant subset sizes, so a campaign
+whose pools are constant too builds its bounds once; the binomial
+sampler first draws per-row binomial sizes and reuses the same kernel.
+Sampled objects come in blocks that draw one stream at a time and
+resolve together, each object's draws being the ones it would make
+alone: every random digraph comes from :func:`_digraph_block` and every
+transaction graph from :func:`_graph_block`.  Campaigns pass a block of
+trials, the public samplers a block of one.  Both campaigns, the
+conjecture grid and the adversary game, take their blocks from
+:func:`_trial_blocks`, about ``_BLOCK_NODES`` nodes each, and check each
+block with one call.  A digraph block stays the in-neighbour table that
+the Floyd resolve leaves, one column per node, which the grid's
+strong-connectivity kernel reads as it is; only the public digraph
+samplers flatten it into edges.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import BitGenerator, Generator, Philox
 
 from .errors import InvalidConfig, InvalidParams
 from .graph import Digraph, Matching, Partition, TransactionGraph
@@ -151,7 +155,8 @@ def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  A
     campaign whose pools and counts are the same in every trial builds the
-    bound once and passes it to every trial's draw.
+    bound once and passes it to every trial's draw.  The digraph models
+    need no such array: their bounds are one per row (:func:`_row_draw`).
     """
     k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
@@ -161,11 +166,86 @@ def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
     """The one bounded integer draw of Floyd's algorithm, shaped like ``bound``.
 
-    Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).
+    Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).  Rings
+    and transaction graphs draw here, through numpy, because their
+    generators keep drawing afterwards: :func:`_row_draw` drops the half
+    word numpy keeps for the next draw.
     """
     if not bound.shape[0]:
         return np.empty(bound.shape, dtype=np.int64)
     return gen.integers(0, bound, dtype=np.int64)
+
+
+def _row_draw(gen: Generator, tops: np.ndarray, n: int) -> np.ndarray:
+    """``gen.integers(0, tops[:, None], size=(K, n), dtype=np.int64)``, from raw Philox words.
+
+    ``tops`` holds K strictly ascending ``uint64`` bounds in ``[1, 2**32]``,
+    one per row.  numpy draws a value below such a bound r with Lemire's
+    multiply-shift: one 32-bit word w, the low half of a 64-bit Philox
+    word before its high half, gives ``(w * r) >> 32`` unless the low 32
+    bits of ``w * r`` fall below ``(2**32 - r) % r``; then the value is
+    drawn again from the next word.  A bound of 1 takes no word.  Here
+    every product is made at once from one ``random_raw`` block, and a
+    rejected word shifts the rest of the draw by one word
+    (:func:`_redraw_rejected`).  The result equals numpy's when the
+    generator holds no buffered half word, as a fresh or re-keyed one
+    does, and is not used afterwards: numpy would keep the unused high
+    half of an odd last word for its next draw, and this drops it.
+    """
+    out = np.zeros((tops.shape[0], n), dtype="<u8")
+    first = int(tops.shape[0] and tops[0] == 1)  # a bound of 1 draws 0 from no word
+    rows, tops = out[first:], tops[first:]
+    if rows.size:
+        bitgen = gen.bit_generator
+        words = _raw_words(bitgen, (rows.size + 1) // 2)
+        np.multiply(words[:rows.size].reshape(rows.shape), tops[:, None], out=rows)
+        # a rejection needs a low half below (2**32 - r) % r < r <= tops[-1]
+        if rows.view("<u4")[:, ::2].min() < tops[-1]:
+            _redraw_rejected(bitgen, words, rows, tops)
+    out >>= 32
+    return out.view("<i8")
+
+
+def _raw_words(bitgen: BitGenerator, count: int) -> np.ndarray:
+    """``2 * count`` 32-bit words in numpy's order, from ``count`` raw Philox words.
+
+    Stored little-endian, each 64-bit word lists its low half first on any
+    host.
+    """
+    return bitgen.random_raw(count).astype("<u8", copy=False).view("<u4")
+
+
+def _redraw_rejected(
+    bitgen: BitGenerator, words: np.ndarray, rows: np.ndarray, tops: np.ndarray
+) -> None:
+    """Redo the Lemire products of :func:`_row_draw` past each rejected word, in place.
+
+    ``rows[i, j]`` holds the product of row i's bound and the word of
+    element ``i*n + j`` shifted by the words rejected before it.  At the
+    first element still rejected, the shift grows by one and the products
+    from there on are made again; more raw words are drawn when the shift
+    runs past the block.
+    """
+    n = rows.shape[1]
+    size = rows.size
+    low = rows.view("<u4")[:, ::2]
+    thresholds = (np.uint64(1 << 32) - tops) % tops
+    row = shift = 0
+    while True:
+        bad = np.flatnonzero(low[row:].min(axis=1) < thresholds[row:])
+        if not bad.size:
+            return
+        row += int(bad[0])
+        col = int(np.argmax(low[row] < thresholds[row]))
+        shift += 1
+        if size + shift > words.size:
+            words = np.concatenate((words, _raw_words(bitgen, 1)))
+        start = row * n + col + shift
+        stop = (row + 1) * n + shift
+        np.multiply(words[start:stop], tops[row], out=rows[row, col:])
+        np.multiply(
+            words[stop:size + shift].reshape(-1, n), tops[row + 1:, None], out=rows[row + 1:]
+        )
 
 
 def _stack_draws(draws: list[np.ndarray], width: int) -> np.ndarray:
@@ -468,24 +548,31 @@ def _digraph_block(
 def _regular_draw(n: int, k: int) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
     """One k-in-degree regular digraph's draw: its Floyd draw alone.
 
-    Every node has in-degree k from a pool of n - 1, so the Floyd bound is
-    built once, here, for every digraph of a campaign.
+    Every node has in-degree k from a pool of n - 1, so step s of every
+    node draws below ``n - k + s``; those k row bounds are built once,
+    here, for every digraph of a campaign, and :func:`_row_draw` makes the
+    draw.
     """
     degrees = np.full(n, k, dtype=np.int64)
-    bound = _floyd_bound(np.full(n, n - 1, dtype=np.int64), degrees)
-    return lambda gen: (degrees, _floyd_draw(gen, bound))
+    tops = np.arange(n - k, n, dtype=np.uint64)
+    return lambda gen: (degrees, _row_draw(gen, tops, n))
 
 
 def _binomial_draw(n: int, p: float) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
-    """One p-binomial digraph's draws: in-degrees Binomial(n - 1, p), then Floyd."""
-    pools = np.full(n, n - 1, dtype=np.int64)
+    """One p-binomial digraph's draws: in-degrees Binomial(n - 1, p), then Floyd.
+
+    With K the largest in-degree, step s of every node draws below
+    ``n - K + s``: the row bounds are the last K entries of one
+    ``arange(n)``, built once here, and :func:`_row_draw` makes the draw.
+    """
+    tops = np.arange(n, dtype=np.uint64)
 
     def draw(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
         if n == 1:
             degrees = np.zeros(1, dtype=np.int64)
         else:
             degrees = gen.binomial(n - 1, p, size=n).astype(np.int64)
-        return degrees, _floyd_draw(gen, _floyd_bound(pools, degrees))
+        return degrees, _row_draw(gen, tops[n - int(degrees.max()):], n)
 
     return draw
 

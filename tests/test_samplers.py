@@ -1,4 +1,5 @@
 """Sampler distributions, determinism, and the shared subset kernel."""
+import hashlib
 import math
 from collections import Counter
 from itertools import combinations
@@ -15,11 +16,14 @@ from ringlab.samplers import (
     SamplerConfig,
     _binomial_draw,
     _digraph_block,
+    _floyd_bound,
+    _floyd_draw,
     _floyd_subsets,
     _graph_block,
     _graph_draw,
     _regular_draw,
     _require_block_covering,
+    _row_draw,
     _StreamFamily,
     _trial_blocks,
     sample_binomial_digraph,
@@ -291,6 +295,73 @@ def test_digraph_block_table_layout(n, k, model):
         assert not ((ordered[1:] == ordered[:-1]) & (ordered[1:] < n_nodes)).any()
         padded += int(np.count_nonzero(is_sentinel))
     assert (padded > 0) == (model == "binomial" and k < n - 1)
+
+
+def _raw_words_used(gen):
+    """64-bit Philox words the generator has drawn since it was keyed."""
+    state = gen.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+
+
+def _rejections_at_least(gen, draws):
+    # numpy takes one 32-bit word per value plus one per rejected word, two
+    # to a raw word, so the raw words used bound the rejections from below
+    return 2 * _raw_words_used(gen) - draws - 1
+
+
+def test_row_draw_equals_the_numpy_floyd_draw():
+    # same key on both sides: the digraphs' row bounds n - K .. n - 1 (K = 0,
+    # n = 1, K = n - 1 with its leading bound-1 row), then sorted bounds in
+    # [2**31, 2**32], where about one word in four is rejected
+    shapes = np.random.default_rng(23)
+    most_rejected = 0
+    for sid in range(600):
+        n = int(shapes.integers(1, 40))
+        if sid % 3 == 0:
+            tops = np.arange(n - int(shapes.integers(0, n)), n, dtype=np.uint64)
+        elif sid % 3 == 1:
+            tops = np.arange(1, n, dtype=np.uint64)
+        else:
+            picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(0, 6)))
+            tops = np.unique(picks).astype(np.uint64)
+        gen = RandomSource(3, sid).generator
+        x = _row_draw(gen, tops, n)
+        bound = np.broadcast_to(tops.astype(np.int64)[:, None], (tops.size, n))
+        assert x.shape == bound.shape and x.dtype.kind == "i"
+        assert np.array_equal(x, _floyd_draw(RandomSource(3, sid).generator, bound))
+        draws = int(np.count_nonzero(tops > 1)) * n
+        most_rejected = max(most_rejected, _rejections_at_least(gen, draws))
+    assert most_rejected >= 10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 33])
+def test_digraph_draws_equal_the_numpy_floyd_draw(n):
+    # each model's draws against the same draws made through numpy on the
+    # same key; k = 0 draws nothing, k = n - 1 (p = 1) has a bound-1 row
+    pools = np.full(n, n - 1, dtype=np.int64)
+    for k in sorted({0, n // 2, n - 1}):
+        p = k / (n - 1) if n > 1 else 0.5
+        for draw, binomial in ((_regular_draw(n, k), False), (_binomial_draw(n, p), True)):
+            for sid in range(20):
+                degrees, x = draw(RandomSource(4, sid).generator)
+                gen = RandomSource(4, sid).generator
+                if binomial and n > 1:
+                    gen.binomial(n - 1, p, size=n)
+                assert np.array_equal(x, _floyd_draw(gen, _floyd_bound(pools, degrees)))
+
+
+def test_grid_stream_with_a_rejected_word_is_pinned():
+    # stream 31 of seed 0 rejects a word in its (16, 4096) regular draw, so
+    # this pin goes through the redraw path
+    n, k = 4096, 16
+    gen = RandomSource(0, 31).generator
+    degrees, x = _regular_draw(n, k)(gen)
+    assert _rejections_at_least(gen, k * n) >= 1
+    bound = _floyd_bound(np.full(n, n - 1, dtype=np.int64), degrees)
+    assert np.array_equal(x, _floyd_draw(RandomSource(0, 31).generator, bound))
+    assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == (
+        "db939e95fb7bbb136c3a842f5a613d8e420b7df4a09c47f3d784f2545ca24e0d"
+    )
 
 
 def _digraph_key(d):
