@@ -135,15 +135,10 @@ class BlackMarbleConfig:
 def _guess_min_degree_ring(
     view: TransactionGraph, gen: Generator
 ) -> tuple[int, int]:
-    best_j = -1
-    best_size = -1
-    for j in range(view.n_rings):
-        size = len(view.ring_members(j))
-        if size and (best_j < 0 or size < best_size):
-            best_j = j
-            best_size = size
-    if best_j < 0:
+    sizes = np.diff(view._starts)
+    if not sizes.any():
         return (0, 0)  # nothing visible; a fixed blind guess
+    best_j = int(np.where(sizes > 0, sizes, view.n_users + 1).argmin())
     members = view.ring_members(best_j)
     u = members[int(gen.integers(0, len(members)))]
     return (u, best_j)
@@ -225,18 +220,15 @@ def _corrupt_users(
     return part._chunk_flat[np.concatenate(picks)]
 
 
-def _remove_users(graph: TransactionGraph, corrupted: set[int]) -> TransactionGraph:
+def _remove_users(graph: TransactionGraph, corrupted: Iterable[int]) -> TransactionGraph:
     """Drop corrupted users' edges; ring nodes and user indices stay put.
 
     Corrupted users remain as isolated vertices so that indices (and the
     hidden signer assignment) keep their meaning; no implemented adversary
     distinguishes an absent node from an isolated one.
     """
-    members = [
-        [u for u in graph.ring_members(r) if u not in corrupted]
-        for r in range(graph.n_rings)
-    ]
-    return TransactionGraph._from_members(graph.n_users, members)
+    dropped = np.fromiter(corrupted, dtype=np.int64)
+    return graph._subgraph(np.isin(graph._users, dropped, invert=True))
 
 
 class _Campaign:
@@ -301,7 +293,7 @@ class _Campaign:
             for b in range(b_count):
                 graph = _block_graph(n, n, block, b)[0]
                 if self.corrupting:
-                    graph = _remove_users(graph, set(corrupted[b].tolist()))
+                    graph = _remove_users(graph, corrupted[b])
                 try:
                     users[b], rings[b] = adversary_matching_count(graph)
                 except NotATransactionGraph:

@@ -25,7 +25,7 @@ import numpy as np
 from . import conjecture as conj
 from . import entropy as ent
 from .recommend import minimal_decoys_numeric, recommend as make_recommendation
-from .adversary import BlackMarbleConfig, run_campaign
+from .adversary import ADVERSARIES, BlackMarbleConfig, run_campaign
 from .core import BRUTE_FORCE_USER_CAP, core_report
 from .errors import (
     DomainError,
@@ -525,9 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--chunk-size", type=int, required=True)
     p_sim.add_argument("--k", type=int, default=None)
     p_sim.add_argument("--p", type=float, default=None)
-    p_sim.add_argument(
-        "--adversary", choices=("trivial", "core", "matching_count"), default="trivial"
-    )
+    p_sim.add_argument("--adversary", choices=tuple(ADVERSARIES), default="trivial")
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--beta", type=float, default=None)
     p_sim.add_argument("--seed", type=int, default=0)

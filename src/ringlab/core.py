@@ -27,9 +27,8 @@ from .graph import (
     Matching,
     TransactionGraph,
     _covering_matching,
-    _member_columns,
+    _member_lists,
     _occurring_users,
-    _ring_members,
     _ring_signers,
     _tarjan,
 )
@@ -57,11 +56,8 @@ def core(graph: TransactionGraph) -> TransactionGraph:
     (or its subclass :class:`EmptyRing`) when no matching covers every
     ring.
     """
-    users, rings, flags = _covering_core_flags(graph)
-    if flags.all():
-        return graph
-    n, m = graph.n_users, graph.n_rings
-    return TransactionGraph._from_members(n, _ring_members(n, m, users[flags], rings[flags]))
+    flags = _covering_core_flags(graph)[2]
+    return graph if flags.all() else graph._subgraph(flags)
 
 
 def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndarray:
@@ -92,20 +88,10 @@ def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndar
     return comp[users] == comp[signers]
 
 
-def _core_member_flags(graph: TransactionGraph, matching: Matching) -> np.ndarray:
-    """Per edge of ``graph``, ring by ring in member order, whether it is in the core.
-
-    ``matching`` must cover every ring with edges of ``graph``; callers
-    check that once, this does not check it again.
-    """
-    users, rings = _member_columns(graph)
-    return _core_flags(graph.n_users, users, _ring_signers(matching)[rings])
-
-
 def _covering_core_flags(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """User, ring and core flag of every edge, from a covering matching computed here."""
     signers = _ring_signers(_covering_matching(graph))
-    users, rings = _member_columns(graph)
+    users, rings = graph._users, graph._ring_ids()
     return users, rings, _core_flags(graph.n_users, users, signers[rings])
 
 
@@ -162,6 +148,7 @@ def enumerate_maximum_matchings(
         )
     _covering_matching(graph)
     graph, users = _occurring_users(graph)
+    members = _member_lists(graph)
     m = graph.n_rings
     results: list[Matching] = []
     used = [False] * graph.n_users
@@ -171,7 +158,7 @@ def enumerate_maximum_matchings(
         if ring == m:
             results.append(Matching((users[u], r) for r, u in enumerate(chosen)))
             return
-        for u in graph.ring_members(ring):
+        for u in members[ring]:
             if not used[u]:
                 used[u] = True
                 chosen.append(u)

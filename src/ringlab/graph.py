@@ -14,8 +14,11 @@ the Monte Carlo hot path.  The one producer of
 structurally valid but *unvalidated* graphs is the corrupted-user
 reduction in :mod:`ringlab.adversary`, which may leave rings empty.
 
-All types are immutable after construction; every operation returns new
-values.  Indices are 0-based throughout, including file formats.
+A transaction graph is two read-only CSR arrays, which every producer
+writes and every consumer reads directly; only the pure-Python matching
+loops take per-ring lists (:func:`_member_lists`).  All types are
+immutable after construction; every operation returns new values.
+Indices are 0-based throughout, including file formats.
 """
 from __future__ import annotations
 
@@ -104,11 +107,13 @@ class Matching:
 class TransactionGraph:
     """Bipartite graph of ``n_users`` users and ``n_rings`` rings.
 
-    Adjacency is stored as one sorted member tuple per ring; :attr:`edges`
-    builds the flat edge set on each call.
+    Adjacency is held in CSR form: ``_users`` lists the members of every
+    ring, ring by ring and ascending within each ring, and ring r is
+    ``_users[_starts[r]:_starts[r + 1]]``.  Both arrays are int64 and
+    read-only; the accessors build Python values from them on each call.
     """
 
-    __slots__ = ("n_users", "n_rings", "_members")
+    __slots__ = ("n_users", "n_rings", "_users", "_starts")
 
     def __init__(self, n_users: int, n_rings: int, edges: Iterable[tuple[int, int]]):
         n_users = int(n_users)
@@ -121,55 +126,75 @@ class TransactionGraph:
             )
         self.n_users = n_users
         self.n_rings = n_rings
-        self._members = _ring_members(n_users, n_rings, *_edge_columns(edges))
+        self._users, self._starts = _ring_members(n_users, n_rings, *_edge_columns(edges))
+        self._users.flags.writeable = self._starts.flags.writeable = False
 
     @classmethod
-    def _from_members(
-        cls, n_users: int, members: Sequence[Sequence[int]]
-    ) -> "TransactionGraph":
-        """Trusted fast path for sampler output: per-ring sorted member lists."""
+    def _from_csr(cls, n_users: int, users: np.ndarray, starts: np.ndarray) -> "TransactionGraph":
+        """Trusted fast path: int64 CSR arrays, held as read-only views of the caller's."""
         g = cls.__new__(cls)
-        g.n_users = n_users
-        g.n_rings = len(members)
-        g._members = tuple(tuple(ms) for ms in members)
+        g.n_users, g.n_rings = n_users, starts.shape[0] - 1
+        g._users, g._starts = users.view(), starts.view()
+        g._users.flags.writeable = g._starts.flags.writeable = False
         return g
+
+    def _ring_ids(self) -> np.ndarray:
+        """The ring of every edge, aligned with ``_users``."""
+        return np.repeat(np.arange(self.n_rings), np.diff(self._starts))
+
+    def _subgraph(self, keep: np.ndarray) -> "TransactionGraph":
+        """The edges where ``keep`` holds, on the same users and rings."""
+        kept = _offsets(keep)[self._starts]
+        return TransactionGraph._from_csr(self.n_users, self._users[keep], kept)
 
     # -- accessors ---------------------------------------------------------
 
     def ring_members(self, ring: int) -> tuple[int, ...]:
-        return self._members[ring]
+        ring = range(self.n_rings)[ring]  # negative and out-of-range indices as for a tuple
+        return tuple(self._users[self._starts[ring]:self._starts[ring + 1]].tolist())
 
     def has_edge(self, user: int, ring: int) -> bool:
-        return user in self._members[ring]
+        return user in self.ring_members(ring)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, r) for r, ms in enumerate(self._members) for u in ms)
+        return frozenset(zip(self._users.tolist(), self._ring_ids().tolist()))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ms) for ms in self._members)
+        return self._users.shape[0]
 
     def ring_sizes(self) -> tuple[int, ...]:
-        return tuple(len(ms) for ms in self._members)
+        return tuple(np.diff(self._starts).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionGraph):
             return NotImplemented
-        return (
-            self.n_users == other.n_users
-            and self.n_rings == other.n_rings
-            and self._members == other._members
-        )
+        same_rings = self.n_users == other.n_users and np.array_equal(self._starts, other._starts)
+        return same_rings and np.array_equal(self._users, other._users)
 
     def __hash__(self) -> int:
-        return hash((self.n_users, self.n_rings, self._members))
+        return hash((self.n_users, self._starts.tobytes(), self._users.tobytes()))
 
     def __repr__(self) -> str:
         return (
             f"TransactionGraph(n_users={self.n_users}, n_rings={self.n_rings}, "
             f"edges={self.edge_count})"
         )
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR starts of rows holding ``counts[i]`` entries each: 0, then the running sums."""
+    starts = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+def _member_lists(graph: TransactionGraph) -> list[list[int]]:
+    """Each ring's members as a Python list, for the pure-Python matching loops."""
+    users = graph._users.tolist()
+    ends = graph._starts.tolist()
+    return [users[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 _INT64_MAX = 2**63 - 1
@@ -202,8 +227,8 @@ def _edge_error(index: int, exc: Exception) -> Exception:
 
 def _ring_members(
     n_users: int, n_rings: int, users: np.ndarray, rings: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
-    """Sorted member tuple per ring of the edges ``(users[i], rings[i])``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(users, starts)`` of the edges ``(users[i], rings[i])``, members ascending.
 
     Raises for the first bad edge in input order; within one edge a bad
     user index precedes a bad ring index, which precedes a repeat of an
@@ -232,9 +257,7 @@ def _ring_members(
         if not 0 <= u < n_users:
             raise _edge_error(stop, IndexOutOfRange(f"user index {u} outside [0, {n_users})"))
         raise _edge_error(stop, IndexOutOfRange(f"ring index {r} outside [0, {n_rings})"))
-    flat = tuple(sorted_users.tolist())
-    ends = np.cumsum(np.bincount(ok_rings, minlength=n_rings)).tolist()
-    return tuple(flat[a:b] for a, b in zip([0] + ends[:-1], ends))
+    return sorted_users, _offsets(np.bincount(ok_rings, minlength=n_rings))
 
 
 class Digraph:
@@ -396,7 +419,7 @@ def maximum_matching(graph: TransactionGraph) -> Matching:
     randomly relabelled copy of the graph).  It runs on the users that occur.
     """
     graph, users = _occurring_users(graph)
-    members = graph._members
+    members = _member_lists(graph)
     ring_of = [-1] * graph.n_users  # user -> ring
     user_of = [-1] * graph.n_rings  # ring -> user
     for r, ms in enumerate(members):
@@ -471,11 +494,8 @@ def _occurring_users(graph: TransactionGraph) -> tuple[TransactionGraph, Sequenc
     """
     if graph.n_users <= graph.edge_count:
         return graph, range(graph.n_users)
-    members = graph._members
-    users = sorted(set().union(*members))
-    index = {u: i for i, u in enumerate(users)}
-    relabelled = [[index[u] for u in ms] for ms in members]
-    return TransactionGraph._from_members(len(users), relabelled), users
+    users, relabelled = np.unique(graph._users, return_inverse=True)
+    return TransactionGraph._from_csr(users.shape[0], relabelled, graph._starts), users.tolist()
 
 
 def _covering_matching(graph: TransactionGraph) -> Matching:
@@ -487,11 +507,11 @@ def _covering_matching(graph: TransactionGraph) -> Matching:
     ring set).  Raises :class:`NotATransactionGraph` when no matching
     covers every ring.
     """
-    members = graph._members
-    for j, ms in enumerate(members):
-        if not ms:
-            raise EmptyRing(j)
-    touched = len(set().union(*members))
+    sizes = np.diff(graph._starts)
+    if not sizes.all():
+        raise EmptyRing(int(sizes.argmin()))
+    users = np.sort(graph._users)  # np.unique would import numpy.ma
+    touched = int(np.count_nonzero(np.diff(users))) + 1 if users.size else 0
     if touched < graph.n_rings:
         raise NotATransactionGraph(
             f"{graph.n_rings} rings have only {touched} distinct members"
@@ -527,18 +547,10 @@ def _require_covering(graph: TransactionGraph, matching: Matching) -> None:
 
 def upper_graph(graph: TransactionGraph, matching: Matching) -> TransactionGraph:
     """Balanced subgraph on the matched users, relabelled so user j signs ring j."""
-    _require_covering(graph, matching)
     m = graph.n_rings
-    users, rings = _member_columns(graph)
-    nodes = _user_relabel(graph, matching)[users]
+    nodes, rings = _edge_nodes(graph, matching)
     signed = nodes < m
-    return TransactionGraph._from_members(m, _ring_members(m, m, nodes[signed], rings[signed]))
-
-
-def _member_columns(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarray]:
-    """User and ring of every edge, ring by ring in member order."""
-    users = np.fromiter(chain.from_iterable(graph._members), dtype=np.int64, count=graph.edge_count)
-    return users, np.repeat(np.arange(graph.n_rings), graph.ring_sizes())
+    return TransactionGraph._from_csr(m, *_ring_members(m, m, nodes[signed], rings[signed]))
 
 
 def _ring_signers(matching: Matching) -> np.ndarray:
@@ -546,12 +558,16 @@ def _ring_signers(matching: Matching) -> np.ndarray:
     return np.fromiter((u for u, _ in matching.pairs), dtype=np.int64, count=matching.size)
 
 
-def _user_relabel(graph: TransactionGraph, matching: Matching) -> np.ndarray:
-    """Node index per user: ring j's signer becomes node j, the rest follow ascending."""
+def _edge_nodes(graph: TransactionGraph, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+    """Node of each edge's user and the edge's ring, for a covering ``matching``.
+
+    Ring j's signer becomes node j and the other users follow ascending.
+    """
+    _require_covering(graph, matching)
     relabel = np.full(graph.n_users, -1, dtype=np.int64)
     relabel[_ring_signers(matching)] = np.arange(graph.n_rings)
     relabel[relabel < 0] = np.arange(graph.n_rings, graph.n_users)
-    return relabel
+    return relabel[graph._users], graph._ring_ids()
 
 
 def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
@@ -560,9 +576,7 @@ def induced_digraph(graph: TransactionGraph, matching: Matching) -> Digraph:
     Users are relabelled so that ring j's matched user is node j; unmatched
     users take nodes ``n_rings..n_users-1`` in ascending original order.
     """
-    _require_covering(graph, matching)
-    users, rings = _member_columns(graph)
-    nodes = _user_relabel(graph, matching)[users]
+    nodes, rings = _edge_nodes(graph, matching)
     decoys = nodes != rings
     return Digraph._from_arrays(graph.n_users, nodes[decoys], rings[decoys])
 
@@ -731,22 +745,28 @@ def partition_graph(graph: TransactionGraph, partition: Partition) -> list[Graph
         raise ValueError(
             f"partition covers {partition.n_users} users, graph has {graph.n_users}"
         )
-    local_user = partition._pos_in_chunk.tolist()
-    ring_home: list[list[int]] = [[] for _ in range(partition.n_chunks)]
-    for r in range(graph.n_rings):
-        ms = graph.ring_members(r)
-        if not ms:
+    users, starts = graph._users, graph._starts
+    sizes = np.diff(starts)
+    chunk = partition._chunk_of[users]
+    rings = graph._ring_ids()
+    bad = sizes == 0
+    bad[rings[chunk != chunk[starts[rings]]]] = True  # not in its ring's first member's chunk
+    if bad.any():
+        r = int(np.argmax(bad))
+        if not sizes[r]:
             raise EmptyRing(r)
-        cid = partition.chunk_of(ms[0])
-        if any(partition.chunk_of(u) != cid for u in ms[1:]):
-            raise RingCrossesChunks(f"ring {r} spans multiple chunks")
-        ring_home[cid].append(r)
+        raise RingCrossesChunks(f"ring {r} spans multiple chunks")
+    # rings grouped by chunk, ascending within each, and their edges in the same order
+    home = chunk[starts[:-1]]
+    order = np.argsort(home, kind="stable")
+    first_ring = _offsets(np.bincount(home, minlength=partition.n_chunks)).tolist()
+    offsets = _offsets(sizes[order])
+    local = partition._pos_in_chunk[users[np.argsort(chunk, kind="stable")]]
     out: list[GraphChunk] = []
-    for cid, chunk in enumerate(partition.chunks):
-        rings = ring_home[cid]
-        members = [
-            [local_user[u] for u in graph.ring_members(r)] for r in rings
-        ]
-        sub = TransactionGraph._from_members(len(chunk), members)
-        out.append(GraphChunk(graph=sub, users=tuple(chunk), rings=tuple(rings)))
+    for cid, chunk_users in enumerate(partition.chunks):
+        a, b = first_ring[cid], first_ring[cid + 1]
+        sub = TransactionGraph._from_csr(
+            len(chunk_users), local[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a]
+        )
+        out.append(GraphChunk(graph=sub, users=chunk_users, rings=tuple(order[a:b].tolist())))
     return out

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import BitGenerator, Generator, Philox
 
 from .errors import InvalidConfig, InvalidParams
-from .graph import Digraph, Matching, Partition, TransactionGraph
+from .graph import Digraph, Matching, Partition, TransactionGraph, _offsets
 
 __all__ = [
     "RandomSource",
@@ -468,12 +468,9 @@ def _block_graph(
     """Graph b of a :func:`_graph_block` block, with its signer assignment."""
     signers, counts, members = block
     cols = slice(b * m, (b + 1) * m)
-    k_max = members.shape[0] - 1
-    rings = [
-        col[k_max - c:] for col, c in zip(members[:, cols].T.tolist(), counts[cols].tolist())
-    ]
+    rings = members[:, cols].T  # one row per ring: its -1 padding, then its members
     return (
-        TransactionGraph._from_members(n, rings),
+        TransactionGraph._from_csr(n, rings[rings >= 0], _offsets(counts[cols] + 1)),
         Matching(zip(signers[cols].tolist(), range(m))),
     )
 
@@ -589,7 +586,10 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """Uniform digraph in which every node has exactly k in-neighbors.
 
     Independence across nodes makes per-node uniform k-subsets exactly
-    uniform over all k-in-degree regular digraphs.
+    uniform over all k-in-degree regular digraphs.  The draw reads raw
+    Philox words (:func:`_row_draw`), equal to ``Generator.integers`` only
+    on a fresh or re-keyed ``rng``: a half word numpy buffered before the
+    call is left for numpy's next draw, and none is left behind.
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
@@ -602,6 +602,8 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     Sampled in-degree first: each node draws d ~ Binomial(n-1, p) and then
     a uniform d-subset of in-neighbors, which is distribution-identical to
     the edge-wise definition at O(p n^2) expected work instead of Theta(n^2).
+    On a reused ``rng`` the subset draw treats a buffered half word as
+    :func:`sample_regular_digraph` does.
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")

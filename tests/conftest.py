@@ -6,11 +6,13 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from ringlab.core import _core_flags
 from ringlab.graph import (
     Digraph,
     Matching,
     TransactionGraph,
     _require_covering,
+    _ring_signers,
     maximum_matching,
 )
 
@@ -69,6 +71,16 @@ def relabelled_matching(graph: TransactionGraph, gen: np.random.Generator) -> Ma
     user_back = {p: u for u, p in enumerate(user_perm)}
     ring_back = {p: r for r, p in enumerate(ring_perm)}
     return Matching((user_back[u], ring_back[r]) for u, r in maximum_matching(relabelled))
+
+
+def _core_member_flags(graph: TransactionGraph, matching: Matching) -> np.ndarray:
+    """Per edge of ``graph``, ring by ring in member order, whether it is in the core.
+
+    The core's flags taken from a given covering ``matching`` instead of the
+    one the core computes; ``matching`` is not checked.
+    """
+    signers = _ring_signers(matching)[graph._ring_ids()]
+    return _core_flags(graph.n_users, graph._users, signers)
 
 
 def weakly_connected(graph: TransactionGraph) -> bool:

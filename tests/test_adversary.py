@@ -25,7 +25,7 @@ from ringlab.adversary import (
     _corrupt_users,
     _remove_users,
 )
-from ringlab.core import _core_flags, _core_member_flags, core, is_core_equal
+from ringlab.core import _core_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
 from ringlab.graph import Partition, _tarjan, induced_digraph
 from ringlab.samplers import (
@@ -43,7 +43,7 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import make_graph
+from conftest import _core_member_flags, make_graph
 
 
 def _three_sigma(p, n):

@@ -823,3 +823,19 @@ def test_import_pulls_in_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_core_run_imports_no_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on the first np.unique call, which raises the
+    # memory of a ``core`` run; comparing the modules before and after the
+    # call keeps the test valid where numpy imports numpy.ma at start-up
+    path = _write(tmp_path, "edges.txt", "4 3\n0 0\n1 0\n1 1\n2 1\n0 2\n2 2\n3 2\n")
+    out = str(tmp_path / "core.csv")
+    code = (
+        "import sys, ringlab.cli; before = set(sys.modules); "
+        f"status = ringlab.cli.main(['core', {path!r}, '--format', 'csv', '--out', {out!r}]); "
+        "print(status, 'numpy.ma' in set(sys.modules) - before)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"

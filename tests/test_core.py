@@ -7,7 +7,6 @@ import pytest
 
 from ringlab.core import (
     CoreReport,
-    _core_member_flags,
     core,
     core_bruteforce_oracle,
     core_report,
@@ -28,6 +27,7 @@ from ringlab.graph import (
 )
 
 from conftest import (
+    _core_member_flags,
     make_graph,
     permanent,
     random_connected_balanced_graph,

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ringlab.core import _core_member_flags
+from ringlab.adversary import _remove_users
+from ringlab.core import core
 from ringlab.errors import (
     EmptyRing,
     IndexOutOfRange,
@@ -20,6 +21,7 @@ from ringlab.graph import (
     Partition,
     TransactionGraph,
     _core_equal_graphs,
+    _occurring_users,
     _strongly_connected_graphs,
     _tarjan,
     induced_digraph,
@@ -30,15 +32,19 @@ from ringlab.graph import (
     validate,
 )
 from ringlab.samplers import (
+    Binomial,
     RandomSource,
+    SamplerConfig,
     _binomial_draw,
     _digraph_block,
     _regular_draw,
     sample_binomial_digraph,
     sample_regular_digraph,
+    sample_transaction_graph,
 )
 
 from conftest import (
+    _core_member_flags,
     make_graph,
     random_valid_graph,
     reach_matrix,
@@ -705,7 +711,8 @@ _CYCLE_64 = [sorted({j, (j + 1) % 64}) for j in range(64)]
     ids=["two-cycles", "bridged", "isolated", "single", "cycle64", "path64"],
 )
 def test_label_test_hand_built_cases(rings, core_equal, sc):
-    graph = TransactionGraph._from_members(len(rings), rings)
+    n = len(rings)
+    graph = make_graph(n, n, [(u, r) for r, ms in enumerate(rings) for u in ms])
     assert _label_verdict(graph) == _flags_verdict(graph) == core_equal
     assert is_strongly_connected(_decoy_digraph(graph)) == sc
 
@@ -767,6 +774,15 @@ def test_partition_graph_rejects_crossing_ring():
         partition_graph(g, Partition([[0, 1], [2, 3]]))
 
 
+def test_partition_graph_reports_the_first_bad_ring():
+    # ring 0 crosses chunks before ring 1 is empty, and the other way round
+    with pytest.raises(RingCrossesChunks, match="ring 0 "):
+        partition_graph(make_graph(4, 2, [(0, 0), (2, 0)]), Partition([[0, 1], [2, 3]]))
+    with pytest.raises(EmptyRing) as caught:
+        partition_graph(make_graph(4, 2, [(0, 1), (2, 1)]), Partition([[0, 1], [2, 3]]))
+    assert caught.value.ring_index == 0
+
+
 def _random_partitioned_graph(gen, n_chunks=2, chunk_max=4):
     sizes = [int(gen.integers(1, chunk_max + 1)) for _ in range(n_chunks)]
     offset = 0
@@ -803,3 +819,67 @@ def test_partition_graph_edges_partition_and_matchings_concatenate():
         glued = Matching(matching_pairs)
         assert glued.size == g.n_rings
         assert all(g.has_edge(u, r) for u, r in glued)
+
+
+# -- the CSR form ----------------------------------------------------------------------
+
+# rings listed out of member order; in the partition below rings 0 and 2
+# lie in chunk (0, 2, 4) and rings 1 and 3 in chunk (1, 3, 5)
+_INTERLEAVED = [(4, 0), (0, 0), (5, 1), (1, 1), (4, 2), (2, 2), (3, 3), (5, 3)]
+
+
+def _unmatched_users_graph():
+    g = make_graph(6, 3, [(5, 0), (1, 0), (4, 1), (0, 1), (3, 2), (2, 2), (5, 2)])
+    return g, maximum_matching(g)
+
+
+_CSR_PRODUCERS = {
+    "constructor": lambda: [make_graph(6, 4, _INTERLEAVED)],
+    "constructor-array": lambda: [make_graph(6, 4, np.array(_INTERLEAVED))],
+    "constructor-empty": lambda: [make_graph(0, 0, []), make_graph(3, 2, [])],
+    "core": lambda: [core(make_graph(3, 3, [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)]))],
+    "upper_graph": lambda: [upper_graph(*_unmatched_users_graph())],
+    "partition_graph": lambda: [
+        chunk.graph
+        for chunk in partition_graph(
+            make_graph(6, 4, _INTERLEAVED), Partition([[0, 2, 4], [1, 3, 5]])
+        )
+    ],
+    "sample_transaction_graph": lambda: [
+        sample_transaction_graph(
+            SamplerConfig(Partition([[0, 3, 5, 6], [1, 2, 4]]), Binomial(0.6)), 7, m,
+            RandomSource(5, m),
+        )[0]
+        for m in (0, 4, 7)
+    ],
+    "remove_users": lambda: [_remove_users(make_graph(6, 4, _INTERLEAVED), {0, 5})],
+    "occurring_users": lambda: [  # a header wider than the edges: users relabelled
+        _occurring_users(make_graph(2**40, 3, [(2**39, 0), (7, 0), (3, 1), (2**40 - 1, 2)]))[0]
+    ],
+}
+
+
+@pytest.mark.parametrize("producer", sorted(_CSR_PRODUCERS))
+def test_every_producer_keeps_the_csr_invariant(producer):
+    for g in _CSR_PRODUCERS[producer]():
+        users, starts = g._users, g._starts
+        assert users.dtype == starts.dtype == np.int64
+        assert not users.flags.writeable and not starts.flags.writeable
+        assert starts.shape == (g.n_rings + 1,)
+        assert starts[0] == 0 and starts[-1] == g.edge_count == users.shape[0]
+        sizes = np.diff(starts)
+        assert (sizes >= 0).all()
+        same_ring = np.repeat(np.arange(g.n_rings), sizes)
+        same_ring = same_ring[1:] == same_ring[:-1]
+        assert (users[1:][same_ring] > users[:-1][same_ring]).all()  # ascending in each ring
+        rebuilt = TransactionGraph(g.n_users, g.n_rings, g.edges)
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+
+
+def test_from_csr_leaves_the_callers_arrays_writable():
+    users = np.array([0, 1, 1], dtype=np.int64)
+    starts = np.array([0, 2, 3], dtype=np.int64)
+    g = TransactionGraph._from_csr(2, users, starts)
+    assert users.flags.writeable and starts.flags.writeable
+    assert not g._users.flags.writeable and not g._starts.flags.writeable
+    assert g == make_graph(2, 2, [(0, 0), (1, 0), (1, 1)])
