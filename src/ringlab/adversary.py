@@ -19,11 +19,11 @@ stream ``base + t``, in this order: the corruption permutations, the
 signer permutation, the binomial decoy counts, the Floyd draw, and last
 the adversary's one guess draw.  The block engine makes each trial's
 draws up to the Floyd draw in turn and keeps a snapshot of the generator
-state after them.  One Floyd resolve then gives the whole block as
-arrays: ring j of trial b is column ``b*n + j`` of a sorted
-``(k_max + 1, B*n)`` member array.  The guess draw is made last, from the
-trial's restored snapshot, so every count and guess equals that of
-running the trials one by one.
+state after them.  One Floyd resolve then gives the whole block as one
+graph, the disjoint union of its trials' graphs: user u and ring j of
+trial b are union user ``b*n + u`` and union ring ``b*n + j``.  The guess
+draw is made last, from the trial's restored snapshot, so every count and
+guess equals that of running the trials one by one.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
 signs, so the graph is balanced, and an edge of it leaves the core
@@ -53,7 +53,7 @@ from numpy.random import Generator
 
 from .core import _core_flags, core, enumerate_maximum_matchings
 from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
-from .graph import Partition, TransactionGraph, _core_equal_graphs
+from .graph import Partition, TransactionGraph, _core_equal_graphs, _offsets
 from .samplers import (
     RandomSource,
     SamplerConfig,
@@ -232,7 +232,11 @@ def _remove_users(graph: TransactionGraph, corrupted: Iterable[int]) -> Transact
 
 
 class _Campaign:
-    """The campaign engine for one (config, adversary, marble): runs blocks of trials."""
+    """The campaign engine for one (config, adversary, marble): runs blocks of trials.
+
+    A block is one :func:`~ringlab.samplers._graph_block` union; each
+    trial's view keeps members of its graph by one flag per union edge.
+    """
 
     def __init__(
         self, config: SamplerConfig, adversary: str, marble: BlackMarbleConfig | None
@@ -266,80 +270,58 @@ class _Campaign:
             states.append(gen.bit_generator.state)
             gen_of.append(gen)
         b_count = len(draws)
-        block = _graph_block(config, n, draws)
-        signers, _, members = block
-        valid = members >= 0
-        core_equal = _block_core_equal(n, signers, members)
+        union, signed = _graph_block(config, n, draws)
+        users, starts = union._users, union._starts
+        decoys = users != signed
+        core_equal = _core_equal_graphs(
+            np.arange(0, union.n_users + 1, n), users[decoys], signed[decoys]
+        )
 
-        keep = valid.copy()  # the members the adversary's guess ranges over
+        keep = None  # per edge, whether the guess may name that member; None: every member
         if self.marble is not None:
-            is_corrupted = np.zeros(b_count * n, dtype=bool)
+            is_corrupted = np.zeros(union.n_users, dtype=bool)
             is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
-            trial = np.arange(b_count * n) // n  # the trial of each ring column
-            keep &= ~is_corrupted[members + trial * n]
+            keep = ~is_corrupted[users]
         if self.adversary == "core" and not self.corrupting and not core_equal.all():
             # the passive core adversary guesses on the core: one flag per member
-            keep[valid] = _core_flags(b_count * n, *_block_members(n, signers, members))
+            keep = _core_flags(union.n_users, users, signed)
+        # each ring's first kept member, numbered among the kept members
+        kept = starts if keep is None else _offsets(keep)[starts]
 
         # the smallest nonempty view ring, lowest index on ties; with every
         # ring empty, ring 0 and user 0: a fixed blind guess
-        sizes = keep.sum(axis=0).reshape(b_count, n)
+        sizes = np.diff(kept).reshape(b_count, n)
         rings = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
         trials = np.arange(b_count)
         lengths = sizes[trials, rings]
-        users = np.zeros(b_count, dtype=np.int64)
+        guesses = np.zeros(b_count, dtype=np.int64)
         counted = np.zeros(b_count, dtype=bool)
         if self.adversary == "matching_count":
             for b in range(b_count):
-                graph = _block_graph(n, n, block, b)[0]
+                graph = _block_graph(n, n, union, b)
                 if self.corrupting:
                     graph = _remove_users(graph, corrupted[b])
                 try:
-                    users[b], rings[b] = adversary_matching_count(graph)
+                    guesses[b], rings[b] = adversary_matching_count(graph)
                 except NotATransactionGraph:
                     continue
                 counted[b] = True
-        guessing = ~counted & (lengths > 0)
-        picks = np.zeros(b_count, dtype=np.int64)
-        for b in np.flatnonzero(guessing).tolist():
+        guessing = np.flatnonzero(~counted & (lengths > 0))
+        picks = np.zeros(guessing.shape[0], dtype=np.int64)
+        for i, b in enumerate(guessing.tolist()):
             gen = gen_of[b]
             gen.bit_generator.state = states[b]
-            picks[b] = gen.integers(0, int(lengths[b]))
-        # the picks-th member of the guessed ring's view, in ascending order
-        cols = trials * n + rings
-        kept = keep[:, cols]
-        row = ((np.cumsum(kept, axis=0) == picks + 1) & kept).argmax(axis=0)
-        users = np.where(guessing, members[row, cols], users)
-        success = signers[cols] == users
+            picks[i] = gen.integers(0, int(lengths[b]))
+        # the picks-th kept member of the guessed ring, in ascending order
+        at = kept[guessing * n + rings[guessing]] + picks
+        if keep is not None:
+            at = np.flatnonzero(keep)[at]
+        guesses[guessing] = users[at] - guessing * n
+        success = signed[starts[trials * n + rings]] - trials * n == guesses
         if self.marble is not None:
             corrupted_rows = is_corrupted.reshape(b_count, n)
             success &= self.marble._admissible_rows(config.partition, corrupted_rows)
-        return users, rings, success, core_equal
-
-
-def _block_members(
-    n: int, signers: np.ndarray, members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Node and signer node of each member of a :func:`~ringlab.samplers._graph_block` block.
-
-    User u of n-user graph t is node ``t*n + u``; members come in row-major order.
-    """
-    offset = np.arange(signers.shape[0]) // n * n
-    valid = members >= 0
-    return (offset + members)[valid], np.broadcast_to(offset + signers, members.shape)[valid]
-
-
-def _block_core_equal(n: int, signers: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Core equality of each n-user graph of a :func:`~ringlab.samplers._graph_block` block.
-
-    The decoy-to-signer edges of :func:`_block_members` form one digraph
-    over the block, and :func:`_core_equal_graphs` decides every graph in
-    one call.
-    """
-    users, signed = _block_members(n, signers, members)
-    decoys = users != signed
-    starts = np.arange(0, signers.shape[0] + 1, n)
-    return _core_equal_graphs(starts, users[decoys], signed[decoys])
+        return guesses, rings, success, core_equal
 
 
 def _resolve_adversary(adversary: str):
@@ -413,7 +395,7 @@ def run_campaign(
 
     Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
     run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
-    block is sampled as arrays, its core equality is decided exactly by
+    block is sampled as one union graph, its core equality is decided exactly by
     one label-propagation call per block, and each guess draw is made from
     its trial's generator state snapshot, so the counts equal those of
     trials run one by one.  Wins and core-equal trials are counted block

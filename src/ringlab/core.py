@@ -70,14 +70,10 @@ def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndar
     plus, when some user signs nothing, the virtual node ``n_users``
     after every user and before each user that signs nothing.  Any cycle
     through the virtual node lies in its component, so the other
-    components are those of the decoy-to-signer digraph.  A header that
-    names more users than there are edges is cut down to the users that
-    occur, so the work is bounded by the edges.
+    components are those of the decoy-to-signer digraph.  The work is
+    sized by ``n_users``: callers with a header wider than the edges cut
+    it down first (:func:`_covering_core_flags`).
     """
-    if n_users > users.size:
-        occurring, users = np.unique(users, return_inverse=True)
-        signers = np.searchsorted(occurring, signers)
-        n_users = occurring.size
     decoys = users != signers
     tails, heads = users[decoys], signers[decoys]
     unsigned = np.flatnonzero(np.bincount(signers, minlength=n_users) == 0)
@@ -89,10 +85,16 @@ def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndar
 
 
 def _covering_core_flags(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """User, ring and core flag of every edge, from a covering matching computed here."""
-    signers = _ring_signers(_covering_matching(graph))
-    users, rings = graph._users, graph._ring_ids()
-    return users, rings, _core_flags(graph.n_users, users, signers[rings])
+    """User, ring and core flag of every edge, from a covering matching computed here.
+
+    The matching and the flags run on the users that occur
+    (:func:`_occurring_users`), whose edges are ``graph``'s in the same
+    order, so the flags are ``graph``'s.
+    """
+    cut = _occurring_users(graph)[0]
+    signers = _ring_signers(cut, _covering_matching(cut))
+    rings = graph._ring_ids()
+    return graph._users, rings, _core_flags(cut.n_users, cut._users, signers[rings])
 
 
 def is_core_equal(graph: TransactionGraph) -> bool:

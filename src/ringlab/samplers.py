@@ -19,8 +19,9 @@ sampler first draws per-row binomial sizes and reuses the same kernel.
 Sampled objects come in blocks that draw one stream at a time and
 resolve together, each object's draws being the ones it would make
 alone: every random digraph comes from :func:`_digraph_block` and every
-transaction graph from :func:`_graph_block`.  Campaigns pass a block of
-trials, the public samplers a block of one.  Both campaigns, the
+transaction graph from :func:`_graph_block`, whose block is one
+``TransactionGraph``, the disjoint union of its graphs.  Campaigns pass a
+block of trials, the public samplers a block of one.  Both campaigns, the
 conjecture grid and the adversary game, take their blocks from
 :func:`_trial_blocks`, about ``_BLOCK_NODES`` nodes each, and check each
 block with one call.  A digraph block stays the in-neighbour table that
@@ -38,7 +39,7 @@ import numpy as np
 from numpy.random import BitGenerator, Generator, Philox
 
 from .errors import InvalidConfig, InvalidParams
-from .graph import Digraph, Matching, Partition, TransactionGraph, _offsets
+from .graph import Digraph, Matching, Partition, TransactionGraph, _offsets, _require_covering
 
 __all__ = [
     "RandomSource",
@@ -420,67 +421,50 @@ def _graph_block(
     config: SamplerConfig,
     m: int,
     draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block of m-signer graphs, one per draw of :func:`_graph_draw`.
+) -> tuple[TransactionGraph, np.ndarray]:
+    """A block of m-signer graphs, one per draw of :func:`_graph_draw`, as one graph.
 
-    Returns ``(signers, counts, members)``.  Ring j of graph b is column
-    ``i = b*m + j``: its signer is ``signers[i]`` and it has ``counts[i]``
-    decoys.  ``members`` is ``(k_max + 1, B*m)``; each column is sorted with
-    its -1 padding first, so the ring is ``members[k_max - counts[i]:, i]``.
-    All subsets are resolved in one lockstep pass, and every graph's
-    signer assignment is checked by :func:`_require_block_covering`.
+    Returns ``(union, signed)``.  ``union`` is the disjoint union of the
+    block's graphs: user u of graph b is union user ``b*n + u`` (n users
+    per graph) and ring j of graph b is union ring ``b*m + j``.
+    ``signed[e]`` is the union signer of edge e's ring.  All subsets are
+    resolved in one lockstep pass, and the signers are checked by
+    :func:`_require_covering` on the union.
     """
+    n = config.n_users
     signers = np.concatenate([d[0] for d in draws])
     counts = np.concatenate([d[1] for d in draws])
     x = _stack_draws([d[2] for d in draws], m)
     chosen = _floyd_resolve(x, _pool_sizes(config.partition, signers), counts)
-    decoys = _decoy_users(config.partition, signers, chosen)
-    members = np.sort(np.vstack((decoys, signers)), axis=0)
-    _require_block_covering(config.n_users, m, signers, members)
-    return signers, counts, members
+    k_max = x.shape[0]
+    rings = np.empty((signers.shape[0], k_max + 1), dtype=np.int64)  # one row per ring
+    rings[:, :k_max] = _decoy_users(config.partition, signers, chosen).T
+    rings[:, k_max] = signers
+    rings.sort(axis=1)  # the -1 padding first, then the members ascending
+    sizes = counts + 1
+    offset = np.repeat(np.arange(0, len(draws) * n, n), m)  # each ring's graph's first user
+    valid = rings >= 0
+    rings += offset[:, None]  # union user ids
+    users = rings[valid]
+    signers += offset
+    union = TransactionGraph._from_csr(len(draws) * n, users, _offsets(sizes))
+    _require_covering(union, signers)
+    return union, np.repeat(signers, sizes)
 
 
-def _require_block_covering(
-    n: int, m: int, signers: np.ndarray, members: np.ndarray
-) -> None:
-    """Raise unless in every graph the signers are distinct and each ring holds its signer.
-
-    The array form, over a block of :func:`_graph_block`, of what
-    ``Matching`` and :func:`_require_covering` check for one graph.
-    """
-    if not signers.shape[0]:
-        return
-    graph = np.arange(signers.shape[0]) // m
-    if (np.bincount(graph * n + signers) > 1).any():
-        raise ValueError("matching reuses a user")
-    missing = np.flatnonzero(~(members == signers).any(axis=0))
-    if missing.size:
-        i = int(missing[0])
-        raise ValueError(f"matching pair ({int(signers[i])}, {i % m}) is not an edge")
-
-
-def _block_graph(
-    n: int,
-    m: int,
-    block: tuple[np.ndarray, np.ndarray, np.ndarray],
-    b: int,
-) -> tuple[TransactionGraph, Matching]:
-    """Graph b of a :func:`_graph_block` block, with its signer assignment."""
-    signers, counts, members = block
-    cols = slice(b * m, (b + 1) * m)
-    rings = members[:, cols].T  # one row per ring: its -1 padding, then its members
-    return (
-        TransactionGraph._from_csr(n, rings[rings >= 0], _offsets(counts[cols] + 1)),
-        Matching(zip(signers[cols].tolist(), range(m))),
-    )
+def _block_graph(n: int, m: int, union: TransactionGraph, b: int) -> TransactionGraph:
+    """Graph b of a :func:`_graph_block` union of n-user, m-ring graphs."""
+    starts = union._starts[b * m:(b + 1) * m + 1]
+    users = union._users[starts[0]:starts[-1]] - b * n
+    return TransactionGraph._from_csr(n, users, starts - starts[0])
 
 
 def _sample_graph(
     config: SamplerConfig, m: int, gen: Generator
 ) -> tuple[TransactionGraph, Matching]:
-    """One m-signer graph: a block of one."""
-    block = _graph_block(config, m, [_graph_draw(config, m)(gen)])
-    return _block_graph(config.n_users, m, block, 0)
+    """One m-signer graph, with its signer assignment: a block of one, its own union."""
+    graph, signed = _graph_block(config, m, [_graph_draw(config, m)(gen)])
+    return graph, Matching(zip(signed[graph._starts[:-1]].tolist(), range(m)))
 
 
 def sample_transaction_graph(

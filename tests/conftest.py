@@ -50,7 +50,7 @@ def random_valid_graph(
             if (u, r) not in edges and gen.random() < extra_edge_prob:
                 edges.add((u, r))
     graph = TransactionGraph(n, m, edges)
-    _require_covering(graph, Matching((int(signers[j]), j) for j in range(m)))
+    _require_covering(graph, signers)
     return graph
 
 
@@ -77,9 +77,9 @@ def _core_member_flags(graph: TransactionGraph, matching: Matching) -> np.ndarra
     """Per edge of ``graph``, ring by ring in member order, whether it is in the core.
 
     The core's flags taken from a given covering ``matching`` instead of the
-    one the core computes; ``matching`` is not checked.
+    one the core computes; only ``matching``'s rings are checked.
     """
-    signers = _ring_signers(matching)[graph._ring_ids()]
+    signers = _ring_signers(graph, matching)[graph._ring_ids()]
     return _core_flags(graph.n_users, graph._users, signers)
 
 

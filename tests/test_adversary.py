@@ -12,8 +12,6 @@ from ringlab.adversary import (
     ADVERSARIES,
     BlackMarbleConfig,
     _Campaign,
-    _block_core_equal,
-    _block_members,
     adversary_core,
     adversary_matching_count,
     adversary_trivial,
@@ -27,7 +25,7 @@ from ringlab.adversary import (
 )
 from ringlab.core import _core_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
-from ringlab.graph import Partition, _tarjan, induced_digraph
+from ringlab.graph import Partition, _core_equal_graphs, _tarjan, induced_digraph
 from ringlab.samplers import (
     Binomial,
     RandomSource,
@@ -304,21 +302,30 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
         n = config.n_users
         draw = _graph_draw(config, n)
         for sid in range(4):  # blocks of 50 graphs
-            draws = [draw(gen) for gen in _trial_streams(RandomSource(24, 100 * i + sid), 50)]
-            block = _graph_block(config, n, draws)
-            signers, _, members = block
-            verdicts = _block_core_equal(n, signers, members).tolist()
+            base = 100 * i + sid
+            draws = [draw(gen) for gen in _trial_streams(RandomSource(24, base), 50)]
+            union, signed = _graph_block(config, n, draws)
+            users, starts = union._users, union._starts
+            assert union.n_users == union.n_rings == len(draws) * n
+            decoys = users != signed
+            graph_starts = np.arange(0, union.n_users + 1, n)
+            verdicts = _core_equal_graphs(graph_starts, users[decoys], signed[decoys]).tolist()
             assert len(verdicts) == len(draws)
-            valid = members >= 0
-            block_flags = np.zeros(members.shape, dtype=bool)
-            block_flags[valid] = _core_flags(len(draws) * n, *_block_members(n, signers, members))
+            block_flags = _core_flags(union.n_users, users, signed)
             for b, verdict in enumerate(verdicts):
-                graph, matching = _block_graph(n, n, block, b)
+                graph = _block_graph(n, n, union, b)
+                # graph b is the graph its stream gives alone, its signers those of the union
+                alone, matching = sample_transaction_graph(
+                    config, n, n, RandomSource(24, base + b)
+                )
+                assert graph == alone
+                edges = slice(starts[b * n], starts[(b + 1) * n])
+                ring_signers = signed[starts[b * n:(b + 1) * n]] - b * n
+                assert ring_signers.tolist() == [u for u, _ in matching]
                 flags = _core_member_flags(graph, matching)
                 assert verdict == flags.all()
-                # the block's flags of trial b's members, ring by ring
-                cols = slice(b * n, (b + 1) * n)
-                assert np.array_equal(block_flags[:, cols].T[valid[:, cols].T], flags)
+                # the union's flags of trial b's edges, ring by ring
+                assert np.array_equal(block_flags[edges], flags)
                 # components never cross chunks: one per chunk iff every chunk is SC
                 d = induced_digraph(graph, matching)
                 comps = set(_tarjan(d.n_nodes, d._src, d._dst).tolist())

@@ -34,10 +34,14 @@ from ringlab.graph import (
 from ringlab.samplers import (
     Binomial,
     RandomSource,
+    Regular,
     SamplerConfig,
     _binomial_draw,
     _digraph_block,
+    _graph_block,
+    _graph_draw,
     _regular_draw,
+    _trial_streams,
     sample_binomial_digraph,
     sample_regular_digraph,
     sample_transaction_graph,
@@ -175,6 +179,11 @@ def test_supplied_matching_must_cover_and_be_edges():
             use(Matching([(0, 0)]))
         with pytest.raises(ValueError, match=r"pair \(1, 0\) is not an edge"):
             use(Matching([(1, 0), (0, 1)]))
+        for ring in (-1, 5):  # no ring of the graph: -1 must not wrap to the last ring
+            with pytest.raises(ValueError, match=rf"pair \(1, {ring}\) is not an edge"):
+                use(Matching([(0, 0), (1, ring)]))
+        with pytest.raises(ValueError, match=rf"pair \({2**70}, 1\) is not an edge"):
+            use(Matching([(0, 0), (2**70, 1)]))
 
 
 def test_matching_rejects_reuse():
@@ -833,6 +842,22 @@ def _unmatched_users_graph():
     return g, maximum_matching(g)
 
 
+# graph blocks of three graphs: unequal chunks, and binomial decoys whose
+# graphs draw different largest decoy counts
+_UNION_CASES = [
+    (SamplerConfig(Partition([[0, 3, 5, 6], [1, 2, 4]]), Regular(1)), 4, 0),
+    (SamplerConfig(Partition([[0, 3, 5, 6], [1, 2, 4]]), Regular(1)), 7, 1),
+    (SamplerConfig(Partition.single(7), Binomial(0.4)), 7, 2),
+]
+
+
+def _sampled_union(config, m, seed):
+    draws = [_graph_draw(config, m)(gen) for gen in _trial_streams(RandomSource(seed), 3)]
+    if isinstance(config.kind, Binomial):
+        assert len({d[2].shape[0] for d in draws}) > 1  # the graphs differ in k_max
+    return _graph_block(config, m, draws)[0]
+
+
 _CSR_PRODUCERS = {
     "constructor": lambda: [make_graph(6, 4, _INTERLEAVED)],
     "constructor-array": lambda: [make_graph(6, 4, np.array(_INTERLEAVED))],
@@ -852,6 +877,7 @@ _CSR_PRODUCERS = {
         )[0]
         for m in (0, 4, 7)
     ],
+    "graph_block": lambda: [_sampled_union(*case) for case in _UNION_CASES],
     "remove_users": lambda: [_remove_users(make_graph(6, 4, _INTERLEAVED), {0, 5})],
     "occurring_users": lambda: [  # a header wider than the edges: users relabelled
         _occurring_users(make_graph(2**40, 3, [(2**39, 0), (7, 0), (3, 1), (2**40 - 1, 2)]))[0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ringlab.errors import InvalidConfig, InvalidParams
-from ringlab.graph import Partition, _require_covering, validate
+from ringlab.graph import Partition, _require_covering, _ring_signers, validate
 from ringlab.samplers import (
     Binomial,
     RandomSource,
@@ -22,7 +22,6 @@ from ringlab.samplers import (
     _graph_block,
     _graph_draw,
     _regular_draw,
-    _require_block_covering,
     _row_draw,
     _StreamFamily,
     _trial_blocks,
@@ -200,27 +199,38 @@ def test_sample_transaction_graph_validates_and_matching_is_true_assignment(part
     for sid in range(25):  # m runs over 0..12 twice, both ends included
         g, m = sample_transaction_graph(cfg, 12, int(sid % 13), RandomSource(4, sid))
         validate(g)
-        _require_covering(g, m)
+        _require_covering(g, _ring_signers(g, m))
         signers = [u for u, _ in m.pairs]
         assert len(set(signers)) == len(signers)
 
 
 def test_block_covering_check_raises_on_a_corrupted_signer_row():
-    # three graphs of singleton rings (k = 0): ring j is {signers[j]} alone
-    cfg = SamplerConfig(Partition.equal_chunks(6, 3), Regular(0))
-    draw = _graph_draw(cfg, 6)
+    # blocks of three graphs over chunks of 3: k = 0 gives singleton rings,
+    # k = 2 rings that are their signers' whole chunks (union users 3c..3c+2)
     fam = _StreamFamily(3)
-    block = _graph_block(cfg, 6, [draw(fam.generator(t)) for t in range(3)])
-    signers, _, members = block
-    _require_block_covering(6, 6, signers, members)
+    blocks = {}
+    for k in (0, 2):
+        cfg = SamplerConfig(Partition.equal_chunks(6, 3), Regular(k))
+        draw = _graph_draw(cfg, 6)
+        union, signed = _graph_block(cfg, 6, [draw(fam.generator(t)) for t in range(3)])
+        signers = signed[union._starts[:-1]]
+        _require_covering(union, signers)
+        blocks[k] = union, signers
+    union, signers = blocks[0]
     swapped = signers.copy()
     swapped[[7, 8]] = signers[[8, 7]]  # graph 1 keeps distinct signers, rings 1 and 2 lose theirs
-    with pytest.raises(ValueError, match=rf"matching pair \({swapped[7]}, 1\) is not an edge"):
-        _require_block_covering(6, 6, swapped, members)
+    with pytest.raises(ValueError, match=rf"matching pair \({swapped[7]}, 7\) is not an edge"):
+        _require_covering(union, swapped)
     reused = signers.copy()
-    reused[13] = reused[12]  # graph 2 names one user twice
+    reused[13] = reused[12]  # graph 2 names one user twice, and ring 13 lacks it
+    with pytest.raises(ValueError, match=rf"matching pair \({reused[13]}, 13\) is not an edge"):
+        _require_covering(union, reused)
+    union, signers = blocks[2]
+    reused = signers.copy()
+    j = 13 + int(np.flatnonzero(signers[13:18] // 3 == signers[12] // 3)[0])
+    reused[j] = reused[12]  # graph 2 names one user twice, and both rings hold it
     with pytest.raises(ValueError, match="reuses a user"):
-        _require_block_covering(6, 6, reused, members)
+        _require_covering(union, reused)
 
 
 def test_sample_transaction_graph_bicliques_when_chunks_are_ring_sized():

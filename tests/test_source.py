@@ -30,3 +30,35 @@ def test_no_statement_follows_a_jump():
         for line in _unreachable(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _unused_private_definitions(trees):
+    """Names of ``_name`` functions and classes that no other node of ``trees`` names.
+
+    A name counts as used where it is read (``_f``) or taken as an attribute
+    (``cls._f``); an import (``from .m import _f``) or a docstring does not count.
+    """
+    defined, used = [], set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append(node.name)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(set(defined) - used)
+
+
+def test_unused_private_definitions_count_reads_and_attributes_only():
+    code = (
+        "from m import _b\nclass _A:\n    def _m(self):\n        '''not _b'''\n"
+        "def _b():\n    return _A()._m()\n"
+    )
+    assert _unused_private_definitions([ast.parse(code)]) == ["_b"]
+
+
+def test_every_private_definition_is_used_in_src():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    assert _unused_private_definitions(trees) == []
