@@ -40,7 +40,8 @@ maximum matching yields the same core (pinned by
 ``test_core_invariant_under_matching_strategy``).  In the corrupted-user
 game the view has no core: every user signs (m = n), so once any user is
 corrupted the view's rings touch fewer than m users and no matching
-covers them.  The core adversary then falls back to the trivial guess.
+covers them.  The core and matching-count adversaries then fall back to
+the trivial guess, so campaigns analyse only uncorrupted views.
 """
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ from typing import Iterable
 import numpy as np
 from numpy.random import Generator
 
-from .core import _core_flags, core, enumerate_maximum_matchings
-from .errors import InvalidBeta, InvalidConfig, NotATransactionGraph
+from .core import BRUTE_FORCE_USER_CAP, _core_flags, core, enumerate_maximum_matchings
+from .errors import InstanceTooLarge, InvalidBeta, InvalidConfig, NotATransactionGraph
 from .graph import Partition, TransactionGraph, _core_equal_graphs, _offsets
 from .samplers import (
     RandomSource,
@@ -220,34 +221,30 @@ def _corrupt_users(
     return part._chunk_flat[np.concatenate(picks)]
 
 
-def _remove_users(graph: TransactionGraph, corrupted: Iterable[int]) -> TransactionGraph:
-    """Drop corrupted users' edges; ring nodes and user indices stay put.
-
-    Corrupted users remain as isolated vertices so that indices (and the
-    hidden signer assignment) keep their meaning; no implemented adversary
-    distinguishes an absent node from an isolated one.
-    """
-    dropped = np.fromiter(corrupted, dtype=np.int64)
-    return graph._subgraph(np.isin(graph._users, dropped, invert=True))
-
-
 class _Campaign:
     """The campaign engine for one (config, adversary, marble): runs blocks of trials.
 
     A block is one :func:`~ringlab.samplers._graph_block` union; each
     trial's view keeps members of its graph by one flag per union edge.
+    The core and matching-count adversaries analyse only uncorrupted
+    views: once a user is corrupted no matching covers the view's rings,
+    and both guess as the trivial adversary does.
     """
 
     def __init__(
         self, config: SamplerConfig, adversary: str, marble: BlackMarbleConfig | None
     ):
         _resolve_adversary(adversary)
+        if adversary == "matching_count" and config.n_users > BRUTE_FORCE_USER_CAP:
+            raise InstanceTooLarge(
+                f"{config.n_users} users exceeds the brute-force cap of {BRUTE_FORCE_USER_CAP}"
+            )
         self.config = config
-        self.adversary = adversary
         self.marble = marble
-        self.corrupting = marble is not None and any(
+        corrupting = marble is not None and any(
             marble.corrupted_count(size) for size in config.partition.chunk_sizes()
         )
+        self.analysis = None if corrupting else adversary  # None: every guess is trivial
         self.draw = _graph_draw(config, config.n_users)
 
     def run(
@@ -282,7 +279,7 @@ class _Campaign:
             is_corrupted = np.zeros(union.n_users, dtype=bool)
             is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
             keep = ~is_corrupted[users]
-        if self.adversary == "core" and not self.corrupting and not core_equal.all():
+        if self.analysis == "core" and not core_equal.all():
             # the passive core adversary guesses on the core: one flag per member
             keep = _core_flags(union.n_users, users, signed)
         # each ring's first kept member, numbered among the kept members
@@ -295,18 +292,12 @@ class _Campaign:
         trials = np.arange(b_count)
         lengths = sizes[trials, rings]
         guesses = np.zeros(b_count, dtype=np.int64)
-        counted = np.zeros(b_count, dtype=bool)
-        if self.adversary == "matching_count":
+        if self.analysis == "matching_count":  # sampled graphs always have a covering matching
             for b in range(b_count):
-                graph = _block_graph(n, n, union, b)
-                if self.corrupting:
-                    graph = _remove_users(graph, corrupted[b])
-                try:
-                    guesses[b], rings[b] = adversary_matching_count(graph)
-                except NotATransactionGraph:
-                    continue
-                counted[b] = True
-        guessing = np.flatnonzero(~counted & (lengths > 0))
+                guesses[b], rings[b] = adversary_matching_count(_block_graph(n, n, union, b))
+            guessing = np.empty(0, dtype=np.int64)
+        else:
+            guessing = np.flatnonzero(lengths > 0)
         picks = np.zeros(guessing.shape[0], dtype=np.int64)
         for i, b in enumerate(guessing.tolist()):
             gen = gen_of[b]

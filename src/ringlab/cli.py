@@ -59,8 +59,11 @@ class _ParseError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-class _OutputError(Exception):
-    """An output file that cannot be opened; raised before any work is done."""
+class _UsageError(Exception):
+    """A bad flag or an output file that cannot be opened, found before any work.
+
+    :func:`main` prints it to stderr and exits 2.
+    """
 
 
 def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
@@ -70,7 +73,7 @@ def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
     when ``write`` returns 0, so a failed run leaves an existing file as it
     was.  An existing ``path`` that is not a regular file (a device such as
     ``/dev/stdout``, a pipe, a symlink) is written in place.  Raises
-    :class:`_OutputError` before ``write`` runs when the output cannot be
+    :class:`_UsageError` before ``write`` runs when the output cannot be
     opened.
     """
     in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
@@ -79,7 +82,7 @@ def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
     try:
         fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
     code = None
     try:
         with fh:
@@ -294,29 +297,49 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
 # -- simulate --------------------------------------------------------------------
 
 
+def _sampler_kind(
+    args: argparse.Namespace, k_low: int, size_checks: list[tuple[bool, str]]
+) -> tuple[Regular | Binomial, str]:
+    """The sampler that ``--k`` or ``--p`` names, and its text in the output header.
+
+    Raises :class:`_UsageError` with the message of the first failed check,
+    in this order: exactly one of ``--k``/``--p`` is given; each
+    ``(failed, message)`` pair of ``size_checks``; ``k_low <= --k <
+    --chunk-size`` or ``0 <= --p <= 1``.
+    """
+    checks = [
+        ((args.k is None) == (args.p is None), "exactly one of --k / --p is required"),
+        *size_checks,
+        (
+            args.k is not None and not k_low <= args.k < args.chunk_size,
+            f"need {k_low} <= --k < --chunk-size",
+        ),
+        (args.p is not None and not 0.0 <= args.p <= 1.0, "need 0 <= --p <= 1"),
+    ]
+    for failed, message in checks:
+        if failed:
+            raise _UsageError(message)
+    if args.k is not None:
+        return Regular(args.k), f"sampler=regular k={args.k}"
+    return Binomial(args.p), f"sampler=binomial p={format_number(args.p)}"
+
+
 def _cmd_simulate(args: argparse.Namespace, out) -> int:
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if (args.k is None) == (args.p is None):
-        print("exactly one of --k / --p is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.users < 1 or args.chunk_size < 1 or args.users % args.chunk_size != 0:
-        print("--chunk-size must divide --users", file=sys.stderr)
-        return EXIT_USAGE
-    if args.users * args.chunk_size > INSTANCE_CAP:
-        print(
-            f"--users x --chunk-size = {args.users * args.chunk_size} ring memberships "
+    memberships = args.users * args.chunk_size
+    kind, kind_txt = _sampler_kind(args, 0, [
+        (
+            args.users < 1 or args.chunk_size < 1 or args.users % args.chunk_size != 0,
+            "--chunk-size must divide --users",
+        ),
+        (
+            memberships > INSTANCE_CAP,
+            f"--users x --chunk-size = {memberships} ring memberships "
             f"exceeds the instance cap of {INSTANCE_CAP}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.k is not None and not 0 <= args.k < args.chunk_size:
-        print("need 0 <= --k < --chunk-size", file=sys.stderr)
-        return EXIT_USAGE
-    if args.p is not None and not 0.0 <= args.p <= 1.0:
-        print("need 0 <= --p <= 1", file=sys.stderr)
-        return EXIT_USAGE
+        ),
+    ])
     if args.adversary == "matching_count" and args.users > BRUTE_FORCE_USER_CAP:
         print(
             f"matching_count is exhaustive; --users must be <= {BRUTE_FORCE_USER_CAP}",
@@ -328,9 +351,7 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         print("need 0 <= --beta < 1", file=sys.stderr)
         return EXIT_USAGE
     marble = BlackMarbleConfig(beta) if beta > 0.0 else None
-    partition = Partition.equal_chunks(args.users, args.chunk_size)
-    kind = Regular(args.k) if args.k is not None else Binomial(args.p)
-    config = SamplerConfig(partition, kind)
+    config = SamplerConfig(Partition.equal_chunks(args.users, args.chunk_size), kind)
     result = run_campaign(
         config,
         args.users,
@@ -338,11 +359,6 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         args.trials,
         RandomSource(args.seed),
         marble=marble,
-    )
-    kind_txt = (
-        f"sampler=regular k={args.k}"
-        if args.k is not None
-        else f"sampler=binomial p={format_number(args.p)}"
     )
     out.write(f"# seed {args.seed}\n")
     out.write(
@@ -430,26 +446,14 @@ def _parse_weights_file(path: str, expected: int) -> ent.SignerDistribution:
 
 
 def _cmd_entropy(args: argparse.Namespace, out) -> int:
-    if (args.k is None) == (args.p is None):
-        print("exactly one of --k / --p is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.chunk_size < 1:
-        print("--chunk-size must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.chunk_size > INSTANCE_CAP:
-        print(
+    kind, kind_txt = _sampler_kind(args, 1, [
+        (args.chunk_size < 1, "--chunk-size must be >= 1"),
+        (
+            args.chunk_size > INSTANCE_CAP,
             f"--chunk-size {args.chunk_size} exceeds the instance cap of {INSTANCE_CAP}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.k is not None and not 1 <= args.k < args.chunk_size:
-        print("need 1 <= --k < --chunk-size", file=sys.stderr)
-        return EXIT_USAGE
-    if args.p is not None and not 0.0 <= args.p <= 1.0:
-        print("need 0 <= --p <= 1", file=sys.stderr)
-        return EXIT_USAGE
+        ),
+    ])
     partition = Partition.single(args.chunk_size)
-    kind = Regular(args.k) if args.k is not None else Binomial(args.p)
     config = SamplerConfig(partition, kind)
     if args.weights is not None:
         try:
@@ -465,11 +469,6 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
         dist = ent.SignerDistribution.uniform(args.chunk_size)
         weights_txt = "uniform"
     deviation = ent.DistributionDeviation.from_distribution(partition, dist)
-    kind_txt = (
-        f"sampler=regular k={args.k}"
-        if args.k is not None
-        else f"sampler=binomial p={format_number(args.p)}"
-    )
     out.write(f"# seed {args.seed}\n")
     out.write(f"entropy chunk_size={args.chunk_size} {kind_txt} weights={weights_txt}\n")
     if args.k is not None:
@@ -484,11 +483,7 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
         else:
             out.write("alpha_bound_nats unavailable (p*chunk_size <= 1)\n")
     if args.exact:
-        try:
-            alpha = ent.anonymity_exact(config, dist)
-        except RinglabError as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_USAGE
+        alpha = ent.anonymity_exact(config, dist)
         out.write(f"alpha_exact_nats {format_number(alpha)}\n")
     return EXIT_OK
 
@@ -573,7 +568,7 @@ def main(argv: list[str] | None = None) -> int:
         if out_path:
             return _write_output(out_path, lambda fh: handler(args, fh))
         return handler(args, sys.stdout)
-    except (_OutputError, RinglabError) as exc:
+    except (_UsageError, RinglabError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

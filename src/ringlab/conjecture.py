@@ -98,13 +98,13 @@ def estimate_not_sc_binomial(
 def binomial_bound(k: float, n: int) -> float:
     """Conjectured upper bound 1 - exp(-2 exp(ln n - p n)) at p = k/(n-1).
 
-    Real-valued k is accepted.  Computed with expm1 so values near 0 keep
-    full relative precision.
+    Real-valued k is accepted.  It is :func:`graham_pike_limit` at
+    c = p n - ln n, whose expm1 keeps full relative precision near 0.
     """
     if n < 2:
         raise InvalidParams(f"need n >= 2, got n={n}")
     p = k / (n - 1)
-    return -math.expm1(-2.0 * math.exp(math.log(n) - p * n))
+    return graham_pike_limit(p * n - math.log(n))
 
 
 def graham_pike_limit(c: float) -> float:

@@ -5,8 +5,18 @@ conditional min-entropy of the signer given the published ring,
 
     alpha = -ln sum_r max_s ( Pr[ring = r | signer = s] * p(s) ),
 
-reported in nats.  At desk scale alpha is computed exactly by
-enumerating rings chunk by chunk (chunks are independent); for either
+reported in nats.  The ring reveals its chunk, so the sum runs chunk by
+chunk.  A ring's largest weight is that of its highest-ranked member, so
+grouping a chunk's rings by that member collapses the sum: with the
+chunk's c weights sorted ascending as w_(0) <= ... <= w_(c-1), the chunk
+contributes
+
+    regular (k decoys):   sum_i w_(i) * C(i, k) / C(c-1, k),
+    binomial (p):         sum_i w_(i) * (1-p)^(c-1-i),
+
+where the coefficient of w_(i) sums Pr[r | s], the same for every member
+s of r, over the rings r whose top member is the i-th.  alpha is
+therefore exact at any chunk size, in O(c log c).  For either
 sampler an analytic lower bound ln k - ln(eps_P + 1) is available, where
 eps_P aggregates how far the signer distribution deviates from
 chunk-wise uniformity.
@@ -15,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import HypothesisViolated, InstanceTooLarge, InvalidParams
+import numpy as np
+
+from .errors import HypothesisViolated, InvalidParams
 from .graph import Partition
 from .samplers import Binomial, Regular, SamplerConfig
 
@@ -28,14 +39,7 @@ __all__ = [
     "anonymity_exact",
     "anonymity_bound_regular",
     "anonymity_bound_binomial",
-    "REGULAR_EXACT_CAP",
-    "BINOMIAL_EXACT_CAP",
 ]
-
-# Exact enumeration caps: Regular enumerates C(|C|, k+1) rings per chunk,
-# Binomial enumerates all 2^|C| subsets.
-REGULAR_EXACT_CAP = 20
-BINOMIAL_EXACT_CAP = 16
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -107,62 +111,42 @@ class DistributionDeviation:
         return cls.from_distribution(partition, SignerDistribution.uniform(n))
 
 
-def _chunk_term_regular(chunk: Sequence[int], weights, k: int) -> float:
-    denom = math.comb(len(chunk) - 1, k)
-    total = 0.0
-    for ring in combinations(chunk, k + 1):
-        total += max(weights[u] for u in ring)
-    return total / denom
+def _rank_coefficients(size: int, kind: Regular | Binomial) -> np.ndarray:
+    """Coefficient of the i-th smallest weight of a chunk of ``size`` users.
 
-
-def _chunk_term_binomial(chunk: Sequence[int], weights, p: float) -> float:
-    size = len(chunk)
-    n_masks = 1 << size
-    # max weight over every subset, by peeling the lowest member bit
-    max_w = [0.0] * n_masks
-    for mask in range(1, n_masks):
-        low = mask & -mask
-        max_w[mask] = max(max_w[mask ^ low], weights[chunk[low.bit_length() - 1]])
-    pow_in = [1.0] * size
-    pow_out = [1.0] * (size + 1)
-    for i in range(1, size):
-        pow_in[i] = pow_in[i - 1] * p
-    for i in range(1, size + 1):
-        pow_out[i] = pow_out[i - 1] * (1.0 - p)
-    total = 0.0
-    for mask in range(1, n_masks):
-        members = mask.bit_count()
-        total += pow_in[members - 1] * pow_out[size - members] * max_w[mask]
-    return total
+    It sums Pr[r | s] over the rings r whose highest-ranked member is the
+    i-th: C(i, k)/C(size-1, k) for the regular sampler, built down from 1
+    at i = size-1 by the factors (j-k)/j so that no big integer arises,
+    and (1-p)^(size-1-i) for the binomial one.
+    """
+    if isinstance(kind, Binomial):
+        return (1.0 - kind.p) ** np.arange(size - 1, -1, -1)
+    k = kind.k
+    j = np.arange(size - 1, k, -1)
+    coefficients = np.zeros(size)
+    coefficients[k:] = np.cumprod(np.concatenate(([1.0], (j - k) / j)))[::-1]
+    return coefficients
 
 
 def anonymity_exact(config: SamplerConfig, dist: SignerDistribution) -> float:
     """Exact conditional min-entropy of the signer given its ring, in nats.
 
-    Enumerates every ring a chunk can emit; feasible for chunks up to
-    ``REGULAR_EXACT_CAP`` (Regular) or ``BINOMIAL_EXACT_CAP`` (Binomial)
-    members.
+    Each chunk's weights are sorted once and weighted by
+    :func:`_rank_coefficients`; the terms of every chunk are summed by
+    ``math.fsum``.
     """
     if dist.n_users != config.n_users:
         raise InvalidParams(
             f"distribution covers {dist.n_users} users, config {config.n_users}"
         )
-    kind = config.kind
-    total = 0.0
-    for chunk in config.partition.chunks:
-        if isinstance(kind, Regular):
-            if len(chunk) > REGULAR_EXACT_CAP:
-                raise InstanceTooLarge(
-                    f"chunk of {len(chunk)} exceeds exact cap {REGULAR_EXACT_CAP}"
-                )
-            total += _chunk_term_regular(chunk, dist.weights, kind.k)
-        else:
-            if len(chunk) > BINOMIAL_EXACT_CAP:
-                raise InstanceTooLarge(
-                    f"chunk of {len(chunk)} exceeds exact cap {BINOMIAL_EXACT_CAP}"
-                )
-            total += _chunk_term_binomial(chunk, dist.weights, kind.p)
-    return -math.log(total)
+    part = config.partition
+    weights = np.asarray(dist.weights)[part._chunk_flat]
+    starts = part._chunk_start.tolist()
+    terms = [
+        np.sort(weights[a:b]) * _rank_coefficients(b - a, config.kind)
+        for a, b in zip(starts, starts[1:])
+    ]
+    return -math.log(math.fsum(np.concatenate(terms).tolist()))
 
 
 def anonymity_bound_regular(k: int, deviation: DistributionDeviation) -> float:

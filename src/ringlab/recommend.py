@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .conjecture import graham_pike_limit
 from .errors import DomainError, InvalidBeta, NoFeasibleK
 
 __all__ = [
@@ -35,7 +36,7 @@ def core_mismatch_bound(n_chunks: int, chunk_size: float, k: float) -> float:
         raise DomainError("need n_chunks >= 1 and chunk_size > 0")
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
-    per_chunk = -math.expm1(-2.0 * math.exp(math.log(chunk_size) - k))
+    per_chunk = graham_pike_limit(k - math.log(chunk_size))
     try:
         value = n_chunks * per_chunk
     except OverflowError:  # n_chunks beyond float range: the product in log space

@@ -21,6 +21,17 @@ def make_graph(n_users, n_rings, edges):
     return TransactionGraph(n_users, n_rings, edges)
 
 
+def remove_users(graph: TransactionGraph, corrupted) -> TransactionGraph:
+    """Drop corrupted users' edges; ring nodes and user indices stay put.
+
+    The corrupted-user view as the per-trial reference builds it: corrupted
+    users remain as isolated vertices, so indices (and the hidden signer
+    assignment) keep their meaning.
+    """
+    dropped = np.fromiter(corrupted, dtype=np.int64)
+    return graph._subgraph(np.isin(graph._users, dropped, invert=True))
+
+
 @pytest.fixture
 def toy_graph():
     """Three users, three rings; ring 2 contains everyone, rings 0/1 only

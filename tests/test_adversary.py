@@ -21,7 +21,6 @@ from ringlab.adversary import (
     _adv_core,
     _adv_trivial,
     _corrupt_users,
-    _remove_users,
 )
 from ringlab.core import _core_flags, core, is_core_equal
 from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
@@ -41,7 +40,7 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import _core_member_flags, make_graph
+from conftest import _core_member_flags, make_graph, remove_users
 
 
 def _three_sigma(p, n):
@@ -117,6 +116,15 @@ def test_matching_count_cap():
     g = make_graph(11, 1, [(0, 0)])
     with pytest.raises(InstanceTooLarge):
         adversary_matching_count(g)
+
+
+@pytest.mark.parametrize("beta", [None, 0.5])
+def test_matching_count_campaign_cap_holds_with_and_without_corruption(beta):
+    # a corrupted view is never analysed, yet the campaign keeps the cap
+    cfg = SamplerConfig(Partition.equal_chunks(12, 4), Regular(2))
+    marble = BlackMarbleConfig(beta) if beta else None
+    with pytest.raises(InstanceTooLarge, match="^12 users exceeds the brute-force cap of 10$"):
+        run_campaign(cfg, 12, "matching_count", 5, RandomSource(0), marble=marble)
 
 
 def test_paired_core_beats_trivial_on_core_mismatched_instances():
@@ -355,7 +363,7 @@ def _reference_trial(config, adversary, gen, marble):
     graph, matching = _sample_graph(config, config.n_users, gen)
     flags = _core_member_flags(graph, matching)
     if corrupted:  # the reduced view has no core
-        guess = ADVERSARIES[adversary](_remove_users(graph, corrupted), gen, None)
+        guess = ADVERSARIES[adversary](remove_users(graph, corrupted), gen, None)
     else:
         guess = ADVERSARIES[adversary](graph, gen, core(graph))
     success = guess in matching
@@ -485,7 +493,7 @@ def test_black_marble_beta_zero_is_noop():
 def test_black_marble_reduction_removes_only_corrupted_edges():
     cfg = SamplerConfig(Partition.equal_chunks(8, 4), Regular(3))
     g, _ = sample_transaction_graph(cfg, 8, 8, RandomSource(15))
-    reduced = _remove_users(g, {0, 5})
+    reduced = remove_users(g, {0, 5})
     assert reduced.n_users == g.n_users and reduced.n_rings == g.n_rings
     assert reduced.edges == {(u, r) for u, r in g.edges if u not in (0, 5)}
 

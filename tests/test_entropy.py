@@ -1,24 +1,23 @@
-"""Exact anonymity entropy against closed forms and the analytic bounds."""
+"""Exact anonymity entropy against closed forms, a ring enumeration and the analytic bounds."""
 import math
+import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from ringlab.cli import main
 from ringlab.entropy import (
-    BINOMIAL_EXACT_CAP,
-    REGULAR_EXACT_CAP,
     DistributionDeviation,
     SignerDistribution,
     anonymity_bound_binomial,
     anonymity_bound_regular,
     anonymity_exact,
 )
-from ringlab.errors import (
-    HypothesisViolated,
-    InstanceTooLarge,
-    InvalidParams,
-)
+from ringlab.errors import HypothesisViolated, InvalidParams
 from ringlab.graph import Partition
 from ringlab.samplers import Binomial, Regular, SamplerConfig
+from ringlab.stats import format_number
 
 
 def _uniform_cfg(size, kind):
@@ -76,13 +75,75 @@ def test_exact_invariant_under_chunk_relabelling():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_exact_caps():
-    cfg, dist = _uniform_cfg(REGULAR_EXACT_CAP + 1, Regular(2))
-    with pytest.raises(InstanceTooLarge):
-        anonymity_exact(cfg, dist)
-    cfg, dist = _uniform_cfg(BINOMIAL_EXACT_CAP + 1, Binomial(0.5))
-    with pytest.raises(InstanceTooLarge):
-        anonymity_exact(cfg, dist)
+def test_exact_above_the_old_enumeration_caps(capsys):
+    # ring enumeration once stopped at chunks of 20 (regular) and 16 (binomial)
+    for n, k in [(21, 2), (64, 5)]:
+        cfg, dist = _uniform_cfg(n, Regular(k))
+        assert anonymity_exact(cfg, dist) == pytest.approx(math.log(k + 1), abs=1e-12)
+    for n, p in [(17, 0.5), (4096, 0.01)]:
+        cfg, dist = _uniform_cfg(n, Binomial(p))
+        expected = -math.log((1 - (1 - p) ** n) / (p * n))
+        assert anonymity_exact(cfg, dist) == pytest.approx(expected, rel=1e-10)
+    assert main(["entropy", "--chunk-size", "64", "--k", "5", "--exact"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == f"alpha_exact_nats {format_number(math.log(6))}"
+
+
+def _enumerated_alpha(partition, weights, kind):
+    """-ln sum_r max_s Pr[r | s] p(s), summed in exact fractions over every ring of every chunk.
+
+    The oracle follows the definition: a ring of a chunk of c users is any
+    subset holding its signer; the regular sampler emits each (k+1)-subset
+    with probability 1/C(c-1, k) given any member, the binomial one each
+    subset of size s with probability p^(s-1) (1-p)^(c-s).
+    """
+    total = Fraction(0)
+    for chunk in partition.chunks:
+        c = len(chunk)
+        for size in range(1, c + 1):
+            if isinstance(kind, Regular):
+                if size != kind.k + 1:
+                    continue
+                pr = Fraction(1, math.comb(c - 1, kind.k))
+            else:
+                p = Fraction(kind.p)
+                pr = p ** (size - 1) * (1 - p) ** (c - size)
+            for ring in combinations(chunk, size):
+                total += pr * max(Fraction(weights[u]) for u in ring)
+    return -math.log(total)
+
+
+def _oracle_instances():
+    """Partitions of up to 10 users, one chunk or several, each with random weights.
+
+    Weights are small random integers, normalised, so ties and zeros occur.
+    """
+    gen = random.Random(21)
+    partitions = [Partition.single(size) for size in range(1, 11)]
+    for n in (4, 7, 10, 10):
+        users = list(range(n))
+        gen.shuffle(users)
+        cuts = sorted(gen.sample(range(1, n), gen.randint(1, 3)))
+        partitions.append(Partition(users[a:b] for a, b in zip([0, *cuts], [*cuts, n])))
+    for partition in partitions:
+        raw = [gen.randint(0, 5) for _ in range(partition.n_users)]
+        raw[gen.randrange(len(raw))] += 1
+        yield partition, SignerDistribution([w / sum(raw) for w in raw])
+
+
+@pytest.mark.parametrize("family", ["regular", "binomial"])
+def test_exact_equals_the_ring_enumeration_oracle(family):
+    p_random = random.Random(5).random()
+    for partition, dist in _oracle_instances():
+        if family == "regular":
+            kinds = [Regular(k) for k in range(min(partition.chunk_sizes()))]
+        else:
+            kinds = [Binomial(p) for p in (0.0, 0.3, 0.5, 1.0, p_random)]
+        for kind in kinds:
+            alpha = anonymity_exact(SamplerConfig(partition, kind), dist)
+            expected = _enumerated_alpha(partition, dist.weights, kind)
+            assert alpha == pytest.approx(expected, rel=1e-13, abs=1e-15), (partition, kind)
 
 
 # -- distributions ---------------------------------------------------------------------

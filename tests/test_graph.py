@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ringlab.adversary import _remove_users
 from ringlab.core import core
 from ringlab.errors import (
     EmptyRing,
@@ -52,6 +51,7 @@ from conftest import (
     make_graph,
     random_valid_graph,
     reach_matrix,
+    remove_users,
     relabelled_matching,
     sc_bruteforce,
 )
@@ -878,7 +878,7 @@ _CSR_PRODUCERS = {
         for m in (0, 4, 7)
     ],
     "graph_block": lambda: [_sampled_union(*case) for case in _UNION_CASES],
-    "remove_users": lambda: [_remove_users(make_graph(6, 4, _INTERLEAVED), {0, 5})],
+    "remove_users": lambda: [remove_users(make_graph(6, 4, _INTERLEAVED), {0, 5})],
     "occurring_users": lambda: [  # a header wider than the edges: users relabelled
         _occurring_users(make_graph(2**40, 3, [(2**39, 0), (7, 0), (3, 1), (2**40 - 1, 2)]))[0]
     ],

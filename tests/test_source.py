@@ -62,3 +62,38 @@ def test_unused_private_definitions_count_reads_and_attributes_only():
 def test_every_private_definition_is_used_in_src():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
     assert _unused_private_definitions(trees) == []
+
+
+def _undefined_exports(tree):
+    """Names in a module's ``__all__`` that the module neither defines nor imports at top level."""
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = [elt.value for elt in node.value.elts]
+    return [name for name in exported if name not in defined]
+
+
+def test_undefined_exports_reads_definitions_imports_and_assignments():
+    code = (
+        "import os.path\nfrom m import a as b\nX: int = 1\nY = 2\ndef f(): pass\n"
+        "class C: pass\n__all__ = ['os', 'b', 'X', 'Y', 'f', 'C', 'a', 'gone']\n"
+    )
+    assert _undefined_exports(ast.parse(code)) == ["a", "gone"]
+
+
+def test_every_exported_name_is_defined():
+    found = [
+        f"{path.relative_to(SRC)}:{name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _undefined_exports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
