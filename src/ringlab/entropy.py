@@ -133,7 +133,7 @@ def anonymity_exact(config: SamplerConfig, dist: SignerDistribution) -> float:
 
     Each chunk's weights are sorted once and weighted by
     :func:`_rank_coefficients`; the terms of every chunk are summed by
-    ``math.fsum``.
+    ``math.fsum``.  A sum of exactly 1 gives +0.0, not -0.0.
     """
     if dist.n_users != config.n_users:
         raise InvalidParams(
@@ -146,7 +146,7 @@ def anonymity_exact(config: SamplerConfig, dist: SignerDistribution) -> float:
         np.sort(weights[a:b]) * _rank_coefficients(b - a, config.kind)
         for a, b in zip(starts, starts[1:])
     ]
-    return -math.log(math.fsum(np.concatenate(terms).tolist()))
+    return 0.0 - math.log(math.fsum(np.concatenate(terms).tolist()))
 
 
 def anonymity_bound_regular(k: int, deviation: DistributionDeviation) -> float:

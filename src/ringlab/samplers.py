@@ -16,6 +16,10 @@ and so every row of the draw has one bound, make it with
 integers.  The regular sampler uses constant subset sizes, so a campaign
 whose pools are constant too builds its bounds once; the binomial
 sampler first draws per-row binomial sizes and reuses the same kernel.
+A digraph's draws are two steps from one generator (:class:`_DigraphDraw`):
+its in-degrees, then the subset draw given them.  The public samplers
+always make both; the conjecture grid skips the second for a trial whose
+in-degrees already decide it.
 Sampled objects come in blocks that draw one stream at a time and
 resolve together, each object's draws being the ones it would make
 alone: every random digraph comes from :func:`_digraph_block` and every
@@ -143,7 +147,8 @@ def _floyd_subsets(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -
     """Per row i, a uniform ``counts[i]``-subset of ``range(pool_sizes[i])``.
 
     Returns a ``(k_max, n)`` int array whose column i holds the chosen
-    values in rows ``k_max - counts[i] .. k_max - 1``; unused slots are -1.
+    values in rows ``k_max - counts[i] .. k_max - 1``; unused slots are
+    negative.
     All randomness comes from :func:`_floyd_draw`; :func:`_floyd_resolve`
     turns the draw into subsets.
     """
@@ -265,32 +270,38 @@ def _stack_draws(draws: list[np.ndarray], width: int) -> np.ndarray:
 
 
 def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Floyd's algorithm on a ``(K, n)`` draw, all rows advanced in lockstep.
+    """Floyd's algorithm on a ``(K, n)`` int64 draw, all rows advanced in lockstep.
 
-    Resolves ``x`` in place and returns it.  Row i takes its ``counts[i]``
-    values in steps ``K - counts[i] .. K - 1``; at step s a drawn value
-    already taken is replaced by the bound ``pool_sizes[i] - K + s``.
-    Because the bound depends on the step only through ``s - K``, a column
-    drawn with a smaller ``k_max`` and placed in the last ``k_max`` rows
-    resolves exactly as it would alone.  Unused slots become -1.
+    Row i takes its ``counts[i]`` values in steps ``K - counts[i] .. K - 1``;
+    at step s a drawn value already taken is replaced by the bound
+    ``pool_sizes[i] - K + s``.  Because the bound depends on the step only
+    through ``s - K``, a column drawn with a smaller ``k_max`` and placed in
+    the last ``k_max`` rows resolves exactly as it would alone.  The unused
+    slots are marked once, in ``x``, before the steps: slot s becomes
+    ``-1 - s``, which equals no drawn value and no other slot of its column,
+    so it is never taken or replaced.  The steps compare in the narrowest
+    signed integer type that holds the pools, and so the markers (no count
+    exceeds its pool, so K does not either), and the resolved subsets are
+    returned in that type (``x`` itself when it is int64), the unused slots
+    negative.
     """
     k_max = x.shape[0]
-    first_step = k_max - counts
-    all_active = bool((first_step == 0).all())
-    for s in range(k_max):
-        xs = x[s]
-        if s:
-            taken = (x[:s] == xs).any(axis=0)
-            np.copyto(xs, pool_sizes + (s - k_max), where=taken)
-        if not all_active:
-            np.copyto(xs, -1, where=first_step > s)
-    return x
+    if (counts < k_max).any():
+        steps = np.arange(k_max, dtype=np.int64)[:, None]
+        np.copyto(x, -1 - steps, where=steps < k_max - counts)
+    narrow = np.min_scalar_type(-1 - int(pool_sizes.max(initial=0)))
+    y = x.astype(narrow, copy=False)
+    last = (pool_sizes - k_max).astype(narrow)  # the step-s bound is last + s
+    for s in range(1, k_max):
+        ys = y[s]
+        np.copyto(ys, last + s, where=(y[:s] == ys).any(axis=0))
+    return y
 
 
 def _skip_self(chosen: np.ndarray, self_pos: np.ndarray) -> np.ndarray:
     """Map pool-relative candidates to indices with position ``self_pos`` removed.
 
-    Sentinel -1 entries pass through unchanged.
+    Negative padding entries pass through unchanged.
     """
     return chosen + (chosen >= self_pos)
 
@@ -355,7 +366,7 @@ def _pool_sizes(partition: Partition, signers: np.ndarray) -> np.ndarray:
 
 
 def _decoy_users(partition: Partition, signers: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """Users named by the pool-relative subsets ``chosen``, -1 padding kept.
+    """Users named by the pool-relative subsets ``chosen``, padding as -1.
 
     Column j of ``chosen`` indexes signer j's chunk with the signer
     skipped.
@@ -489,73 +500,87 @@ def sample_transaction_graph(
 
 
 def _digraph_block(
-    n: int,
-    gens: Iterable[Generator],
-    draw: Callable[[Generator], tuple[np.ndarray, np.ndarray]],
+    n: int, draws: Iterable[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One in-neighbour digraph per generator, as a block-diagonal union.
+    """One in-neighbour digraph per draw, as a block-diagonal union.
 
-    ``draw`` makes one digraph's draws, its in-degrees and then its Floyd
-    draw (see :func:`_regular_draw` and :func:`_binomial_draw`), so a
-    digraph's draws do not depend on the block it is in.  Each
-    generator's draws finish before the next one is advanced, so the
-    generators may be one re-keyed object.  All subsets are then resolved
-    in one lockstep pass.  Returns ``(starts, table, in_degrees)``, the
-    arguments of :func:`~ringlab.graph._strongly_connected_graphs`: graph
-    b owns nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and
-    column v of the ``(K, N)`` table holds v's in-neighbours in its last
-    ``in_degrees[v]`` rows, the sentinel node N in the rows above.
+    ``draws`` yields each n-node digraph's in-degrees and Floyd draw, the
+    pair a :class:`_DigraphDraw` returns.  It is read one pair at a time,
+    so a lazy ``draws`` may finish each digraph's draws on a generator
+    before re-keying it for the next.  All subsets are resolved in one
+    lockstep pass, and the table is built in place in the stacked draw's
+    int64 buffer.  Returns ``(starts, table, in_degrees)``, the arguments
+    of :func:`~ringlab.graph._strongly_connected_graphs`: graph b owns
+    nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and column v of
+    the ``(K, N)`` table holds v's in-neighbours in its last
+    ``in_degrees[v]`` rows, the sentinel node N in the rows above.  No
+    draws give the empty block.
     """
     counts: list[np.ndarray] = []
-    draws: list[np.ndarray] = []
-    for gen in gens:
-        degrees, x = draw(gen)
+    xs: list[np.ndarray] = []
+    for degrees, x in draws:
         counts.append(degrees)
-        draws.append(x)
+        xs.append(x)
+    if not xs:
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(1, dtype=np.int64), empty.reshape(0, 0), empty
     degrees = np.concatenate(counts)
-    x = _stack_draws(draws, n)
-    table = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
+    table = _stack_draws(xs, n)
+    chosen = _floyd_resolve(table, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
     n_nodes = degrees.shape[0]
-    padding = table < 0
+    padding = chosen < 0
     # skip the node itself, then move into its graph's node range
     cols = np.arange(n_nodes, dtype=np.int64)
     local = cols % n
-    table += table >= local
+    np.add(chosen, chosen >= local.astype(chosen.dtype), out=table)
     table += cols - local
-    table[padding] = n_nodes
+    np.copyto(table, n_nodes, where=padding)
     return np.arange(0, n_nodes + 1, n, dtype=np.int64), table, degrees
 
 
-def _regular_draw(n: int, k: int) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
-    """One k-in-degree regular digraph's draw: its Floyd draw alone.
+class _DigraphDraw:
+    """One n-node digraph model's draws, in two steps from one generator.
 
-    Every node has in-degree k from a pool of n - 1, so step s of every
-    node draws below ``n - k + s``; those k row bounds are built once,
-    here, for every digraph of a campaign, and :func:`_row_draw` makes the
-    draw.
+    ``in_degrees(gen)`` draws the n in-degrees and returns them with
+    whether all are positive and with the largest, K; ``subsets(gen, K)``
+    then makes the Floyd draw.  Calling the object makes both, in that
+    order, and returns ``(degrees, x)``.  Every pool is n - 1, so step s of
+    every node draws below ``n - K + s``: the row bounds are the last K
+    entries of one ``arange(n)``, built once per campaign, and
+    :func:`_row_draw` makes the draw.
     """
-    degrees = np.full(n, k, dtype=np.int64)
-    tops = np.arange(n - k, n, dtype=np.uint64)
-    return lambda gen: (degrees, _row_draw(gen, tops, n))
+
+    __slots__ = ("in_degrees", "_tops")
+
+    def __init__(self, n: int, in_degrees: Callable[[Generator], tuple[np.ndarray, bool, int]]):
+        self.in_degrees = in_degrees
+        self._tops = np.arange(n, dtype=np.uint64)
+
+    def subsets(self, gen: Generator, k_max: int) -> np.ndarray:
+        n = self._tops.shape[0]
+        return _row_draw(gen, self._tops[n - k_max:], n)
+
+    def __call__(self, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+        degrees, _, k_max = self.in_degrees(gen)
+        return degrees, self.subsets(gen, k_max)
 
 
-def _binomial_draw(n: int, p: float) -> Callable[[Generator], tuple[np.ndarray, np.ndarray]]:
-    """One p-binomial digraph's draws: in-degrees Binomial(n - 1, p), then Floyd.
+def _regular_draw(n: int, k: int) -> _DigraphDraw:
+    """The k-in-degree regular model: every in-degree is k, and drawing them takes no word."""
+    fixed = np.full(n, k, dtype=np.int64), k > 0, k
+    return _DigraphDraw(n, lambda gen: fixed)
 
-    With K the largest in-degree, step s of every node draws below
-    ``n - K + s``: the row bounds are the last K entries of one
-    ``arange(n)``, built once here, and :func:`_row_draw` makes the draw.
-    """
-    tops = np.arange(n, dtype=np.uint64)
 
-    def draw(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-        if n == 1:
-            degrees = np.zeros(1, dtype=np.int64)
-        else:
-            degrees = gen.binomial(n - 1, p, size=n).astype(np.int64)
-        return degrees, _row_draw(gen, tops[n - int(degrees.max()):], n)
+def _binomial_draw(n: int, p: float) -> _DigraphDraw:
+    """The p-binomial model: in-degrees Binomial(n - 1, p), none drawn at n = 1."""
+    if n == 1:
+        return _regular_draw(1, 0)
 
-    return draw
+    def in_degrees(gen: Generator) -> tuple[np.ndarray, bool, int]:
+        degrees = gen.binomial(n - 1, p, size=n).astype(np.int64)
+        return degrees, bool(degrees.all()), int(degrees.max())
+
+    return _DigraphDraw(n, in_degrees)
 
 
 def _table_digraph(table: np.ndarray) -> Digraph:
@@ -577,7 +602,7 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    return _table_digraph(_digraph_block(n, [rng.generator], _regular_draw(n, k))[1])
+    return _table_digraph(_digraph_block(n, [_regular_draw(n, k)(rng.generator)])[1])
 
 
 def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
@@ -591,4 +616,4 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    return _table_digraph(_digraph_block(n, [rng.generator], _binomial_draw(n, p))[1])
+    return _table_digraph(_digraph_block(n, [_binomial_draw(n, p)(rng.generator)])[1])

@@ -185,6 +185,20 @@ def exact_not_sc_binomial(p: float, n: int) -> float:
     return prob_bad
 
 
+def floyd_column(draws: list[int], pool: int) -> list[int]:
+    """Floyd's uniform ``len(draws)``-subset of ``range(pool)``, one step per draw.
+
+    Draw i lies in ``[0, pool - len(draws) + i]``; it is kept unless already
+    chosen, when the step's top value is taken instead.  Returns the chosen
+    values in step order.
+    """
+    chosen: list[int] = []
+    for i, t in enumerate(draws):
+        top = pool - len(draws) + i
+        chosen.append(top if t in chosen else t)
+    return chosen
+
+
 def permanent(matrix: list[list[int]]) -> int:
     """Permanent by expansion over the first row; fine for n <= 8."""
     size = len(matrix)

@@ -724,6 +724,13 @@ def test_entropy_binomial_bound_k_selection(capsys):
     assert "(k=3)" in out  # largest k with k < p * chunk_size = 4
 
 
+def test_entropy_exact_of_certain_signer_is_positive_zero(capsys):
+    # p = 0 gives rings of one member: the sum is exactly 1 and alpha is +0
+    assert main(["entropy", "--chunk-size", "8", "--p", "0", "--exact"]) == 0
+    out = capsys.readouterr().out
+    assert "alpha_exact_nats 0\n" in out
+
+
 def test_entropy_weights_file(tmp_path, capsys):
     path = _write(tmp_path, "w.txt", "# skewed\n0.4\n0.3\n0.2\n0.1\n")
     assert main(["entropy", "--chunk-size", "4", "--k", "2", "--weights", path, "--exact"]) == 0

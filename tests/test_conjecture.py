@@ -15,6 +15,7 @@ from ringlab.conjecture import (
     write_grid_csv,
     GRID_CSV_HEADER,
 )
+from ringlab import samplers
 from ringlab.errors import InvalidParams
 from ringlab.graph import is_strongly_connected
 from ringlab.samplers import (
@@ -122,11 +123,38 @@ def test_block_estimates_match_per_trial_reference(n, k, p):
         assert bin_.failures == sum(bin_fail[:trials])
     assert 0 < sum(bin_fail) < len(bin_fail)
     assert 0 < sum(reg_fail) < len(reg_fail) or n == 2  # k = 1 at n = 2 is complete
+    # a trial with a node of in-degree 0 is decided before its subset draw;
+    # both kinds occur, side by side in the first block when it holds more
+    # than one trial
+    decided = [len({b for _, b in d.edges()}) < n for d in binomial]
+    assert any(decided) and not all(decided)
     if block > 1:
+        assert any(decided[:block]) and not all(decided[:block])
         # the first block's binomial trials have different largest in-degrees
         k_max = {max(Counter(b for _, b in d.edges()).values(), default=0)
                  for d in binomial[:block]}
         assert len(k_max) > 1
+
+
+@pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.2), (1024, 0.0075)])
+def test_binomial_campaign_draws_subsets_only_for_undecided_trials(monkeypatch, n, p):
+    # one subset draw per trial whose in-degrees are all positive, none
+    # for a trial with a node of in-degree 0, and none at all at p = 0
+    seed, base, trials = 47, 5 << 32, 2 * _block_size(n) + 3
+    undecided = sum(
+        len({b for _, b in sample_binomial_digraph(p, n, RandomSource(seed, sid)).edges()}) == n
+        for sid in range(base, base + trials)
+    )
+    calls = []
+    row_draw = samplers._row_draw
+    monkeypatch.setattr(samplers, "_row_draw", lambda *args: calls.append(1) or row_draw(*args))
+    est = estimate_not_sc_binomial(p, n, trials, RandomSource(seed, base))
+    assert 0 < undecided < trials
+    assert len(calls) == undecided
+    assert est.failures >= trials - undecided
+    calls.clear()
+    assert estimate_not_sc_binomial(0.0, n, trials, RandomSource(seed, base)).failures == trials
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 300, 1024])

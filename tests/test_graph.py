@@ -524,7 +524,7 @@ def test_block_kernel_matches_scc_on_sampled_digraphs(n):
                 (_binomial_draw(n, k / (n - 1)), 100 + k,
                  lambda rng: sample_binomial_digraph(k / (n - 1), n, rng)),
             ):
-                block = _digraph_block(n, [RandomSource(seed, stream).generator], draw)
+                block = _digraph_block(n, [draw(RandomSource(seed, stream).generator)])
                 verdict = bool(_strongly_connected_graphs(*block)[0])
                 assert verdict == _single_scc(sample(RandomSource(seed, stream)))
 

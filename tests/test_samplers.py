@@ -18,6 +18,7 @@ from ringlab.samplers import (
     _digraph_block,
     _floyd_bound,
     _floyd_draw,
+    _floyd_resolve,
     _floyd_subsets,
     _graph_block,
     _graph_draw,
@@ -30,6 +31,8 @@ from ringlab.samplers import (
     sample_ring,
     sample_transaction_graph,
 )
+
+from conftest import floyd_column
 
 
 def _freq_within(counter, total, expected_prob, n_sigma=4.0):
@@ -73,8 +76,41 @@ def test_floyd_subsets_shapes_and_validity():
         assert len(vals) == cnt
         assert len(set(vals)) == cnt
         assert all(0 <= v < pool for v in vals)
-        # unused slots sit above the used ones
-        assert all(v == -1 for v in chosen[: 6 - cnt, col])
+        # unused slots sit above the used ones and are negative
+        assert all(v < 0 for v in chosen[: 6 - cnt, col])
+
+
+@pytest.mark.parametrize(
+    "pools, dtype",
+    [
+        ((1, 5, 9, 40), np.int8),
+        ((126, 127), np.int8),
+        ((127, 128), np.int16),
+        ((300, 32767), np.int16),
+        ((32767, 32768), np.int32),
+        ((5, 32769), np.int32),
+    ],
+)
+@pytest.mark.parametrize("repeats", [False, True])
+def test_floyd_resolve_matches_a_per_column_floyd(pools, dtype, repeats):
+    # random draws within _floyd_bound, counts 0..K in one block with
+    # unequal pools; small draws force repeats, so the replacement and
+    # the compare against every earlier row both matter
+    gen = np.random.default_rng([31, len(pools), pools[-1], repeats])
+    for _ in range(20):
+        pool_sizes = np.array(pools, dtype=np.int64)[gen.integers(0, len(pools), size=12)]
+        counts = gen.integers(0, np.minimum(pool_sizes, 12) + 1)
+        counts[:2] = 0, min(12, int(pool_sizes.min()))
+        bound = _floyd_bound(pool_sizes, counts)
+        x = gen.integers(0, np.minimum(bound, 3) if repeats else bound)
+        draws = x.copy()
+        chosen = _floyd_resolve(x, pool_sizes, counts)
+        k_max = int(counts.max())
+        assert chosen.shape == draws.shape and chosen.dtype == dtype
+        for col, (pool, cnt) in enumerate(zip(pool_sizes.tolist(), counts.tolist())):
+            used = chosen[k_max - cnt:, col].tolist()
+            assert used == floyd_column(draws[k_max - cnt:, col].tolist(), pool)
+            assert (chosen[:k_max - cnt, col] < 0).all()
 
 
 def test_floyd_subsets_uniform_over_2_of_4():
@@ -287,7 +323,7 @@ def test_digraph_block_table_layout(n, k, model):
     draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, k / (n - 1))
     padded = 0
     for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, 1024 // n) + 1, n):
-        starts, table, in_degrees = _digraph_block(n, gens, draw)
+        starts, table, in_degrees = _digraph_block(n, map(draw, gens))
         k_max, n_nodes = table.shape
         assert starts.tolist() == list(range(0, n_nodes + 1, n))
         if model == "regular":

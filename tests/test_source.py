@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ringlab"
 JUMPS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
@@ -95,5 +97,77 @@ def test_every_exported_name_is_defined():
         f"{path.relative_to(SRC)}:{name}"
         for path in sorted(SRC.rglob("*.py"))
         for name in _undefined_exports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
+def _is_module_function(name):
+    """Whether ``numpy.random.<name>`` is not a class (``default_rng``, ``seed``, ``rand``, ...)."""
+    return not isinstance(getattr(np.random, name, None), type)
+
+
+def _unkeyed_randomness(tree):
+    """Line numbers that import stdlib ``random`` or use a ``numpy.random`` module-level function.
+
+    ``numpy.random``'s classes (``Generator``, ``Philox``, ...) are allowed.
+    Uses go through any name that an import binds to ``numpy`` or to
+    ``numpy.random``.
+    """
+    numpy_names, random_names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "random":
+                    yield node.lineno
+                elif alias.name == "numpy.random" and alias.asname:
+                    random_names.add(alias.asname)
+                elif alias.name.split(".")[0] == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [alias.name for alias in node.names]
+            if node.module.split(".")[0] == "random":
+                yield node.lineno
+            elif node.module == "numpy.random" and any(map(_is_module_function, names)):
+                yield node.lineno
+            elif node.module == "numpy":
+                random_names.update(a.asname or a.name for a in node.names if a.name == "random")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not _is_module_function(node.attr):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in random_names:
+            yield node.lineno
+        elif (
+            isinstance(owner, ast.Attribute)
+            and owner.attr == "random"
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id in numpy_names
+        ):
+            yield node.lineno
+
+
+def test_unkeyed_randomness_finds_stdlib_random_and_numpy_module_functions():
+    code = (
+        "import random\n"
+        "import numpy as np\n"
+        "import numpy.random as npr\n"
+        "from numpy import random as r\n"
+        "from numpy.random import Generator, default_rng\n"
+        "from random import choice\n"
+        "g: np.random.Generator = np.random.Generator(np.random.Philox())\n"
+        "np.random.seed(1)\n"
+        "npr.rand(2)\n"
+        "r.shuffle([])\n"
+        "gen = npr.Generator(npr.Philox(key=r.SeedSequence(1).entropy))\n"
+        "gen.integers(0, 2)\n"
+    )
+    assert sorted(_unkeyed_randomness(ast.parse(code))) == [1, 5, 6, 8, 9, 10]
+
+
+def test_every_draw_comes_from_a_keyed_generator():
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _unkeyed_randomness(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
