@@ -14,7 +14,8 @@ Bayes-optimal under the uniform signer model but only feasible at
 brute-force scale.
 
 Campaigns run in the blocks of ``samplers._trial_blocks``, of
-``max(1, _BLOCK_NODES // n_users)`` trials each.  Trial t draws only from
+``max(1, _BLOCK_NODES // (2 * n_users))`` trials each: a trial's graph has
+n users and n rings.  Trial t draws only from
 stream ``base + t``, in this order: the corruption permutations, the
 signer permutation, the binomial decoy counts, the Floyd draw, and last
 the adversary's one guess draw.  The block engine makes each trial's
@@ -400,7 +401,7 @@ def run_campaign(
         raise InvalidConfig("trials must be >= 1")
     engine = _Campaign(config, adversary, marble)
     wins = core_equal = 0
-    for gens in _trial_blocks(base_rng, trials, n_users):
+    for gens in _trial_blocks(base_rng, trials, 2 * n_users):
         _, _, success, equal = engine.run(gens)
         wins += int(np.count_nonzero(success))
         core_equal += int(np.count_nonzero(equal))

@@ -12,21 +12,22 @@ estimate exceeds the binomial upper limit, the second when the binomial
 lower limit exceeds the closed-form bound.
 
 Trial t of a campaign draws from stream ``base + t`` alone.  Trials run in
-the blocks of ``samplers._trial_blocks``, about 1024 nodes each.  Each
+the blocks of ``samplers._trial_blocks``, about 2048 nodes each.  Each
 trial draws its in-degrees first.  With n >= 2, a node of in-degree 0
 makes the digraph not strongly connected, so such a trial is counted as a
 failure there and draws nothing more; its stream is its own, so no other
-trial's draws change.  The other trials make their subset draws in turn,
-then one Floyd resolve gives the block's in-neighbour table and one
-strong-connectivity call reads that table for the whole block, so the
-counts equal those of running the trials one by one.
+trial's draws change.  The other trials take the raw words of their
+subset draws in turn; then one bounded-integer pass turns the block's
+words into its Floyd draw, one Floyd resolve gives its in-neighbour table
+and one strong-connectivity call reads that table for the whole block, so
+the counts equal those of running the trials one by one.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -59,34 +60,24 @@ __all__ = [
 LOW_CONFIDENCE_THRESHOLD = 1e-3
 
 
-def _undecided_draws(
-    n: int, gens: Iterable[np.random.Generator], draw: _DigraphDraw
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The draws of the trials that their in-degrees leave open.
-
-    Each trial draws its in-degrees; with n >= 2, one of them 0 means a
-    node without in-edges, so the trial is not strongly connected and
-    makes no subset draw.
-    """
-    for gen in gens:
-        degrees, positive, k_max = draw.in_degrees(gen)
-        if positive or n == 1:
-            yield degrees, draw.subsets(gen, k_max)
-
-
 def _estimate_not_sc(n: int, trials: int, rng: RandomSource, draw: _DigraphDraw) -> EstimateResult:
     """Fraction of ``trials`` digraphs that are not strongly connected.
 
     Trial t makes its draws with ``draw`` from stream t of ``rng``.  In
     each block of :func:`~ringlab.samplers._trial_blocks`, the trials that
-    :func:`_undecided_draws` keeps have their subsets resolved together
-    and their graphs checked by one kernel call; the others are failures.
+    their in-degrees leave open have their draws made as one block
+    (:meth:`~ringlab.samplers._DigraphDraw.block`), their subsets resolved
+    together and their graphs checked by one kernel call; the others are
+    failures.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     connected = 0
-    for gens in _trial_blocks(rng, trials, n):
-        sc = _strongly_connected_graphs(*_digraph_block(n, _undecided_draws(n, gens, draw)))
+    for block in _trial_blocks(rng, trials, n):
+        # no name holds the draw, whose buffer becomes the table, into the next block
+        sc = _strongly_connected_graphs(
+            *_digraph_block(n, *draw.block(block, block.generator, decide=True))
+        )
         connected += int(np.count_nonzero(sc))
     return EstimateResult.from_counts(trials, trials - connected)
 

@@ -51,10 +51,11 @@ class SignerDistribution:
 
     def __init__(self, weights: Iterable[float]):
         ws = tuple(float(w) for w in weights)
-        if any(w < 0.0 for w in ws):
+        if ws and min(ws) < 0.0:
             raise InvalidParams("negative signer weight")
-        if abs(math.fsum(ws) - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidParams(f"weights sum to {math.fsum(ws)!r}, expected 1")
+        total = math.fsum(ws)
+        if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight makes the sum NaN
+            raise InvalidParams(f"weights sum to {total!r}, expected 1")
         self.weights = ws
 
     @classmethod
@@ -99,7 +100,8 @@ class DistributionDeviation:
         for chunk in partition.chunks:
             ws = [dist.weights[u] for u in chunk]
             mu = math.fsum(ws) / len(ws)
-            eps = max(abs(w - mu) for w in ws)
+            # rounding is monotone and negation exact, so this is max |w - mu|
+            eps = max(max(ws) - mu, mu - min(ws))
             means.append(mu)
             devs.append(eps)
             total += len(ws) * eps

@@ -12,14 +12,17 @@ and transaction graphs make the draw with :func:`_floyd_bound` and
 :func:`_floyd_draw` (:func:`_floyd_subsets` is the three together, used
 by :func:`sample_ring`).  The digraph models, where every pool is n - 1
 and so every row of the draw has one bound, make it with
-:func:`_row_draw`, which reads raw Philox words and gives the same
-integers.  The regular sampler uses constant subset sizes, so a campaign
-whose pools are constant too builds its bounds once; the binomial
-sampler first draws per-row binomial sizes and reuses the same kernel.
-A digraph's draws are two steps from one generator (:class:`_DigraphDraw`):
-its in-degrees, then the subset draw given them.  The public samplers
-always make both; the conjecture grid skips the second for a trial whose
-in-degrees already decide it.
+:func:`_block_draw`, which applies numpy's bounded-integer rule to raw
+Philox words and gives the same integers.  The regular sampler uses
+constant subset sizes, so a campaign whose pools are constant too builds
+its bounds once; the binomial sampler first draws per-row binomial sizes
+and reuses the same kernel.  A digraph's draws are two steps from one
+generator (:class:`_DigraphDraw`): its in-degrees, then the raw words of
+its subset draw.  A block of digraphs takes each trial's words while its
+generator is on its stream and turns them all into the block's draw with
+one multiply, one rejection screen and one shift; the public samplers
+make a block of one.  The conjecture grid makes no subset draw for a
+trial whose in-degrees already decide it.
 Sampled objects come in blocks that draw one stream at a time and
 resolve together, each object's draws being the ones it would make
 alone: every random digraph comes from :func:`_digraph_block` and every
@@ -27,17 +30,16 @@ transaction graph from :func:`_graph_block`, whose block is one
 ``TransactionGraph``, the disjoint union of its graphs.  Campaigns pass a
 block of trials, the public samplers a block of one.  Both campaigns, the
 conjecture grid and the adversary game, take their blocks from
-:func:`_trial_blocks`, about ``_BLOCK_NODES`` nodes each, and check each
-block with one call.  A digraph block stays the in-neighbour table that
-the Floyd resolve leaves, one column per node, which the grid's
-strong-connectivity kernel reads as it is; only the public digraph
-samplers flatten it into edges.
+:func:`_trial_blocks`, about ``_BLOCK_NODES`` = 2048 nodes each, and
+check each block with one call.  A digraph block stays the in-neighbour
+table that the Floyd resolve leaves, one column per node, which the
+grid's strong-connectivity kernel reads as it is; only the public
+digraph samplers flatten it into edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import BitGenerator, Generator, Philox
@@ -111,33 +113,55 @@ class _StreamFamily:
         return self._gen
 
 
-def _trial_streams(rng: RandomSource, trials: int) -> Iterator[Generator]:
-    """One generator per trial: stream ids ``rng.stream_id + t``.
+class _TrialBlock:
+    """The generators of a block of trials, trial t on stream ``ids[t]``.
 
-    Every yield is the same generator object, re-keyed to the next stream,
-    so a trial's draws must be finished before the iterator is advanced.
+    Iterating re-keys one generator to each trial's stream in turn, so a
+    trial's draws must be finished before the next trial is taken.
+    ``generator(t)`` re-keys it to trial t's stream again, from its start,
+    and a slice is the block of those trials.
     """
-    family = _StreamFamily(rng.seed)
-    base = rng.stream_id
-    for t in range(trials):
-        yield family.generator((base + t) & _U64)
+
+    __slots__ = ("_family", "_ids")
+
+    def __init__(self, family: _StreamFamily, ids: range):
+        self._family = family
+        self._ids = ids
+
+    def __iter__(self) -> Iterator[Generator]:
+        return map(self._family.generator, self._ids)
+
+    def __getitem__(self, trials: slice) -> _TrialBlock:
+        return _TrialBlock(self._family, self._ids[trials])
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def generator(self, t: int) -> Generator:
+        return self._family.generator(self._ids[t])
 
 
-# Nodes per trial block: small graphs share one Floyd resolve and one
-# strong-connectivity call; from 1024 nodes up every trial is its own block.
-_BLOCK_NODES = 1024
+def _trial_streams(rng: RandomSource, trials: int) -> _TrialBlock:
+    """One generator per trial, stream ids ``rng.stream_id + t``, as one block."""
+    return _TrialBlock(_StreamFamily(rng.seed), range(rng.stream_id, rng.stream_id + trials))
 
 
-def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[Iterator[Generator]]:
+# Nodes per trial block: small graphs share one Lemire pass, one Floyd
+# resolve and one strong-connectivity call; from 2048 nodes up every trial
+# is its own block.
+_BLOCK_NODES = 2048
+
+
+def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[_TrialBlock]:
     """The streams of :func:`_trial_streams` in blocks of ``max(1, _BLOCK_NODES // n)`` trials.
 
-    Each block is an iterator over its trials' generators, to be used up
-    before the next block is taken.
+    ``n`` is the number of nodes of one trial's graph.  Each block is to be
+    used up before the next block is taken.
     """
-    block = max(1, _BLOCK_NODES // n)
     streams = _trial_streams(rng, trials)
+    block = max(1, _BLOCK_NODES // n)
     for start in range(0, trials, block):
-        yield islice(streams, min(block, trials - start))
+        yield streams[start:start + block]
 
 
 # -- subset sampling kernel ---------------------------------------------------
@@ -162,7 +186,7 @@ def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  A
     campaign whose pools and counts are the same in every trial builds the
     bound once and passes it to every trial's draw.  The digraph models
-    need no such array: their bounds are one per row (:func:`_row_draw`).
+    need no such array: their bounds are one per row (:func:`_block_draw`).
     """
     k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
@@ -174,7 +198,7 @@ def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
 
     Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).  Rings
     and transaction graphs draw here, through numpy, because their
-    generators keep drawing afterwards: :func:`_row_draw` drops the half
+    generators keep drawing afterwards: :func:`_block_draw` drops the half
     word numpy keeps for the next draw.
     """
     if not bound.shape[0]:
@@ -182,49 +206,95 @@ def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
     return gen.integers(0, bound, dtype=np.int64)
 
 
-def _row_draw(gen: Generator, tops: np.ndarray, n: int) -> np.ndarray:
-    """``gen.integers(0, tops[:, None], size=(K, n), dtype=np.int64)``, from raw Philox words.
+# The word that pads a block draw: for a bound r in [1, 2**32], the low half
+# of (2**32 - 1) * r is 2**32 - r, never below numpy's threshold
+# (2**32 - r) % r, and a bound of 1 gives (2**32 - 1) >> 32 = 0.
+_PAD_WORD = 0xFFFFFFFF
 
-    ``tops`` holds K strictly ascending ``uint64`` bounds in ``[1, 2**32]``,
-    one per row.  numpy draws a value below such a bound r with Lemire's
-    multiply-shift: one 32-bit word w, the low half of a 64-bit Philox
-    word before its high half, gives ``(w * r) >> 32`` unless the low 32
-    bits of ``w * r`` fall below ``(2**32 - r) % r``; then the value is
-    drawn again from the next word.  A bound of 1 takes no word.  Here
-    every product is made at once from one ``random_raw`` block, and a
-    rejected word shifts the rest of the draw by one word
-    (:func:`_redraw_rejected`).  The result equals numpy's when the
-    generator holds no buffered half word, as a fresh or re-keyed one
-    does, and is not used afterwards: numpy would keep the unused high
-    half of an odd last word for its next draw, and this drops it.
+
+def _block_draw(
+    tops: np.ndarray,
+    n: int,
+    rows: Sequence[int],
+    words: list[np.ndarray],
+    replay: Callable[[int], tuple[BitGenerator, np.ndarray]],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """B bounded integer draws of n columns each, side by side: one ``(K, B*n)`` int64 array.
+
+    ``tops`` holds K ascending ``uint64`` bounds in ``[1, 2**32]``, one per
+    row.  Draw b fills the last ``rows[b]`` rows of columns ``b*n ..
+    b*n + n - 1`` with ``gen.integers(0, tops[-rows[b]:, None], size=(rows[b],
+    n))``, made from ``words[b]``, the :func:`_raw_words` of ``rows[b] * n``
+    values that its own stream gave.  numpy draws a value below a bound r
+    with Lemire's multiply-shift: one 32-bit word w gives ``(w * r) >> 32``
+    unless the low 32 bits of ``w * r`` fall below ``(2**32 - r) % r``;
+    then the value is drawn again from the next word.  The rows above a
+    draw's own, in its columns, take the padding word, so a row of bound 1
+    there reads 0, as numpy draws it from no word.  Several draws' words
+    are first placed in one staging array and ``words`` is emptied, so that
+    they are freed before the product buffer is made; a single draw's words
+    are multiplied as they are.  ``out``, when given, is that buffer, the
+    ``(K, B*n)`` uint64 array that the products and then the result fill.
+    All products are made by one multiply, screened once and shifted once.
+    A rejected word, which the screen finds rarely, shifts the rest of its
+    draw by one word (:func:`_redraw_rejected`); ``replay(b)`` gives the
+    bit generator just past draw b's words, and those words.  A draw
+    equals numpy's when its generator held no buffered half word, as a
+    fresh or re-keyed one does, and is not used afterwards: numpy would
+    keep the unused high half of an odd last word for its next draw, and
+    this drops it.
     """
-    out = np.zeros((tops.shape[0], n), dtype="<u8")
-    first = int(tops.shape[0] and tops[0] == 1)  # a bound of 1 draws 0 from no word
-    rows, tops = out[first:], tops[first:]
-    if rows.size:
-        bitgen = gen.bit_generator
-        words = _raw_words(bitgen, (rows.size + 1) // 2)
-        np.multiply(words[:rows.size].reshape(rows.shape), tops[:, None], out=rows)
-        # a rejection needs a low half below (2**32 - r) % r < r <= tops[-1]
-        if rows.view("<u4")[:, ::2].min() < tops[-1]:
-            _redraw_rejected(bitgen, words, rows, tops)
+    k_max = tops.shape[0]
+    count = len(rows)
+    if count == 1:
+        top = k_max - rows[0]
+        src = words[0][:rows[0] * n].reshape(-1, 1, n)
+    else:
+        top = 0
+        pad = np.full(k_max * n, _PAD_WORD, dtype="<u4")
+        pieces = []
+        for w, r in zip(words, rows):
+            pieces += (pad[:(k_max - r) * n], w[:r * n])
+        src = np.concatenate(pieces).reshape(count, k_max, n).transpose(1, 0, 2)
+        del pad, pieces
+    words.clear()
+    if out is None:
+        out = np.empty((k_max, count * n), dtype="<u8")
+    if not out.size:
+        return out.view("<i8")
+    out[:top] = _PAD_WORD
+    np.multiply(src, tops[top:, None, None], out=out[top:].reshape(k_max - top, count, n))
+    del src
+    low = out.view("<u4")[:, ::2]
+    # a rejection needs a low half below (2**32 - r) % r < r <= tops[-1]
+    if low.min() < tops[-1]:
+        if count == 1:
+            rejected = [0]
+        else:
+            thresholds = (np.uint64(1 << 32) - tops) % tops
+            below = (low < thresholds[:, None]).reshape(k_max, count, n)
+            rejected = np.flatnonzero(below.any(axis=(0, 2))).tolist()
+        for b in rejected:
+            first = k_max - rows[b]
+            _redraw_rejected(*replay(b), out[first:, b * n:(b + 1) * n], tops[first:])
     out >>= 32
     return out.view("<i8")
 
 
-def _raw_words(bitgen: BitGenerator, count: int) -> np.ndarray:
-    """``2 * count`` 32-bit words in numpy's order, from ``count`` raw Philox words.
+def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
+    """The 32-bit words of ``values`` bounded draws, in numpy's order.
 
-    Stored little-endian, each 64-bit word lists its low half first on any
-    host.
+    They come from ``ceil(values / 2)`` raw Philox words; stored
+    little-endian, each lists its low half first on any host.
     """
-    return bitgen.random_raw(count).astype("<u8", copy=False).view("<u4")
+    return bitgen.random_raw((values + 1) // 2).astype("<u8", copy=False).view("<u4")
 
 
 def _redraw_rejected(
     bitgen: BitGenerator, words: np.ndarray, rows: np.ndarray, tops: np.ndarray
 ) -> None:
-    """Redo the Lemire products of :func:`_row_draw` past each rejected word, in place.
+    """Redo the Lemire products of :func:`_block_draw` past each rejected word, in place.
 
     ``rows[i, j]`` holds the product of row i's bound and the word of
     element ``i*n + j`` shifted by the words rejected before it.  At the
@@ -245,7 +315,7 @@ def _redraw_rejected(
         col = int(np.argmax(low[row] < thresholds[row]))
         shift += 1
         if size + shift > words.size:
-            words = np.concatenate((words, _raw_words(bitgen, 1)))
+            words = np.concatenate((words, _raw_words(bitgen, 2)))
         start = row * n + col + shift
         stop = (row + 1) * n + shift
         np.multiply(words[start:stop], tops[row], out=rows[row, col:])
@@ -500,69 +570,106 @@ def sample_transaction_graph(
 
 
 def _digraph_block(
-    n: int, draws: Iterable[tuple[np.ndarray, np.ndarray]]
+    n: int, degrees: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One in-neighbour digraph per draw, as a block-diagonal union.
+    """The in-neighbour digraphs of a block's draws, as a block-diagonal union.
 
-    ``draws`` yields each n-node digraph's in-degrees and Floyd draw, the
-    pair a :class:`_DigraphDraw` returns.  It is read one pair at a time,
-    so a lazy ``draws`` may finish each digraph's draws on a generator
-    before re-keying it for the next.  All subsets are resolved in one
-    lockstep pass, and the table is built in place in the stacked draw's
-    int64 buffer.  Returns ``(starts, table, in_degrees)``, the arguments
-    of :func:`~ringlab.graph._strongly_connected_graphs`: graph b owns
-    nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and column v of
-    the ``(K, N)`` table holds v's in-neighbours in its last
+    ``degrees`` and ``x`` are the in-degrees and the Floyd draw of B n-node
+    digraphs, as :meth:`_DigraphDraw.block` returns them.  All subsets are
+    resolved in one lockstep pass, and the table is built in place in the
+    draw's int64 buffer.  Returns ``(starts, table, in_degrees)``, the
+    arguments of :func:`~ringlab.graph._strongly_connected_graphs`: graph b
+    owns nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and column
+    v of the ``(K, N)`` table holds v's in-neighbours in its last
     ``in_degrees[v]`` rows, the sentinel node N in the rows above.  No
     draws give the empty block.
     """
-    counts: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    for degrees, x in draws:
-        counts.append(degrees)
-        xs.append(x)
-    if not xs:
-        empty = np.empty(0, dtype=np.int64)
-        return np.zeros(1, dtype=np.int64), empty.reshape(0, 0), empty
-    degrees = np.concatenate(counts)
-    table = _stack_draws(xs, n)
-    chosen = _floyd_resolve(table, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
+    chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
     n_nodes = degrees.shape[0]
     padding = chosen < 0
     # skip the node itself, then move into its graph's node range
     cols = np.arange(n_nodes, dtype=np.int64)
     local = cols % n
-    np.add(chosen, chosen >= local.astype(chosen.dtype), out=table)
-    table += cols - local
-    np.copyto(table, n_nodes, where=padding)
-    return np.arange(0, n_nodes + 1, n, dtype=np.int64), table, degrees
+    np.add(chosen, chosen >= local.astype(chosen.dtype), out=x)
+    x += cols - local
+    np.copyto(x, n_nodes, where=padding)
+    return np.arange(0, n_nodes + 1, n, dtype=np.int64), x, degrees
 
 
 class _DigraphDraw:
     """One n-node digraph model's draws, in two steps from one generator.
 
     ``in_degrees(gen)`` draws the n in-degrees and returns them with
-    whether all are positive and with the largest, K; ``subsets(gen, K)``
-    then makes the Floyd draw.  Calling the object makes both, in that
-    order, and returns ``(degrees, x)``.  Every pool is n - 1, so step s of
-    every node draws below ``n - K + s``: the row bounds are the last K
-    entries of one ``arange(n)``, built once per campaign, and
-    :func:`_row_draw` makes the draw.
+    whether all are positive and with the largest, K; then the Floyd
+    draw takes its raw words (:func:`_raw_words`).  Every pool is n - 1,
+    so step s of every node draws below ``n - K + s``: a leading bound of
+    1 (K = n - 1) takes no word, and the others take ``n`` words a row.
+    :meth:`block` makes a block's draws, trial by trial, and then its one
+    :func:`_block_draw`; calling the object makes one digraph's draws, as
+    a block of one.
     """
 
-    __slots__ = ("in_degrees", "_tops")
+    __slots__ = ("n", "in_degrees")
 
     def __init__(self, n: int, in_degrees: Callable[[Generator], tuple[np.ndarray, bool, int]]):
+        self.n = n
         self.in_degrees = in_degrees
-        self._tops = np.arange(n, dtype=np.uint64)
 
-    def subsets(self, gen: Generator, k_max: int) -> np.ndarray:
-        n = self._tops.shape[0]
-        return _row_draw(gen, self._tops[n - k_max:], n)
+    def block(
+        self,
+        gens: Sequence[Generator] | _TrialBlock,
+        restart: Callable[[int], Generator] | None = None,
+        decide: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The in-degrees and the ``(K, B*n)`` Floyd draw of one digraph per generator.
+
+        Each generator draws its trial's in-degrees and then its raw words
+        before the next is taken, so ``gens`` may re-key one generator.
+        With ``decide``, a trial whose in-degrees leave a node of n >= 2
+        without in-neighbours draws no words and is left out: its digraph
+        is not strongly connected.  A rejected word is redrawn on the
+        generator of its trial: in place when that trial was the last one
+        taken and nothing has drawn since; otherwise ``restart(t)`` re-keys
+        trial t's stream and its in-degrees and words are drawn again first.
+        """
+        n = self.n
+        kept = []
+        words = []
+        out = None
+        t = -1
+        for t, gen in enumerate(gens):
+            degrees, positive, k_max = self.in_degrees(gen)
+            if decide and not positive and n > 1:
+                continue
+            rows = k_max - (0 < k_max == n - 1)  # a leading bound of 1 takes no word
+            kept.append((t, degrees, k_max, rows))
+            if len(gens) == 1:
+                # a lone draw's buffer is made before its words, which are freed
+                # first: made after them, it sits above a hole and the heap grows
+                out = np.empty((k_max, n), dtype="<u8")
+            words.append(_raw_words(gen.bit_generator, rows * n))
+        if not kept:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.reshape(0, 0)
+        live = t  # the trial whose stream the generator is still on
+        live_words = words[-1]
+
+        def replay(b: int) -> tuple[BitGenerator, np.ndarray]:
+            nonlocal live
+            t, _, _, rows = kept[b]
+            if t == live:
+                return gen.bit_generator, live_words
+            live = -1
+            again = restart(t)
+            self.in_degrees(again)
+            return again.bit_generator, _raw_words(again.bit_generator, rows * n)
+
+        _, degrees, ks, rows = zip(*kept)
+        tops = np.arange(n - max(ks), n, dtype=np.uint64)
+        return np.concatenate(degrees), _block_draw(tops, n, rows, words, replay, out)
 
     def __call__(self, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-        degrees, _, k_max = self.in_degrees(gen)
-        return degrees, self.subsets(gen, k_max)
+        return self.block([gen])
 
 
 def _regular_draw(n: int, k: int) -> _DigraphDraw:
@@ -596,13 +703,14 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
 
     Independence across nodes makes per-node uniform k-subsets exactly
     uniform over all k-in-degree regular digraphs.  The draw reads raw
-    Philox words (:func:`_row_draw`), equal to ``Generator.integers`` only
-    on a fresh or re-keyed ``rng``: a half word numpy buffered before the
-    call is left for numpy's next draw, and none is left behind.
+    Philox words (:func:`_block_draw`, a block of one), equal to
+    ``Generator.integers`` only on a fresh or re-keyed ``rng``: a half word
+    numpy buffered before the call is left for numpy's next draw, and none
+    is left behind.
     """
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    return _table_digraph(_digraph_block(n, [_regular_draw(n, k)(rng.generator)])[1])
+    return _table_digraph(_digraph_block(n, *_regular_draw(n, k)(rng.generator))[1])
 
 
 def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
@@ -616,4 +724,4 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
-    return _table_digraph(_digraph_block(n, [_binomial_draw(n, p)(rng.generator)])[1])
+    return _table_digraph(_digraph_block(n, *_binomial_draw(n, p)(rng.generator))[1])

@@ -275,7 +275,7 @@ def test_core_flags_run_only_for_the_passive_core_guess(monkeypatch, case, expec
     cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
     marble = BlackMarbleConfig(beta) if beta else None
     mismatched_blocks = 0
-    for gens in _trial_blocks(RandomSource(0, 3), 300, users):
+    for gens in _trial_blocks(RandomSource(0, 3), 300, 2 * users):
         equal = _Campaign(cfg, adversary, marble).run(gens)[3]
         mismatched_blocks += not equal.all()
     calls.clear()
@@ -348,7 +348,7 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
 def _campaign_outcomes(config, adversary, trials, rng, marble):
     """Per trial: guessed user and ring, win, core-equal; the engine's blocks concatenated."""
     engine = _Campaign(config, adversary, marble)
-    blocks = [engine.run(gens) for gens in _trial_blocks(rng, trials, config.n_users)]
+    blocks = [engine.run(gens) for gens in _trial_blocks(rng, trials, 2 * config.n_users)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
@@ -398,7 +398,7 @@ def test_block_engine_matches_per_trial_reference(monkeypatch, config, adversary
     # blocks of 4 trials: 1, B - 1, B, B + 1 and 2B + 1 trials cross every
     # kind of block boundary; beta = 0.1 corrupts nobody (floor(0.1 * |C|) = 0)
     n = config.n_users
-    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 4 * n)
+    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * n)
     marble = BlackMarbleConfig(beta) if beta else None
     for trials in (1, 3, 4, 5, 9):
         rng = RandomSource(21, 5 + trials)
@@ -422,7 +422,7 @@ def test_block_engine_matches_reference_at_the_block_size():
     # the module's own block size, crossed once: 2B + 1 trials
     config = SamplerConfig(Partition.equal_chunks(40, 8), Regular(3))
     marble = BlackMarbleConfig(0.25)
-    block = samplers_module._BLOCK_NODES // 40
+    block = samplers_module._BLOCK_NODES // 80
     trials = 2 * block + 1
     rng = RandomSource(22)
     expected = [
@@ -459,7 +459,7 @@ def test_campaign_peak_memory_does_not_grow_with_trials():
     # wins and core mismatches are counted block by block, so 80 blocks of
     # trials peak no higher than one
     config = SamplerConfig(Partition.equal_chunks(40, 4), Regular(3))
-    block = samplers_module._BLOCK_NODES // 40
+    block = samplers_module._BLOCK_NODES // 80
     run_campaign(config, 40, "trivial", block, RandomSource(24))  # one-off allocations
     peaks = []
     for trials in (block, 80 * block):

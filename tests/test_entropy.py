@@ -154,6 +154,10 @@ def test_signer_distribution_validation():
         SignerDistribution([0.5, 0.6])
     with pytest.raises(InvalidParams):
         SignerDistribution([-0.1, 1.1])
+    # a NaN weight, wherever it stands, and a negative weight behind a NaN
+    for weights in ([float("nan"), 1.0], [1.0, float("nan")], [float("nan"), -1.0, 2.0]):
+        with pytest.raises(InvalidParams):
+            SignerDistribution(weights)
     SignerDistribution([0.25, 0.75])
 
 

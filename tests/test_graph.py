@@ -372,8 +372,9 @@ def _sha256_of_reprs(rows) -> str:
 
 def test_sampled_digraphs_and_upper_graphs_byte_pinned():
     # Digests of the sampler and relabelling outputs: any change to a draw,
-    # its order or the relabelling rule changes them.  n = 1100 is past the
-    # grid's 1024-node block cap; k = n - 1, p = 0 and p = 1 are the extremes.
+    # its order or the relabelling rule changes them.  The public samplers
+    # make each digraph as a block of one, whatever ``_BLOCK_NODES`` is;
+    # k = n - 1, p = 0 and p = 1 are the extremes.
     regular = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 5), (0, 16), (3, 16), (15, 16),
                (0, 300), (4, 300), (299, 300), (3, 1100)]
     binomial = [(0.0, 1), (1.0, 1), (0.0, 2), (0.5, 2), (1.0, 2), (0.3, 5), (1.0, 16),
@@ -524,7 +525,7 @@ def test_block_kernel_matches_scc_on_sampled_digraphs(n):
                 (_binomial_draw(n, k / (n - 1)), 100 + k,
                  lambda rng: sample_binomial_digraph(k / (n - 1), n, rng)),
             ):
-                block = _digraph_block(n, [draw(RandomSource(seed, stream).generator)])
+                block = _digraph_block(n, *draw(RandomSource(seed, stream).generator))
                 verdict = bool(_strongly_connected_graphs(*block)[0])
                 assert verdict == _single_scc(sample(RandomSource(seed, stream)))
 

@@ -7,14 +7,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ringlab import samplers
+from ringlab.conjecture import estimate_not_sc_binomial, estimate_not_sc_regular
 from ringlab.errors import InvalidConfig, InvalidParams
-from ringlab.graph import Partition, _require_covering, _ring_signers, validate
+from ringlab.graph import (
+    Partition,
+    _require_covering,
+    _ring_signers,
+    is_strongly_connected,
+    validate,
+)
 from ringlab.samplers import (
     Binomial,
     RandomSource,
     Regular,
     SamplerConfig,
+    _BLOCK_NODES,
     _binomial_draw,
+    _block_draw,
     _digraph_block,
     _floyd_bound,
     _floyd_draw,
@@ -22,8 +32,8 @@ from ringlab.samplers import (
     _floyd_subsets,
     _graph_block,
     _graph_draw,
+    _raw_words,
     _regular_draw,
-    _row_draw,
     _StreamFamily,
     _trial_blocks,
     sample_binomial_digraph,
@@ -322,8 +332,8 @@ def test_digraph_block_table_layout(n, k, model):
     # sentinel N fills the rows above
     draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, k / (n - 1))
     padded = 0
-    for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, 1024 // n) + 1, n):
-        starts, table, in_degrees = _digraph_block(n, map(draw, gens))
+    for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, _BLOCK_NODES // n) + 1, n):
+        starts, table, in_degrees = _digraph_block(n, *draw.block(gens, gens.generator))
         k_max, n_nodes = table.shape
         assert starts.tolist() == list(range(0, n_nodes + 1, n))
         if model == "regular":
@@ -355,7 +365,12 @@ def _rejections_at_least(gen, draws):
     return 2 * _raw_words_used(gen) - draws - 1
 
 
-def test_row_draw_equals_the_numpy_floyd_draw():
+def _word_rows(tops):
+    # a leading bound of 1 draws 0 from no word
+    return int(np.count_nonzero(tops > 1))
+
+
+def test_block_draw_equals_the_numpy_floyd_draw():
     # same key on both sides: the digraphs' row bounds n - K .. n - 1 (K = 0,
     # n = 1, K = n - 1 with its leading bound-1 row), then sorted bounds in
     # [2**31, 2**32], where about one word in four is rejected
@@ -371,13 +386,42 @@ def test_row_draw_equals_the_numpy_floyd_draw():
             picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(0, 6)))
             tops = np.unique(picks).astype(np.uint64)
         gen = RandomSource(3, sid).generator
-        x = _row_draw(gen, tops, n)
+        rows = _word_rows(tops)
+        words = _raw_words(gen.bit_generator, rows * n)
+        x = _block_draw(tops, n, [rows], [words], lambda b: (gen.bit_generator, words))
         bound = np.broadcast_to(tops.astype(np.int64)[:, None], (tops.size, n))
         assert x.shape == bound.shape and x.dtype.kind == "i"
         assert np.array_equal(x, _floyd_draw(RandomSource(3, sid).generator, bound))
-        draws = int(np.count_nonzero(tops > 1)) * n
-        most_rejected = max(most_rejected, _rejections_at_least(gen, draws))
+        most_rejected = max(most_rejected, _rejections_at_least(gen, rows * n))
     assert most_rejected >= 10
+
+
+def test_block_draw_of_several_streams_equals_the_numpy_floyd_draws():
+    # draws of 0..K rows side by side, each from its own stream and bottom-
+    # aligned; bounds in [2**31, 2**32] reject words at every slot of a block
+    shapes = np.random.default_rng(29)
+    rejected_slots = set()
+    for block in range(60):
+        n = int(shapes.integers(1, 12))
+        picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(1, 6)))
+        tops = np.unique(picks).astype(np.uint64)
+        if block % 2:
+            tops[0] = 1
+        count = int(shapes.integers(2, 6))
+        k_max = tops.size
+        ks = [int(k) for k in shapes.integers(0, k_max + 1, size=count)]
+        gens = [RandomSource(5, 100 * block + b).generator for b in range(count)]
+        rows = [_word_rows(tops[k_max - k:]) for k in ks]
+        words = [_raw_words(gen.bit_generator, r * n) for gen, r in zip(gens, rows)]
+        x = _block_draw(tops, n, rows, list(words), lambda b: (gens[b].bit_generator, words[b]))
+        assert x.shape == (k_max, count * n) and x.dtype.kind == "i"
+        for b, k in enumerate(ks):
+            bound = np.broadcast_to(tops[k_max - k:].astype(np.int64)[:, None], (k, n))
+            numpy_draw = _floyd_draw(RandomSource(5, 100 * block + b).generator, bound)
+            assert np.array_equal(x[k_max - k:, b * n:(b + 1) * n], numpy_draw)
+            if _rejections_at_least(gens[b], rows[b] * n) >= 1:
+                rejected_slots.add("last" if b == count - 1 else "inner")
+    assert rejected_slots == {"inner", "last"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33])
@@ -408,6 +452,86 @@ def test_grid_stream_with_a_rejected_word_is_pinned():
     assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == (
         "db939e95fb7bbb136c3a842f5a613d8e420b7df4a09c47f3d784f2545ca24e0d"
     )
+
+
+# Seed 0, n = 512: the regular (k = 8) draw of stream 2468 rejects a word,
+# and so does the binomial (p = 6/511) draw of stream 407, whose in-degrees
+# are all positive while those of stream 408 are not.  The regular stream
+# takes the first slot of its block, so later trials move the generator
+# before the redraw; the binomial one is the last trial of its block to
+# make a subset draw, and the block's last trial, decided by its
+# in-degrees, moves the generator too.
+REJECTION_CASES = [("regular", 2468, 0), ("binomial", 407, -2)]
+
+
+@pytest.mark.parametrize("model, rejecting, slot", REJECTION_CASES)
+def test_rejected_word_inside_a_block_is_redrawn(model, rejecting, slot):
+    n, k, p = 512, 8, 6 / 511
+    draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, p)
+    block = _BLOCK_NODES // n
+    assert block >= 2
+    base = rejecting - slot % block
+    ids = range(base, base + block)
+    gen = RandomSource(0, rejecting).generator
+    _, positive, k_max = draw.in_degrees(gen)
+    degree_words = _raw_words_used(gen)
+    gen = RandomSource(0, rejecting).generator
+    draw(gen)
+    assert positive and _rejections_at_least(gen, k_max * n + 2 * degree_words) >= 1
+    # the block's draws equal the per-trial draws of the trials it keeps
+    draws = {sid: draw(RandomSource(0, sid).generator) for sid in ids}
+    kept = [sid for sid in ids if draws[sid][0].all()]
+    if model == "binomial":
+        assert kept[-1] == rejecting and ids[-1] == rejecting + 1 and len(kept) >= 2
+    else:
+        assert kept == list(ids) and kept[0] == rejecting
+    gens = next(_trial_blocks(RandomSource(0, base), block, n))
+    degrees, x = draw.block(gens, gens.generator, decide=True)
+    assert np.array_equal(degrees, np.concatenate([draws[sid][0] for sid in kept]))
+    for b, sid in enumerate(kept):
+        xb = draws[sid][1]
+        assert np.array_equal(x[x.shape[0] - xb.shape[0]:, b * n:(b + 1) * n], xb)
+    # and the campaign counts equal the public samplers'
+    if model == "regular":
+        reference = [sample_regular_digraph(k, n, RandomSource(0, sid)) for sid in ids]
+        estimate = estimate_not_sc_regular(k, n, block, RandomSource(0, base))
+    else:
+        reference = [sample_binomial_digraph(p, n, RandomSource(0, sid)) for sid in ids]
+        estimate = estimate_not_sc_binomial(p, n, block, RandomSource(0, base))
+    assert estimate.failures == sum(not is_strongly_connected(d) for d in reference)
+
+
+def test_replay_leaves_each_trial_just_past_its_words(monkeypatch):
+    # every draw of a block asked for in turn, the last one after the others
+    # have re-keyed the generator: each bit generator returned is on its
+    # trial's stream, just past its in-degrees and words, which come with it
+    n, p, seed = 16, 0.25, 12
+    draw = _binomial_draw(n, p)
+    block_draw = samplers._block_draw
+    states = []
+
+    def every_replay(tops, n, rows, words, replay, out):
+        for b in range(len(rows)):
+            bitgen, words_b = replay(b)
+            states.append((_state_key(bitgen), words_b.tolist()))
+        return block_draw(tops, n, rows, words, replay, out)
+
+    monkeypatch.setattr(samplers, "_block_draw", every_replay)
+    gens = next(_trial_blocks(RandomSource(seed, 40), _BLOCK_NODES // n, n))
+    draw.block(gens, gens.generator, decide=True)
+    expected = []
+    for sid in range(40, 40 + _BLOCK_NODES // n):
+        gen = RandomSource(seed, sid).generator
+        degrees, positive, k_max = draw.in_degrees(gen)
+        if positive:
+            words = _raw_words(gen.bit_generator, k_max * n).tolist()
+            expected.append((_state_key(gen.bit_generator), words))
+    assert len(expected) >= 2 and states == expected
+
+
+def _state_key(bitgen):
+    state = bitgen.state
+    return state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"]
 
 
 def test_digraph_samplers_on_a_reused_source_are_pinned():
