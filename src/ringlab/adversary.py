@@ -326,10 +326,7 @@ def _resolve_adversary(adversary: str):
 
 
 def _check_experiment_args(config: SamplerConfig, n_users: int) -> None:
-    if n_users != config.n_users:
-        raise InvalidConfig(
-            f"config partitions {config.n_users} users, caller declared {n_users}"
-        )
+    config._check_users(n_users)
     if n_users < 1:
         raise InvalidConfig("an experiment needs at least one user")
 

@@ -8,6 +8,13 @@ Results go to stdout (or the --out file), diagnostics to stderr.  Exit
 codes: 0 success, 2 usage or parse error, 3 invalid input graph.  Every
 run is a deterministic function of its flags and seed; the worker count
 never changes any output byte.
+
+Errors take one path.  A handler ``_cmd_*`` returns nothing and raises on
+failure: :class:`_UsageError` for a bad flag or a file that cannot be
+opened, :class:`_ParseError` for a malformed input file, and the library's
+:class:`~ringlab.errors.RinglabError` as it comes.  :func:`main` alone
+turns each into its stderr line and exit code; a failed ``--out`` run
+leaves the previous file as it was.
 """
 from __future__ import annotations
 
@@ -27,14 +34,7 @@ from . import entropy as ent
 from .recommend import minimal_decoys_numeric, recommend as make_recommendation
 from .adversary import ADVERSARIES, BlackMarbleConfig, run_campaign
 from .core import BRUTE_FORCE_USER_CAP, core_report
-from .errors import (
-    DomainError,
-    IndexOutOfRange,
-    InvalidBeta,
-    NoFeasibleK,
-    NotATransactionGraph,
-    RinglabError,
-)
+from .errors import IndexOutOfRange, NoFeasibleK, NotATransactionGraph, RinglabError
 from .graph import Partition, TransactionGraph
 from .samplers import Binomial, RandomSource, Regular, SamplerConfig
 from .stats import format_number
@@ -55,26 +55,25 @@ INSTANCE_CAP = 2**22
 
 
 class _ParseError(Exception):
+    """A malformed input file at ``path:line``; :func:`main` adds ``parse error: ``."""
+
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
 class _UsageError(Exception):
-    """A bad flag or an output file that cannot be opened, found before any work.
-
-    :func:`main` prints it to stderr and exits 2.
-    """
+    """A bad flag or a file that cannot be opened, found before any work."""
 
 
-def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
-    """Exit code of ``write(fh)``, with ``fh`` writing the output file ``path``.
+def _write_output(path: str, write: Callable[[TextIO], None]) -> None:
+    """Call ``write(fh)``, with ``fh`` writing the output file ``path``.
 
-    The output goes to a new file beside ``path`` that replaces it only
-    when ``write`` returns 0, so a failed run leaves an existing file as it
-    was.  An existing ``path`` that is not a regular file (a device such as
-    ``/dev/stdout``, a pipe, a symlink) is written in place.  Raises
-    :class:`_UsageError` before ``write`` runs when the output cannot be
-    opened.
+    The output goes to a new file beside ``path`` that replaces it when
+    ``write`` returns and is deleted when it raises, so a failed run leaves
+    an existing file as it was.  An existing ``path`` that is not a regular
+    file (a device such as ``/dev/stdout``, a pipe, a symlink) is written in
+    place.  Raises :class:`_UsageError` before ``write`` runs when the
+    output cannot be opened.
     """
     in_place = os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path))
     head, tail = os.path.split(path)
@@ -83,17 +82,23 @@ def _write_output(path: str, write: Callable[[TextIO], int]) -> int:
         fh = open(tmp, "w" if in_place else "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
-    code = None
     try:
         with fh:
-            code = write(fh)
-    finally:
+            write(fh)
+    except BaseException:
         if not in_place:
-            if code == EXIT_OK:
-                os.replace(tmp, path)
-            else:
-                os.unlink(tmp)
-    return code
+            os.unlink(tmp)
+        raise
+    if not in_place:
+        os.replace(tmp, path)
+
+
+def _read(parse: Callable[..., object], path: str, *args):
+    """``parse(path, *args)``; a file that cannot be read raises :class:`_UsageError`."""
+    try:
+        return parse(path, *args)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _data_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -188,30 +193,16 @@ def _resolve_threads(flag_value: int | None) -> int:
 # -- core ----------------------------------------------------------------------
 
 
-def _cmd_core(args: argparse.Namespace, out) -> int:
-    try:
-        graph = parse_edge_list(args.input)
-    except _ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NotATransactionGraph as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_GRAPH
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = core_report(graph)
-    except NotATransactionGraph as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BAD_GRAPH
+def _cmd_core(args: argparse.Namespace, out) -> None:
+    graph = _read(parse_edge_list, args.input)
+    report = core_report(graph)
     if args.format == "csv":
         out.write("ring_index,core_degree,deanonymised\n")
         deanon = {r for r, _ in report.deanonymised_rings}
         for r, degree in enumerate(report.per_ring_core_degree):
             flag = "true" if r in deanon else "false"
             out.write(f"{r},{degree},{flag}\n")
-        return EXIT_OK
+        return
     out.write(f"# seed {args.seed}\n")
     out.write(
         f"graph users={graph.n_users} rings={graph.n_rings} edges={graph.edge_count}\n"
@@ -231,22 +222,18 @@ def _cmd_core(args: argparse.Namespace, out) -> int:
             line += " deanonymised=false"
         out.write(line + "\n")
     out.write(f"deanonymised_rings count={len(report.deanonymised_rings)}\n")
-    return EXIT_OK
 
 
 # -- conjecture ------------------------------------------------------------------
 
 
-def _cmd_conjecture(args: argparse.Namespace, out) -> int:
+def _cmd_conjecture(args: argparse.Namespace, out) -> None:
     if args.trials < 1:
-        print("--trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--trials must be >= 1")
     if args.k_min < 1 or args.k_min > args.k_max:
-        print("need 1 <= --k-min <= --k-max", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need 1 <= --k-min <= --k-max")
     if args.n_min < 2 or args.n_min > args.n_max:
-        print("need 2 <= --n-min <= --n-max", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need 2 <= --n-min <= --n-max")
     n_values = []
     n = args.n_min
     while n <= args.n_max:
@@ -256,12 +243,10 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
     # still a valid spec
     k_top = max(args.k_min, min(args.k_max, n_values[-1] - 1))
     if k_top * n_values[-1] > INSTANCE_CAP:
-        print(
+        raise _UsageError(
             f"k x n = {k_top} x {n_values[-1]} in-edges exceeds the instance cap of "
-            f"{INSTANCE_CAP}",
-            file=sys.stderr,
+            f"{INSTANCE_CAP}"
         )
-        return EXIT_USAGE
     spec = conj.GridSpec(
         k_values=tuple(range(args.k_min, k_top + 1)),
         n_values=tuple(n_values),
@@ -271,10 +256,9 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
     workers = _resolve_threads(args.threads)
     cells: list[conj.GridCell] = []
 
-    def write_csv(fh: TextIO) -> int:
+    def write_csv(fh: TextIO) -> None:
         cells.extend(conj.check_conjectures_grid(spec, workers=workers))
         conj.write_grid_csv(cells, fh)
-        return EXIT_OK
 
     _write_output(args.out, write_csv)
     out.write(f"# seed {args.seed}\n")
@@ -291,7 +275,6 @@ def _cmd_conjecture(args: argparse.Namespace, out) -> int:
     out.write(f"conj1_violations {len(bad1)}\n")
     out.write(f"conj2_violations {len(bad2)}\n")
     out.write(f"wrote {args.out}\n")
-    return EXIT_OK
 
 
 # -- simulate --------------------------------------------------------------------
@@ -324,10 +307,9 @@ def _sampler_kind(
     return Binomial(args.p), f"sampler=binomial p={format_number(args.p)}"
 
 
-def _cmd_simulate(args: argparse.Namespace, out) -> int:
+def _cmd_simulate(args: argparse.Namespace, out) -> None:
     if args.trials < 1:
-        print("--trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--trials must be >= 1")
     memberships = args.users * args.chunk_size
     kind, kind_txt = _sampler_kind(args, 0, [
         (
@@ -341,15 +323,13 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         ),
     ])
     if args.adversary == "matching_count" and args.users > BRUTE_FORCE_USER_CAP:
-        print(
-            f"matching_count is exhaustive; --users must be <= {BRUTE_FORCE_USER_CAP}",
-            file=sys.stderr,
+        # before the partition is built: the campaign's own cap check comes after
+        raise _UsageError(
+            f"matching_count is exhaustive; --users must be <= {BRUTE_FORCE_USER_CAP}"
         )
-        return EXIT_USAGE
     beta = args.beta or 0.0
     if not 0.0 <= beta < 1.0:
-        print("need 0 <= --beta < 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need 0 <= --beta < 1")
     marble = BlackMarbleConfig(beta) if beta > 0.0 else None
     config = SamplerConfig(Partition.equal_chunks(args.users, args.chunk_size), kind)
     result = run_campaign(
@@ -376,28 +356,22 @@ def _cmd_simulate(args: argparse.Namespace, out) -> int:
         f"estimate={format_number(c.estimate)} "
         f"ci_low={format_number(c.ci_low)} ci_high={format_number(c.ci_high)}\n"
     )
-    return EXIT_OK
 
 
 # -- recommend -------------------------------------------------------------------
 
 
-def _cmd_recommend(args: argparse.Namespace, out) -> int:
+def _cmd_recommend(args: argparse.Namespace, out) -> None:
     if (args.chunks is None) != (args.chunk_size is None):
-        print("--chunks and --chunk-size must be given together", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--chunks and --chunk-size must be given together")
     beta = args.beta or 0.0
+    result = make_recommendation(args.users, beta=beta)
     k_numeric: int | str | None = None
-    try:
-        result = make_recommendation(args.users, beta=beta)
-        if args.chunks is not None:
-            try:
-                k_numeric = minimal_decoys_numeric(args.chunks, args.chunk_size)
-            except NoFeasibleK:
-                k_numeric = "infeasible"
-    except (DomainError, InvalidBeta) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    if args.chunks is not None:
+        try:
+            k_numeric = minimal_decoys_numeric(args.chunks, args.chunk_size)
+        except NoFeasibleK:
+            k_numeric = "infeasible"
     k = result.k_closed_form
     if args.csv:
         out.write("users,beta,n_chunks,chunk_size,k_closed_form,k_numeric,security\n")
@@ -411,7 +385,7 @@ def _cmd_recommend(args: argparse.Namespace, out) -> int:
             format_number(result.target_security),
         ]
         out.write(",".join(row) + "\n")
-        return EXIT_OK
+        return
     out.write(f"# seed {args.seed}\n")
     out.write(f"recommend users={args.users} beta={format_number(beta)}\n")
     if beta > 0.0:
@@ -424,7 +398,6 @@ def _cmd_recommend(args: argparse.Namespace, out) -> int:
             f"chunks n_chunks={args.chunks} chunk_size={args.chunk_size}\n"
         )
         out.write(f"k_numeric {k_numeric}\n")
-    return EXIT_OK
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -445,7 +418,7 @@ def _parse_weights_file(path: str, expected: int) -> ent.SignerDistribution:
         raise _ParseError(path, 1, str(exc)) from exc
 
 
-def _cmd_entropy(args: argparse.Namespace, out) -> int:
+def _cmd_entropy(args: argparse.Namespace, out) -> None:
     kind, kind_txt = _sampler_kind(args, 1, [
         (args.chunk_size < 1, "--chunk-size must be >= 1"),
         (
@@ -456,14 +429,7 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
     partition = Partition.single(args.chunk_size)
     config = SamplerConfig(partition, kind)
     if args.weights is not None:
-        try:
-            dist = _parse_weights_file(args.weights, args.chunk_size)
-        except _ParseError as exc:
-            print(f"parse error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except OSError as exc:
-            print(f"cannot read {args.weights}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        dist = _read(_parse_weights_file, args.weights, args.chunk_size)
         weights_txt = args.weights
     else:
         dist = ent.SignerDistribution.uniform(args.chunk_size)
@@ -485,7 +451,6 @@ def _cmd_entropy(args: argparse.Namespace, out) -> int:
     if args.exact:
         alpha = ent.anonymity_exact(config, dist)
         out.write(f"alpha_exact_nats {format_number(alpha)}\n")
-    return EXIT_OK
 
 
 # -- parser ----------------------------------------------------------------------
@@ -564,13 +529,22 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     handler = _COMMANDS[args.command]
     out_path = getattr(args, "out", None) if args.command != "conjecture" else None
+    # the one table of failures: each class's stderr line and exit code
     try:
         if out_path:
-            return _write_output(out_path, lambda fh: handler(args, fh))
-        return handler(args, sys.stdout)
+            _write_output(out_path, lambda fh: handler(args, fh))
+        else:
+            handler(args, sys.stdout)
+    except _ParseError as exc:
+        message, code = f"parse error: {exc}", EXIT_USAGE
+    except NotATransactionGraph as exc:
+        message, code = str(exc), EXIT_BAD_GRAPH
     except (_UsageError, RinglabError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        message, code = str(exc), EXIT_USAGE
+    else:
+        return EXIT_OK
+    print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -86,8 +86,6 @@ def estimate_not_sc_regular(
     k: int, n: int, trials: int, rng: RandomSource
 ) -> EstimateResult:
     """Fraction of k-in-degree regular digraphs that are not strongly connected."""
-    if n < 1 or not 0 <= k < n:
-        raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
     return _estimate_not_sc(n, trials, rng, _regular_draw(n, k))
 
 
@@ -95,8 +93,6 @@ def estimate_not_sc_binomial(
     p: float, n: int, trials: int, rng: RandomSource
 ) -> EstimateResult:
     """Fraction of p-binomial digraphs that are not strongly connected."""
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     return _estimate_not_sc(n, trials, rng, _binomial_draw(n, p))
 
 

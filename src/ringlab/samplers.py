@@ -419,6 +419,13 @@ class SamplerConfig:
     def n_users(self) -> int:
         return self.partition.n_users
 
+    def _check_users(self, n_users: int) -> None:
+        """Raise :class:`InvalidConfig` unless the partition has ``n_users`` users."""
+        if n_users != self.n_users:
+            raise InvalidConfig(
+                f"config partitions {self.n_users} users, caller declared {n_users}"
+            )
+
     def __repr__(self) -> str:
         return f"SamplerConfig({self.partition!r}, {self.kind!r})"
 
@@ -450,10 +457,7 @@ def sample_ring(
     config: SamplerConfig, n_users: int, signer: int, rng: RandomSource
 ) -> frozenset[int]:
     """One ring for ``signer``: the signer plus decoys from its chunk."""
-    if n_users != config.n_users:
-        raise InvalidConfig(
-            f"config partitions {config.n_users} users, caller declared {n_users}"
-        )
+    config._check_users(n_users)
     if not 0 <= signer < n_users:
         raise InvalidConfig(f"signer {signer} outside [0, {n_users})")
     part = config.partition
@@ -557,10 +561,7 @@ def sample_transaction_graph(
     then samples its ring within its chunk.  The returned matching is the
     true signer assignment and has size m.
     """
-    if n_users != config.n_users:
-        raise InvalidConfig(
-            f"config partitions {config.n_users} users, caller declared {n_users}"
-        )
+    config._check_users(n_users)
     if not 0 <= m <= n_users:
         raise InvalidConfig(f"signer count {m} outside [0, {n_users}]")
     return _sample_graph(config, m, rng.generator)
@@ -674,12 +675,16 @@ class _DigraphDraw:
 
 def _regular_draw(n: int, k: int) -> _DigraphDraw:
     """The k-in-degree regular model: every in-degree is k, and drawing them takes no word."""
+    if n < 1 or not 0 <= k < n:
+        raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
     fixed = np.full(n, k, dtype=np.int64), k > 0, k
     return _DigraphDraw(n, lambda gen: fixed)
 
 
 def _binomial_draw(n: int, p: float) -> _DigraphDraw:
     """The p-binomial model: in-degrees Binomial(n - 1, p), none drawn at n = 1."""
+    if n < 1 or not 0.0 <= p <= 1.0:
+        raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     if n == 1:
         return _regular_draw(1, 0)
 
@@ -708,8 +713,6 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     numpy buffered before the call is left for numpy's next draw, and none
     is left behind.
     """
-    if n < 1 or not 0 <= k < n:
-        raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
     return _table_digraph(_digraph_block(n, *_regular_draw(n, k)(rng.generator))[1])
 
 
@@ -722,6 +725,4 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     On a reused ``rng`` the subset draw treats a buffered half word as
     :func:`sample_regular_digraph` does.
     """
-    if n < 1 or not 0.0 <= p <= 1.0:
-        raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     return _table_digraph(_digraph_block(n, *_binomial_draw(n, p)(rng.generator))[1])

@@ -457,12 +457,13 @@ def _reference_outcome(config, adversary, rng, marble):
 
 def test_campaign_peak_memory_does_not_grow_with_trials():
     # wins and core mismatches are counted block by block, so 80 blocks of
-    # trials peak no higher than one
+    # trials peak no higher than 40; a warm-up as long as the longest run
+    # fills numpy's and Python's bounded caches first, whatever ran before
     config = SamplerConfig(Partition.equal_chunks(40, 4), Regular(3))
     block = samplers_module._BLOCK_NODES // 80
-    run_campaign(config, 40, "trivial", block, RandomSource(24))  # one-off allocations
+    run_campaign(config, 40, "trivial", 80 * block, RandomSource(24))  # one-off allocations
     peaks = []
-    for trials in (block, 80 * block):
+    for trials in (40 * block, 80 * block):
         tracemalloc.start()
         try:
             run_campaign(config, 40, "trivial", trials, RandomSource(24))

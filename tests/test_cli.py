@@ -779,17 +779,42 @@ def test_out_flag_writes_file(tmp_path):
     assert "deanonymised_rings count=3" in target.read_text()
 
 
-@pytest.mark.parametrize("text, code", [
-    ("2 1\n0 0\n0 7\n", 2),  # ring index out of range: a parse error
-    ("2 2\n0 0\n0 1\n", 3),  # no matching covers both rings
+@pytest.mark.parametrize("text, argv, code, stderr", [
+    pytest.param(
+        "2 1\n0 0\n0 7\n", ["core", "{bad}"], 2,
+        "parse error: {bad}:3: ring index 7 outside [0, 1)\n", id="ring_out_of_range",
+    ),
+    pytest.param(
+        "2 2\n0 0\n0 1\n", ["core", "{bad}"], 3,
+        "2 rings have only 1 distinct members\n", id="no_covering_matching",
+    ),
+    pytest.param(
+        None, ["simulate", "--users", "8", "--chunk-size", "4", "--k", "1", "--trials", "0"], 2,
+        "--trials must be >= 1\n", id="bad_flag",
+    ),
+    pytest.param(
+        "0.5\nabc\n", ["entropy", "--chunk-size", "2", "--k", "1", "--weights", "{bad}"], 2,
+        "parse error: {bad}:2: expected a number, got 'abc'\n", id="malformed_weights",
+    ),
+    pytest.param(
+        None, ["core", "{bad}"], 2, "cannot read {bad}: {bad} not found.\n", id="unreadable_input",
+    ),
+    pytest.param(
+        None, ["recommend", "--users", "2", "--beta", "0.99"], 2, _CLOSED_FORM_ERROR,
+        id="library_error",
+    ),
 ])
-def test_failed_run_keeps_the_previous_out_file(tmp_path, text, code):
+def test_failed_run_keeps_the_previous_out_file(tmp_path, capsys, text, argv, code, stderr):
     target = tmp_path / "prev.txt"
     target.write_bytes(b"previous output\r\n")
-    path = _write(tmp_path, "bad.txt", text)
-    assert main(["core", path, "--out", str(target)]) == code
+    bad = str(tmp_path / "bad.txt")
+    if text is not None:
+        _write(tmp_path, "bad.txt", text)
+    assert main([arg.format(bad=bad) for arg in argv] + ["--out", str(target)]) == code
+    assert capsys.readouterr() == ("", stderr.format(bad=bad))
     assert target.read_bytes() == b"previous output\r\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "prev.txt"]
+    left = sorted(p.name for p in tmp_path.iterdir())
+    assert left == (["prev.txt"] if text is None else ["bad.txt", "prev.txt"])
 
 
 def test_out_through_a_symlink_is_written_in_place(tmp_path):

@@ -171,3 +171,39 @@ def test_every_draw_comes_from_a_keyed_generator():
         for line in _unkeyed_randomness(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == []
+
+
+def _error_exits_outside_main(tree):
+    """Top-level functions and classes, ``main`` aside, that name an error exit code or stderr.
+
+    The codes are ``EXIT_USAGE`` and ``EXIT_BAD_GRAPH``; stderr is any ``.stderr`` attribute.
+    """
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name == "main":
+            continue
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Name) and sub.id in ("EXIT_USAGE", "EXIT_BAD_GRAPH")
+                or isinstance(sub, ast.Attribute) and sub.attr == "stderr"
+            ):
+                found.append(node.name)
+                break
+    return found
+
+
+def test_error_exits_outside_main_finds_codes_and_stderr():
+    code = (
+        "EXIT_USAGE = 2\n"
+        "def f():\n    print('x', file=sys.stderr)\n"
+        "class C:\n    def m(self):\n        return EXIT_BAD_GRAPH\n"
+        "def g():\n    raise ValueError\n"
+        "def main():\n    print('x', file=sys.stderr)\n    return EXIT_USAGE\n"
+    )
+    assert _error_exits_outside_main(ast.parse(code)) == ["f", "C"]
+
+
+def test_only_cli_main_maps_failures_to_exit_codes():
+    # the handlers raise; main alone prints the stderr line and picks the code
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert _error_exits_outside_main(tree) == []
