@@ -19,12 +19,16 @@ n users and n rings.  Trial t draws only from
 stream ``base + t``, in this order: the corruption permutations, the
 signer permutation, the binomial decoy counts, the Floyd draw, and last
 the adversary's one guess draw.  The block engine makes each trial's
-draws up to the Floyd draw in turn and keeps a snapshot of the generator
-state after them.  One Floyd resolve then gives the whole block as one
+draws up to the Floyd draw in turn, through numpy; then the trial reads
+its generator state once and takes the 32-bit words of its Floyd draw
+and of its guess in one raw-word draw (``samplers._graph_draw``).  One
+Lemire pass and one Floyd resolve then give the whole block as one
 graph, the disjoint union of its trials' graphs: user u and ring j of
-trial b are union user ``b*n + u`` and union ring ``b*n + j``.  The guess
-draw is made last, from the trial's restored snapshot, so every count and
-guess equals that of running the trials one by one.
+trial b are union user ``b*n + u`` and union ring ``b*n + j``.  The
+guesses come last, from each trial's word after its Floyd draw, in one
+more Lemire pass.  A word that numpy would reject is drawn again through
+numpy from the trial's state, so every count and guess equals that of
+running the trials one by one.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
 signs, so the graph is balanced, and an edge of it leaves the core
@@ -62,6 +66,8 @@ from .samplers import (
     _block_graph,
     _graph_block,
     _graph_draw,
+    _lemire,
+    _settle,
     _trial_blocks,
 )
 from .stats import EstimateResult
@@ -254,19 +260,17 @@ class _Campaign:
         """Per trial of a block, one per generator: guessed user and ring, win, core-equal.
 
         Each generator's draws finish before the next one is advanced, so
-        the generators may be one re-keyed object.
+        the generators may be one re-keyed object.  A block of one is left
+        where numpy's own draws leave its generator, which may be the
+        caller's.
         """
         config, n = self.config, self.config.n_users
-        gen_of: list[Generator] = []
-        states: list[dict] = []
         corrupted: list[np.ndarray] = []
         draws = []
         for gen in gens:
             if self.marble is not None:
                 corrupted.append(_corrupt_users(config, self.marble, gen))
             draws.append(self.draw(gen))
-            states.append(gen.bit_generator.state)
-            gen_of.append(gen)
         b_count = len(draws)
         union, signed = _graph_block(config, n, draws)
         users, starts = union._users, union._starts
@@ -299,11 +303,20 @@ class _Campaign:
             guessing = np.empty(0, dtype=np.int64)
         else:
             guessing = np.flatnonzero(lengths > 0)
-        picks = np.zeros(guessing.shape[0], dtype=np.int64)
-        for i, b in enumerate(guessing.tolist()):
-            gen = gen_of[b]
-            gen.bit_generator.state = states[b]
-            picks[i] = gen.integers(0, int(lengths[b]))
+        # each guess is numpy's integers(0, length) from the word after its trial's Floyd draw
+        picks, rejected = _lemire(
+            np.array([draws[b][4][-1] for b in guessing.tolist()], dtype="<u4")[:, None],
+            lengths[guessing, None].astype("<u8"),
+        )
+        picks = picks[:, 0]
+        if rejected is not None:
+            for i in np.flatnonzero(rejected >= 0).tolist():
+                trial = draws[guessing[i]]
+                _settle(trial, trial[4].size - 1)  # numpy draws it, just past the Floyd draw
+                picks[i] = trial[0].integers(0, int(lengths[guessing[i]]))
+        elif b_count == 1:  # run_experiment's generator is the caller's and keeps drawing
+            guessed = int(np.count_nonzero(lengths[guessing] > 1))  # a length of 1 takes no word
+            _settle(draws[0], draws[0][4].size - 1 + guessed)
         # the picks-th kept member of the guessed ring, in ascending order
         at = kept[guessing * n + rings[guessing]] + picks
         if keep is not None:
@@ -345,7 +358,8 @@ def run_experiment(
     their edges removed.  With beta = 0 nothing is corrupted, no randomness
     is consumed by the corruption step, and the trial is the passive one.
     The trial is a campaign block of one on ``rng``'s own generator, which
-    continues its stream.
+    continues its stream and is left where numpy's own draws of the trial
+    leave it.
     """
     _check_experiment_args(config, n_users)
     users, rings, success, core_equal = _Campaign(config, adversary, marble).run(
@@ -385,13 +399,14 @@ def run_campaign(
     Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
     run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
     block is sampled as one union graph, its core equality is decided exactly by
-    one label-propagation call per block, and each guess draw is made from
-    its trial's generator state snapshot, so the counts equal those of
-    trials run one by one.  Wins and core-equal trials are counted block
-    by block; no per-trial array outlives its block.  The passive core
-    adversary takes core flags once per block that holds a core mismatch
-    (see the module docstring for why that leaks nothing); only the
-    matching-count adversary builds a graph per trial.
+    one label-propagation call per block, and each guess is numpy's
+    bounded draw made from the word after its trial's Floyd draw, so the
+    counts equal those of trials run one by one.  Wins and core-equal
+    trials are counted block by block; no per-trial array outlives its
+    block.  The passive core adversary takes core flags once per block
+    that holds a core mismatch (see the module docstring for why that
+    leaks nothing); only the matching-count adversary builds a graph per
+    trial.
     """
     _check_experiment_args(config, n_users)
     if trials < 1:

@@ -19,6 +19,7 @@ leaves the previous file as it was.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import re
@@ -132,8 +133,9 @@ def parse_edge_list(path: str) -> TransactionGraph:
     """Read the edge-list format: header ``n_users n_rings``, then one
     ``user ring`` pair per line; ``#`` comments and blank lines ignored.
 
-    The whole file is read by one ``np.loadtxt`` call.  Any file it rejects
-    or reads into something other than a non-negative header plus pairs goes
+    The whole file is read by one ``np.loadtxt`` call; a missing file raises
+    the ``FileNotFoundError`` that ``open`` would.  Any file it rejects or
+    reads into something other than a non-negative header plus pairs goes
     through :func:`_scan_edge_list`, which names the first bad line; a range
     or duplicate error names the line of its edge.
     """
@@ -141,6 +143,8 @@ def parse_edge_list(path: str) -> TransactionGraph:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty file warns; the checks below catch it
             rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+    except FileNotFoundError:  # numpy's own text repeats the path
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path) from None
     except ValueError:  # malformed line, ragged columns or a value beyond int64
         rows = None
     if rows is None or rows.shape[1] != 2 or len(rows) == 0 or (rows[0] < 0).any():

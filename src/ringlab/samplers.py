@@ -8,20 +8,23 @@ across workers.
 All subset drawing funnels through one Floyd kernel: one bounded integer
 draw, which :func:`_floyd_resolve` turns, all rows in lockstep, into a
 uniform without-replacement subset of each row's candidate pool.  Rings
-and transaction graphs make the draw with :func:`_floyd_bound` and
-:func:`_floyd_draw` (:func:`_floyd_subsets` is the three together, used
-by :func:`sample_ring`).  The digraph models, where every pool is n - 1
-and so every row of the draw has one bound, make it with
-:func:`_block_draw`, which applies numpy's bounded-integer rule to raw
-Philox words and gives the same integers.  The regular sampler uses
-constant subset sizes, so a campaign whose pools are constant too builds
-its bounds once; the binomial sampler first draws per-row binomial sizes
-and reuses the same kernel.  A digraph's draws are two steps from one
-generator (:class:`_DigraphDraw`): its in-degrees, then the raw words of
-its subset draw.  A block of digraphs takes each trial's words while its
-generator is on its stream and turns them all into the block's draw with
-one multiply, one rejection screen and one shift; the public samplers
-make a block of one.  The conjecture grid makes no subset draw for a
+make the draw through numpy with :func:`_floyd_draw` (:func:`_floyd_subsets`
+is bound, draw and resolve together, used by :func:`sample_ring`).
+Transaction graphs and digraphs apply numpy's bounded-integer rule to
+raw Philox words and give the same integers: :func:`_lemire` makes all
+values of a block with one multiply, one rejection screen and one shift.
+A transaction graph draws its signer permutation and decoy counts through
+numpy, then reads its generator's state once and takes the words of its
+Floyd draw plus one (:func:`_graph_draw`); a block of graphs makes its
+Floyd draws together (:func:`_block_floyd`), and the extra word gives a
+campaign trial's guess.  A caller's generator, which keeps drawing, is
+then left where numpy's own draws would leave it (:func:`_settle`).  A
+digraph's draws are two steps from one generator (:class:`_DigraphDraw`):
+its in-degrees, then the raw words of its subset draw, whose rows each
+have one bound (:func:`_block_draw`).  The regular samplers use constant
+subset sizes, so a campaign whose pools are constant too counts its
+words once; the binomial samplers first draw per-row binomial sizes and
+reuse the same kernel.  The conjecture grid makes no subset draw for a
 trial whose in-degrees already decide it.
 Sampled objects come in blocks that draw one stream at a time and
 resolve together, each object's draws being the ones it would make
@@ -183,10 +186,9 @@ def _floyd_subsets(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -
 def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Exclusive bounds of Floyd's draw, shape ``(k_max, n)``.
 
-    Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  A
-    campaign whose pools and counts are the same in every trial builds the
-    bound once and passes it to every trial's draw.  The digraph models
-    need no such array: their bounds are one per row (:func:`_block_draw`).
+    Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  The
+    digraph models need no such array: their bounds are one per row
+    (:func:`_block_draw`).
     """
     k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
@@ -194,12 +196,11 @@ def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
-    """The one bounded integer draw of Floyd's algorithm, shaped like ``bound``.
+    """The one bounded integer draw of Floyd's algorithm, shaped like ``bound``, through numpy.
 
     Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).  Rings
-    and transaction graphs draw here, through numpy, because their
-    generators keep drawing afterwards: :func:`_block_draw` drops the half
-    word numpy keeps for the next draw.
+    draw here, and so does a transaction graph whose raw words hold a word
+    that numpy rejects (:func:`_block_floyd`).
     """
     if not bound.shape[0]:
         return np.empty(bound.shape, dtype=np.int64)
@@ -210,6 +211,44 @@ def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
 # of (2**32 - 1) * r is 2**32 - r, never below numpy's threshold
 # (2**32 - r) % r, and a bound of 1 gives (2**32 - 1) >> 32 = 0.
 _PAD_WORD = 0xFFFFFFFF
+
+
+def _lemire(
+    words: np.ndarray, bounds: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """numpy's bounded draws below ``bounds`` made from 32-bit ``words``, all at once.
+
+    ``Generator.integers`` draws a value below a bound r in ``[1, 2**32]``
+    with Lemire's multiply-shift: one 32-bit word w gives ``(w * r) >> 32``
+    unless the low 32 bits of ``w * r`` fall below ``(2**32 - r) % r``;
+    then it rejects w and draws the value again from the next word.  Here
+    every word is multiplied by its ``uint64`` bound (the two broadcast
+    together, to two or more dimensions) in one multiply, screened once and
+    shifted once.  Returns the values, an int64 view of ``out`` (a uint64
+    array of the product's shape, made when not given), and, for each row
+    along the last axis, the column of its first rejected word or -1; None
+    when no word is rejected.  A rejected word makes its value and every
+    later value of its draw wrong; the caller draws them again.  Only the
+    rows whose smallest low half could be rejected are tested word by word,
+    so the screen builds no array of the product's size.
+    """
+    out = np.multiply(words, bounds, out=out, dtype="<u8")
+    low = out.view("<u4")[..., ::2]
+    first = None
+    # a rejection needs a low half below (2**32 - r) % r < r <= bounds.max()
+    if out.size and low.min() < bounds.max():
+        suspect = low.min(axis=-1) < bounds.max()
+        first = np.full(suspect.shape, -1)
+        every = np.broadcast_to(bounds, out.shape)
+        for row in zip(*np.nonzero(suspect)):
+            r = every[row]
+            bad = low[row] < (np.uint64(1 << 32) - r) % r
+            if bad.any():
+                first[row] = bad.argmax()
+        if (first < 0).all():
+            first = None
+    out >>= 32
+    return out.view("<i8"), first
 
 
 def _block_draw(
@@ -226,24 +265,20 @@ def _block_draw(
     row.  Draw b fills the last ``rows[b]`` rows of columns ``b*n ..
     b*n + n - 1`` with ``gen.integers(0, tops[-rows[b]:, None], size=(rows[b],
     n))``, made from ``words[b]``, the :func:`_raw_words` of ``rows[b] * n``
-    values that its own stream gave.  numpy draws a value below a bound r
-    with Lemire's multiply-shift: one 32-bit word w gives ``(w * r) >> 32``
-    unless the low 32 bits of ``w * r`` fall below ``(2**32 - r) % r``;
-    then the value is drawn again from the next word.  The rows above a
-    draw's own, in its columns, take the padding word, so a row of bound 1
-    there reads 0, as numpy draws it from no word.  Several draws' words
-    are first placed in one staging array and ``words`` is emptied, so that
-    they are freed before the product buffer is made; a single draw's words
-    are multiplied as they are.  ``out``, when given, is that buffer, the
-    ``(K, B*n)`` uint64 array that the products and then the result fill.
-    All products are made by one multiply, screened once and shifted once.
-    A rejected word, which the screen finds rarely, shifts the rest of its
-    draw by one word (:func:`_redraw_rejected`); ``replay(b)`` gives the
-    bit generator just past draw b's words, and those words.  A draw
-    equals numpy's when its generator held no buffered half word, as a
-    fresh or re-keyed one does, and is not used afterwards: numpy would
-    keep the unused high half of an odd last word for its next draw, and
-    this drops it.
+    values that its own stream gave.  The rows above a draw's own, in its
+    columns, take the padding word, so a row of bound 1 there reads 0, as
+    numpy draws it from no word.  Several draws' words are first placed in
+    one staging array and ``words`` is emptied, so that they are freed
+    before the product buffer is made; a single draw's words are multiplied
+    as they are.  ``out``, when given, is that buffer, the ``(K, B*n)``
+    uint64 array that the products and then the result fill.  All values
+    come from one :func:`_lemire` call.  A draw with a rejected word, which
+    the screen finds rarely, is made again by :func:`_redraw_rejected`;
+    ``replay(b)`` gives the bit generator just past draw b's words, and
+    those words.  A draw equals numpy's when its generator held no buffered
+    half word, as a fresh or re-keyed one does, and is not used afterwards:
+    numpy would keep the unused high half of an odd last word for its next
+    draw, and this drops it.
     """
     k_max = tops.shape[0]
     count = len(rows)
@@ -263,23 +298,15 @@ def _block_draw(
         out = np.empty((k_max, count * n), dtype="<u8")
     if not out.size:
         return out.view("<i8")
-    out[:top] = _PAD_WORD
-    np.multiply(src, tops[top:, None, None], out=out[top:].reshape(k_max - top, count, n))
+    out[:top] = 0  # a lone draw's leading bound-1 row
+    _, rejected = _lemire(src, tops[top:, None, None], out[top:].reshape(k_max - top, count, n))
     del src
-    low = out.view("<u4")[:, ::2]
-    # a rejection needs a low half below (2**32 - r) % r < r <= tops[-1]
-    if low.min() < tops[-1]:
-        if count == 1:
-            rejected = [0]
-        else:
-            thresholds = (np.uint64(1 << 32) - tops) % tops
-            below = (low < thresholds[:, None]).reshape(k_max, count, n)
-            rejected = np.flatnonzero(below.any(axis=(0, 2))).tolist()
-        for b in rejected:
+    x = out.view("<i8")
+    if rejected is not None:
+        for b in np.flatnonzero((rejected >= 0).any(axis=0)).tolist():
             first = k_max - rows[b]
-            _redraw_rejected(*replay(b), out[first:, b * n:(b + 1) * n], tops[first:])
-    out >>= 32
-    return out.view("<i8")
+            _redraw_rejected(*replay(b), x[first:, b * n:(b + 1) * n], tops[first:])
+    return x
 
 
 def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
@@ -292,51 +319,40 @@ def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
 
 
 def _redraw_rejected(
-    bitgen: BitGenerator, words: np.ndarray, rows: np.ndarray, tops: np.ndarray
+    bitgen: BitGenerator, words: np.ndarray, values: np.ndarray, tops: np.ndarray
 ) -> None:
-    """Redo the Lemire products of :func:`_block_draw` past each rejected word, in place.
+    """Make one draw's values again from its ``words``, in place, rejecting as numpy does.
 
-    ``rows[i, j]`` holds the product of row i's bound and the word of
-    element ``i*n + j`` shifted by the words rejected before it.  At the
-    first element still rejected, the shift grows by one and the products
-    from there on are made again; more raw words are drawn when the shift
-    runs past the block.
+    Row i of ``values`` draws below ``tops[i]``, and value ``(i, j)`` takes
+    word ``i*n + j`` moved on by the words rejected before it.  From the
+    first value still rejected, the values are made again one word further
+    on; more raw words are drawn from ``bitgen`` when that runs past
+    ``words``.
     """
-    n = rows.shape[1]
-    size = rows.size
-    low = rows.view("<u4")[:, ::2]
-    thresholds = (np.uint64(1 << 32) - tops) % tops
-    row = shift = 0
+    n = values.shape[1]
+    size = values.size
+    row = col = shift = 0
     while True:
-        bad = np.flatnonzero(low[row:].min(axis=1) < thresholds[row:])
-        if not bad.size:
-            return
-        row += int(bad[0])
-        col = int(np.argmax(low[row] < thresholds[row]))
-        shift += 1
         if size + shift > words.size:
             words = np.concatenate((words, _raw_words(bitgen, 2)))
         start = row * n + col + shift
         stop = (row + 1) * n + shift
-        np.multiply(words[start:stop], tops[row], out=rows[row, col:])
-        np.multiply(
-            words[stop:size + shift].reshape(-1, n), tops[row + 1:, None], out=rows[row + 1:]
+        _, in_row = _lemire(
+            words[None, start:stop], tops[row], values[row:row + 1, col:].view("<u8")
         )
-
-
-def _stack_draws(draws: list[np.ndarray], width: int) -> np.ndarray:
-    """Floyd draws of ``width`` columns each, side by side in one ``(k_max, B*width)`` array.
-
-    A draw with fewer rows fills the last rows of its columns, where
-    :func:`_floyd_resolve` reads it as it would alone; the rows above are 0.
-    """
-    if len(draws) == 1:
-        return draws[0]
-    k_max = max(xb.shape[0] for xb in draws)
-    x = np.zeros((k_max, width * len(draws)), dtype=np.int64)
-    for b, xb in enumerate(draws):
-        x[k_max - xb.shape[0]:, b * width:(b + 1) * width] = xb
-    return x
+        _, below = _lemire(
+            words[stop:size + shift].reshape(-1, n), tops[row + 1:, None],
+            values[row + 1:].view("<u8"),
+        )
+        if in_row is not None:
+            col += int(in_row[0])
+        elif below is not None:
+            bad = int(np.argmax(below >= 0))
+            row += 1 + bad
+            col = int(below[bad])
+        else:
+            return
+        shift += 1
 
 
 def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -470,16 +486,39 @@ def sample_ring(
     return frozenset(ring)
 
 
-def _graph_draw(
-    config: SamplerConfig, m: int
-) -> Callable[[Generator], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _floyd_words(pools: np.ndarray, counts: np.ndarray) -> int:
+    """32-bit words that numpy's Floyd draw takes when it rejects none: one per bound above 1."""
+    return int(np.count_nonzero(_floyd_bound(pools, counts) > 1))
+
+
+def _next_words(bitgen: BitGenerator, state: dict, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit words of numpy's bounded draws from ``bitgen``, at ``state``.
+
+    A half word that numpy buffered (``has_uint32``) comes first, then the
+    :func:`_raw_words` of one ``random_raw`` call, which leaves the buffered
+    half as it is.
+    """
+    words = _raw_words(bitgen, count - state["has_uint32"])
+    if state["has_uint32"]:
+        words = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), words))
+    return words[:count]
+
+
+_GraphDraw = tuple[Generator, dict, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _graph_draw(config: SamplerConfig, m: int) -> Callable[[Generator], _GraphDraw]:
     """The draws of one m-signer graph, for every graph of a campaign.
 
     The returned function makes, from one generator and in this order,
-    the signer permutation, the decoy counts (drawn under the binomial
-    model only) and the Floyd draw, and returns ``(signers, counts, x)``.
+    the signer permutation and the decoy counts (drawn under the binomial
+    model only).  It then reads the generator's state once and takes the
+    words of the Floyd draw that follows (:func:`_next_words`): one for
+    each element whose bound exceeds 1, and one more, for the guess of a
+    campaign trial.  It returns ``(gen, state, signers, counts, words)``.
     Under the regular model with equal chunks every pool and count is the
-    same in every graph, so the Floyd bound is built here, once.
+    same in every graph, so the counts and the word count are built here,
+    once.
     """
     n = config.n_users
     part = config.partition
@@ -487,40 +526,98 @@ def _graph_draw(
     if isinstance(config.kind, Regular) and len(set(part.chunk_sizes())) == 1:
         counts = np.full(m, config.kind.k, dtype=np.int64)
         pools = np.full(m, part.chunk_sizes()[0] - 1, dtype=np.int64)
-        fixed = counts, _floyd_bound(pools, counts)
+        fixed = counts, _floyd_words(pools, counts)
 
-    def draw(gen: Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def draw(gen: Generator) -> _GraphDraw:
         signers = gen.permutation(n)[:m]
         if fixed is not None:
-            counts, bound = fixed
+            counts, words = fixed
         else:
             pools = _pool_sizes(part, signers)
             counts = _decoy_counts(config, gen, pools)
-            bound = _floyd_bound(pools, counts)
-        return signers, counts, _floyd_draw(gen, bound)
+            words = _floyd_words(pools, counts)
+        state = gen.bit_generator.state
+        return gen, state, signers, counts, _next_words(gen.bit_generator, state, words + 1)
 
     return draw
 
 
+def _settle(draw: _GraphDraw, used: int) -> None:
+    """Leave a graph's generator where numpy's own draws leave it: ``used`` words past its state.
+
+    The state is restored once, and numpy draws the ``used`` 32-bit words
+    one by one, so that it buffers the half word it would.
+    """
+    gen = draw[0]
+    gen.bit_generator.state = draw[1]
+    gen.integers(0, 1 << 32, size=used, dtype=np.uint32)
+
+
+def _block_floyd(
+    m: int, draws: list[_GraphDraw], pools: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The Floyd draws of a block of m-signer graphs, side by side in one ``(K, B*m)`` int64 array.
+
+    Graph b's draw fills the last ``K_b`` rows of its m columns, where
+    ``K_b`` is its largest count: step s of column j draws below
+    ``pools[j] - K_b + 1 + s``, or below 1 when that is smaller, as
+    :func:`_floyd_bound` has it.  The rows above, and every element of bound
+    1, draw 0 from no word: they take the padding word.  Each graph's words
+    fill its other elements in row-major order, and one :func:`_lemire`
+    call makes every value.  A graph with a rejected word is drawn again
+    through numpy from its state, and its entry of ``draws`` is replaced by
+    one whose state follows that draw and whose only word is the next one.
+    """
+    count = len(draws)
+    k_each = counts.reshape(count, m).max(axis=1, initial=0)
+    k_max = int(k_each.max(initial=0))
+    step = np.arange(1 - k_max, 1)  # s - K + 1 at block row s
+    bound = np.maximum(pools.reshape(count, 1, m) + step[:, None], 1)
+    np.copyto(bound, 1, where=(step + k_each[:, None] < 1)[:, :, None])  # rows above its own
+    # a graph's words fill its elements of bound above 1, then one slot for its last word
+    slots = np.ones((count, k_max * m + 1), dtype=bool)
+    np.greater(bound.reshape(count, -1), 1, out=slots[:, :-1])
+    words = np.full(slots.shape, _PAD_WORD, dtype="<u4")
+    words[slots] = np.concatenate([d[4] for d in draws])
+    x = np.empty((k_max, count * m), dtype="<u8")
+    _, rejected = _lemire(
+        words[:, :-1].reshape(count, k_max, m).transpose(1, 0, 2),
+        bound.astype("<u8").transpose(1, 0, 2),
+        x.reshape(k_max, count, m),
+    )
+    x = x.view("<i8")
+    if rejected is not None:
+        for b in np.flatnonzero((rejected >= 0).any(axis=0)).tolist():
+            gen, state, signers, counts_b, _ = draws[b]
+            gen.bit_generator.state = state
+            cols = slice(b * m, (b + 1) * m)
+            x[k_max - k_each[b]:, cols] = _floyd_draw(gen, _floyd_bound(pools[cols], counts_b))
+            state = gen.bit_generator.state
+            draws[b] = gen, state, signers, counts_b, _next_words(gen.bit_generator, state, 1)
+    return x
+
+
 def _graph_block(
-    config: SamplerConfig,
-    m: int,
-    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    config: SamplerConfig, m: int, draws: list[_GraphDraw]
 ) -> tuple[TransactionGraph, np.ndarray]:
     """A block of m-signer graphs, one per draw of :func:`_graph_draw`, as one graph.
 
     Returns ``(union, signed)``.  ``union`` is the disjoint union of the
     block's graphs: user u of graph b is union user ``b*n + u`` (n users
     per graph) and ring j of graph b is union ring ``b*m + j``.
-    ``signed[e]`` is the union signer of edge e's ring.  All subsets are
-    resolved in one lockstep pass, and the signers are checked by
-    :func:`_require_covering` on the union.
+    ``signed[e]`` is the union signer of edge e's ring.  The Floyd draws
+    are made together (:func:`_block_floyd`), all subsets are resolved in
+    one lockstep pass, and the signers are checked by
+    :func:`_require_covering` on the union.  Afterwards the last word of
+    each entry of ``draws`` is the word that follows its graph's Floyd
+    draw.
     """
     n = config.n_users
-    signers = np.concatenate([d[0] for d in draws])
-    counts = np.concatenate([d[1] for d in draws])
-    x = _stack_draws([d[2] for d in draws], m)
-    chosen = _floyd_resolve(x, _pool_sizes(config.partition, signers), counts)
+    signers = np.concatenate([d[2] for d in draws])
+    counts = np.concatenate([d[3] for d in draws])
+    pools = _pool_sizes(config.partition, signers)
+    x = _block_floyd(m, draws, pools, counts)
+    chosen = _floyd_resolve(x, pools, counts)
     k_max = x.shape[0]
     rings = np.empty((signers.shape[0], k_max + 1), dtype=np.int64)  # one row per ring
     rings[:, :k_max] = _decoy_users(config.partition, signers, chosen).T
@@ -547,8 +644,14 @@ def _block_graph(n: int, m: int, union: TransactionGraph, b: int) -> Transaction
 def _sample_graph(
     config: SamplerConfig, m: int, gen: Generator
 ) -> tuple[TransactionGraph, Matching]:
-    """One m-signer graph, with its signer assignment: a block of one, its own union."""
-    graph, signed = _graph_block(config, m, [_graph_draw(config, m)(gen)])
+    """One m-signer graph, with its signer assignment: a block of one, its own union.
+
+    ``gen`` keeps drawing afterwards, so it is left where numpy's own draws
+    would leave it, just past the Floyd draw.
+    """
+    draws = [_graph_draw(config, m)(gen)]
+    graph, signed = _graph_block(config, m, draws)
+    _settle(draws[0], draws[0][4].size - 1)
     return graph, Matching(zip(signed[graph._starts[:-1]].tolist(), range(m)))
 
 

@@ -15,6 +15,7 @@ from ringlab.graph import (
     _ring_signers,
     maximum_matching,
 )
+from ringlab.samplers import Binomial
 
 
 def make_graph(n_users, n_rings, edges):
@@ -197,6 +198,39 @@ def floyd_column(draws: list[int], pool: int) -> list[int]:
         top = pool - len(draws) + i
         chosen.append(top if t in chosen else t)
     return chosen
+
+
+def numpy_transaction_graph(config, m: int, gen: np.random.Generator):
+    """``sample_transaction_graph``'s draws made by numpy's own calls: the reference.
+
+    In the samplers' order: the signer permutation, under the binomial model
+    one ``gen.binomial`` call for the decoy counts, then Floyd's whole
+    ``(K, m)`` draw as one ``gen.integers(0, bound)`` call, step s of signer
+    j below ``pool_j - K + 1 + s`` (or 1).  Each ring is resolved by
+    :func:`floyd_column`.  Returns the graph and the signer assignment.
+    """
+    part = config.partition
+    signers = gen.permutation(config.n_users)[:m].tolist()
+    mates = []  # each signer's chunk mates, in the partition's order
+    for s in signers:
+        c = part.chunk_of(s)
+        chunk = part._chunk_flat[part._chunk_start[c]:part._chunk_start[c + 1]].tolist()
+        mates.append([u for u in chunk if u != s])
+    pools = np.array([len(c) for c in mates], dtype=np.int64)
+    if isinstance(config.kind, Binomial):
+        counts = gen.binomial(pools, config.kind.p).tolist()
+    else:
+        counts = [config.kind.k] * m
+    k_max = max(counts, default=0)
+    draw = np.empty((0, m), dtype=np.int64)
+    if k_max:
+        steps = np.arange(k_max)[:, None]
+        draw = gen.integers(0, np.maximum(pools + steps - k_max + 1, 1), dtype=np.int64)
+    edges = []
+    for j, (s, c) in enumerate(zip(signers, counts)):
+        picks = floyd_column(draw[k_max - c:, j].tolist(), len(mates[j]))
+        edges += [(s, j)] + [(mates[j][i], j) for i in picks]
+    return TransactionGraph(config.n_users, m, edges), Matching(zip(signers, range(m)))
 
 
 def permanent(matrix: list[list[int]]) -> int:

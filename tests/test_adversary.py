@@ -2,6 +2,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,17 +31,22 @@ from ringlab.samplers import (
     RandomSource,
     Regular,
     SamplerConfig,
+    _block_floyd,
     _block_graph,
+    _decoy_counts,
+    _floyd_bound,
+    _floyd_draw,
     _graph_block,
     _graph_draw,
-    _sample_graph,
+    _lemire,
+    _pool_sizes,
     _StreamFamily,
     _trial_blocks,
     _trial_streams,
     sample_transaction_graph,
 )
 
-from conftest import _core_member_flags, make_graph, remove_users
+from conftest import _core_member_flags, make_graph, numpy_transaction_graph, remove_users
 
 
 def _three_sigma(p, n):
@@ -355,12 +361,14 @@ def _campaign_outcomes(config, adversary, trials, rng, marble):
 def _reference_trial(config, adversary, gen, marble):
     """One trial as the per-trial loop ran it before the block engine: the reference.
 
-    Returns the guessed edge, the win and whether the sampled graph is core-equal.
+    Every draw is numpy's own: the graph's (:func:`numpy_transaction_graph`)
+    and the guess's ``gen.integers``.  Returns the guessed edge, the win and
+    whether the sampled graph is core-equal.
     """
     corrupted = set()
     if marble is not None:
         corrupted = set(_corrupt_users(config, marble, gen).tolist())
-    graph, matching = _sample_graph(config, config.n_users, gen)
+    graph, matching = numpy_transaction_graph(config, config.n_users, gen)
     flags = _core_member_flags(graph, matching)
     if corrupted:  # the reduced view has no core
         guess = ADVERSARIES[adversary](remove_users(graph, corrupted), gen, None)
@@ -453,6 +461,206 @@ def test_run_experiment_is_a_one_trial_campaign(adversary, beta):
 def _reference_outcome(config, adversary, rng, marble):
     guess, success, core_equal = _reference_trial(config, adversary, rng.generator, marble)
     return adversary_module.ExperimentOutcome(guess, success, core_equal)
+
+
+# -- the campaign's raw-word draw against numpy's own draws ----------------------------
+
+# chunk 4 with k 3 puts a bound-1 row first; the others cover chunk 8, binomial
+# counts and unequal chunks
+_DRAW_CONFIGS = [
+    (Partition.equal_chunks(40, 4), Regular(3)),
+    (Partition.equal_chunks(40, 8), Regular(3)),
+    (Partition.equal_chunks(9, 3), Binomial(0.2)),
+    (Partition.single(6), Binomial(0.5)),
+    (Partition([range(0, 2), range(2, 5), range(5, 9)]), Regular(1)),
+    (Partition([range(0, 1), range(1, 4), range(4, 6), range(6, 9)]), Binomial(0.6)),
+]
+
+
+def _numpy_floyd(config, gen):
+    """A trial's Floyd draw through numpy, after its signer permutation and counts."""
+    signers = gen.permutation(config.n_users)
+    pools = _pool_sizes(config.partition, signers)
+    counts = _decoy_counts(config, gen, pools)
+    return _floyd_draw(gen, _floyd_bound(pools, counts))
+
+
+@pytest.mark.parametrize("part, kind", _DRAW_CONFIGS)
+def test_campaign_trial_draws_equal_numpys(part, kind):
+    # each trial of a block: its columns of the block's Floyd draw, and the
+    # guess its last word makes for every length, against numpy on its stream;
+    # lengths near 2**32 reject words, which the campaign then draws through numpy
+    config = SamplerConfig(part, kind)
+    n = config.n_users
+    lengths = np.array([1, 2, 3, 4, 5, 7, n, 3 << 30, (1 << 32) - 1], dtype="<u8")
+    halves, rejections = set(), 0
+    for block in range(6):
+        rng = RandomSource(31, 50 * block)
+        drawn = [_graph_draw(config, n)(gen) for gen in _trial_streams(rng, 8)]
+        signers = np.concatenate([d[2] for d in drawn])
+        counts = np.concatenate([d[3] for d in drawn])
+        x = _block_floyd(n, drawn, _pool_sizes(part, signers), counts)
+        for b, d in enumerate(drawn):
+            halves.add(d[1]["has_uint32"])
+            gen = RandomSource(31, 50 * block + b).generator
+            xb = _numpy_floyd(config, gen)
+            assert np.array_equal(x[x.shape[0] - xb.shape[0]:, b * n:(b + 1) * n], xb)
+            after = gen.bit_generator.state
+            picks, rejected = _lemire(np.full((lengths.size, 1), d[4][-1], dtype="<u4"),
+                                      lengths[:, None])
+            rejected = np.zeros(lengths.size, dtype=bool) if rejected is None else rejected >= 0
+            for pick, length, bad in zip(picks.ravel().tolist(), lengths.tolist(), rejected):
+                gen.bit_generator.state = after
+                rejections += bad
+                assert bad or pick == gen.integers(0, length)
+    assert halves == {0, 1} and rejections >= 5
+
+
+def _zero_word(monkeypatch, index, trial=None):
+    """Make word ``index`` of the graph draws' word source 0: at its ``trial``-th
+    call, or at every call that returns that word when ``trial`` is None.
+
+    For a bound or length of 3, numpy rejects a word whose low half of
+    ``3 * word`` is below ``(2**32 - 3) % 3 = 1``: the word 0.
+    """
+    next_words = samplers_module._next_words
+    calls = []
+
+    def words(*args):
+        out = next_words(*args)
+        if len(calls) == trial or (trial is None and -out.size <= index < out.size):
+            out = out.copy()
+            out[index] = 0
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(samplers_module, "_next_words", words)
+
+
+# chunk 4 with k 3 draws rows of bounds 1, 2 and 3, so word n is the first of
+# bound 3; k 2 rings have three members, so every trivial guess is below 3
+_REJECTIONS = {
+    "floyd": ((Partition.equal_chunks(8, 4), Regular(3)), 8),
+    "guess": ((Partition.equal_chunks(8, 4), Regular(2)), -1),
+}
+
+
+@pytest.mark.parametrize("trial", [0, 2, 3])
+@pytest.mark.parametrize("where", ["floyd", "guess"])
+def test_campaign_redraws_a_rejected_word_through_numpy(monkeypatch, where, trial):
+    (part, kind), index = _REJECTIONS[where]
+    config = SamplerConfig(part, kind)
+    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * config.n_users)  # blocks of 4
+    rng = RandomSource(32, 7)
+    expected = [_reference_trial(config, "trivial", gen, None) for gen in _trial_streams(rng, 4)]
+    redraws = []
+    floyd_draw = samplers_module._floyd_draw
+    settle = adversary_module._settle
+    monkeypatch.setattr(samplers_module, "_floyd_draw",
+                        lambda *args: redraws.append("floyd") or floyd_draw(*args))
+    monkeypatch.setattr(adversary_module, "_settle",
+                        lambda *args: redraws.append("guess") or settle(*args))
+    _zero_word(monkeypatch, index, trial)
+    users, rings, success, _ = _campaign_outcomes(config, "trivial", 4, rng, None)
+    assert redraws == [where]
+    assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
+    assert success.tolist() == [e[1] for e in expected]
+
+
+def _state_key(gen):
+    state = gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["buffer"].tolist(), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("adversary, rejecting", [
+    ("trivial", None), ("core", None), ("matching_count", None),
+    ("trivial", "floyd"), ("trivial", "guess"),
+])
+def test_run_experiment_leaves_the_generator_where_numpy_does(monkeypatch, adversary, rejecting):
+    # a reused source, with and without a buffered half word before the
+    # call; k 0 rings have one member, so a trivial guess draws no word
+    cases = [_REJECTIONS["floyd"][0], _REJECTIONS["guess"][0], (Partition.single(6), Regular(0)),
+             (Partition.equal_chunks(9, 3), Binomial(0.4))]
+    if rejecting is not None:  # every trial rejects a word
+        cases, index = [_REJECTIONS[rejecting][0]], _REJECTIONS[rejecting][1]
+        _zero_word(monkeypatch, index)
+    for (part, kind), sid, buffered in product(cases, range(6), (False, True)):
+        config = SamplerConfig(part, kind)
+        rng, reference = RandomSource(33, sid), RandomSource(33, sid).generator
+        if buffered:
+            rng.generator.integers(0, 10)
+            reference.integers(0, 10)
+        outcome = run_experiment(config, config.n_users, adversary, rng)
+        guess, success, core_equal = _reference_trial(config, adversary, reference, None)
+        assert outcome == adversary_module.ExperimentOutcome(guess, success, core_equal)
+        assert _state_key(rng.generator) == _state_key(reference)
+        assert rng.generator.integers(0, 1000, size=3).tolist() == reference.integers(
+            0, 1000, size=3).tolist()
+
+
+class _CountingGenerator:
+    """A trial's generator that counts the raw-word draws, state restores and
+    ``integers`` calls made of it; ``integers`` calls with an array bound count apart."""
+
+    def __init__(self, gen, calls):
+        self._gen = gen
+        self._calls = calls
+        self.bit_generator = self
+
+    def permutation(self, *args):
+        return self._gen.permutation(*args)
+
+    def binomial(self, *args):
+        return self._gen.binomial(*args)
+
+    def integers(self, low, high, **kwargs):
+        self._calls["array integers" if np.ndim(high) else "integers"] += 1
+        return self._gen.integers(low, high, **kwargs)
+
+    def random_raw(self, size):
+        self._calls["random_raw"] += 1
+        return self._gen.bit_generator.random_raw(size)
+
+    @property
+    def state(self):
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self._calls["restores"] += 1
+        self._gen.bit_generator.state = value
+
+
+@pytest.mark.parametrize("part, kind", _DRAW_CONFIGS)
+@pytest.mark.parametrize("adversary, beta", [("trivial", None), ("core", None), ("core", 0.25)])
+def test_campaign_block_takes_one_raw_word_draw_per_trial(part, kind, adversary, beta):
+    # every trial's Floyd words and guess word come from one random_raw call;
+    # no numpy bounded draw with an array bound and no state restore is made
+    config = SamplerConfig(part, kind)
+    marble = BlackMarbleConfig(beta) if beta else None
+    engine = _Campaign(config, adversary, marble)
+    for block in range(3):
+        calls = Counter()
+        gens = [
+            _CountingGenerator(RandomSource(34, 10 * block + t).generator, calls) for t in range(5)
+        ]
+        outcomes = engine.run(gens)
+        assert calls == Counter({"random_raw": 5})
+        expected = engine.run(_trial_streams(RandomSource(34, 10 * block), 5))
+        for got, want in zip(outcomes, expected):
+            assert np.array_equal(got, want)
+
+
+def test_campaign_block_restores_a_state_only_for_a_rejected_word(monkeypatch):
+    (part, kind), index = _REJECTIONS["floyd"]
+    config = SamplerConfig(part, kind)
+    _zero_word(monkeypatch, index, 2)
+    calls = Counter()
+    gens = [_CountingGenerator(RandomSource(35, t).generator, calls) for t in range(5)]
+    _Campaign(config, "trivial", None).run(gens)
+    # trial 2 is drawn again through numpy from its state, then takes its next word
+    assert calls == Counter({"random_raw": 6, "restores": 1, "array integers": 1})
 
 
 def test_campaign_peak_memory_does_not_grow_with_trials():

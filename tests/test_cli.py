@@ -797,7 +797,8 @@ def test_out_flag_writes_file(tmp_path):
         "parse error: {bad}:2: expected a number, got 'abc'\n", id="malformed_weights",
     ),
     pytest.param(
-        None, ["core", "{bad}"], 2, "cannot read {bad}: {bad} not found.\n", id="unreadable_input",
+        None, ["core", "{bad}"], 2,
+        "cannot read {bad}: [Errno 2] No such file or directory: '{bad}'\n", id="unreadable_input",
     ),
     pytest.param(
         None, ["recommend", "--users", "2", "--beta", "0.99"], 2, _CLOSED_FORM_ERROR,

@@ -2,7 +2,7 @@
 import hashlib
 import math
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import floyd_column
+from conftest import floyd_column, numpy_transaction_graph
 
 
 def _freq_within(counter, total, expected_prob, n_sigma=4.0):
@@ -277,6 +277,43 @@ def test_block_covering_check_raises_on_a_corrupted_signer_row():
     reused[j] = reused[12]  # graph 2 names one user twice, and both rings hold it
     with pytest.raises(ValueError, match="reuses a user"):
         _require_covering(union, reused)
+
+
+@pytest.mark.parametrize("rejecting", [False, True])
+def test_sample_transaction_graph_leaves_the_generator_where_numpy_does(monkeypatch, rejecting):
+    # the graph and every later draw of a reused source equal those of
+    # numpy's own draws, with and without a half word buffered before the
+    # call; a rejected Floyd word (the word 0 below a bound of 3) is drawn
+    # again through numpy
+    cases = [
+        (Partition.equal_chunks(8, 4), Regular(3)),
+        (Partition.equal_chunks(9, 3), Binomial(0.4)),
+        (Partition([range(0, 2), range(2, 5), range(5, 9)]), Regular(1)),
+    ]
+    if rejecting:
+        cases = cases[:1]
+        next_words = samplers._next_words
+
+        def zero_first_bound_3_word(*args):  # rows of bounds 1, 2, 3 over m columns
+            words = next_words(*args).copy()
+            if words.size > 2 * m:
+                words[m] = 0
+            return words
+
+        monkeypatch.setattr(samplers, "_next_words", zero_first_bound_3_word)
+    for (part, kind), m, buffered in product(cases, (0, 3, 8), (False, True)):
+        config = SamplerConfig(part, kind)
+        for sid in range(4):
+            rng, reference = RandomSource(8, sid), RandomSource(8, sid).generator
+            if buffered:
+                rng.generator.integers(0, 10)
+                reference.integers(0, 10)
+            graph, matching = sample_transaction_graph(config, config.n_users, m, rng)
+            assert (graph, matching) == numpy_transaction_graph(config, m, reference)
+            assert rng.generator.bit_generator.state["has_uint32"] == (
+                reference.bit_generator.state["has_uint32"])
+            assert rng.generator.integers(0, 1000, size=3).tolist() == reference.integers(
+                0, 1000, size=3).tolist()
 
 
 def test_sample_transaction_graph_bicliques_when_chunks_are_ring_sized():
