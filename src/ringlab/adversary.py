@@ -15,19 +15,17 @@ brute-force scale.
 
 Campaigns run in the blocks of ``samplers._trial_blocks``, of
 ``max(1, _BLOCK_NODES // (2 * n_users))`` trials each: a trial's graph has
-n users and n rings.  Trial t draws only from
-stream ``base + t``, in this order: the corruption permutations, the
-signer permutation, the binomial decoy counts, the Floyd draw, and last
-the adversary's one guess draw.  The block engine makes each trial's
-draws up to the Floyd draw in turn, through numpy; then the trial reads
-its generator state once and takes the 32-bit words of its Floyd draw
-and of its guess in one raw-word draw (``samplers._graph_draw``).  One
-Lemire pass and one Floyd resolve then give the whole block as one
-graph, the disjoint union of its trials' graphs: user u and ring j of
-trial b are union user ``b*n + u`` and union ring ``b*n + j``.  The
-guesses come last, from each trial's word after its Floyd draw, in one
-more Lemire pass.  A word that numpy would reject is drawn again through
-numpy from the trial's state, so every count and guess equals that of
+n users and n rings.  Trial t draws only from stream ``base + t``, under
+stream layout 2 (see ``samplers``), in this order: the corruption
+permutations, the signer permutation, the binomial decoy counts, then
+the ``K_b*n + 1`` main-run words of its Floyd draw and of the
+adversary's one guess (``samplers._graph_draw``).  One Lemire pass and
+one Floyd resolve then give the whole block as one graph, the disjoint
+union of its trials' graphs: user u and ring j of trial b are union user
+``b*n + u`` and union ring ``b*n + j``.  The guesses come last, from each
+trial's word after its Floyd words, in one more Lemire pass.  A rejected
+value takes its words from its trial's overflow run, the Floyd draw's
+first and then the guess's, so every count and guess equals that of
 running the trials one by one.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
@@ -63,11 +61,12 @@ from .graph import Partition, TransactionGraph, _core_equal_graphs, _offsets
 from .samplers import (
     RandomSource,
     SamplerConfig,
+    _Stream,
+    _accept,
     _block_graph,
     _graph_block,
     _graph_draw,
     _lemire,
-    _settle,
     _trial_blocks,
 )
 from .stats import EstimateResult
@@ -255,24 +254,24 @@ class _Campaign:
         self.draw = _graph_draw(config, config.n_users)
 
     def run(
-        self, gens: Iterable[Generator]
+        self, streams: Iterable[_Stream]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per trial of a block, one per generator: guessed user and ring, win, core-equal.
+        """Per trial of a block, one per stream: guessed user and ring, win, core-equal.
 
-        Each generator's draws finish before the next one is advanced, so
-        the generators may be one re-keyed object.  A block of one is left
-        where numpy's own draws leave its generator, which may be the
-        caller's.
+        Each stream's generator draws finish before the next one is
+        advanced, so the generators may be one re-keyed object.
         """
         config, n = self.config, self.config.n_users
         corrupted: list[np.ndarray] = []
         draws = []
-        for gen in gens:
+        runs = []
+        for gen, run in streams:
             if self.marble is not None:
                 corrupted.append(_corrupt_users(config, self.marble, gen))
             draws.append(self.draw(gen))
+            runs.append(run)
         b_count = len(draws)
-        union, signed = _graph_block(config, n, draws)
+        union, signed = _graph_block(config, n, draws, runs)
         users, starts = union._users, union._starts
         decoys = users != signed
         core_equal = _core_equal_graphs(
@@ -303,20 +302,14 @@ class _Campaign:
             guessing = np.empty(0, dtype=np.int64)
         else:
             guessing = np.flatnonzero(lengths > 0)
-        # each guess is numpy's integers(0, length) from the word after its trial's Floyd draw
+        # each guess is below its ring's length, from the word after its trial's Floyd words
         picks, rejected = _lemire(
-            np.array([draws[b][4][-1] for b in guessing.tolist()], dtype="<u4")[:, None],
+            np.array([draws[b][2][-1] for b in guessing.tolist()], dtype="<u4")[:, None],
             lengths[guessing, None].astype("<u8"),
         )
         picks = picks[:, 0]
-        if rejected is not None:
-            for i in np.flatnonzero(rejected >= 0).tolist():
-                trial = draws[guessing[i]]
-                _settle(trial, trial[4].size - 1)  # numpy draws it, just past the Floyd draw
-                picks[i] = trial[0].integers(0, int(lengths[guessing[i]]))
-        elif b_count == 1:  # run_experiment's generator is the caller's and keeps drawing
-            guessed = int(np.count_nonzero(lengths[guessing] > 1))  # a length of 1 takes no word
-            _settle(draws[0], draws[0][4].size - 1 + guessed)
+        for i, _ in rejected:
+            picks[i] = _accept(runs[guessing[i]], int(lengths[guessing[i]]))
         # the picks-th kept member of the guessed ring, in ascending order
         at = kept[guessing * n + rings[guessing]] + picks
         if keep is not None:
@@ -357,13 +350,12 @@ def run_experiment(
     With ``marble`` the trial is active: users are corrupted first and
     their edges removed.  With beta = 0 nothing is corrupted, no randomness
     is consumed by the corruption step, and the trial is the passive one.
-    The trial is a campaign block of one on ``rng``'s own generator, which
-    continues its stream and is left where numpy's own draws of the trial
-    leave it.
+    The trial is a campaign block of one on ``rng``'s streams, which it
+    continues: ``RandomSource(seed, base + t)`` gives campaign trial t.
     """
     _check_experiment_args(config, n_users)
     users, rings, success, core_equal = _Campaign(config, adversary, marble).run(
-        [rng.generator]
+        rng._streams()
     )
     return ExperimentOutcome(
         guessed_edge=(int(users[0]), int(rings[0])),
@@ -398,23 +390,22 @@ def run_campaign(
 
     Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
     run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
-    block is sampled as one union graph, its core equality is decided exactly by
-    one label-propagation call per block, and each guess is numpy's
-    bounded draw made from the word after its trial's Floyd draw, so the
-    counts equal those of trials run one by one.  Wins and core-equal
-    trials are counted block by block; no per-trial array outlives its
-    block.  The passive core adversary takes core flags once per block
-    that holds a core mismatch (see the module docstring for why that
-    leaks nothing); only the matching-count adversary builds a graph per
-    trial.
+    block is sampled as one union graph, its core equality is decided
+    exactly by one label-propagation call per block, and each guess is
+    made from the word after its trial's Floyd words, so the counts equal
+    those of trials run one by one.  Wins and core-equal trials are
+    counted block by block; no per-trial array outlives its block.  The
+    passive core adversary takes core flags once per block that holds a
+    core mismatch (see the module docstring for why that leaks nothing);
+    only the matching-count adversary builds a graph per trial.
     """
     _check_experiment_args(config, n_users)
     if trials < 1:
         raise InvalidConfig("trials must be >= 1")
     engine = _Campaign(config, adversary, marble)
     wins = core_equal = 0
-    for gens in _trial_blocks(base_rng, trials, 2 * n_users):
-        _, _, success, equal = engine.run(gens)
+    for streams in _trial_blocks(base_rng, trials, 2 * n_users):
+        _, _, success, equal = engine.run(streams)
         wins += int(np.count_nonzero(success))
         core_equal += int(np.count_nonzero(equal))
     return CampaignResult(

@@ -16,11 +16,13 @@ the blocks of ``samplers._trial_blocks``, about 2048 nodes each.  Each
 trial draws its in-degrees first.  With n >= 2, a node of in-degree 0
 makes the digraph not strongly connected, so such a trial is counted as a
 failure there and draws nothing more; its stream is its own, so no other
-trial's draws change.  The other trials take the raw words of their
-subset draws in turn; then one bounded-integer pass turns the block's
-words into its Floyd draw, one Floyd resolve gives its in-neighbour table
-and one strong-connectivity call reads that table for the whole block, so
-the counts equal those of running the trials one by one.
+trial's draws change.  The other trials take the main-run words of their
+subset draws in turn, under stream layout 2 (see ``samplers``); then one
+bounded-integer pass turns the block's words into its Floyd draw, a
+rejected value taking its words from its trial's overflow run, one Floyd
+resolve gives its in-neighbour table and one strong-connectivity call
+reads that table for the whole block, so the counts equal those of
+running the trials one by one.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ def _estimate_not_sc(n: int, trials: int, rng: RandomSource, draw: _DigraphDraw)
     for block in _trial_blocks(rng, trials, n):
         # no name holds the draw, whose buffer becomes the table, into the next block
         sc = _strongly_connected_graphs(
-            *_digraph_block(n, *draw.block(block, block.generator, decide=True))
+            *_digraph_block(n, *draw.block(block, decide=True))
         )
         connected += int(np.count_nonzero(sc))
     return EstimateResult.from_counts(trials, trials - connected)

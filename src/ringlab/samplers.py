@@ -5,43 +5,52 @@ Randomness is organised as counter-based Philox streams keyed by
 are reproducible bit-for-bit regardless of how trials are scheduled
 across workers.
 
-All subset drawing funnels through one Floyd kernel: one bounded integer
-draw, which :func:`_floyd_resolve` turns, all rows in lockstep, into a
-uniform without-replacement subset of each row's candidate pool.  Rings
-make the draw through numpy with :func:`_floyd_draw` (:func:`_floyd_subsets`
-is bound, draw and resolve together, used by :func:`sample_ring`).
-Transaction graphs and digraphs apply numpy's bounded-integer rule to
-raw Philox words and give the same integers: :func:`_lemire` makes all
-values of a block with one multiply, one rejection screen and one shift.
-A transaction graph draws its signer permutation and decoy counts through
-numpy, then reads its generator's state once and takes the words of its
-Floyd draw plus one (:func:`_graph_draw`); a block of graphs makes its
-Floyd draws together (:func:`_block_floyd`), and the extra word gives a
-campaign trial's guess.  A caller's generator, which keeps drawing, is
-then left where numpy's own draws would leave it (:func:`_settle`).  A
-digraph's draws are two steps from one generator (:class:`_DigraphDraw`):
-its in-degrees, then the raw words of its subset draw, whose rows each
-have one bound (:func:`_block_draw`).  The regular samplers use constant
-subset sizes, so a campaign whose pools are constant too counts its
-words once; the binomial samplers first draw per-row binomial sizes and
-reuse the same kernel.  The conjecture grid makes no subset draw for a
-trial whose in-degrees already decide it.
-Sampled objects come in blocks that draw one stream at a time and
-resolve together, each object's draws being the ones it would make
-alone: every random digraph comes from :func:`_digraph_block` and every
-transaction graph from :func:`_graph_block`, whose block is one
-``TransactionGraph``, the disjoint union of its graphs.  Campaigns pass a
-block of trials, the public samplers a block of one.  Both campaigns, the
-conjecture grid and the adversary game, take their blocks from
-:func:`_trial_blocks`, about ``_BLOCK_NODES`` = 2048 nodes each, and
-check each block with one call.  A digraph block stays the in-neighbour
-table that the Floyd resolve leaves, one column per node, which the
-grid's strong-connectivity kernel reads as it is; only the public
-digraph samplers flatten it into edges.
+Stream layout 2.  Permutations and binomial counts are numpy's
+``Generator`` draws on the stream.  Every other bounded integer of a
+sampler or a campaign, each step of a Floyd subset draw and each
+campaign guess, follows one rule of ringlab's own.  Value i of a draw
+takes 32-bit word i of the stream's main run (``random_raw``, the low
+half of each 64-bit word first; an odd count leaves the last high half
+unused).  Below a bound r in ``[1, 2**32]`` a word w gives
+``(w * r) >> 32`` (Lemire's multiply-shift) unless the low 32 bits of
+``w * r`` fall below ``(2**32 - r) % r``; then w is rejected, and the
+value takes the next word of the stream's overflow run, the same Philox
+key at counter ``(0, 0, 0, 1)``, and the one after while those are
+rejected too.  Rejected values take their overflow words in value order,
+and no other value moves.  Every value is exactly uniform.  A trial
+stream starts its overflow run fresh; a :class:`RandomSource` keeps one
+overflow run beside its generator, so its successive draws never share
+an overflow word.
+
+All subset drawing funnels through one Floyd kernel: one bounded draw,
+which :func:`_floyd_resolve` turns, all rows in lockstep, into a uniform
+without-replacement subset of each row's candidate pool.  Sampled
+objects come in blocks that draw one stream at a time and resolve
+together, each object's draws being the ones it would make alone.  A
+block's draws sit side by side in one array, made by one
+:func:`_block_draw` (one multiply, one rejection screen and one shift,
+:func:`_lemire`) whose bounds are one per row for digraphs and one per
+element for rings and transaction graphs.  A digraph's draws are its
+in-degrees and then its subset words (:class:`_DigraphDraw`); every
+random digraph comes from :func:`_digraph_block`.  A transaction graph
+draws its signer permutation and decoy counts, then the words of its
+Floyd draw plus one, which gives a campaign trial's guess
+(:func:`_graph_draw`); every transaction graph comes from
+:func:`_graph_block`, whose block is one ``TransactionGraph``, the
+disjoint union of its graphs.  Campaigns pass a block of trials, the
+public samplers a block of one.  Both campaigns, the conjecture grid and
+the adversary game, take their blocks from :func:`_trial_blocks`, about
+``_BLOCK_NODES`` = 2048 nodes each, and check each block with one call.
+The conjecture grid makes no subset draw for a trial whose in-degrees
+already decide it.  A digraph block stays the in-neighbour table that
+the Floyd resolve leaves, one column per node, which the grid's
+strong-connectivity kernel reads as it is; only the public digraph
+samplers flatten it into edges.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,22 +71,43 @@ __all__ = [
 ]
 
 _U64 = (1 << 64) - 1
+_OVERFLOW_COUNTER = np.array([0, 0, 0, 1], dtype=np.uint64)
+
+
+def _overflow_run(seed: int, stream_id: int) -> Iterator[int]:
+    """The 32-bit words of stream ``(seed, stream_id)``'s overflow run, low half first.
+
+    Its Philox object is built at the first word, so a draw that rejects
+    no word builds none.
+    """
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    bitgen = Philox(key=key, counter=_OVERFLOW_COUNTER)
+    while True:
+        word = int(bitgen.random_raw())
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+# A trial's stream: its generator, whose bit generator gives the main run,
+# and its overflow run.
+_Stream = tuple[Generator, Iterator[int]]
 
 
 class RandomSource:
     """Reproducible random stream identified by ``(seed, stream_id)``.
 
     Two sources constructed with identical fields produce identical draw
-    sequences.  The underlying generator is stateful: successive uses of
-    the *same* instance continue its stream.
+    sequences.  The underlying generator and overflow run are stateful:
+    successive uses of the *same* instance continue its stream.
     """
 
-    __slots__ = ("seed", "stream_id", "_generator")
+    __slots__ = ("seed", "stream_id", "_generator", "_overflow")
 
     def __init__(self, seed: int = 0, stream_id: int = 0):
         self.seed = int(seed) & _U64
         self.stream_id = int(stream_id) & _U64
         self._generator: Generator | None = None
+        self._overflow: Iterator[int] | None = None
 
     @property
     def generator(self) -> Generator:
@@ -85,6 +115,12 @@ class RandomSource:
             key = np.array([self.seed, self.stream_id], dtype=np.uint64)
             self._generator = Generator(Philox(key=key))
         return self._generator
+
+    def _streams(self) -> list[_Stream]:
+        """This source as a block of one trial: its generator and its one overflow run."""
+        if self._overflow is None:
+            self._overflow = _overflow_run(self.seed, self.stream_id)
+        return [(self.generator, self._overflow)]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
@@ -98,10 +134,11 @@ class _StreamFamily:
     (pinned by a unit test).  Not thread-safe; each worker owns its own.
     """
 
-    __slots__ = ("_bitgen", "_gen", "_state")
+    __slots__ = ("seed", "_bitgen", "_gen", "_state")
 
     def __init__(self, seed: int):
-        self._bitgen = Philox(key=np.array([int(seed) & _U64, 0], dtype=np.uint64))
+        self.seed = int(seed) & _U64
+        self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
         self._gen = Generator(self._bitgen)
         self._state = self._bitgen.state
 
@@ -117,12 +154,12 @@ class _StreamFamily:
 
 
 class _TrialBlock:
-    """The generators of a block of trials, trial t on stream ``ids[t]``.
+    """The streams of a block of trials, trial t on stream ``ids[t]``.
 
     Iterating re-keys one generator to each trial's stream in turn, so a
-    trial's draws must be finished before the next trial is taken.
-    ``generator(t)`` re-keys it to trial t's stream again, from its start,
-    and a slice is the block of those trials.
+    trial's draws must be finished before the next trial is taken; each
+    trial's overflow run starts fresh.  A slice is the block of those
+    trials.
     """
 
     __slots__ = ("_family", "_ids")
@@ -131,8 +168,9 @@ class _TrialBlock:
         self._family = family
         self._ids = ids
 
-    def __iter__(self) -> Iterator[Generator]:
-        return map(self._family.generator, self._ids)
+    def __iter__(self) -> Iterator[_Stream]:
+        family, ids = self._family, self._ids
+        return zip(map(family.generator, ids), map(_overflow_run, repeat(family.seed), ids))
 
     def __getitem__(self, trials: slice) -> _TrialBlock:
         return _TrialBlock(self._family, self._ids[trials])
@@ -140,12 +178,9 @@ class _TrialBlock:
     def __len__(self) -> int:
         return len(self._ids)
 
-    def generator(self, t: int) -> Generator:
-        return self._family.generator(self._ids[t])
-
 
 def _trial_streams(rng: RandomSource, trials: int) -> _TrialBlock:
-    """One generator per trial, stream ids ``rng.stream_id + t``, as one block."""
+    """One stream per trial, stream ids ``rng.stream_id + t``, as one block."""
     return _TrialBlock(_StreamFamily(rng.seed), range(rng.stream_id, rng.stream_id + trials))
 
 
@@ -170,147 +205,110 @@ def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[_TrialBloc
 # -- subset sampling kernel ---------------------------------------------------
 
 
-def _floyd_subsets(gen: Generator, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per row i, a uniform ``counts[i]``-subset of ``range(pool_sizes[i])``.
-
-    Returns a ``(k_max, n)`` int array whose column i holds the chosen
-    values in rows ``k_max - counts[i] .. k_max - 1``; unused slots are
-    negative.
-    All randomness comes from :func:`_floyd_draw`; :func:`_floyd_resolve`
-    turns the draw into subsets.
-    """
-    x = _floyd_draw(gen, _floyd_bound(pool_sizes, counts))
-    return _floyd_resolve(x, pool_sizes, counts)
-
-
 def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Exclusive bounds of Floyd's draw, shape ``(k_max, n)``.
 
     Step s of row i draws from ``[0, pool_sizes[i] - k_max + s]``.  The
-    digraph models need no such array: their bounds are one per row
-    (:func:`_block_draw`).
+    digraph models need no such array: their bounds are one per row.
     """
     k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
     return np.maximum(pool_sizes + (steps - k_max + 1), 1)
 
 
-def _floyd_draw(gen: Generator, bound: np.ndarray) -> np.ndarray:
-    """The one bounded integer draw of Floyd's algorithm, shaped like ``bound``, through numpy.
-
-    Nothing is drawn when ``bound`` has no rows (``k_max`` is 0).  Rings
-    draw here, and so does a transaction graph whose raw words hold a word
-    that numpy rejects (:func:`_block_floyd`).
-    """
-    if not bound.shape[0]:
-        return np.empty(bound.shape, dtype=np.int64)
-    return gen.integers(0, bound, dtype=np.int64)
-
-
 # The word that pads a block draw: for a bound r in [1, 2**32], the low half
-# of (2**32 - 1) * r is 2**32 - r, never below numpy's threshold
-# (2**32 - r) % r, and a bound of 1 gives (2**32 - 1) >> 32 = 0.
+# of (2**32 - 1) * r is 2**32 - r, never below the threshold (2**32 - r) % r.
 _PAD_WORD = 0xFFFFFFFF
 
 
 def _lemire(
     words: np.ndarray, bounds: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """numpy's bounded draws below ``bounds`` made from 32-bit ``words``, all at once.
+) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Values below ``bounds`` made from 32-bit ``words`` by Lemire's multiply-shift, all at once.
 
-    ``Generator.integers`` draws a value below a bound r in ``[1, 2**32]``
-    with Lemire's multiply-shift: one 32-bit word w gives ``(w * r) >> 32``
-    unless the low 32 bits of ``w * r`` fall below ``(2**32 - r) % r``;
-    then it rejects w and draws the value again from the next word.  Here
-    every word is multiplied by its ``uint64`` bound (the two broadcast
-    together, to two or more dimensions) in one multiply, screened once and
-    shifted once.  Returns the values, an int64 view of ``out`` (a uint64
-    array of the product's shape, made when not given), and, for each row
-    along the last axis, the column of its first rejected word or -1; None
-    when no word is rejected.  A rejected word makes its value and every
-    later value of its draw wrong; the caller draws them again.  Only the
-    rows whose smallest low half could be rejected are tested word by word,
-    so the screen builds no array of the product's size.
+    A word w gives ``(w * r) >> 32`` below its bound r in ``[1, 2**32]``,
+    and is rejected when the low 32 bits of ``w * r`` fall below
+    ``(2**32 - r) % r``.  Every word is multiplied by its ``uint64`` bound
+    (the two broadcast together, to two or more dimensions) in one
+    multiply, screened once and shifted once.  Returns the values, an
+    int64 view of ``out`` (a uint64 array of the product's shape, made when
+    not given), and the positions of the rejected words in C order; the
+    caller replaces their values (:func:`_accept`).  Only the rows along
+    the last axis whose smallest low half could be rejected are tested
+    word by word, so the screen builds no array of the product's size.
     """
     out = np.multiply(words, bounds, out=out, dtype="<u8")
     low = out.view("<u4")[..., ::2]
-    first = None
+    rejected = []
     # a rejection needs a low half below (2**32 - r) % r < r <= bounds.max()
     if out.size and low.min() < bounds.max():
-        suspect = low.min(axis=-1) < bounds.max()
-        first = np.full(suspect.shape, -1)
         every = np.broadcast_to(bounds, out.shape)
-        for row in zip(*np.nonzero(suspect)):
+        suspect = np.nonzero(low.min(axis=-1) < bounds.max())
+        for row in zip(*(axis.tolist() for axis in suspect)):
             r = every[row]
-            bad = low[row] < (np.uint64(1 << 32) - r) % r
-            if bad.any():
-                first[row] = bad.argmax()
-        if (first < 0).all():
-            first = None
+            bad = np.flatnonzero(low[row] < (np.uint64(1 << 32) - r) % r)
+            rejected += [(*row, col) for col in bad.tolist()]
     out >>= 32
-    return out.view("<i8"), first
+    return out.view("<i8"), rejected
+
+
+def _accept(run: Iterator[int], bound: int) -> int:
+    """A rejected value below ``bound``: from the first accepted word of the overflow ``run``."""
+    threshold = ((1 << 32) - bound) % bound
+    while True:
+        product = next(run) * bound
+        if product & 0xFFFFFFFF >= threshold:
+            return product >> 32
 
 
 def _block_draw(
-    tops: np.ndarray,
-    n: int,
+    bounds: np.ndarray,
+    width: int,
     rows: Sequence[int],
     words: list[np.ndarray],
-    replay: Callable[[int], tuple[BitGenerator, np.ndarray]],
+    runs: Sequence[Iterator[int]],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """B bounded integer draws of n columns each, side by side: one ``(K, B*n)`` int64 array.
+    """B bounded draws of ``width`` columns each, side by side: one ``(K, B*width)`` int64 array.
 
-    ``tops`` holds K ascending ``uint64`` bounds in ``[1, 2**32]``, one per
-    row.  Draw b fills the last ``rows[b]`` rows of columns ``b*n ..
-    b*n + n - 1`` with ``gen.integers(0, tops[-rows[b]:, None], size=(rows[b],
-    n))``, made from ``words[b]``, the :func:`_raw_words` of ``rows[b] * n``
-    values that its own stream gave.  The rows above a draw's own, in its
-    columns, take the padding word, so a row of bound 1 there reads 0, as
-    numpy draws it from no word.  Several draws' words are first placed in
-    one staging array and ``words`` is emptied, so that they are freed
-    before the product buffer is made; a single draw's words are multiplied
-    as they are.  ``out``, when given, is that buffer, the ``(K, B*n)``
-    uint64 array that the products and then the result fill.  All values
-    come from one :func:`_lemire` call.  A draw with a rejected word, which
-    the screen finds rarely, is made again by :func:`_redraw_rejected`;
-    ``replay(b)`` gives the bit generator just past draw b's words, and
-    those words.  A draw equals numpy's when its generator held no buffered
-    half word, as a fresh or re-keyed one does, and is not used afterwards:
-    numpy would keep the unused high half of an odd last word for its next
-    draw, and this drops it.
+    ``bounds`` is a ``uint64`` array of values in ``[1, 2**32]`` that
+    broadcasts to ``(K, B, width)``: one bound per row (digraphs) or per
+    element (rings and transaction graphs).  Draw b fills the last
+    ``rows[b]`` rows of columns ``b*width .. b*width + width - 1``, value i
+    in row-major order taking word i of ``words[b]``, its stream's main
+    run (:func:`_raw_words`); a rejected value takes its words from
+    ``runs[b]``, its stream's overflow run (:func:`_accept`).  The rows
+    above a draw's own take the padding word, which no bound rejects; the
+    caller ignores them.  Several draws' words are first placed in one
+    staging array and ``words`` is emptied, so that they are freed before
+    the product buffer is made; a single draw, which fills every row, is
+    multiplied as it is.  ``out``, when given, is that buffer, the
+    ``(K, B*width)`` uint64 array that the products and then the values
+    fill.  All values come from one :func:`_lemire` call.
     """
-    k_max = tops.shape[0]
+    k_max = bounds.shape[0]
     count = len(rows)
     if count == 1:
-        top = k_max - rows[0]
-        src = words[0][:rows[0] * n].reshape(-1, 1, n)
+        src = words[0][:k_max * width].reshape(k_max, 1, width)
     else:
-        top = 0
-        pad = np.full(k_max * n, _PAD_WORD, dtype="<u4")
+        pad = np.full(k_max * width, _PAD_WORD, dtype="<u4")
         pieces = []
         for w, r in zip(words, rows):
-            pieces += (pad[:(k_max - r) * n], w[:r * n])
-        src = np.concatenate(pieces).reshape(count, k_max, n).transpose(1, 0, 2)
+            pieces += (pad[:(k_max - r) * width], w[:r * width])
+        src = np.concatenate(pieces).reshape(count, k_max, width).transpose(1, 0, 2)
         del pad, pieces
     words.clear()
     if out is None:
-        out = np.empty((k_max, count * n), dtype="<u8")
-    if not out.size:
-        return out.view("<i8")
-    out[:top] = 0  # a lone draw's leading bound-1 row
-    _, rejected = _lemire(src, tops[top:, None, None], out[top:].reshape(k_max - top, count, n))
+        out = np.empty((k_max, count * width), dtype="<u8")
+    x, rejected = _lemire(src, bounds, out.reshape(k_max, count, width))
     del src
-    x = out.view("<i8")
-    if rejected is not None:
-        for b in np.flatnonzero((rejected >= 0).any(axis=0)).tolist():
-            first = k_max - rows[b]
-            _redraw_rejected(*replay(b), x[first:, b * n:(b + 1) * n], tops[first:])
-    return x
+    for row, b, col in rejected:
+        x[row, b, col] = _accept(runs[b], int(np.broadcast_to(bounds, x.shape)[row, b, col]))
+    return out.view("<i8")
 
 
 def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
-    """The 32-bit words of ``values`` bounded draws, in numpy's order.
+    """The 32-bit main-run words of ``values`` bounded draws.
 
     They come from ``ceil(values / 2)`` raw Philox words; stored
     little-endian, each lists its low half first on any host.
@@ -318,41 +316,26 @@ def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
     return bitgen.random_raw((values + 1) // 2).astype("<u8", copy=False).view("<u4")
 
 
-def _redraw_rejected(
-    bitgen: BitGenerator, words: np.ndarray, values: np.ndarray, tops: np.ndarray
-) -> None:
-    """Make one draw's values again from its ``words``, in place, rejecting as numpy does.
+def _floyd_block(
+    pools: np.ndarray, counts: np.ndarray, words: list[np.ndarray], runs: Sequence[Iterator[int]]
+) -> np.ndarray:
+    """The Floyd subsets of B draws side by side, ``width = len(pools) // B`` columns each.
 
-    Row i of ``values`` draws below ``tops[i]``, and value ``(i, j)`` takes
-    word ``i*n + j`` moved on by the words rejected before it.  From the
-    first value still rejected, the values are made again one word further
-    on; more raw words are drawn from ``bitgen`` when that runs past
-    ``words``.
+    Draw b's columns draw below :func:`_floyd_bound` of its own pools and
+    counts from ``words[b]`` and ``runs[b]``, its stream's main-run words
+    and overflow run (:func:`_block_draw`): its largest count K_b is the
+    number of its rows, and its first ``K_b * width`` words fill them.  In
+    block row s the bound of column j is ``max(pools[j] - K + 1 + s, 1)``
+    whatever the draw's own K_b, so one :func:`_floyd_bound` over the block
+    serves every draw.  Returns :func:`_floyd_resolve` of the block's draw.
     """
-    n = values.shape[1]
-    size = values.size
-    row = col = shift = 0
-    while True:
-        if size + shift > words.size:
-            words = np.concatenate((words, _raw_words(bitgen, 2)))
-        start = row * n + col + shift
-        stop = (row + 1) * n + shift
-        _, in_row = _lemire(
-            words[None, start:stop], tops[row], values[row:row + 1, col:].view("<u8")
-        )
-        _, below = _lemire(
-            words[stop:size + shift].reshape(-1, n), tops[row + 1:, None],
-            values[row + 1:].view("<u8"),
-        )
-        if in_row is not None:
-            col += int(in_row[0])
-        elif below is not None:
-            bad = int(np.argmax(below >= 0))
-            row += 1 + bad
-            col = int(below[bad])
-        else:
-            return
-        shift += 1
+    count = len(words)
+    width = pools.shape[0] // count
+    bounds = _floyd_bound(pools, counts).astype("<u8")
+    rows = counts.reshape(count, width).max(axis=1, initial=0).tolist()
+    k_max = bounds.shape[0]
+    x = _block_draw(bounds.reshape(k_max, count, width), width, rows, words, runs)
+    return _floyd_resolve(x, pools, counts)
 
 
 def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -477,34 +460,18 @@ def sample_ring(
     if not 0 <= signer < n_users:
         raise InvalidConfig(f"signer {signer} outside [0, {n_users})")
     part = config.partition
+    (gen, run), = rng._streams()
     signers = np.array([signer], dtype=np.int64)
     pools = _pool_sizes(part, signers)
-    counts = _decoy_counts(config, rng.generator, pools)
-    decoys = _decoy_users(part, signers, _floyd_subsets(rng.generator, pools, counts))
+    counts = _decoy_counts(config, gen, pools)
+    chosen = _floyd_block(pools, counts, [_raw_words(gen.bit_generator, int(counts[0]))], [run])
+    decoys = _decoy_users(part, signers, chosen)
     ring = decoys[decoys >= 0].tolist()
     ring.append(signer)
     return frozenset(ring)
 
 
-def _floyd_words(pools: np.ndarray, counts: np.ndarray) -> int:
-    """32-bit words that numpy's Floyd draw takes when it rejects none: one per bound above 1."""
-    return int(np.count_nonzero(_floyd_bound(pools, counts) > 1))
-
-
-def _next_words(bitgen: BitGenerator, state: dict, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit words of numpy's bounded draws from ``bitgen``, at ``state``.
-
-    A half word that numpy buffered (``has_uint32``) comes first, then the
-    :func:`_raw_words` of one ``random_raw`` call, which leaves the buffered
-    half as it is.
-    """
-    words = _raw_words(bitgen, count - state["has_uint32"])
-    if state["has_uint32"]:
-        words = np.concatenate((np.array([state["uinteger"]], dtype="<u4"), words))
-    return words[:count]
-
-
-_GraphDraw = tuple[Generator, dict, np.ndarray, np.ndarray, np.ndarray]
+_GraphDraw = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _graph_draw(config: SamplerConfig, m: int) -> Callable[[Generator], _GraphDraw]:
@@ -512,93 +479,30 @@ def _graph_draw(config: SamplerConfig, m: int) -> Callable[[Generator], _GraphDr
 
     The returned function makes, from one generator and in this order,
     the signer permutation and the decoy counts (drawn under the binomial
-    model only).  It then reads the generator's state once and takes the
-    words of the Floyd draw that follows (:func:`_next_words`): one for
-    each element whose bound exceeds 1, and one more, for the guess of a
-    campaign trial.  It returns ``(gen, state, signers, counts, words)``.
-    Under the regular model with equal chunks every pool and count is the
-    same in every graph, so the counts and the word count are built here,
-    once.
+    model only), then takes ``K*m + 1`` main-run words (:func:`_raw_words`),
+    K being the largest count: those of the Floyd draw and one more, for
+    the guess of a campaign trial.  It returns ``(signers, counts, words)``.
+    Under the regular model every count is k, so the counts are built
+    here, once.
     """
     n = config.n_users
-    part = config.partition
     fixed = None
-    if isinstance(config.kind, Regular) and len(set(part.chunk_sizes())) == 1:
-        counts = np.full(m, config.kind.k, dtype=np.int64)
-        pools = np.full(m, part.chunk_sizes()[0] - 1, dtype=np.int64)
-        fixed = counts, _floyd_words(pools, counts)
+    if isinstance(config.kind, Regular):
+        fixed = np.full(m, config.kind.k, dtype=np.int64)
 
     def draw(gen: Generator) -> _GraphDraw:
         signers = gen.permutation(n)[:m]
-        if fixed is not None:
-            counts, words = fixed
-        else:
-            pools = _pool_sizes(part, signers)
-            counts = _decoy_counts(config, gen, pools)
-            words = _floyd_words(pools, counts)
-        state = gen.bit_generator.state
-        return gen, state, signers, counts, _next_words(gen.bit_generator, state, words + 1)
+        counts = fixed
+        if counts is None:
+            counts = _decoy_counts(config, gen, _pool_sizes(config.partition, signers))
+        words = int(counts.max(initial=0)) * m + 1
+        return signers, counts, _raw_words(gen.bit_generator, words)[:words]
 
     return draw
 
 
-def _settle(draw: _GraphDraw, used: int) -> None:
-    """Leave a graph's generator where numpy's own draws leave it: ``used`` words past its state.
-
-    The state is restored once, and numpy draws the ``used`` 32-bit words
-    one by one, so that it buffers the half word it would.
-    """
-    gen = draw[0]
-    gen.bit_generator.state = draw[1]
-    gen.integers(0, 1 << 32, size=used, dtype=np.uint32)
-
-
-def _block_floyd(
-    m: int, draws: list[_GraphDraw], pools: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """The Floyd draws of a block of m-signer graphs, side by side in one ``(K, B*m)`` int64 array.
-
-    Graph b's draw fills the last ``K_b`` rows of its m columns, where
-    ``K_b`` is its largest count: step s of column j draws below
-    ``pools[j] - K_b + 1 + s``, or below 1 when that is smaller, as
-    :func:`_floyd_bound` has it.  The rows above, and every element of bound
-    1, draw 0 from no word: they take the padding word.  Each graph's words
-    fill its other elements in row-major order, and one :func:`_lemire`
-    call makes every value.  A graph with a rejected word is drawn again
-    through numpy from its state, and its entry of ``draws`` is replaced by
-    one whose state follows that draw and whose only word is the next one.
-    """
-    count = len(draws)
-    k_each = counts.reshape(count, m).max(axis=1, initial=0)
-    k_max = int(k_each.max(initial=0))
-    step = np.arange(1 - k_max, 1)  # s - K + 1 at block row s
-    bound = np.maximum(pools.reshape(count, 1, m) + step[:, None], 1)
-    np.copyto(bound, 1, where=(step + k_each[:, None] < 1)[:, :, None])  # rows above its own
-    # a graph's words fill its elements of bound above 1, then one slot for its last word
-    slots = np.ones((count, k_max * m + 1), dtype=bool)
-    np.greater(bound.reshape(count, -1), 1, out=slots[:, :-1])
-    words = np.full(slots.shape, _PAD_WORD, dtype="<u4")
-    words[slots] = np.concatenate([d[4] for d in draws])
-    x = np.empty((k_max, count * m), dtype="<u8")
-    _, rejected = _lemire(
-        words[:, :-1].reshape(count, k_max, m).transpose(1, 0, 2),
-        bound.astype("<u8").transpose(1, 0, 2),
-        x.reshape(k_max, count, m),
-    )
-    x = x.view("<i8")
-    if rejected is not None:
-        for b in np.flatnonzero((rejected >= 0).any(axis=0)).tolist():
-            gen, state, signers, counts_b, _ = draws[b]
-            gen.bit_generator.state = state
-            cols = slice(b * m, (b + 1) * m)
-            x[k_max - k_each[b]:, cols] = _floyd_draw(gen, _floyd_bound(pools[cols], counts_b))
-            state = gen.bit_generator.state
-            draws[b] = gen, state, signers, counts_b, _next_words(gen.bit_generator, state, 1)
-    return x
-
-
 def _graph_block(
-    config: SamplerConfig, m: int, draws: list[_GraphDraw]
+    config: SamplerConfig, m: int, draws: list[_GraphDraw], runs: Sequence[Iterator[int]]
 ) -> tuple[TransactionGraph, np.ndarray]:
     """A block of m-signer graphs, one per draw of :func:`_graph_draw`, as one graph.
 
@@ -606,19 +510,16 @@ def _graph_block(
     block's graphs: user u of graph b is union user ``b*n + u`` (n users
     per graph) and ring j of graph b is union ring ``b*m + j``.
     ``signed[e]`` is the union signer of edge e's ring.  The Floyd draws
-    are made together (:func:`_block_floyd`), all subsets are resolved in
-    one lockstep pass, and the signers are checked by
-    :func:`_require_covering` on the union.  Afterwards the last word of
-    each entry of ``draws`` is the word that follows its graph's Floyd
-    draw.
+    are made and resolved together (:func:`_floyd_block`), a rejected
+    value of graph b taking its words from ``runs[b]``, and the signers
+    are checked by :func:`_require_covering` on the union.
     """
     n = config.n_users
-    signers = np.concatenate([d[2] for d in draws])
-    counts = np.concatenate([d[3] for d in draws])
+    signers = np.concatenate([d[0] for d in draws])
+    counts = np.concatenate([d[1] for d in draws])
     pools = _pool_sizes(config.partition, signers)
-    x = _block_floyd(m, draws, pools, counts)
-    chosen = _floyd_resolve(x, pools, counts)
-    k_max = x.shape[0]
+    chosen = _floyd_block(pools, counts, [d[2] for d in draws], runs)
+    k_max = chosen.shape[0]
     rings = np.empty((signers.shape[0], k_max + 1), dtype=np.int64)  # one row per ring
     rings[:, :k_max] = _decoy_users(config.partition, signers, chosen).T
     rings[:, k_max] = signers
@@ -641,20 +542,6 @@ def _block_graph(n: int, m: int, union: TransactionGraph, b: int) -> Transaction
     return TransactionGraph._from_csr(n, users, starts - starts[0])
 
 
-def _sample_graph(
-    config: SamplerConfig, m: int, gen: Generator
-) -> tuple[TransactionGraph, Matching]:
-    """One m-signer graph, with its signer assignment: a block of one, its own union.
-
-    ``gen`` keeps drawing afterwards, so it is left where numpy's own draws
-    would leave it, just past the Floyd draw.
-    """
-    draws = [_graph_draw(config, m)(gen)]
-    graph, signed = _graph_block(config, m, draws)
-    _settle(draws[0], draws[0][4].size - 1)
-    return graph, Matching(zip(signed[graph._starts[:-1]].tolist(), range(m)))
-
-
 def sample_transaction_graph(
     config: SamplerConfig, n_users: int, m: int, rng: RandomSource
 ) -> tuple[TransactionGraph, Matching]:
@@ -662,12 +549,16 @@ def sample_transaction_graph(
 
     Signer j is drawn uniformly from the users that have not signed yet,
     then samples its ring within its chunk.  The returned matching is the
-    true signer assignment and has size m.
+    true signer assignment and has size m.  The graph is a block of one
+    (:func:`_graph_block`) on ``rng``'s streams, and takes the words of a
+    campaign trial's graph, its guess word unused.
     """
     config._check_users(n_users)
     if not 0 <= m <= n_users:
         raise InvalidConfig(f"signer count {m} outside [0, {n_users}]")
-    return _sample_graph(config, m, rng.generator)
+    (gen, run), = rng._streams()
+    graph, signed = _graph_block(config, m, [_graph_draw(config, m)(gen)], [run])
+    return graph, Matching(zip(signed[graph._starts[:-1]].tolist(), range(m)))
 
 
 # -- random digraph models ----------------------------------------------------
@@ -701,16 +592,15 @@ def _digraph_block(
 
 
 class _DigraphDraw:
-    """One n-node digraph model's draws, in two steps from one generator.
+    """One n-node digraph model's draws, in two steps from one stream.
 
     ``in_degrees(gen)`` draws the n in-degrees and returns them with
     whether all are positive and with the largest, K; then the Floyd
-    draw takes its raw words (:func:`_raw_words`).  Every pool is n - 1,
-    so step s of every node draws below ``n - K + s``: a leading bound of
-    1 (K = n - 1) takes no word, and the others take ``n`` words a row.
+    draw takes its ``K*n`` main-run words (:func:`_raw_words`).  Every
+    pool is n - 1, so step s of every node draws below ``n - K + s``.
     :meth:`block` makes a block's draws, trial by trial, and then its one
-    :func:`_block_draw`; calling the object makes one digraph's draws, as
-    a block of one.
+    :func:`_block_draw`; calling the object on a :class:`RandomSource`
+    makes one digraph's draws, as a block of one.
     """
 
     __slots__ = ("n", "in_degrees")
@@ -720,60 +610,39 @@ class _DigraphDraw:
         self.in_degrees = in_degrees
 
     def block(
-        self,
-        gens: Sequence[Generator] | _TrialBlock,
-        restart: Callable[[int], Generator] | None = None,
-        decide: bool = False,
+        self, streams: Sequence[_Stream] | _TrialBlock, decide: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The in-degrees and the ``(K, B*n)`` Floyd draw of one digraph per generator.
+        """The in-degrees and the ``(K, B*n)`` Floyd draw of one digraph per stream.
 
-        Each generator draws its trial's in-degrees and then its raw words
-        before the next is taken, so ``gens`` may re-key one generator.
-        With ``decide``, a trial whose in-degrees leave a node of n >= 2
-        without in-neighbours draws no words and is left out: its digraph
-        is not strongly connected.  A rejected word is redrawn on the
-        generator of its trial: in place when that trial was the last one
-        taken and nothing has drawn since; otherwise ``restart(t)`` re-keys
-        trial t's stream and its in-degrees and words are drawn again first.
+        Each stream's generator draws its trial's in-degrees and then its
+        words before the next is taken, so the streams may re-key one
+        generator.  With ``decide``, a trial whose in-degrees leave a node
+        of n >= 2 without in-neighbours draws no words and is left out: its
+        digraph is not strongly connected.
         """
         n = self.n
         kept = []
         words = []
         out = None
-        t = -1
-        for t, gen in enumerate(gens):
+        for gen, run in streams:
             degrees, positive, k_max = self.in_degrees(gen)
             if decide and not positive and n > 1:
                 continue
-            rows = k_max - (0 < k_max == n - 1)  # a leading bound of 1 takes no word
-            kept.append((t, degrees, k_max, rows))
-            if len(gens) == 1:
+            kept.append((degrees, k_max, run))
+            if len(streams) == 1:
                 # a lone draw's buffer is made before its words, which are freed
                 # first: made after them, it sits above a hole and the heap grows
                 out = np.empty((k_max, n), dtype="<u8")
-            words.append(_raw_words(gen.bit_generator, rows * n))
+            words.append(_raw_words(gen.bit_generator, k_max * n))
         if not kept:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.reshape(0, 0)
-        live = t  # the trial whose stream the generator is still on
-        live_words = words[-1]
+        degrees, ks, runs = zip(*kept)
+        tops = np.arange(n - max(ks), n, dtype=np.uint64)[:, None, None]
+        return np.concatenate(degrees), _block_draw(tops, n, ks, words, runs, out)
 
-        def replay(b: int) -> tuple[BitGenerator, np.ndarray]:
-            nonlocal live
-            t, _, _, rows = kept[b]
-            if t == live:
-                return gen.bit_generator, live_words
-            live = -1
-            again = restart(t)
-            self.in_degrees(again)
-            return again.bit_generator, _raw_words(again.bit_generator, rows * n)
-
-        _, degrees, ks, rows = zip(*kept)
-        tops = np.arange(n - max(ks), n, dtype=np.uint64)
-        return np.concatenate(degrees), _block_draw(tops, n, rows, words, replay, out)
-
-    def __call__(self, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-        return self.block([gen])
+    def __call__(self, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
+        return self.block(rng._streams())
 
 
 def _regular_draw(n: int, k: int) -> _DigraphDraw:
@@ -810,13 +679,9 @@ def sample_regular_digraph(k: int, n: int, rng: RandomSource) -> Digraph:
     """Uniform digraph in which every node has exactly k in-neighbors.
 
     Independence across nodes makes per-node uniform k-subsets exactly
-    uniform over all k-in-degree regular digraphs.  The draw reads raw
-    Philox words (:func:`_block_draw`, a block of one), equal to
-    ``Generator.integers`` only on a fresh or re-keyed ``rng``: a half word
-    numpy buffered before the call is left for numpy's next draw, and none
-    is left behind.
+    uniform over all k-in-degree regular digraphs.
     """
-    return _table_digraph(_digraph_block(n, *_regular_draw(n, k)(rng.generator))[1])
+    return _table_digraph(_digraph_block(n, *_regular_draw(n, k)(rng))[1])
 
 
 def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
@@ -825,7 +690,5 @@ def sample_binomial_digraph(p: float, n: int, rng: RandomSource) -> Digraph:
     Sampled in-degree first: each node draws d ~ Binomial(n-1, p) and then
     a uniform d-subset of in-neighbors, which is distribution-identical to
     the edge-wise definition at O(p n^2) expected work instead of Theta(n^2).
-    On a reused ``rng`` the subset draw treats a buffered half word as
-    :func:`sample_regular_digraph` does.
     """
-    return _table_digraph(_digraph_block(n, *_binomial_draw(n, p)(rng.generator))[1])
+    return _table_digraph(_digraph_block(n, *_binomial_draw(n, p)(rng))[1])

@@ -15,6 +15,7 @@ from ringlab.graph import (
     _ring_signers,
     maximum_matching,
 )
+from ringlab import samplers
 from ringlab.samplers import Binomial
 
 
@@ -200,15 +201,104 @@ def floyd_column(draws: list[int], pool: int) -> list[int]:
     return chosen
 
 
-def numpy_transaction_graph(config, m: int, gen: np.random.Generator):
-    """``sample_transaction_graph``'s draws made by numpy's own calls: the reference.
+_MASK32 = (1 << 32) - 1
+
+
+class LayoutStream:
+    """The reference of stream layout 2 on ``(seed, stream_id)``, from fresh Philox objects.
+
+    ``gen`` is a numpy ``Generator`` on the stream's main run, for the
+    permutations and binomial counts.  :meth:`main_words` takes the next
+    32-bit words of the main run (``random_raw``, the low half of each raw
+    word first, an odd count dropping the last high half), and
+    :meth:`value` makes a bounded value from one of them by scalar Lemire
+    arithmetic: a rejected word is replaced by the next word of the
+    overflow run, a second Philox on the same key at counter (0, 0, 0, 1),
+    until one is accepted.  One object keeps one overflow run, as a
+    reused ``RandomSource`` does.
+    """
+
+    def __init__(self, seed: int, stream_id: int):
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        self.gen = np.random.Generator(np.random.Philox(key=key))
+        self._overflow = np.random.Philox(key=key, counter=[0, 0, 0, 1])
+        self._spare: list[int] = []
+        self.overflow_words = 0  # overflow words taken so far
+
+    def main_words(self, count: int) -> list[int]:
+        words = []
+        for raw in self.gen.bit_generator.random_raw((count + 1) // 2).tolist():
+            words += [raw & _MASK32, raw >> 32]
+        return words[:count]
+
+    def _overflow_word(self) -> int:
+        if not self._spare:
+            raw = int(self._overflow.random_raw())
+            self._spare = [raw >> 32, raw & _MASK32]
+        self.overflow_words += 1
+        return self._spare.pop()
+
+    def value(self, word: int, bound: int) -> int:
+        while word * bound & _MASK32 < ((1 << 32) - bound) % bound:
+            word = self._overflow_word()
+        return word * bound >> 32
+
+    def draw(self, bounds) -> np.ndarray:
+        """Values below ``bounds``, value i in row-major order taking main-run word i."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        words = self.main_words(bounds.size)
+        values = [self.value(w, r) for w, r in zip(words, bounds.ravel().tolist())]
+        return np.array(values, dtype=np.int64).reshape(bounds.shape)
+
+
+def inject_words(monkeypatch, word: int, where) -> None:
+    """Replace main-run words of every draw, in the samplers and in :class:`LayoutStream`.
+
+    ``where(stream_id, count)`` gives the positions among the ``count``
+    words of a draw on stream ``stream_id``, and each of them becomes
+    ``word``: one draw is one ``_raw_words`` call of the samplers and one
+    ``main_words`` call of the reference.
+    """
+    raw_words = samplers._raw_words
+    main_words = LayoutStream.main_words
+
+    def engine(bitgen, count):
+        out = raw_words(bitgen, count).copy()
+        out[list(where(int(bitgen.state["state"]["key"][1]), count))] = word
+        return out
+
+    def reference(self, count):
+        out = main_words(self, count)
+        for i in where(int(self.gen.bit_generator.state["state"]["key"][1]), count):
+            out[i] = word
+        return out
+
+    monkeypatch.setattr(samplers, "_raw_words", engine)
+    monkeypatch.setattr(LayoutStream, "main_words", reference)
+
+
+def graph_draws(config, m: int, streams):
+    """The ``_graph_draw`` draws of a block's streams, made in turn, and their overflow runs."""
+    draw = samplers._graph_draw(config, m)
+    draws, runs = [], []
+    for gen, run in streams:
+        draws.append(draw(gen))
+        runs.append(run)
+    return draws, runs
+
+
+def reference_transaction_graph(config, m: int, stream: LayoutStream):
+    """The reference of ``sample_transaction_graph``'s draws under layout 2, made by ``stream``.
 
     In the samplers' order: the signer permutation, under the binomial model
-    one ``gen.binomial`` call for the decoy counts, then Floyd's whole
-    ``(K, m)`` draw as one ``gen.integers(0, bound)`` call, step s of signer
-    j below ``pool_j - K + 1 + s`` (or 1).  Each ring is resolved by
-    :func:`floyd_column`.  Returns the graph and the signer assignment.
+    one ``gen.binomial`` call for the decoy counts, then ``K*m + 1``
+    main-run words, K the largest count.  Word ``s*m + j`` gives step s of
+    signer j, below ``pool_j - K + 1 + s`` (or 1); the values are made in
+    that order, so rejected ones take their overflow words in it.  Each ring
+    is resolved by :func:`floyd_column`.  Returns the graph, the signer
+    assignment and the last word, a campaign trial's guess word.
     """
+    gen = stream.gen
     part = config.partition
     signers = gen.permutation(config.n_users)[:m].tolist()
     mates = []  # each signer's chunk mates, in the partition's order
@@ -222,15 +312,27 @@ def numpy_transaction_graph(config, m: int, gen: np.random.Generator):
     else:
         counts = [config.kind.k] * m
     k_max = max(counts, default=0)
-    draw = np.empty((0, m), dtype=np.int64)
-    if k_max:
-        steps = np.arange(k_max)[:, None]
-        draw = gen.integers(0, np.maximum(pools + steps - k_max + 1, 1), dtype=np.int64)
+    *words, guess = stream.main_words(k_max * m + 1)
+    steps = np.arange(k_max)[:, None]
+    bound = np.maximum(pools + steps - k_max + 1, 1).ravel().tolist()
+    draw = np.array([stream.value(w, r) for w, r in zip(words, bound)], dtype=np.int64)
+    draw = draw.reshape(k_max, m)
     edges = []
     for j, (s, c) in enumerate(zip(signers, counts)):
         picks = floyd_column(draw[k_max - c:, j].tolist(), len(mates[j]))
         edges += [(s, j)] + [(mates[j][i], j) for i in picks]
-    return TransactionGraph(config.n_users, m, edges), Matching(zip(signers, range(m)))
+    return TransactionGraph(config.n_users, m, edges), Matching(zip(signers, range(m))), guess
+
+
+def chi_square(values, bins: int) -> float:
+    """Pearson's statistic of ``values`` in ``range(bins)`` against equal frequencies."""
+    counts = np.bincount(values, minlength=bins)
+    expected = len(values) / bins
+    return float(((counts - expected) ** 2).sum() / expected)
+
+
+# upper 0.001 quantiles of the chi-square distribution, by degrees of freedom
+CHI_SQUARE_999 = {2: 13.816, 4: 18.467, 15: 37.697}
 
 
 def permanent(matrix: list[list[int]]) -> int:

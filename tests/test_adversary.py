@@ -31,22 +31,28 @@ from ringlab.samplers import (
     RandomSource,
     Regular,
     SamplerConfig,
-    _block_floyd,
+    _accept,
     _block_graph,
-    _decoy_counts,
-    _floyd_bound,
-    _floyd_draw,
     _graph_block,
-    _graph_draw,
     _lemire,
-    _pool_sizes,
+    _overflow_run,
     _StreamFamily,
     _trial_blocks,
     _trial_streams,
     sample_transaction_graph,
 )
 
-from conftest import _core_member_flags, make_graph, numpy_transaction_graph, remove_users
+from conftest import (
+    CHI_SQUARE_999,
+    LayoutStream,
+    _core_member_flags,
+    chi_square,
+    graph_draws,
+    inject_words,
+    make_graph,
+    reference_transaction_graph,
+    remove_users,
+)
 
 
 def _three_sigma(p, n):
@@ -230,25 +236,26 @@ def test_estimate_rejects_bad_args():
 
 
 # (users, chunk size, sampler, adversary, beta) -> (successes, core mismatches)
-# of 300 trials from RandomSource(0, 3).  Recorded while the core adversary
-# still ran its own matching and core on every trial: sharing the sampled
-# graph's core with it must not change a single outcome.
+# of 300 trials from RandomSource(0, 3) under stream layout 2.  Recorded from
+# _reference_trial run trial by trial, whose core adversary runs its own
+# matching and core on every trial: sharing the sampled graph's core with it
+# must not change a single outcome.
 GOLDEN_CAMPAIGNS = [
-    ((40, 4, Regular(3), "trivial", None), (76, 0)),
-    ((40, 4, Regular(3), "core", None), (76, 0)),
-    ((40, 8, Regular(3), "trivial", None), (76, 171)),
-    ((40, 8, Regular(3), "core", None), (206, 171)),
-    ((40, 8, Regular(3), "trivial", 0.25), (74, 184)),
-    ((40, 8, Regular(3), "core", 0.25), (74, 184)),
-    ((40, 8, Regular(3), "core", 0.5), (74, 184)),
-    ((12, 4, Regular(1), "trivial", None), (131, 297)),
-    ((12, 4, Regular(1), "core", None), (297, 297)),
-    ((12, 4, Regular(1), "core", 0.5), (152, 300)),
-    ((9, 9, Binomial(0.2), "trivial", None), (273, 290)),
-    ((9, 9, Binomial(0.2), "core", None), (296, 290)),
-    ((9, 9, Binomial(0.2), "matching_count", None), (299, 290)),
-    ((9, 9, Binomial(0.2), "core", 0.25), (205, 281)),
-    ((9, 9, Binomial(0.2), "matching_count", 0.25), (205, 281)),
+    ((40, 4, Regular(3), "trivial", None), (69, 0)),
+    ((40, 4, Regular(3), "core", None), (69, 0)),
+    ((40, 8, Regular(3), "trivial", None), (74, 174)),
+    ((40, 8, Regular(3), "core", None), (203, 174)),
+    ((40, 8, Regular(3), "trivial", 0.25), (67, 181)),
+    ((40, 8, Regular(3), "core", 0.25), (67, 181)),
+    ((40, 8, Regular(3), "core", 0.5), (70, 181)),
+    ((12, 4, Regular(1), "trivial", None), (130, 299)),
+    ((12, 4, Regular(1), "core", None), (299, 299)),
+    ((12, 4, Regular(1), "core", 0.5), (145, 300)),
+    ((9, 9, Binomial(0.2), "trivial", None), (268, 286)),
+    ((9, 9, Binomial(0.2), "core", None), (294, 286)),
+    ((9, 9, Binomial(0.2), "matching_count", None), (295, 286)),
+    ((9, 9, Binomial(0.2), "core", 0.25), (203, 280)),
+    ((9, 9, Binomial(0.2), "matching_count", 0.25), (203, 280)),
 ]
 
 
@@ -281,8 +288,8 @@ def test_core_flags_run_only_for_the_passive_core_guess(monkeypatch, case, expec
     cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
     marble = BlackMarbleConfig(beta) if beta else None
     mismatched_blocks = 0
-    for gens in _trial_blocks(RandomSource(0, 3), 300, 2 * users):
-        equal = _Campaign(cfg, adversary, marble).run(gens)[3]
+    for streams in _trial_blocks(RandomSource(0, 3), 300, 2 * users):
+        equal = _Campaign(cfg, adversary, marble).run(streams)[3]
         mismatched_blocks += not equal.all()
     calls.clear()
     result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
@@ -314,11 +321,10 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
     for i, (part, kind) in enumerate(_ORACLE_CONFIGS):
         config = SamplerConfig(part, kind)
         n = config.n_users
-        draw = _graph_draw(config, n)
         for sid in range(4):  # blocks of 50 graphs
             base = 100 * i + sid
-            draws = [draw(gen) for gen in _trial_streams(RandomSource(24, base), 50)]
-            union, signed = _graph_block(config, n, draws)
+            draws, runs = graph_draws(config, n, _trial_streams(RandomSource(24, base), 50))
+            union, signed = _graph_block(config, n, draws, runs)
             users, starts = union._users, union._starts
             assert union.n_users == union.n_rings == len(draws) * n
             decoys = users != signed
@@ -354,21 +360,36 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
 def _campaign_outcomes(config, adversary, trials, rng, marble):
     """Per trial: guessed user and ring, win, core-equal; the engine's blocks concatenated."""
     engine = _Campaign(config, adversary, marble)
-    blocks = [engine.run(gens) for gens in _trial_blocks(rng, trials, 2 * config.n_users)]
+    blocks = [engine.run(streams) for streams in _trial_blocks(rng, trials, 2 * config.n_users)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def _reference_trial(config, adversary, gen, marble):
+class _GuessGenerator:
+    """A trial's generator as the per-graph strategies use it: their one
+    bounded draw is the trial's guess, layout 2's value of its guess word."""
+
+    def __init__(self, stream, word):
+        self._stream = stream
+        self._word = word
+
+    def integers(self, low, high):
+        return low + self._stream.value(self._word, int(high - low))
+
+
+def _reference_trial(config, adversary, stream, marble):
     """One trial as the per-trial loop ran it before the block engine: the reference.
 
-    Every draw is numpy's own: the graph's (:func:`numpy_transaction_graph`)
-    and the guess's ``gen.integers``.  Returns the guessed edge, the win and
-    whether the sampled graph is core-equal.
+    Every draw comes from ``stream``, a :class:`conftest.LayoutStream`: the
+    corruption permutations, the graph's (:func:`reference_transaction_graph`)
+    and, through the per-graph strategies, the guess, from the graph's last
+    word.  Returns the guessed edge, the win and whether the sampled graph
+    is core-equal.
     """
     corrupted = set()
     if marble is not None:
-        corrupted = set(_corrupt_users(config, marble, gen).tolist())
-    graph, matching = numpy_transaction_graph(config, config.n_users, gen)
+        corrupted = set(_corrupt_users(config, marble, stream.gen).tolist())
+    graph, matching, word = reference_transaction_graph(config, config.n_users, stream)
+    gen = _GuessGenerator(stream, word)
     flags = _core_member_flags(graph, matching)
     if corrupted:  # the reduced view has no core
         guess = ADVERSARIES[adversary](remove_users(graph, corrupted), gen, None)
@@ -378,6 +399,14 @@ def _reference_trial(config, adversary, gen, marble):
     if marble is not None:
         success = success and marble.admissible(config.partition, corrupted)
     return guess, success, bool(flags.all())
+
+
+def _reference_trials(config, adversary, trials, rng, marble):
+    """:func:`_reference_trial` of each trial t of a campaign on ``rng``: stream ``base + t``."""
+    return [
+        _reference_trial(config, adversary, LayoutStream(rng.seed, rng.stream_id + t), marble)
+        for t in range(trials)
+    ]
 
 
 _ENGINE_CONFIGS = [
@@ -410,10 +439,7 @@ def test_block_engine_matches_per_trial_reference(monkeypatch, config, adversary
     marble = BlackMarbleConfig(beta) if beta else None
     for trials in (1, 3, 4, 5, 9):
         rng = RandomSource(21, 5 + trials)
-        expected = [
-            _reference_trial(config, adversary, gen, marble)
-            for gen in _trial_streams(rng, trials)
-        ]
+        expected = _reference_trials(config, adversary, trials, rng, marble)
         users, rings, success, core_equal = _campaign_outcomes(
             config, adversary, trials, rng, marble
         )
@@ -433,9 +459,7 @@ def test_block_engine_matches_reference_at_the_block_size():
     block = samplers_module._BLOCK_NODES // 80
     trials = 2 * block + 1
     rng = RandomSource(22)
-    expected = [
-        _reference_trial(config, "core", gen, marble) for gen in _trial_streams(rng, trials)
-    ]
+    expected = _reference_trials(config, "core", trials, rng, marble)
     users, rings, success, core_equal = _campaign_outcomes(config, "core", trials, rng, marble)
     assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
     assert success.tolist() == [e[1] for e in expected]
@@ -459,11 +483,12 @@ def test_run_experiment_is_a_one_trial_campaign(adversary, beta):
 
 
 def _reference_outcome(config, adversary, rng, marble):
-    guess, success, core_equal = _reference_trial(config, adversary, rng.generator, marble)
+    stream = LayoutStream(rng.seed, rng.stream_id)
+    guess, success, core_equal = _reference_trial(config, adversary, stream, marble)
     return adversary_module.ExperimentOutcome(guess, success, core_equal)
 
 
-# -- the campaign's raw-word draw against numpy's own draws ----------------------------
+# -- the campaign's raw-word draw against the layout-2 reference -----------------------
 
 # chunk 4 with k 3 puts a bound-1 row first; the others cover chunk 8, binomial
 # counts and unequal chunks
@@ -477,94 +502,155 @@ _DRAW_CONFIGS = [
 ]
 
 
-def _numpy_floyd(config, gen):
-    """A trial's Floyd draw through numpy, after its signer permutation and counts."""
-    signers = gen.permutation(config.n_users)
-    pools = _pool_sizes(config.partition, signers)
-    counts = _decoy_counts(config, gen, pools)
-    return _floyd_draw(gen, _floyd_bound(pools, counts))
-
-
 @pytest.mark.parametrize("part, kind", _DRAW_CONFIGS)
 def test_campaign_trial_draws_equal_numpys(part, kind):
-    # each trial of a block: its columns of the block's Floyd draw, and the
-    # guess its last word makes for every length, against numpy on its stream;
-    # lengths near 2**32 reject words, which the campaign then draws through numpy
+    # each trial of a block: its graph in the block's union, and the guess its
+    # last word makes for every length, against the layout-2 reference on its
+    # stream; lengths near 2**32 reject words, whose values then come from the
+    # trial's overflow run, after those its Floyd draw took
     config = SamplerConfig(part, kind)
     n = config.n_users
-    lengths = np.array([1, 2, 3, 4, 5, 7, n, 3 << 30, (1 << 32) - 1], dtype="<u8")
-    halves, rejections = set(), 0
+    lengths = [1, 2, 3, 4, 5, 7, n, 3 << 30, (1 << 32) - 1]
+    rejections = 0
     for block in range(6):
-        rng = RandomSource(31, 50 * block)
-        drawn = [_graph_draw(config, n)(gen) for gen in _trial_streams(rng, 8)]
-        signers = np.concatenate([d[2] for d in drawn])
-        counts = np.concatenate([d[3] for d in drawn])
-        x = _block_floyd(n, drawn, _pool_sizes(part, signers), counts)
-        for b, d in enumerate(drawn):
-            halves.add(d[1]["has_uint32"])
-            gen = RandomSource(31, 50 * block + b).generator
-            xb = _numpy_floyd(config, gen)
-            assert np.array_equal(x[x.shape[0] - xb.shape[0]:, b * n:(b + 1) * n], xb)
-            after = gen.bit_generator.state
-            picks, rejected = _lemire(np.full((lengths.size, 1), d[4][-1], dtype="<u4"),
-                                      lengths[:, None])
-            rejected = np.zeros(lengths.size, dtype=bool) if rejected is None else rejected >= 0
-            for pick, length, bad in zip(picks.ravel().tolist(), lengths.tolist(), rejected):
-                gen.bit_generator.state = after
-                rejections += bad
-                assert bad or pick == gen.integers(0, length)
-    assert halves == {0, 1} and rejections >= 5
+        draws, runs = graph_draws(config, n, _trial_streams(RandomSource(31, 50 * block), 8))
+        union, _ = _graph_block(config, n, draws, runs)
+        for b, (draw, run) in enumerate(zip(draws, runs)):
+            reference = LayoutStream(31, 50 * block + b)
+            graph, _, word = reference_transaction_graph(config, n, reference)
+            assert _block_graph(n, n, union, b) == graph and draw[2][-1] == word
+            for length in lengths:
+                picks, rejected = _lemire(
+                    np.array([[word]], dtype="<u4"), np.array([[length]], dtype="<u8")
+                )
+                pick = _accept(run, length) if rejected else int(picks[0, 0])
+                rejections += len(rejected)
+                assert pick == reference.value(word, length)
+    assert rejections >= 5
 
 
-def _zero_word(monkeypatch, index, trial=None):
-    """Make word ``index`` of the graph draws' word source 0: at its ``trial``-th
-    call, or at every call that returns that word when ``trial`` is None.
-
-    For a bound or length of 3, numpy rejects a word whose low half of
-    ``3 * word`` is below ``(2**32 - 3) % 3 = 1``: the word 0.
-    """
-    next_words = samplers_module._next_words
-    calls = []
-
-    def words(*args):
-        out = next_words(*args)
-        if len(calls) == trial or (trial is None and -out.size <= index < out.size):
-            out = out.copy()
-            out[index] = 0
-        calls.append(1)
-        return out
-
-    monkeypatch.setattr(samplers_module, "_next_words", words)
-
-
-# chunk 4 with k 3 draws rows of bounds 1, 2 and 3, so word n is the first of
-# bound 3; k 2 rings have three members, so every trivial guess is below 3
+# chunk 4 with k 3 draws rows of bounds 1, 2 and 3 over 8 columns, so word 16 of
+# a trial's 25 is the first of bound 3; k 2 rings have three members, so every
+# trivial guess is below 3 and comes from a trial's last word.  Below 3 the
+# word 0 is rejected: the low half of 3 * 0 is below (2**32 - 3) % 3 = 1.
 _REJECTIONS = {
-    "floyd": ((Partition.equal_chunks(8, 4), Regular(3)), 8),
-    "guess": ((Partition.equal_chunks(8, 4), Regular(2)), -1),
+    "floyd": ((Partition.equal_chunks(8, 4), Regular(3)), lambda count: 16),
+    "guess": ((Partition.equal_chunks(8, 4), Regular(2)), lambda count: count - 1),
 }
+
+
+def _reject_word(monkeypatch, where, stream_id=None):
+    """Make the word that ``_REJECTIONS[where]`` names the word 0, in the engine and the
+    reference: in the draws of stream ``stream_id``, or of every stream when it is None."""
+    position = _REJECTIONS[where][1]
+    inject_words(
+        monkeypatch, 0, lambda sid, count: [position(count)] if stream_id in (None, sid) else []
+    )
+
+
+def _overflow_reads(monkeypatch):
+    """The stream ids of the overflow runs that the samplers read, in order of first read."""
+    reads = []
+    overflow_run = samplers_module._overflow_run
+
+    def run(seed, stream_id):
+        reads.append(stream_id)
+        yield from overflow_run(seed, stream_id)
+
+    monkeypatch.setattr(samplers_module, "_overflow_run", run)
+    return reads
 
 
 @pytest.mark.parametrize("trial", [0, 2, 3])
 @pytest.mark.parametrize("where", ["floyd", "guess"])
 def test_campaign_redraws_a_rejected_word_through_numpy(monkeypatch, where, trial):
-    (part, kind), index = _REJECTIONS[where]
+    # one trial of a block of 4 rejects a word: its value comes from that
+    # trial's overflow run, the only one read, and every outcome equals the
+    # layout-2 reference's
+    (part, kind), _ = _REJECTIONS[where]
     config = SamplerConfig(part, kind)
     monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * config.n_users)  # blocks of 4
     rng = RandomSource(32, 7)
-    expected = [_reference_trial(config, "trivial", gen, None) for gen in _trial_streams(rng, 4)]
-    redraws = []
-    floyd_draw = samplers_module._floyd_draw
-    settle = adversary_module._settle
-    monkeypatch.setattr(samplers_module, "_floyd_draw",
-                        lambda *args: redraws.append("floyd") or floyd_draw(*args))
-    monkeypatch.setattr(adversary_module, "_settle",
-                        lambda *args: redraws.append("guess") or settle(*args))
-    _zero_word(monkeypatch, index, trial)
+    _reject_word(monkeypatch, where, 7 + trial)
+    expected = _reference_trials(config, "trivial", 4, rng, None)
+    reads = _overflow_reads(monkeypatch)
     users, rings, success, _ = _campaign_outcomes(config, "trivial", 4, rng, None)
-    assert redraws == [where]
+    assert reads == [7 + trial]
     assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
     assert success.tolist() == [e[1] for e in expected]
+
+
+# a guess with beta 0.5 is made in a ring that lost members, below 1 or 2,
+# where the word 0 is accepted
+@pytest.mark.parametrize("where, beta", [("floyd", None), ("floyd", 0.5), ("guess", None)])
+def test_run_experiment_is_a_campaign_trial_with_rejected_words(monkeypatch, where, beta):
+    # every trial rejects a word, so every trial reads its overflow run:
+    # run_experiment on RandomSource(seed, base + t) still equals trial t of
+    # a campaign on RandomSource(seed, base), in blocks of 4
+    (part, kind), _ = _REJECTIONS[where]
+    config = SamplerConfig(part, kind)
+    marble = BlackMarbleConfig(beta) if beta else None
+    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * config.n_users)
+    _reject_word(monkeypatch, where)
+    reads = _overflow_reads(monkeypatch)
+    trials, base = 9, 60
+    users, rings, success, core_equal = _campaign_outcomes(
+        config, "trivial", trials, RandomSource(36, base), marble
+    )
+    assert reads == list(range(base, base + trials))
+    for t in range(trials):
+        outcome = run_experiment(config, 8, "trivial", RandomSource(36, base + t), marble=marble)
+        assert outcome == adversary_module.ExperimentOutcome(
+            (users[t], rings[t]), success[t], core_equal[t]
+        )
+
+
+def test_rejected_campaign_values_come_from_the_overflow_run_and_are_uniform(monkeypatch):
+    # a chunk of 6 with k 2 draws rows of bounds 4 and 5 over 6 columns and
+    # guesses below 3: the word 0 replaces word 11 of each trial's 13, the last
+    # of bound 5, and word 12, its guess word, and both bounds reject it.  Both
+    # values come from the trial's overflow run, the Floyd one first, are
+    # uniform and give the reference's outcomes; every other Floyd value is
+    # the one drawn without the injection
+    config = SamplerConfig(Partition.single(6), Regular(2))
+    trials, rng = 1500, RandomSource(38)
+    floyd_draws = []
+    block_draw = samplers_module._block_draw
+
+    def recording_draw(*args):
+        x = block_draw(*args)
+        floyd_draws.append(x.copy())
+        return x
+
+    accepted = []
+
+    def recording(accept):
+        def accept_and_record(run, bound):
+            accepted.append((bound, accept(run, bound)))
+            return accepted[-1][1]
+        return accept_and_record
+
+    monkeypatch.setattr(samplers_module, "_block_draw", recording_draw)
+    for module in (samplers_module, adversary_module):
+        monkeypatch.setattr(module, "_accept", recording(module._accept))
+    _campaign_outcomes(config, "trivial", trials, rng, None)
+    clean, floyd_draws[:] = list(floyd_draws), []
+    assert accepted == []
+    inject_words(monkeypatch, 0, lambda sid, count: [11, 12])
+    users, rings, success, _ = _campaign_outcomes(config, "trivial", trials, rng, None)
+    expected = _reference_trials(config, "trivial", trials, rng, None)
+    assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
+    assert success.tolist() == [e[1] for e in expected]
+    for x, x_clean in zip(floyd_draws, clean, strict=True):
+        kept = np.ones(x.shape, dtype=bool)
+        kept[1, 5::6] = False
+        assert np.array_equal(x[kept], x_clean[kept])
+    floyd = [v for bound, v in accepted if bound == 5]
+    guesses = [v for bound, v in accepted if bound == 3]
+    assert len(floyd) == len(guesses) == trials and len(accepted) == 2 * trials
+    assert np.concatenate([x[1, 5::6] for x in floyd_draws]).tolist() == floyd
+    assert chi_square(floyd, 5) < CHI_SQUARE_999[4]
+    assert chi_square(guesses, 3) < CHI_SQUARE_999[2]
 
 
 def _state_key(gen):
@@ -578,25 +664,28 @@ def _state_key(gen):
     ("trivial", "floyd"), ("trivial", "guess"),
 ])
 def test_run_experiment_leaves_the_generator_where_numpy_does(monkeypatch, adversary, rejecting):
-    # a reused source, with and without a buffered half word before the
-    # call; k 0 rings have one member, so a trivial guess draws no word
+    # two trials and then numpy's draws on a reused source equal those of
+    # the layout-2 reference, with and without a half word that numpy
+    # buffered before the first call; k 0 rings have one member
     cases = [_REJECTIONS["floyd"][0], _REJECTIONS["guess"][0], (Partition.single(6), Regular(0)),
              (Partition.equal_chunks(9, 3), Binomial(0.4))]
     if rejecting is not None:  # every trial rejects a word
-        cases, index = [_REJECTIONS[rejecting][0]], _REJECTIONS[rejecting][1]
-        _zero_word(monkeypatch, index)
+        cases = [_REJECTIONS[rejecting][0]]
+        _reject_word(monkeypatch, rejecting)
     for (part, kind), sid, buffered in product(cases, range(6), (False, True)):
         config = SamplerConfig(part, kind)
-        rng, reference = RandomSource(33, sid), RandomSource(33, sid).generator
+        rng, reference = RandomSource(33, sid), LayoutStream(33, sid)
         if buffered:
             rng.generator.integers(0, 10)
-            reference.integers(0, 10)
-        outcome = run_experiment(config, config.n_users, adversary, rng)
-        guess, success, core_equal = _reference_trial(config, adversary, reference, None)
-        assert outcome == adversary_module.ExperimentOutcome(guess, success, core_equal)
-        assert _state_key(rng.generator) == _state_key(reference)
-        assert rng.generator.integers(0, 1000, size=3).tolist() == reference.integers(
+            reference.gen.integers(0, 10)
+        for _ in range(2):
+            outcome = run_experiment(config, config.n_users, adversary, rng)
+            guess, success, core_equal = _reference_trial(config, adversary, reference, None)
+            assert outcome == adversary_module.ExperimentOutcome(guess, success, core_equal)
+        assert _state_key(rng.generator) == _state_key(reference.gen)
+        assert rng.generator.integers(0, 1000, size=3).tolist() == reference.gen.integers(
             0, 1000, size=3).tolist()
+        assert (reference.overflow_words >= 2) == (rejecting is not None)
 
 
 class _CountingGenerator:
@@ -636,31 +725,39 @@ class _CountingGenerator:
 @pytest.mark.parametrize("adversary, beta", [("trivial", None), ("core", None), ("core", 0.25)])
 def test_campaign_block_takes_one_raw_word_draw_per_trial(part, kind, adversary, beta):
     # every trial's Floyd words and guess word come from one random_raw call;
-    # no numpy bounded draw with an array bound and no state restore is made
+    # no numpy bounded draw and no state restore is made
     config = SamplerConfig(part, kind)
     marble = BlackMarbleConfig(beta) if beta else None
     engine = _Campaign(config, adversary, marble)
     for block in range(3):
         calls = Counter()
-        gens = [
-            _CountingGenerator(RandomSource(34, 10 * block + t).generator, calls) for t in range(5)
+        ids = range(10 * block, 10 * block + 5)
+        streams = [
+            (_CountingGenerator(RandomSource(34, sid).generator, calls), _overflow_run(34, sid))
+            for sid in ids
         ]
-        outcomes = engine.run(gens)
+        outcomes = engine.run(streams)
         assert calls == Counter({"random_raw": 5})
         expected = engine.run(_trial_streams(RandomSource(34, 10 * block), 5))
         for got, want in zip(outcomes, expected):
             assert np.array_equal(got, want)
 
 
-def test_campaign_block_restores_a_state_only_for_a_rejected_word(monkeypatch):
-    (part, kind), index = _REJECTIONS["floyd"]
+def test_campaign_block_reads_an_overflow_run_only_for_a_rejected_word(monkeypatch):
+    # trial 2 rejects a Floyd word: it makes no more raw-word draws, no state
+    # restore and no numpy bounded draw, and only its overflow run is read
+    (part, kind), _ = _REJECTIONS["floyd"]
     config = SamplerConfig(part, kind)
-    _zero_word(monkeypatch, index, 2)
+    _reject_word(monkeypatch, "floyd", 2)
+    reads = _overflow_reads(monkeypatch)
     calls = Counter()
-    gens = [_CountingGenerator(RandomSource(35, t).generator, calls) for t in range(5)]
-    _Campaign(config, "trivial", None).run(gens)
-    # trial 2 is drawn again through numpy from its state, then takes its next word
-    assert calls == Counter({"random_raw": 6, "restores": 1, "array integers": 1})
+    streams = [
+        (_CountingGenerator(RandomSource(35, t).generator, calls),
+         samplers_module._overflow_run(35, t))
+        for t in range(5)
+    ]
+    _Campaign(config, "trivial", None).run(streams)
+    assert calls == Counter({"random_raw": 5}) and reads == [2]
 
 
 def test_campaign_peak_memory_does_not_grow_with_trials():

@@ -38,7 +38,6 @@ from ringlab.samplers import (
     _binomial_draw,
     _digraph_block,
     _graph_block,
-    _graph_draw,
     _regular_draw,
     _trial_streams,
     sample_binomial_digraph,
@@ -48,6 +47,7 @@ from ringlab.samplers import (
 
 from conftest import (
     _core_member_flags,
+    graph_draws,
     make_graph,
     random_valid_graph,
     reach_matrix,
@@ -525,7 +525,7 @@ def test_block_kernel_matches_scc_on_sampled_digraphs(n):
                 (_binomial_draw(n, k / (n - 1)), 100 + k,
                  lambda rng: sample_binomial_digraph(k / (n - 1), n, rng)),
             ):
-                block = _digraph_block(n, *draw(RandomSource(seed, stream).generator))
+                block = _digraph_block(n, *draw(RandomSource(seed, stream)))
                 verdict = bool(_strongly_connected_graphs(*block)[0])
                 assert verdict == _single_scc(sample(RandomSource(seed, stream)))
 
@@ -853,10 +853,10 @@ _UNION_CASES = [
 
 
 def _sampled_union(config, m, seed):
-    draws = [_graph_draw(config, m)(gen) for gen in _trial_streams(RandomSource(seed), 3)]
+    draws, runs = graph_draws(config, m, _trial_streams(RandomSource(seed), 3))
     if isinstance(config.kind, Binomial):
-        assert len({int(d[3].max()) for d in draws}) > 1  # the graphs differ in k_max
-    return _graph_block(config, m, draws)[0]
+        assert len({int(d[1].max()) for d in draws}) > 1  # the graphs differ in k_max
+    return _graph_block(config, m, draws, runs)[0]
 
 
 _CSR_PRODUCERS = {

@@ -26,12 +26,12 @@ from ringlab.samplers import (
     _binomial_draw,
     _block_draw,
     _digraph_block,
+    _floyd_block,
     _floyd_bound,
-    _floyd_draw,
     _floyd_resolve,
-    _floyd_subsets,
     _graph_block,
     _graph_draw,
+    _overflow_run,
     _raw_words,
     _regular_draw,
     _StreamFamily,
@@ -42,7 +42,15 @@ from ringlab.samplers import (
     sample_transaction_graph,
 )
 
-from conftest import floyd_column, numpy_transaction_graph
+from conftest import (
+    CHI_SQUARE_999,
+    LayoutStream,
+    chi_square,
+    floyd_column,
+    graph_draws,
+    inject_words,
+    reference_transaction_graph,
+)
 
 
 def _freq_within(counter, total, expected_prob, n_sigma=4.0):
@@ -75,11 +83,17 @@ def test_stream_family_matches_fresh_sources():
 # -- the subset kernel --------------------------------------------------------------
 
 
+def _floyd_subsets(rng, pools, counts):
+    """Per column, a uniform ``counts[i]``-subset of ``range(pools[i])``: a Floyd block of one."""
+    (gen, run), = rng._streams()
+    words = _raw_words(gen.bit_generator, int(counts.max()) * pools.size)
+    return _floyd_block(pools, counts, [words], [run])
+
+
 def test_floyd_subsets_shapes_and_validity():
-    gen = RandomSource(3).generator
     pools = np.array([5, 3, 4, 6])
     counts = np.array([2, 3, 0, 6])
-    chosen = _floyd_subsets(gen, pools, counts)
+    chosen = _floyd_subsets(RandomSource(3), pools, counts)
     assert chosen.shape == (6, 4)
     for col, (pool, cnt) in enumerate(zip(pools, counts)):
         vals = [v for v in chosen[:, col] if v >= 0]
@@ -124,19 +138,17 @@ def test_floyd_resolve_matches_a_per_column_floyd(pools, dtype, repeats):
 
 
 def test_floyd_subsets_uniform_over_2_of_4():
-    gen = RandomSource(5).generator
     trials = 30000
     pools = np.full(trials, 4)
     counts = np.full(trials, 2)
-    chosen = _floyd_subsets(gen, pools, counts)
+    chosen = _floyd_subsets(RandomSource(5), pools, counts)
     seen = Counter(frozenset(chosen[:, i].tolist()) for i in range(trials))
     assert len(seen) == 6
     assert _freq_within(seen, trials, 1 / 6)
 
 
 def test_floyd_subsets_full_pool_is_everything():
-    gen = RandomSource(7).generator
-    chosen = _floyd_subsets(gen, np.array([5]), np.array([5]))
+    chosen = _floyd_subsets(RandomSource(7), np.array([5]), np.array([5]))
     assert sorted(chosen[:, 0].tolist()) == [0, 1, 2, 3, 4]
 
 
@@ -258,7 +270,8 @@ def test_block_covering_check_raises_on_a_corrupted_signer_row():
     for k in (0, 2):
         cfg = SamplerConfig(Partition.equal_chunks(6, 3), Regular(k))
         draw = _graph_draw(cfg, 6)
-        union, signed = _graph_block(cfg, 6, [draw(fam.generator(t)) for t in range(3)])
+        draws = [draw(fam.generator(t)) for t in range(3)]
+        union, signed = _graph_block(cfg, 6, draws, [_overflow_run(3, t) for t in range(3)])
         signers = signed[union._starts[:-1]]
         _require_covering(union, signers)
         blocks[k] = union, signers
@@ -281,10 +294,11 @@ def test_block_covering_check_raises_on_a_corrupted_signer_row():
 
 @pytest.mark.parametrize("rejecting", [False, True])
 def test_sample_transaction_graph_leaves_the_generator_where_numpy_does(monkeypatch, rejecting):
-    # the graph and every later draw of a reused source equal those of
-    # numpy's own draws, with and without a half word buffered before the
-    # call; a rejected Floyd word (the word 0 below a bound of 3) is drawn
-    # again through numpy
+    # two graphs and then numpy's draws on a reused source equal those of the
+    # layout-2 reference, with and without a half word that numpy buffered
+    # before the first call; with rejecting, word 2m of the 3m + 1, the first
+    # of the row of bound 3 (rows of bounds 1, 2, 3 over m columns), is the
+    # word 0, which that bound rejects, so its value comes from the overflow run
     cases = [
         (Partition.equal_chunks(8, 4), Regular(3)),
         (Partition.equal_chunks(9, 3), Binomial(0.4)),
@@ -292,28 +306,20 @@ def test_sample_transaction_graph_leaves_the_generator_where_numpy_does(monkeypa
     ]
     if rejecting:
         cases = cases[:1]
-        next_words = samplers._next_words
-
-        def zero_first_bound_3_word(*args):  # rows of bounds 1, 2, 3 over m columns
-            words = next_words(*args).copy()
-            if words.size > 2 * m:
-                words[m] = 0
-            return words
-
-        monkeypatch.setattr(samplers, "_next_words", zero_first_bound_3_word)
+        inject_words(monkeypatch, 0, lambda sid, count: [2 * (count - 1) // 3])
     for (part, kind), m, buffered in product(cases, (0, 3, 8), (False, True)):
         config = SamplerConfig(part, kind)
         for sid in range(4):
-            rng, reference = RandomSource(8, sid), RandomSource(8, sid).generator
+            rng, reference = RandomSource(8, sid), LayoutStream(8, sid)
             if buffered:
                 rng.generator.integers(0, 10)
-                reference.integers(0, 10)
-            graph, matching = sample_transaction_graph(config, config.n_users, m, rng)
-            assert (graph, matching) == numpy_transaction_graph(config, m, reference)
-            assert rng.generator.bit_generator.state["has_uint32"] == (
-                reference.bit_generator.state["has_uint32"])
-            assert rng.generator.integers(0, 1000, size=3).tolist() == reference.integers(
+                reference.gen.integers(0, 10)
+            for _ in range(2):
+                graph, matching = sample_transaction_graph(config, config.n_users, m, rng)
+                assert (graph, matching) == reference_transaction_graph(config, m, reference)[:2]
+            assert rng.generator.integers(0, 1000, size=3).tolist() == reference.gen.integers(
                 0, 1000, size=3).tolist()
+            assert (reference.overflow_words >= 2) == (rejecting and m > 0)
 
 
 def test_sample_transaction_graph_bicliques_when_chunks_are_ring_sized():
@@ -370,7 +376,7 @@ def test_digraph_block_table_layout(n, k, model):
     draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, k / (n - 1))
     padded = 0
     for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, _BLOCK_NODES // n) + 1, n):
-        starts, table, in_degrees = _digraph_block(n, *draw.block(gens, gens.generator))
+        starts, table, in_degrees = _digraph_block(n, *draw.block(gens))
         k_max, n_nodes = table.shape
         assert starts.tolist() == list(range(0, n_nodes + 1, n))
         if model == "regular":
@@ -390,27 +396,11 @@ def test_digraph_block_table_layout(n, k, model):
     assert (padded > 0) == (model == "binomial" and k < n - 1)
 
 
-def _raw_words_used(gen):
-    """64-bit Philox words the generator has drawn since it was keyed."""
-    state = gen.bit_generator.state
-    return 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
-
-
-def _rejections_at_least(gen, draws):
-    # numpy takes one 32-bit word per value plus one per rejected word, two
-    # to a raw word, so the raw words used bound the rejections from below
-    return 2 * _raw_words_used(gen) - draws - 1
-
-
-def _word_rows(tops):
-    # a leading bound of 1 draws 0 from no word
-    return int(np.count_nonzero(tops > 1))
-
-
 def test_block_draw_equals_the_numpy_floyd_draw():
-    # same key on both sides: the digraphs' row bounds n - K .. n - 1 (K = 0,
-    # n = 1, K = n - 1 with its leading bound-1 row), then sorted bounds in
-    # [2**31, 2**32], where about one word in four is rejected
+    # a draw against the layout-2 reference on the same key: the digraphs'
+    # row bounds n - K .. n - 1 (K = 0, n = 1, K = n - 1 with its leading
+    # bound-1 row), then sorted bounds in [2**31, 2**32], where about one word
+    # in four is rejected and its value comes from the overflow run
     shapes = np.random.default_rng(23)
     most_rejected = 0
     for sid in range(600):
@@ -422,20 +412,20 @@ def test_block_draw_equals_the_numpy_floyd_draw():
         else:
             picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(0, 6)))
             tops = np.unique(picks).astype(np.uint64)
-        gen = RandomSource(3, sid).generator
-        rows = _word_rows(tops)
-        words = _raw_words(gen.bit_generator, rows * n)
-        x = _block_draw(tops, n, [rows], [words], lambda b: (gen.bit_generator, words))
+        words = _raw_words(RandomSource(3, sid).generator.bit_generator, tops.size * n)
+        x = _block_draw(tops[:, None, None], n, [tops.size], [words], [_overflow_run(3, sid)])
         bound = np.broadcast_to(tops.astype(np.int64)[:, None], (tops.size, n))
         assert x.shape == bound.shape and x.dtype.kind == "i"
-        assert np.array_equal(x, _floyd_draw(RandomSource(3, sid).generator, bound))
-        most_rejected = max(most_rejected, _rejections_at_least(gen, rows * n))
+        reference = LayoutStream(3, sid)
+        assert np.array_equal(x, reference.draw(bound))
+        most_rejected = max(most_rejected, reference.overflow_words)
     assert most_rejected >= 10
 
 
 def test_block_draw_of_several_streams_equals_the_numpy_floyd_draws():
     # draws of 0..K rows side by side, each from its own stream and bottom-
-    # aligned; bounds in [2**31, 2**32] reject words at every slot of a block
+    # aligned, against the layout-2 reference; bounds in [2**31, 2**32]
+    # reject words at every slot of a block
     shapes = np.random.default_rng(29)
     rejected_slots = set()
     for block in range(60):
@@ -447,57 +437,56 @@ def test_block_draw_of_several_streams_equals_the_numpy_floyd_draws():
         count = int(shapes.integers(2, 6))
         k_max = tops.size
         ks = [int(k) for k in shapes.integers(0, k_max + 1, size=count)]
-        gens = [RandomSource(5, 100 * block + b).generator for b in range(count)]
-        rows = [_word_rows(tops[k_max - k:]) for k in ks]
-        words = [_raw_words(gen.bit_generator, r * n) for gen, r in zip(gens, rows)]
-        x = _block_draw(tops, n, rows, list(words), lambda b: (gens[b].bit_generator, words[b]))
+        ids = [100 * block + b for b in range(count)]
+        words = [_raw_words(RandomSource(5, sid).generator.bit_generator, k * n)
+                 for sid, k in zip(ids, ks)]
+        runs = [_overflow_run(5, sid) for sid in ids]
+        x = _block_draw(tops[:, None, None], n, ks, words, runs)
         assert x.shape == (k_max, count * n) and x.dtype.kind == "i"
         for b, k in enumerate(ks):
             bound = np.broadcast_to(tops[k_max - k:].astype(np.int64)[:, None], (k, n))
-            numpy_draw = _floyd_draw(RandomSource(5, 100 * block + b).generator, bound)
-            assert np.array_equal(x[k_max - k:, b * n:(b + 1) * n], numpy_draw)
-            if _rejections_at_least(gens[b], rows[b] * n) >= 1:
+            reference = LayoutStream(5, ids[b])
+            assert np.array_equal(x[k_max - k:, b * n:(b + 1) * n], reference.draw(bound))
+            if reference.overflow_words:
                 rejected_slots.add("last" if b == count - 1 else "inner")
     assert rejected_slots == {"inner", "last"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33])
 def test_digraph_draws_equal_the_numpy_floyd_draw(n):
-    # each model's draws against the same draws made through numpy on the
-    # same key; k = 0 draws nothing, k = n - 1 (p = 1) has a bound-1 row
+    # each model's draws against the layout-2 reference on the same key;
+    # k = 0 draws nothing, k = n - 1 (p = 1) has a bound-1 row
     pools = np.full(n, n - 1, dtype=np.int64)
     for k in sorted({0, n // 2, n - 1}):
         p = k / (n - 1) if n > 1 else 0.5
         for draw, binomial in ((_regular_draw(n, k), False), (_binomial_draw(n, p), True)):
             for sid in range(20):
-                degrees, x = draw(RandomSource(4, sid).generator)
-                gen = RandomSource(4, sid).generator
+                degrees, x = draw(RandomSource(4, sid))
+                reference = LayoutStream(4, sid)
                 if binomial and n > 1:
-                    gen.binomial(n - 1, p, size=n)
-                assert np.array_equal(x, _floyd_draw(gen, _floyd_bound(pools, degrees)))
+                    reference.gen.binomial(n - 1, p, size=n)
+                assert np.array_equal(x, reference.draw(_floyd_bound(pools, degrees)))
 
 
 def test_grid_stream_with_a_rejected_word_is_pinned():
     # stream 31 of seed 0 rejects a word in its (16, 4096) regular draw, so
-    # this pin goes through the redraw path
+    # this pin reads the overflow run
     n, k = 4096, 16
-    gen = RandomSource(0, 31).generator
-    degrees, x = _regular_draw(n, k)(gen)
-    assert _rejections_at_least(gen, k * n) >= 1
-    bound = _floyd_bound(np.full(n, n - 1, dtype=np.int64), degrees)
-    assert np.array_equal(x, _floyd_draw(RandomSource(0, 31).generator, bound))
+    degrees, x = _regular_draw(n, k)(RandomSource(0, 31))
+    reference = LayoutStream(0, 31)
+    assert np.array_equal(x, reference.draw(_floyd_bound(np.full(n, n - 1), degrees)))
+    assert reference.overflow_words >= 1
     assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == (
-        "db939e95fb7bbb136c3a842f5a613d8e420b7df4a09c47f3d784f2545ca24e0d"
+        "df95f0348f9ed011b6b1524638ea807283dc63794dd3028cf9576aef6b9bdcf9"
     )
 
 
 # Seed 0, n = 512: the regular (k = 8) draw of stream 2468 rejects a word,
 # and so does the binomial (p = 6/511) draw of stream 407, whose in-degrees
 # are all positive while those of stream 408 are not.  The regular stream
-# takes the first slot of its block, so later trials move the generator
-# before the redraw; the binomial one is the last trial of its block to
-# make a subset draw, and the block's last trial, decided by its
-# in-degrees, moves the generator too.
+# takes the first slot of its block; the binomial one is the last trial of
+# its block to make a subset draw, and the block's last trial is decided
+# by its in-degrees.
 REJECTION_CASES = [("regular", 2468, 0), ("binomial", 407, -2)]
 
 
@@ -509,21 +498,19 @@ def test_rejected_word_inside_a_block_is_redrawn(model, rejecting, slot):
     assert block >= 2
     base = rejecting - slot % block
     ids = range(base, base + block)
-    gen = RandomSource(0, rejecting).generator
-    _, positive, k_max = draw.in_degrees(gen)
-    degree_words = _raw_words_used(gen)
-    gen = RandomSource(0, rejecting).generator
-    draw(gen)
-    assert positive and _rejections_at_least(gen, k_max * n + 2 * degree_words) >= 1
+    reference = LayoutStream(0, rejecting)
+    degrees, positive, _ = draw.in_degrees(reference.gen)
+    reference.draw(_floyd_bound(np.full(n, n - 1), degrees))
+    assert positive and reference.overflow_words >= 1
     # the block's draws equal the per-trial draws of the trials it keeps
-    draws = {sid: draw(RandomSource(0, sid).generator) for sid in ids}
+    draws = {sid: draw(RandomSource(0, sid)) for sid in ids}
     kept = [sid for sid in ids if draws[sid][0].all()]
     if model == "binomial":
         assert kept[-1] == rejecting and ids[-1] == rejecting + 1 and len(kept) >= 2
     else:
         assert kept == list(ids) and kept[0] == rejecting
     gens = next(_trial_blocks(RandomSource(0, base), block, n))
-    degrees, x = draw.block(gens, gens.generator, decide=True)
+    degrees, x = draw.block(gens, decide=True)
     assert np.array_equal(degrees, np.concatenate([draws[sid][0] for sid in kept]))
     for b, sid in enumerate(kept):
         xb = draws[sid][1]
@@ -538,43 +525,82 @@ def test_rejected_word_inside_a_block_is_redrawn(model, rejecting, slot):
     assert estimate.failures == sum(not is_strongly_connected(d) for d in reference)
 
 
-def test_replay_leaves_each_trial_just_past_its_words(monkeypatch):
-    # every draw of a block asked for in turn, the last one after the others
-    # have re-keyed the generator: each bit generator returned is on its
-    # trial's stream, just past its in-degrees and words, which come with it
-    n, p, seed = 16, 0.25, 12
-    draw = _binomial_draw(n, p)
-    block_draw = samplers._block_draw
-    states = []
+def test_rejected_block_values_come_from_the_overflow_run_and_are_uniform():
+    # blocks of 4 draws with rows of bounds 3, 5 and 2**32 - 1: the word 0,
+    # which each of them rejects, replaces every main-run word of an inner
+    # draw and of the last one.  Their values come from their overflow runs,
+    # in value order, and are uniform; the other draws' values are those the
+    # block makes without the injection
+    tops = np.array([3, 5, (1 << 32) - 1], dtype=np.uint64)
+    n, count, injected = 16, 4, (1, 3)
+    values = {r: [] for r in tops.tolist()}
+    for block in range(250):
+        ids = range(count * block, count * (block + 1))
+        words = [_raw_words(RandomSource(37, sid).generator.bit_generator, 3 * n) for sid in ids]
+        clean = _block_draw(tops[:, None, None], n, [3] * count, list(words),
+                            [_overflow_run(37, sid) for sid in ids])
+        for b in injected:
+            words[b] = np.zeros_like(words[b])
+        x = _block_draw(tops[:, None, None], n, [3] * count, words,
+                        [_overflow_run(37, sid) for sid in ids])
+        for b, sid in enumerate(ids):
+            xb = x[:, b * n:(b + 1) * n]
+            if b in injected:
+                reference = LayoutStream(37, sid)
+                expected = [[reference.value(0, r) for _ in range(n)] for r in tops.tolist()]
+                assert xb.tolist() == expected
+                for r, row in zip(tops.tolist(), xb.tolist()):
+                    values[r] += row
+            else:
+                assert np.array_equal(xb, clean[:, b * n:(b + 1) * n])
+    assert chi_square(values[3], 3) < CHI_SQUARE_999[2]
+    assert chi_square(values[5], 5) < CHI_SQUARE_999[4]
+    top = (1 << 32) - 1
+    assert chi_square([v * 16 // top for v in values[top]], 16) < CHI_SQUARE_999[15]
 
-    def every_replay(tops, n, rows, words, replay, out):
-        for b in range(len(rows)):
-            bitgen, words_b = replay(b)
-            states.append((_state_key(bitgen), words_b.tolist()))
-        return block_draw(tops, n, rows, words, replay, out)
 
-    monkeypatch.setattr(samplers, "_block_draw", every_replay)
-    gens = next(_trial_blocks(RandomSource(seed, 40), _BLOCK_NODES // n, n))
-    draw.block(gens, gens.generator, decide=True)
-    expected = []
-    for sid in range(40, 40 + _BLOCK_NODES // n):
-        gen = RandomSource(seed, sid).generator
-        degrees, positive, k_max = draw.in_degrees(gen)
-        if positive:
-            words = _raw_words(gen.bit_generator, k_max * n).tolist()
-            expected.append((_state_key(gen.bit_generator), words))
-    assert len(expected) >= 2 and states == expected
+def test_successive_draws_on_a_source_never_share_an_overflow_word(monkeypatch):
+    # every main-run word is the word 0, which the bound 3 rejects, and the
+    # rings of chunk 4 with k 1 draw below 3: successive rings on one reused
+    # source take successive words of its one overflow run, as the
+    # reference's do, so no two draws share a word
+    config = SamplerConfig(Partition.equal_chunks(8, 4), Regular(1))
+    inject_words(monkeypatch, 0, lambda sid, count: range(count))
+    taken = []
+    overflow_run = samplers._overflow_run
 
+    def recording(seed, stream_id):
+        for word in overflow_run(seed, stream_id):
+            taken.append(word)
+            yield word
 
-def _state_key(bitgen):
-    state = bitgen.state
-    return state["state"]["key"].tolist(), state["state"]["counter"].tolist(), state["buffer_pos"]
+    monkeypatch.setattr(samplers, "_overflow_run", recording)
+    rng, reference = RandomSource(39, 2), LayoutStream(39, 2)
+    for draws in range(1, 7):
+        (decoy,) = sample_ring(config, 8, 5, rng) - {5}
+        assert decoy == [4, 6, 7][int(reference.draw([[3]])[0, 0])]
+        assert len(taken) == reference.overflow_words >= draws
+    fresh = overflow_run(39, 2)
+    assert taken == [next(fresh) for _ in taken]
 
 
 def test_digraph_samplers_on_a_reused_source_are_pinned():
-    # the public digraph samplers draw raw Philox words: a 32-bit half word
-    # numpy buffered before the call is neither used nor dropped, so it
-    # stays for numpy's next draw, and none is left behind
+    # the digraph draws continue a reused source's main run and overflow run
+    # as the layout-2 reference does: a 32-bit half word numpy buffered
+    # before the call is neither used nor dropped, so it stays for numpy's
+    # next draw, and none is left behind
+    rng, reference = RandomSource(1, 6), LayoutStream(1, 6)
+    rng.generator.integers(0, 10)
+    reference.gen.integers(0, 10)
+    models = [(6, 0.5, _binomial_draw(6, 0.5)), (5, None, _regular_draw(5, 4)),
+              (5, None, _regular_draw(5, 2))]
+    for n, p, draw in models:
+        degrees, x = draw(rng)
+        if p is not None:
+            reference.gen.binomial(n - 1, p, size=n)
+        assert np.array_equal(x, reference.draw(_floyd_bound(np.full(n, n - 1), degrees)))
+    assert rng.generator.integers(0, 1000, size=4).tolist() == reference.gen.integers(
+        0, 1000, size=4).tolist()
     rng = RandomSource(1)
     sample_regular_digraph(3, 5, rng)
     assert rng.generator.integers(0, 1000) == 820

@@ -207,3 +207,43 @@ def test_only_cli_main_maps_failures_to_exit_codes():
     # the handlers raise; main alone prints the stderr line and picks the code
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert _error_exits_outside_main(tree) == []
+
+
+def _second_rule_uses(node, allowed=frozenset()):
+    """Lines under ``node`` that call ``.integers(...)`` or name a ``.state`` attribute.
+
+    The classes named in ``allowed`` are skipped.  Either use would make
+    bounded integers by a rule other than stream layout 2's: numpy's own,
+    or a replay from a saved generator state.
+    """
+    if isinstance(node, ast.ClassDef) and node.name in allowed:
+        return []
+    found = []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        if node.func.attr == "integers":
+            found.append(node.lineno)
+    elif isinstance(node, ast.Attribute) and node.attr == "state":
+        found.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        found += _second_rule_uses(child, allowed)
+    return sorted(found)
+
+
+def test_second_rule_uses_finds_integers_calls_and_state_outside_allowed_classes():
+    code = (
+        "class _StreamFamily:\n    def g(self):\n        return self._bitgen.state\n"
+        "def f(gen):\n    gen.integers(0, 3)\n    s = gen.bit_generator.state\n"
+        "    gen.bit_generator.state = s\n    return gen.integers\n"
+    )
+    assert _second_rule_uses(ast.parse(code), {"_StreamFamily"}) == [5, 6, 7]
+
+
+def test_samplers_and_the_campaign_engine_keep_one_bounded_integer_rule():
+    # no numpy integers call and no generator state outside the per-trial re-key
+    samplers = ast.parse((SRC / "samplers.py").read_text(encoding="utf-8"))
+    adversary = ast.parse((SRC / "adversary.py").read_text(encoding="utf-8"))
+    (campaign,) = [
+        n for n in adversary.body if isinstance(n, ast.ClassDef) and n.name == "_Campaign"
+    ]
+    assert _second_rule_uses(samplers, {"_StreamFamily"}) == []
+    assert _second_rule_uses(campaign) == []
