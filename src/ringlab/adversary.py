@@ -15,18 +15,19 @@ brute-force scale.
 
 Campaigns run in the blocks of ``samplers._trial_blocks``, of
 ``max(1, _BLOCK_NODES // (2 * n_users))`` trials each: a trial's graph has
-n users and n rings.  Trial t draws only from stream ``base + t``, under
-stream layout 2 (see ``samplers``), in this order: the corruption
-permutations, the signer permutation, the binomial decoy counts, then
-the ``K_b*n + 1`` main-run words of its Floyd draw and of the
-adversary's one guess (``samplers._graph_draw``).  One Lemire pass and
-one Floyd resolve then give the whole block as one graph, the disjoint
-union of its trials' graphs: user u and ring j of trial b are union user
-``b*n + u`` and union ring ``b*n + j``.  The guesses come last, from each
-trial's word after its Floyd words, in one more Lemire pass.  A rejected
-value takes its words from its trial's overflow run, the Floyd draw's
-first and then the guess's, so every count and guess equals that of
-running the trials one by one.
+n users and n rings.  Block j of a campaign on ``base`` draws only from
+stream ``base + j``, under stream layout 3 (see ``samplers``), each draw
+once for the whole block, in this order: the corruption permutations,
+one per corrupted chunk; the signer permutations; the binomial decoy
+counts; then the ``K*B*n + B`` main-run words of the block's Floyd draw
+and of the adversary's B guesses (``samplers._graph_draw``), K being the
+block's largest decoy count.  One Lemire pass and one Floyd resolve then
+give the whole block as one graph, the disjoint union of its trials'
+graphs: user u and ring j of trial b are union user ``b*n + u`` and union
+ring ``b*n + j``.  The guesses come last, trial b's from the block's
+guess word b, in one more Lemire pass.  Rejected values take their words
+from the block's overflow run, the Floyd draw's first and then the
+guesses'.
 
 Each trial decides whether its sampled graph is core-equal.  Every user
 signs, so the graph is balanced, and an edge of it leaves the core
@@ -62,11 +63,10 @@ from .samplers import (
     RandomSource,
     SamplerConfig,
     _Stream,
-    _accept,
+    _block_draw,
     _block_graph,
     _graph_block,
     _graph_draw,
-    _lemire,
     _trial_blocks,
 )
 from .stats import EstimateResult
@@ -211,20 +211,22 @@ def adversary_matching_count(graph: TransactionGraph) -> tuple[int, int]:
 # -- experiments ---------------------------------------------------------------
 
 def _corrupt_users(
-    config: SamplerConfig, marble: BlackMarbleConfig, gen: Generator
+    config: SamplerConfig, marble: BlackMarbleConfig, gen: Generator, trials: int
 ) -> np.ndarray:
-    """One trial's corrupted users: ``floor(beta*|C|)`` uniform users of every chunk C.
+    """Each trial's corrupted users: ``floor(beta*|C|)`` uniform users of every chunk C.
 
-    Each chunk with a nonzero count draws one permutation of its
-    positions, in chunk order.
+    Returns one row per trial.  Each chunk with a nonzero count draws one
+    ``permuted`` call over its positions, one row per trial, in chunk
+    order.
     """
     part = config.partition
-    picks = [np.empty(0, dtype=np.int64)]
+    picks = [np.empty((trials, 0), dtype=np.int64)]
     for start, size in zip(part._chunk_start.tolist(), part.chunk_sizes()):
         count = marble.corrupted_count(size)
         if count:
-            picks.append(start + gen.permutation(size)[:count])
-    return part._chunk_flat[np.concatenate(picks)]
+            order = np.tile(np.arange(start, start + size), (trials, 1))
+            picks.append(gen.permuted(order, axis=1, out=order)[:, :count])
+    return part._chunk_flat[np.concatenate(picks, axis=1)]
 
 
 class _Campaign:
@@ -254,24 +256,15 @@ class _Campaign:
         self.draw = _graph_draw(config, config.n_users)
 
     def run(
-        self, streams: Iterable[_Stream]
+        self, stream: _Stream, trials: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per trial of a block, one per stream: guessed user and ring, win, core-equal.
-
-        Each stream's generator draws finish before the next one is
-        advanced, so the generators may be one re-keyed object.
-        """
+        """Per trial of a block of ``trials``: guessed user and ring, win, core-equal."""
         config, n = self.config, self.config.n_users
-        corrupted: list[np.ndarray] = []
-        draws = []
-        runs = []
-        for gen, run in streams:
-            if self.marble is not None:
-                corrupted.append(_corrupt_users(config, self.marble, gen))
-            draws.append(self.draw(gen))
-            runs.append(run)
-        b_count = len(draws)
-        union, signed = _graph_block(config, n, draws, runs)
+        gen, run = stream
+        if self.marble is not None:
+            corrupted = _corrupt_users(config, self.marble, gen, trials)
+        draw = self.draw(gen, trials)
+        union, signed = _graph_block(config, n, trials, draw, run)
         users, starts = union._users, union._starts
         decoys = users != signed
         core_equal = _core_equal_graphs(
@@ -280,9 +273,9 @@ class _Campaign:
 
         keep = None  # per edge, whether the guess may name that member; None: every member
         if self.marble is not None:
-            is_corrupted = np.zeros(union.n_users, dtype=bool)
-            is_corrupted[np.concatenate([c + b * n for b, c in enumerate(corrupted)])] = True
-            keep = ~is_corrupted[users]
+            is_corrupted = np.zeros((trials, n), dtype=bool)
+            is_corrupted[np.arange(trials)[:, None], corrupted] = True
+            keep = ~is_corrupted.ravel()[users]
         if self.analysis == "core" and not core_equal.all():
             # the passive core adversary guesses on the core: one flag per member
             keep = _core_flags(union.n_users, users, signed)
@@ -291,34 +284,29 @@ class _Campaign:
 
         # the smallest nonempty view ring, lowest index on ties; with every
         # ring empty, ring 0 and user 0: a fixed blind guess
-        sizes = np.diff(kept).reshape(b_count, n)
+        sizes = np.diff(kept).reshape(trials, n)
         rings = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
-        trials = np.arange(b_count)
-        lengths = sizes[trials, rings]
-        guesses = np.zeros(b_count, dtype=np.int64)
+        block = np.arange(trials)
+        lengths = sizes[block, rings]
+        guesses = np.zeros(trials, dtype=np.int64)
         if self.analysis == "matching_count":  # sampled graphs always have a covering matching
-            for b in range(b_count):
+            for b in range(trials):
                 guesses[b], rings[b] = adversary_matching_count(_block_graph(n, n, union, b))
             guessing = np.empty(0, dtype=np.int64)
         else:
             guessing = np.flatnonzero(lengths > 0)
-        # each guess is below its ring's length, from the word after its trial's Floyd words
-        picks, rejected = _lemire(
-            np.array([draws[b][2][-1] for b in guessing.tolist()], dtype="<u4")[:, None],
-            lengths[guessing, None].astype("<u8"),
-        )
-        picks = picks[:, 0]
-        for i, _ in rejected:
-            picks[i] = _accept(runs[guessing[i]], int(lengths[guessing[i]]))
+        # each guess is below its ring's length, from its trial's guess word
+        counts, words = draw[2], draw[3]
+        guess_words = words[int(counts.max(initial=0)) * counts.shape[0]:][guessing]
+        picks = _block_draw(guess_words[None], lengths[None, guessing].astype("<u8"), run)[0]
         # the picks-th kept member of the guessed ring, in ascending order
         at = kept[guessing * n + rings[guessing]] + picks
         if keep is not None:
             at = np.flatnonzero(keep)[at]
         guesses[guessing] = users[at] - guessing * n
-        success = signed[starts[trials * n + rings]] - trials * n == guesses
+        success = signed[starts[block * n + rings]] - block * n == guesses
         if self.marble is not None:
-            corrupted_rows = is_corrupted.reshape(b_count, n)
-            success &= self.marble._admissible_rows(config.partition, corrupted_rows)
+            success &= self.marble._admissible_rows(config.partition, is_corrupted)
         return guesses, rings, success, core_equal
 
 
@@ -350,12 +338,13 @@ def run_experiment(
     With ``marble`` the trial is active: users are corrupted first and
     their edges removed.  With beta = 0 nothing is corrupted, no randomness
     is consumed by the corruption step, and the trial is the passive one.
-    The trial is a campaign block of one on ``rng``'s streams, which it
-    continues: ``RandomSource(seed, base + t)`` gives campaign trial t.
+    The trial is a campaign block of one on ``rng``'s stream, which it
+    continues: on a fresh ``RandomSource(seed, sid)`` it is the one trial
+    of ``run_campaign(..., trials=1, RandomSource(seed, sid))``.
     """
     _check_experiment_args(config, n_users)
     users, rings, success, core_equal = _Campaign(config, adversary, marble).run(
-        rng._streams()
+        rng._stream(), 1
     )
     return ExperimentOutcome(
         guessed_edge=(int(users[0]), int(rings[0])),
@@ -386,14 +375,13 @@ def run_campaign(
     *,
     marble: BlackMarbleConfig | None = None,
 ) -> CampaignResult:
-    """Run independent trials on per-trial streams and aggregate both estimates.
+    """Run independent trials in blocks on per-block streams and aggregate both estimates.
 
-    Trial t draws only from stream ``base_rng.stream_id + t``.  The trials
-    run in the blocks of :func:`~ringlab.samplers._trial_blocks`: each
+    The trials run in the blocks of :func:`~ringlab.samplers._trial_blocks`,
+    block j drawing only from stream ``base_rng.stream_id + j``: each
     block is sampled as one union graph, its core equality is decided
-    exactly by one label-propagation call per block, and each guess is
-    made from the word after its trial's Floyd words, so the counts equal
-    those of trials run one by one.  Wins and core-equal trials are
+    exactly by one label-propagation call per block, and its guesses are
+    made from its guess words in one pass.  Wins and core-equal trials are
     counted block by block; no per-trial array outlives its block.  The
     passive core adversary takes core flags once per block that holds a
     core mismatch (see the module docstring for why that leaks nothing);
@@ -404,8 +392,8 @@ def run_campaign(
         raise InvalidConfig("trials must be >= 1")
     engine = _Campaign(config, adversary, marble)
     wins = core_equal = 0
-    for streams in _trial_blocks(base_rng, trials, 2 * n_users):
-        _, _, success, equal = engine.run(streams)
+    for size, stream in _trial_blocks(base_rng, trials, 2 * n_users):
+        _, _, success, equal = engine.run(stream, size)
         wins += int(np.count_nonzero(success))
         core_equal += int(np.count_nonzero(equal))
     return CampaignResult(
@@ -425,9 +413,9 @@ def estimate_success(
 ) -> EstimateResult:
     """Adversary success rate over ``trials`` experiments with a Wilson 95% CI.
 
-    Trial t draws only from stream ``base_rng.stream_id + t``, also inside
-    the blocks of :func:`run_campaign`, so the estimate is a pure function
-    of (seed, stream_id, arguments) no matter how the trials are scheduled.
+    The trials run in the blocks of :func:`run_campaign`, block j on
+    stream ``base_rng.stream_id + j``, so the estimate is a pure function
+    of (seed, stream_id, arguments).
     """
     return run_campaign(
         config, n_users, adversary, trials, base_rng, marble=marble

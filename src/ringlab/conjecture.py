@@ -11,18 +11,17 @@ interval shows a violation: the first inequality fails when the regular
 estimate exceeds the binomial upper limit, the second when the binomial
 lower limit exceeds the closed-form bound.
 
-Trial t of a campaign draws from stream ``base + t`` alone.  Trials run in
-the blocks of ``samplers._trial_blocks``, about 2048 nodes each.  Each
-trial draws its in-degrees first.  With n >= 2, a node of in-degree 0
-makes the digraph not strongly connected, so such a trial is counted as a
-failure there and draws nothing more; its stream is its own, so no other
-trial's draws change.  The other trials take the main-run words of their
-subset draws in turn, under stream layout 2 (see ``samplers``); then one
-bounded-integer pass turns the block's words into its Floyd draw, a
-rejected value taking its words from its trial's overflow run, one Floyd
-resolve gives its in-neighbour table and one strong-connectivity call
-reads that table for the whole block, so the counts equal those of
-running the trials one by one.
+A campaign on ``RandomSource(seed, base)`` runs its trials in the blocks
+of ``samplers._trial_blocks``, ``max(1, 2048 // n)`` trials each, block j
+drawing from stream ``base + j`` alone, under stream layout 3 (see
+``samplers``).  A block draws its trials' in-degrees first, in one call.
+With n >= 2, a node of in-degree 0 makes the digraph not strongly
+connected, so such a trial is counted as a failure there and takes no
+subset words.  The block's other trials take the main-run words of their
+subset draws in one call; one bounded-integer pass turns them into the
+block's Floyd draw, a rejected value taking its words from the block's
+overflow run, one Floyd resolve gives its in-neighbour table and one
+strong-connectivity call reads that table for the whole block.
 """
 from __future__ import annotations
 
@@ -65,20 +64,19 @@ LOW_CONFIDENCE_THRESHOLD = 1e-3
 def _estimate_not_sc(n: int, trials: int, rng: RandomSource, draw: _DigraphDraw) -> EstimateResult:
     """Fraction of ``trials`` digraphs that are not strongly connected.
 
-    Trial t makes its draws with ``draw`` from stream t of ``rng``.  In
-    each block of :func:`~ringlab.samplers._trial_blocks`, the trials that
-    their in-degrees leave open have their draws made as one block
-    (:meth:`~ringlab.samplers._DigraphDraw.block`), their subsets resolved
-    together and their graphs checked by one kernel call; the others are
-    failures.
+    In each block of :func:`~ringlab.samplers._trial_blocks`, ``draw``
+    makes the block's draws (:meth:`~ringlab.samplers._DigraphDraw.block`):
+    the trials that their in-degrees leave open have their subsets
+    resolved together and their graphs checked by one kernel call; the
+    others are failures.
     """
     if trials < 1:
         raise InvalidParams("trials must be >= 1")
     connected = 0
-    for block in _trial_blocks(rng, trials, n):
+    for size, stream in _trial_blocks(rng, trials, n):
         # no name holds the draw, whose buffer becomes the table, into the next block
         sc = _strongly_connected_graphs(
-            *_digraph_block(n, *draw.block(block, decide=True))
+            *_digraph_block(n, *draw.block(stream, size, decide=True))
         )
         connected += int(np.count_nonzero(sc))
     return EstimateResult.from_counts(trials, trials - connected)
@@ -176,7 +174,7 @@ def _grid_task(args: tuple[int, int, str, int, int, int]) -> EstimateResult:
 def check_conjectures_grid(spec: GridSpec, workers: int = 1) -> list[GridCell]:
     """Estimate both models on every feasible cell and test the conjectures.
 
-    Each (cell, model) campaign owns stream ids ``index << 32 | trial``,
+    Each (cell, model) campaign owns stream ids ``index << 32 | block``,
     so the result is a pure function of the grid parameters regardless
     of ``workers``.  The pool never gets more processes than there are
     tasks or CPUs.

@@ -1,47 +1,48 @@
 """Ring samplers, the induced transaction-graph sampler, and random digraphs.
 
 Randomness is organised as counter-based Philox streams keyed by
-``(seed, stream_id)``.  Campaigns give trial t its own stream, so results
-are reproducible bit-for-bit regardless of how trials are scheduled
+``(seed, stream_id)``.  Campaigns run their trials in blocks and give
+block j of a campaign on ``base`` its own stream, ``base + j``, so results
+are reproducible bit-for-bit regardless of how campaigns are scheduled
 across workers.
 
-Stream layout 2.  Permutations and binomial counts are numpy's
-``Generator`` draws on the stream.  Every other bounded integer of a
-sampler or a campaign, each step of a Floyd subset draw and each
-campaign guess, follows one rule of ringlab's own.  Value i of a draw
-takes 32-bit word i of the stream's main run (``random_raw``, the low
-half of each 64-bit word first; an odd count leaves the last high half
-unused).  Below a bound r in ``[1, 2**32]`` a word w gives
-``(w * r) >> 32`` (Lemire's multiply-shift) unless the low 32 bits of
-``w * r`` fall below ``(2**32 - r) % r``; then w is rejected, and the
-value takes the next word of the stream's overflow run, the same Philox
-key at counter ``(0, 0, 0, 1)``, and the one after while those are
-rejected too.  Rejected values take their overflow words in value order,
-and no other value moves.  Every value is exactly uniform.  A trial
-stream starts its overflow run fresh; a :class:`RandomSource` keeps one
-overflow run beside its generator, so its successive draws never share
-an overflow word.
+Stream layout 3.  A block holds ``max(1, _BLOCK_NODES // n)`` trials of
+n-node graphs (:func:`_trial_blocks`), so the block size is part of the
+layout, and makes each kind of draw once for all its trials.
+Permutations and binomial counts are numpy's ``Generator`` draws on the
+stream, each one call over the block's ``(B, ...)`` rows.  Every other
+bounded integer, each step of a Floyd subset draw and each campaign
+guess, follows one rule of ringlab's own.  Value i of a draw takes
+32-bit word i of the stream's main run (``random_raw``, the low half of
+each 64-bit word first; an odd count leaves the last high half unused).
+Below a bound r in ``[1, 2**32]`` a word w gives ``(w * r) >> 32``
+(Lemire's multiply-shift) unless the low 32 bits of ``w * r`` fall below
+``(2**32 - r) % r``; then w is rejected, and the value takes the next
+word of the stream's overflow run, the same Philox key at counter
+``(0, 0, 0, 1)``, and the one after while those are rejected too.
+Rejected values take their overflow words in value order, and no other
+value moves.  Every value is exactly uniform.  A block's stream starts
+its overflow run fresh, and builds its Philox only at the first
+rejected value; a :class:`RandomSource` keeps one overflow run beside
+its generator, so its successive draws never share an overflow word.
 
 All subset drawing funnels through one Floyd kernel: one bounded draw,
 which :func:`_floyd_resolve` turns, all rows in lockstep, into a uniform
-without-replacement subset of each row's candidate pool.  Sampled
-objects come in blocks that draw one stream at a time and resolve
-together, each object's draws being the ones it would make alone.  A
-block's draws sit side by side in one array, made by one
+without-replacement subset of each row's candidate pool.  A block's
+``(K, N)`` Floyd draw, K its largest count and N its columns, takes
+``K*N`` main-run words in row-major order and is made by one
 :func:`_block_draw` (one multiply, one rejection screen and one shift,
-:func:`_lemire`) whose bounds are one per row for digraphs and one per
-element for rings and transaction graphs.  A digraph's draws are its
+:func:`_lemire`), whose bounds are one per row for digraphs and one per
+element for rings and transaction graphs.  A digraph block draws its
 in-degrees and then its subset words (:class:`_DigraphDraw`); every
-random digraph comes from :func:`_digraph_block`.  A transaction graph
-draws its signer permutation and decoy counts, then the words of its
-Floyd draw plus one, which gives a campaign trial's guess
-(:func:`_graph_draw`); every transaction graph comes from
+random digraph comes from :func:`_digraph_block`.  A transaction-graph
+block draws its signer permutations and decoy counts, then the words of
+its Floyd draw and one more per graph, which gives a campaign trial's
+guess (:func:`_graph_draw`); every transaction graph comes from
 :func:`_graph_block`, whose block is one ``TransactionGraph``, the
-disjoint union of its graphs.  Campaigns pass a block of trials, the
-public samplers a block of one.  Both campaigns, the conjecture grid and
-the adversary game, take their blocks from :func:`_trial_blocks`, about
-``_BLOCK_NODES`` = 2048 nodes each, and check each block with one call.
-The conjecture grid makes no subset draw for a trial whose in-degrees
+disjoint union of its graphs.  Campaigns pass blocks of trials, the
+public samplers a block of one on their :class:`RandomSource`.  The
+conjecture grid makes no subset draw for a trial whose in-degrees
 already decide it.  A digraph block stays the in-neighbour table that
 the Floyd resolve leaves, one column per node, which the grid's
 strong-connectivity kernel reads as it is; only the public digraph
@@ -50,8 +51,7 @@ samplers flatten it into edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import BitGenerator, Generator, Philox
@@ -88,7 +88,7 @@ def _overflow_run(seed: int, stream_id: int) -> Iterator[int]:
         yield word >> 32
 
 
-# A trial's stream: its generator, whose bit generator gives the main run,
+# A block's stream: its generator, whose bit generator gives the main run,
 # and its overflow run.
 _Stream = tuple[Generator, Iterator[int]]
 
@@ -116,90 +116,31 @@ class RandomSource:
             self._generator = Generator(Philox(key=key))
         return self._generator
 
-    def _streams(self) -> list[_Stream]:
-        """This source as a block of one trial: its generator and its one overflow run."""
+    def _stream(self) -> _Stream:
+        """This source as a block's stream: its generator and its one overflow run."""
         if self._overflow is None:
             self._overflow = _overflow_run(self.seed, self.stream_id)
-        return [(self.generator, self._overflow)]
+        return self.generator, self._overflow
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
 
 
-class _StreamFamily:
-    """Cheap per-trial generators for a fixed seed.
-
-    Re-keys a single Philox instance instead of constructing one per
-    stream; draws are bit-identical to ``RandomSource(seed, sid).generator``
-    (pinned by a unit test).  Not thread-safe; each worker owns its own.
-    """
-
-    __slots__ = ("seed", "_bitgen", "_gen", "_state")
-
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _U64
-        self._bitgen = Philox(key=np.array([self.seed, 0], dtype=np.uint64))
-        self._gen = Generator(self._bitgen)
-        self._state = self._bitgen.state
-
-    def generator(self, stream_id: int) -> Generator:
-        st = self._state
-        st["state"]["key"][1] = int(stream_id) & _U64
-        st["state"]["counter"][:] = 0
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
-        return self._gen
-
-
-class _TrialBlock:
-    """The streams of a block of trials, trial t on stream ``ids[t]``.
-
-    Iterating re-keys one generator to each trial's stream in turn, so a
-    trial's draws must be finished before the next trial is taken; each
-    trial's overflow run starts fresh.  A slice is the block of those
-    trials.
-    """
-
-    __slots__ = ("_family", "_ids")
-
-    def __init__(self, family: _StreamFamily, ids: range):
-        self._family = family
-        self._ids = ids
-
-    def __iter__(self) -> Iterator[_Stream]:
-        family, ids = self._family, self._ids
-        return zip(map(family.generator, ids), map(_overflow_run, repeat(family.seed), ids))
-
-    def __getitem__(self, trials: slice) -> _TrialBlock:
-        return _TrialBlock(self._family, self._ids[trials])
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-
-def _trial_streams(rng: RandomSource, trials: int) -> _TrialBlock:
-    """One stream per trial, stream ids ``rng.stream_id + t``, as one block."""
-    return _TrialBlock(_StreamFamily(rng.seed), range(rng.stream_id, rng.stream_id + trials))
-
-
-# Nodes per trial block: small graphs share one Lemire pass, one Floyd
-# resolve and one strong-connectivity call; from 2048 nodes up every trial
-# is its own block.
+# Nodes per trial block: small graphs share one stream, one Lemire pass, one
+# Floyd resolve and one strong-connectivity call; from 2048 nodes up every
+# trial is its own block.
 _BLOCK_NODES = 2048
 
 
-def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[_TrialBlock]:
-    """The streams of :func:`_trial_streams` in blocks of ``max(1, _BLOCK_NODES // n)`` trials.
+def _trial_blocks(rng: RandomSource, trials: int, n: int) -> Iterator[tuple[int, _Stream]]:
+    """A campaign's blocks of ``max(1, _BLOCK_NODES // n)`` trials, the last one possibly smaller.
 
-    ``n`` is the number of nodes of one trial's graph.  Each block is to be
-    used up before the next block is taken.
+    ``n`` is the number of nodes of one trial's graph.  Block j is its
+    trial count and its stream, ``(rng.seed, rng.stream_id + j)``.
     """
-    streams = _trial_streams(rng, trials)
     block = max(1, _BLOCK_NODES // n)
-    for start in range(0, trials, block):
-        yield streams[start:start + block]
+    for j, start in enumerate(range(0, trials, block)):
+        yield min(block, trials - start), RandomSource(rng.seed, rng.stream_id + j)._stream()
 
 
 # -- subset sampling kernel ---------------------------------------------------
@@ -214,11 +155,6 @@ def _floyd_bound(pool_sizes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     k_max = int(counts.max()) if counts.shape[0] else 0
     steps = np.arange(k_max, dtype=np.int64)[:, None]
     return np.maximum(pool_sizes + (steps - k_max + 1), 1)
-
-
-# The word that pads a block draw: for a bound r in [1, 2**32], the low half
-# of (2**32 - 1) * r is 2**32 - r, never below the threshold (2**32 - r) % r.
-_PAD_WORD = 0xFFFFFFFF
 
 
 def _lemire(
@@ -262,49 +198,25 @@ def _accept(run: Iterator[int], bound: int) -> int:
 
 
 def _block_draw(
-    bounds: np.ndarray,
-    width: int,
-    rows: Sequence[int],
-    words: list[np.ndarray],
-    runs: Sequence[Iterator[int]],
-    out: np.ndarray | None = None,
+    words: np.ndarray, bounds: np.ndarray, run: Iterator[int], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """B bounded draws of ``width`` columns each, side by side: one ``(K, B*width)`` int64 array.
+    """Values below ``bounds`` from 32-bit main-run ``words``, value i in C order taking word i.
 
     ``bounds`` is a ``uint64`` array of values in ``[1, 2**32]`` that
-    broadcasts to ``(K, B, width)``: one bound per row (digraphs) or per
-    element (rings and transaction graphs).  Draw b fills the last
-    ``rows[b]`` rows of columns ``b*width .. b*width + width - 1``, value i
-    in row-major order taking word i of ``words[b]``, its stream's main
-    run (:func:`_raw_words`); a rejected value takes its words from
-    ``runs[b]``, its stream's overflow run (:func:`_accept`).  The rows
-    above a draw's own take the padding word, which no bound rejects; the
-    caller ignores them.  Several draws' words are first placed in one
-    staging array and ``words`` is emptied, so that they are freed before
-    the product buffer is made; a single draw, which fills every row, is
-    multiplied as it is.  ``out``, when given, is that buffer, the
-    ``(K, B*width)`` uint64 array that the products and then the values
-    fill.  All values come from one :func:`_lemire` call.
+    broadcasts to the shape of ``words``, two or more dimensions: one bound
+    per row (digraphs) or per element (rings, transaction graphs and
+    guesses).  A rejected value takes its words from the overflow ``run``
+    (:func:`_accept`), rejected values in value order.  ``out``, when
+    given, is the uint64 array of the words' shape that the products and
+    then the values fill.  All values come from one :func:`_lemire` call
+    and are returned as an int64 view of that buffer.
     """
-    k_max = bounds.shape[0]
-    count = len(rows)
-    if count == 1:
-        src = words[0][:k_max * width].reshape(k_max, 1, width)
-    else:
-        pad = np.full(k_max * width, _PAD_WORD, dtype="<u4")
-        pieces = []
-        for w, r in zip(words, rows):
-            pieces += (pad[:(k_max - r) * width], w[:r * width])
-        src = np.concatenate(pieces).reshape(count, k_max, width).transpose(1, 0, 2)
-        del pad, pieces
-    words.clear()
-    if out is None:
-        out = np.empty((k_max, count * width), dtype="<u8")
-    x, rejected = _lemire(src, bounds, out.reshape(k_max, count, width))
-    del src
-    for row, b, col in rejected:
-        x[row, b, col] = _accept(runs[b], int(np.broadcast_to(bounds, x.shape)[row, b, col]))
-    return out.view("<i8")
+    x, rejected = _lemire(words, bounds, out)
+    if rejected:
+        every = np.broadcast_to(bounds, x.shape)
+        for at in rejected:
+            x[at] = _accept(run, int(every[at]))
+    return x
 
 
 def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
@@ -317,24 +229,19 @@ def _raw_words(bitgen: BitGenerator, values: int) -> np.ndarray:
 
 
 def _floyd_block(
-    pools: np.ndarray, counts: np.ndarray, words: list[np.ndarray], runs: Sequence[Iterator[int]]
+    pools: np.ndarray, counts: np.ndarray, words: np.ndarray, run: Iterator[int]
 ) -> np.ndarray:
-    """The Floyd subsets of B draws side by side, ``width = len(pools) // B`` columns each.
+    """Column j a uniform ``counts[j]``-subset of ``range(pools[j])``, for every column of a block.
 
-    Draw b's columns draw below :func:`_floyd_bound` of its own pools and
-    counts from ``words[b]`` and ``runs[b]``, its stream's main-run words
-    and overflow run (:func:`_block_draw`): its largest count K_b is the
-    number of its rows, and its first ``K_b * width`` words fill them.  In
-    block row s the bound of column j is ``max(pools[j] - K + 1 + s, 1)``
-    whatever the draw's own K_b, so one :func:`_floyd_bound` over the block
-    serves every draw.  Returns :func:`_floyd_resolve` of the block's draw.
+    The block's ``(K, N)`` draw, K its largest count, takes the first
+    ``K*N`` of the main-run ``words`` in row-major order, below the bounds
+    of one :func:`_floyd_bound` over the block, and rejected values take
+    their words from the overflow ``run`` (:func:`_block_draw`).  Every
+    value is made; a column uses only its last ``counts[j]`` rows.  Returns
+    :func:`_floyd_resolve` of the draw.
     """
-    count = len(words)
-    width = pools.shape[0] // count
-    bounds = _floyd_bound(pools, counts).astype("<u8")
-    rows = counts.reshape(count, width).max(axis=1, initial=0).tolist()
-    k_max = bounds.shape[0]
-    x = _block_draw(bounds.reshape(k_max, count, width), width, rows, words, runs)
+    bounds = _floyd_bound(pools, counts)
+    x = _block_draw(words[:bounds.size].reshape(bounds.shape), bounds.view("<u8"), run)
     return _floyd_resolve(x, pools, counts)
 
 
@@ -460,77 +367,76 @@ def sample_ring(
     if not 0 <= signer < n_users:
         raise InvalidConfig(f"signer {signer} outside [0, {n_users})")
     part = config.partition
-    (gen, run), = rng._streams()
+    gen, run = rng._stream()
     signers = np.array([signer], dtype=np.int64)
     pools = _pool_sizes(part, signers)
     counts = _decoy_counts(config, gen, pools)
-    chosen = _floyd_block(pools, counts, [_raw_words(gen.bit_generator, int(counts[0]))], [run])
+    chosen = _floyd_block(pools, counts, _raw_words(gen.bit_generator, int(counts[0])), run)
     decoys = _decoy_users(part, signers, chosen)
     ring = decoys[decoys >= 0].tolist()
     ring.append(signer)
     return frozenset(ring)
 
 
-_GraphDraw = tuple[np.ndarray, np.ndarray, np.ndarray]
+# A block's graph draws: signers, their pools and decoy counts, flat over the
+# block's rings graph by graph, and the block's main-run words.
+_GraphDraw = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _graph_draw(config: SamplerConfig, m: int) -> Callable[[Generator], _GraphDraw]:
-    """The draws of one m-signer graph, for every graph of a campaign.
+def _graph_draw(config: SamplerConfig, m: int) -> Callable[[Generator, int], _GraphDraw]:
+    """The draws of a block of m-signer graphs, for every block of a campaign.
 
-    The returned function makes, from one generator and in this order,
-    the signer permutation and the decoy counts (drawn under the binomial
-    model only), then takes ``K*m + 1`` main-run words (:func:`_raw_words`),
-    K being the largest count: those of the Floyd draw and one more, for
-    the guess of a campaign trial.  It returns ``(signers, counts, words)``.
-    Under the regular model every count is k, so the counts are built
-    here, once.
+    The returned function makes, from one generator, for B graphs and in
+    this order: their signer permutations, one ``permuted`` call over
+    ``(B, n)`` rows, each graph's signers being its row's first m users;
+    their decoy counts, one ``binomial`` call (binomial model only); then
+    ``K*B*m + B`` main-run words (:func:`_raw_words`), K being the block's
+    largest count: those of the block's Floyd draw and then one per graph,
+    for the guess of a campaign trial.  It returns
+    ``(signers, pools, counts, words)``.
     """
-    n = config.n_users
-    fixed = None
-    if isinstance(config.kind, Regular):
-        fixed = np.full(m, config.kind.k, dtype=np.int64)
+    part = config.partition
+    users = np.arange(config.n_users, dtype=np.int64)
 
-    def draw(gen: Generator) -> _GraphDraw:
-        signers = gen.permutation(n)[:m]
-        counts = fixed
-        if counts is None:
-            counts = _decoy_counts(config, gen, _pool_sizes(config.partition, signers))
-        words = int(counts.max(initial=0)) * m + 1
-        return signers, counts, _raw_words(gen.bit_generator, words)[:words]
+    def draw(gen: Generator, graphs: int) -> _GraphDraw:
+        order = np.tile(users, (graphs, 1))
+        signers = gen.permuted(order, axis=1, out=order)[:, :m].ravel()
+        pools = _pool_sizes(part, signers)
+        counts = _decoy_counts(config, gen, pools)
+        values = int(counts.max(initial=0)) * signers.shape[0] + graphs
+        return signers, pools, counts, _raw_words(gen.bit_generator, values)
 
     return draw
 
 
 def _graph_block(
-    config: SamplerConfig, m: int, draws: list[_GraphDraw], runs: Sequence[Iterator[int]]
+    config: SamplerConfig, m: int, graphs: int, draw: _GraphDraw, run: Iterator[int]
 ) -> tuple[TransactionGraph, np.ndarray]:
-    """A block of m-signer graphs, one per draw of :func:`_graph_draw`, as one graph.
+    """A block of ``graphs`` m-signer graphs, from one :func:`_graph_draw` draw, as one graph.
 
     Returns ``(union, signed)``.  ``union`` is the disjoint union of the
     block's graphs: user u of graph b is union user ``b*n + u`` (n users
     per graph) and ring j of graph b is union ring ``b*m + j``.
-    ``signed[e]`` is the union signer of edge e's ring.  The Floyd draws
-    are made and resolved together (:func:`_floyd_block`), a rejected
-    value of graph b taking its words from ``runs[b]``, and the signers
-    are checked by :func:`_require_covering` on the union.
+    ``signed[e]`` is the union signer of edge e's ring.  The block's Floyd
+    draw is made and resolved at once (:func:`_floyd_block`), a rejected
+    value taking its words from the block's overflow ``run``, and the
+    signers are checked by :func:`_require_covering` on the union.
     """
     n = config.n_users
-    signers = np.concatenate([d[0] for d in draws])
-    counts = np.concatenate([d[1] for d in draws])
-    pools = _pool_sizes(config.partition, signers)
-    chosen = _floyd_block(pools, counts, [d[2] for d in draws], runs)
+    signers, pools, counts, words = draw
+    chosen = _floyd_block(pools, counts, words, run)
     k_max = chosen.shape[0]
     rings = np.empty((signers.shape[0], k_max + 1), dtype=np.int64)  # one row per ring
     rings[:, :k_max] = _decoy_users(config.partition, signers, chosen).T
     rings[:, k_max] = signers
     rings.sort(axis=1)  # the -1 padding first, then the members ascending
     sizes = counts + 1
-    offset = np.repeat(np.arange(0, len(draws) * n, n), m)  # each ring's graph's first user
+    offset = np.repeat(np.arange(0, graphs * n, n), m)  # each ring's graph's first user
     valid = rings >= 0
     rings += offset[:, None]  # union user ids
     users = rings[valid]
-    signers += offset
-    union = TransactionGraph._from_csr(len(draws) * n, users, _offsets(sizes))
+    signers = signers + offset
+    union = TransactionGraph._from_csr(graphs * n, users, _offsets(sizes))
     _require_covering(union, signers)
     return union, np.repeat(signers, sizes)
 
@@ -550,14 +456,14 @@ def sample_transaction_graph(
     Signer j is drawn uniformly from the users that have not signed yet,
     then samples its ring within its chunk.  The returned matching is the
     true signer assignment and has size m.  The graph is a block of one
-    (:func:`_graph_block`) on ``rng``'s streams, and takes the words of a
+    (:func:`_graph_block`) on ``rng``'s stream, and takes the words of a
     campaign trial's graph, its guess word unused.
     """
     config._check_users(n_users)
     if not 0 <= m <= n_users:
         raise InvalidConfig(f"signer count {m} outside [0, {n_users}]")
-    (gen, run), = rng._streams()
-    graph, signed = _graph_block(config, m, [_graph_draw(config, m)(gen)], [run])
+    gen, run = rng._stream()
+    graph, signed = _graph_block(config, m, 1, _graph_draw(config, m)(gen, 1), run)
     return graph, Matching(zip(signed[graph._starts[:-1]].tolist(), range(m)))
 
 
@@ -592,65 +498,55 @@ def _digraph_block(
 
 
 class _DigraphDraw:
-    """One n-node digraph model's draws, in two steps from one stream.
+    """One n-node digraph model's draws for a block of B trials, in two steps from one stream.
 
-    ``in_degrees(gen)`` draws the n in-degrees and returns them with
-    whether all are positive and with the largest, K; then the Floyd
-    draw takes its ``K*n`` main-run words (:func:`_raw_words`).  Every
-    pool is n - 1, so step s of every node draws below ``n - K + s``.
-    :meth:`block` makes a block's draws, trial by trial, and then its one
-    :func:`_block_draw`; calling the object on a :class:`RandomSource`
-    makes one digraph's draws, as a block of one.
+    ``in_degrees(gen, B)`` draws the block's ``(B, n)`` in-degrees; then
+    the Floyd draw takes ``K*B*n`` main-run words (:func:`_raw_words`),
+    K the block's largest in-degree.  Every pool is n - 1, so step s of
+    every node draws below ``n - K + s``.  Calling the object on a
+    :class:`RandomSource` makes one digraph's draws, as a block of one.
     """
 
     __slots__ = ("n", "in_degrees")
 
-    def __init__(self, n: int, in_degrees: Callable[[Generator], tuple[np.ndarray, bool, int]]):
+    def __init__(self, n: int, in_degrees: Callable[[Generator, int], np.ndarray]):
         self.n = n
         self.in_degrees = in_degrees
 
     def block(
-        self, streams: Sequence[_Stream] | _TrialBlock, decide: bool = False
+        self, stream: _Stream, trials: int, decide: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The in-degrees and the ``(K, B*n)`` Floyd draw of one digraph per stream.
+        """The in-degrees and the ``(K, B*n)`` Floyd draw of the block's B kept digraphs.
 
-        Each stream's generator draws its trial's in-degrees and then its
-        words before the next is taken, so the streams may re-key one
-        generator.  With ``decide``, a trial whose in-degrees leave a node
-        of n >= 2 without in-neighbours draws no words and is left out: its
-        digraph is not strongly connected.
+        With ``decide``, a trial whose in-degrees leave a node of n >= 2
+        without in-neighbours is left out before the words are drawn: its
+        digraph is not strongly connected.  The kept trials' draw fills
+        its words in row-major order, node v of kept trial b in column
+        ``b*n + v``, and is made by one :func:`_block_draw`.
         """
+        gen, run = stream
         n = self.n
-        kept = []
-        words = []
-        out = None
-        for gen, run in streams:
-            degrees, positive, k_max = self.in_degrees(gen)
-            if decide and not positive and n > 1:
-                continue
-            kept.append((degrees, k_max, run))
-            if len(streams) == 1:
-                # a lone draw's buffer is made before its words, which are freed
-                # first: made after them, it sits above a hole and the heap grows
-                out = np.empty((k_max, n), dtype="<u8")
-            words.append(_raw_words(gen.bit_generator, k_max * n))
-        if not kept:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.reshape(0, 0)
-        degrees, ks, runs = zip(*kept)
-        tops = np.arange(n - max(ks), n, dtype=np.uint64)[:, None, None]
-        return np.concatenate(degrees), _block_draw(tops, n, ks, words, runs, out)
+        degrees = self.in_degrees(gen, trials)
+        if decide and n > 1:
+            degrees = degrees[degrees.all(axis=1)]
+        k_max = int(degrees.max(initial=0))
+        size = degrees.size
+        # the buffer is made before the words, which are freed first: made
+        # after them, it sits above a hole and the heap grows
+        out = np.empty((k_max, size), dtype="<u8")
+        words = _raw_words(gen.bit_generator, k_max * size)[:k_max * size]
+        tops = np.arange(n - k_max, n, dtype=np.uint64)[:, None]
+        return degrees.ravel(), _block_draw(words.reshape(k_max, size), tops, run, out)
 
     def __call__(self, rng: RandomSource) -> tuple[np.ndarray, np.ndarray]:
-        return self.block(rng._streams())
+        return self.block(rng._stream(), 1)
 
 
 def _regular_draw(n: int, k: int) -> _DigraphDraw:
     """The k-in-degree regular model: every in-degree is k, and drawing them takes no word."""
     if n < 1 or not 0 <= k < n:
         raise InvalidParams(f"need 0 <= k < n, got k={k}, n={n}")
-    fixed = np.full(n, k, dtype=np.int64), k > 0, k
-    return _DigraphDraw(n, lambda gen: fixed)
+    return _DigraphDraw(n, lambda gen, trials: np.full((trials, n), k, dtype=np.int64))
 
 
 def _binomial_draw(n: int, p: float) -> _DigraphDraw:
@@ -659,12 +555,7 @@ def _binomial_draw(n: int, p: float) -> _DigraphDraw:
         raise InvalidParams(f"need n >= 1 and p in [0, 1], got n={n}, p={p}")
     if n == 1:
         return _regular_draw(1, 0)
-
-    def in_degrees(gen: Generator) -> tuple[np.ndarray, bool, int]:
-        degrees = gen.binomial(n - 1, p, size=n).astype(np.int64)
-        return degrees, bool(degrees.all()), int(degrees.max())
-
-    return _DigraphDraw(n, in_degrees)
+    return _DigraphDraw(n, lambda gen, trials: gen.binomial(n - 1, p, size=(trials, n)))
 
 
 def _table_digraph(table: np.ndarray) -> Digraph:

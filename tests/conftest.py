@@ -205,17 +205,17 @@ _MASK32 = (1 << 32) - 1
 
 
 class LayoutStream:
-    """The reference of stream layout 2 on ``(seed, stream_id)``, from fresh Philox objects.
+    """The reference of stream layout 3 on ``(seed, stream_id)``, from fresh Philox objects.
 
-    ``gen`` is a numpy ``Generator`` on the stream's main run, for the
-    permutations and binomial counts.  :meth:`main_words` takes the next
-    32-bit words of the main run (``random_raw``, the low half of each raw
-    word first, an odd count dropping the last high half), and
-    :meth:`value` makes a bounded value from one of them by scalar Lemire
-    arithmetic: a rejected word is replaced by the next word of the
-    overflow run, a second Philox on the same key at counter (0, 0, 0, 1),
-    until one is accepted.  One object keeps one overflow run, as a
-    reused ``RandomSource`` does.
+    One object is one block's stream.  ``gen`` is a numpy ``Generator`` on
+    the stream's main run, for the permutations and binomial counts.
+    :meth:`main_words` takes the next 32-bit words of the main run
+    (``random_raw``, the low half of each raw word first, an odd count
+    dropping the last high half), and :meth:`value` makes a bounded value
+    from one of them by scalar Lemire arithmetic: a rejected word is
+    replaced by the next word of the overflow run, a second Philox on the
+    same key at counter (0, 0, 0, 1), until one is accepted.  One object
+    keeps one overflow run, as a block and a reused ``RandomSource`` do.
     """
 
     def __init__(self, seed: int, stream_id: int):
@@ -251,13 +251,26 @@ class LayoutStream:
         return np.array(values, dtype=np.int64).reshape(bounds.shape)
 
 
+def block_streams(seed: int, base: int, trials: int, n: int):
+    """A campaign's blocks as layout 3 lays them out: ``(size, LayoutStream(seed, base + j))``.
+
+    Block j holds ``max(1, _BLOCK_NODES // n)`` trials of n-node graphs,
+    the last block the rest; ``_BLOCK_NODES`` is read at the call.
+    """
+    block = max(1, samplers._BLOCK_NODES // n)
+    return [
+        (min(block, trials - start), LayoutStream(seed, base + j))
+        for j, start in enumerate(range(0, trials, block))
+    ]
+
+
 def inject_words(monkeypatch, word: int, where) -> None:
     """Replace main-run words of every draw, in the samplers and in :class:`LayoutStream`.
 
     ``where(stream_id, count)`` gives the positions among the ``count``
-    words of a draw on stream ``stream_id``, and each of them becomes
-    ``word``: one draw is one ``_raw_words`` call of the samplers and one
-    ``main_words`` call of the reference.
+    words of a draw on stream ``stream_id``, a block's stream, and each of
+    them becomes ``word``: one draw is one ``_raw_words`` call of the
+    samplers and one ``main_words`` call of the reference.
     """
     raw_words = samplers._raw_words
     main_words = LayoutStream.main_words
@@ -277,51 +290,88 @@ def inject_words(monkeypatch, word: int, where) -> None:
     monkeypatch.setattr(LayoutStream, "main_words", reference)
 
 
-def graph_draws(config, m: int, streams):
-    """The ``_graph_draw`` draws of a block's streams, made in turn, and their overflow runs."""
-    draw = samplers._graph_draw(config, m)
-    draws, runs = [], []
-    for gen, run in streams:
-        draws.append(draw(gen))
-        runs.append(run)
-    return draws, runs
+def reference_digraph_block(n: int, k, p, trials: int, stream: LayoutStream, decide=False):
+    """The reference of a block of ``trials`` n-node digraph draws under layout 3, made by ``stream``.
+
+    ``p`` None is the k-regular model, whose in-degrees take no draw;
+    otherwise each trial's in-degrees in turn are one
+    ``gen.binomial(n - 1, p, size=n)`` call (none at n = 1).  With
+    ``decide``, a trial with an in-degree of 0 at n >= 2 is dropped.  The
+    kept trials' ``(K, B*n)`` draw, K their largest in-degree, takes
+    ``K*B*n`` main-run words in row-major order, row s below ``n - K + s``.
+    Returns the kept trials' in-degrees, flat, the draw, and every trial's
+    in-degrees, one row per trial.
+    """
+    if p is None or n == 1:
+        rows = [np.full(n, k if p is None else 0, dtype=np.int64) for _ in range(trials)]
+    else:
+        rows = [stream.gen.binomial(n - 1, p, size=n) for _ in range(trials)]
+    kept = [row for row in rows if row.all() or not decide or n == 1]
+    degrees = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
+    k_max = int(degrees.max(initial=0))
+    bounds = np.broadcast_to(np.arange(n - k_max, n)[:, None], (k_max, degrees.size))
+    return degrees, stream.draw(bounds), rows
 
 
-def reference_transaction_graph(config, m: int, stream: LayoutStream):
-    """The reference of ``sample_transaction_graph``'s draws under layout 2, made by ``stream``.
+def reference_digraphs(n: int, degrees: np.ndarray, x: np.ndarray) -> list[Digraph]:
+    """The digraphs of a :func:`reference_digraph_block`: node v's in-neighbours by Floyd."""
+    k_max = x.shape[0]
+    digraphs = []
+    for b in range(degrees.size // n):
+        edges = []
+        for v in range(n):
+            d = int(degrees[b * n + v])
+            picks = floyd_column(x[k_max - d:, b * n + v].tolist(), n - 1)
+            edges += [(u + (u >= v), v) for u in picks]  # skip the node itself
+        digraphs.append(Digraph(n, edges))
+    return digraphs
 
-    In the samplers' order: the signer permutation, under the binomial model
-    one ``gen.binomial`` call for the decoy counts, then ``K*m + 1``
-    main-run words, K the largest count.  Word ``s*m + j`` gives step s of
-    signer j, below ``pool_j - K + 1 + s`` (or 1); the values are made in
-    that order, so rejected ones take their overflow words in it.  Each ring
-    is resolved by :func:`floyd_column`.  Returns the graph, the signer
-    assignment and the last word, a campaign trial's guess word.
+
+def reference_graph_block(config, m: int, graphs: int, stream: LayoutStream):
+    """The reference of a block of ``graphs`` m-signer transaction graphs under layout 3.
+
+    Every draw comes from ``stream``, in the samplers' order: each graph's
+    signer permutation in turn, its first m users; under the binomial
+    model each graph's ``gen.binomial`` call for its decoy counts in turn;
+    then ``K*B*m + B`` main-run words, K the block's largest count.  Word
+    ``s*B*m + b*m + j`` gives step s of graph b's signer j, below
+    ``pool - K + 1 + s`` (or 1); the values are made in that order, so
+    rejected ones take their overflow words in it.  Each ring is resolved
+    by :func:`floyd_column` from its last count rows.  Returns, per graph,
+    the graph, the signer assignment and the guess word, the block's word
+    ``K*B*m + b``.
     """
     gen = stream.gen
     part = config.partition
-    signers = gen.permutation(config.n_users)[:m].tolist()
+    signers = [gen.permutation(config.n_users)[:m].tolist() for _ in range(graphs)]
     mates = []  # each signer's chunk mates, in the partition's order
-    for s in signers:
-        c = part.chunk_of(s)
-        chunk = part._chunk_flat[part._chunk_start[c]:part._chunk_start[c + 1]].tolist()
-        mates.append([u for u in chunk if u != s])
-    pools = np.array([len(c) for c in mates], dtype=np.int64)
+    for row in signers:
+        mates.append([])
+        for s in row:
+            c = part.chunk_of(s)
+            chunk = part._chunk_flat[part._chunk_start[c]:part._chunk_start[c + 1]].tolist()
+            mates[-1].append([u for u in chunk if u != s])
+    pools = np.array([[len(c) for c in row] for row in mates], dtype=np.int64).reshape(graphs, m)
     if isinstance(config.kind, Binomial):
-        counts = gen.binomial(pools, config.kind.p).tolist()
+        counts = [gen.binomial(row, config.kind.p).tolist() for row in pools]
     else:
-        counts = [config.kind.k] * m
-    k_max = max(counts, default=0)
-    *words, guess = stream.main_words(k_max * m + 1)
+        counts = [[config.kind.k] * m for _ in range(graphs)]
+    k_max = max((c for row in counts for c in row), default=0)
+    words = stream.main_words(k_max * graphs * m + graphs)
+    floyd_words, guess_words = words[:k_max * graphs * m], words[k_max * graphs * m:]
     steps = np.arange(k_max)[:, None]
-    bound = np.maximum(pools + steps - k_max + 1, 1).ravel().tolist()
-    draw = np.array([stream.value(w, r) for w, r in zip(words, bound)], dtype=np.int64)
-    draw = draw.reshape(k_max, m)
-    edges = []
-    for j, (s, c) in enumerate(zip(signers, counts)):
-        picks = floyd_column(draw[k_max - c:, j].tolist(), len(mates[j]))
-        edges += [(s, j)] + [(mates[j][i], j) for i in picks]
-    return TransactionGraph(config.n_users, m, edges), Matching(zip(signers, range(m))), guess
+    bound = np.maximum(pools.reshape(-1) + steps - k_max + 1, 1).ravel().tolist()
+    draw = np.array([stream.value(w, r) for w, r in zip(floyd_words, bound)], dtype=np.int64)
+    draw = draw.reshape(k_max, graphs * m)
+    block = []
+    for b in range(graphs):
+        edges = []
+        for j, (s, c) in enumerate(zip(signers[b], counts[b])):
+            picks = floyd_column(draw[k_max - c:, b * m + j].tolist(), len(mates[b][j]))
+            edges += [(s, j)] + [(mates[b][j][i], j) for i in picks]
+        graph = TransactionGraph(config.n_users, m, edges)
+        block.append((graph, Matching(zip(signers[b], range(m))), guess_words[b]))
+    return block
 
 
 def chi_square(values, bins: int) -> float:

@@ -31,14 +31,12 @@ from ringlab.samplers import (
     RandomSource,
     Regular,
     SamplerConfig,
-    _accept,
+    _block_draw,
     _block_graph,
     _graph_block,
-    _lemire,
+    _graph_draw,
     _overflow_run,
-    _StreamFamily,
     _trial_blocks,
-    _trial_streams,
     sample_transaction_graph,
 )
 
@@ -46,11 +44,11 @@ from conftest import (
     CHI_SQUARE_999,
     LayoutStream,
     _core_member_flags,
+    block_streams,
     chi_square,
-    graph_draws,
     inject_words,
     make_graph,
-    reference_transaction_graph,
+    reference_graph_block,
     remove_users,
 )
 
@@ -142,10 +140,9 @@ def test_matching_count_campaign_cap_holds_with_and_without_corruption(beta):
 def test_paired_core_beats_trivial_on_core_mismatched_instances():
     # small single chunk with k=1: core mismatches are frequent
     cfg = SamplerConfig(Partition.single(4), Regular(1))
-    fam = _StreamFamily(7)
     triv = core_adv = considered = 0
     for t in range(10000):
-        gen = fam.generator(t)
+        gen = RandomSource(7, t).generator
         g, m = sample_transaction_graph(cfg, 4, 4, RandomSource(7, t))
         if is_core_equal(g):
             continue
@@ -161,11 +158,10 @@ def test_paired_core_beats_trivial_on_core_mismatched_instances():
 
 def test_paired_matching_count_beats_core_on_small_instances():
     cfg = SamplerConfig(Partition.single(6), Regular(2))
-    fam = _StreamFamily(8)
     core_adv = count_adv = 0
     trials = 10000
     for t in range(trials):
-        gen = fam.generator(t)
+        gen = RandomSource(8, t).generator
         g, m = sample_transaction_graph(cfg, 6, 6, RandomSource(8, t))
         core_adv += _adv_core(g, gen, core(g)) in m
         count_adv += adversary_matching_count(g) in m
@@ -236,26 +232,26 @@ def test_estimate_rejects_bad_args():
 
 
 # (users, chunk size, sampler, adversary, beta) -> (successes, core mismatches)
-# of 300 trials from RandomSource(0, 3) under stream layout 2.  Recorded from
-# _reference_trial run trial by trial, whose core adversary runs its own
+# of 300 trials from RandomSource(0, 3) under stream layout 3.  Recorded from
+# _reference_block run trial by trial, whose core adversary runs its own
 # matching and core on every trial: sharing the sampled graph's core with it
 # must not change a single outcome.
 GOLDEN_CAMPAIGNS = [
     ((40, 4, Regular(3), "trivial", None), (69, 0)),
     ((40, 4, Regular(3), "core", None), (69, 0)),
-    ((40, 8, Regular(3), "trivial", None), (74, 174)),
-    ((40, 8, Regular(3), "core", None), (203, 174)),
-    ((40, 8, Regular(3), "trivial", 0.25), (67, 181)),
-    ((40, 8, Regular(3), "core", 0.25), (67, 181)),
-    ((40, 8, Regular(3), "core", 0.5), (70, 181)),
-    ((12, 4, Regular(1), "trivial", None), (130, 299)),
-    ((12, 4, Regular(1), "core", None), (299, 299)),
-    ((12, 4, Regular(1), "core", 0.5), (145, 300)),
-    ((9, 9, Binomial(0.2), "trivial", None), (268, 286)),
-    ((9, 9, Binomial(0.2), "core", None), (294, 286)),
-    ((9, 9, Binomial(0.2), "matching_count", None), (295, 286)),
-    ((9, 9, Binomial(0.2), "core", 0.25), (203, 280)),
-    ((9, 9, Binomial(0.2), "matching_count", 0.25), (203, 280)),
+    ((40, 8, Regular(3), "trivial", None), (78, 174)),
+    ((40, 8, Regular(3), "core", None), (202, 174)),
+    ((40, 8, Regular(3), "trivial", 0.25), (71, 162)),
+    ((40, 8, Regular(3), "core", 0.25), (71, 162)),
+    ((40, 8, Regular(3), "core", 0.5), (72, 162)),
+    ((12, 4, Regular(1), "trivial", None), (159, 299)),
+    ((12, 4, Regular(1), "core", None), (300, 299)),
+    ((12, 4, Regular(1), "core", 0.5), (156, 300)),
+    ((9, 9, Binomial(0.2), "trivial", None), (268, 282)),
+    ((9, 9, Binomial(0.2), "core", None), (293, 282)),
+    ((9, 9, Binomial(0.2), "matching_count", None), (297, 282)),
+    ((9, 9, Binomial(0.2), "core", 0.25), (218, 291)),
+    ((9, 9, Binomial(0.2), "matching_count", 0.25), (218, 291)),
 ]
 
 
@@ -288,8 +284,8 @@ def test_core_flags_run_only_for_the_passive_core_guess(monkeypatch, case, expec
     cfg = SamplerConfig(Partition.equal_chunks(users, chunk), kind)
     marble = BlackMarbleConfig(beta) if beta else None
     mismatched_blocks = 0
-    for streams in _trial_blocks(RandomSource(0, 3), 300, 2 * users):
-        equal = _Campaign(cfg, adversary, marble).run(streams)[3]
+    for size, stream in _trial_blocks(RandomSource(0, 3), 300, 2 * users):
+        equal = _Campaign(cfg, adversary, marble).run(stream, size)[3]
         mismatched_blocks += not equal.all()
     calls.clear()
     result = run_campaign(cfg, users, adversary, 300, RandomSource(0, 3), marble=marble)
@@ -323,21 +319,20 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
         n = config.n_users
         for sid in range(4):  # blocks of 50 graphs
             base = 100 * i + sid
-            draws, runs = graph_draws(config, n, _trial_streams(RandomSource(24, base), 50))
-            union, signed = _graph_block(config, n, draws, runs)
+            gen, run = RandomSource(24, base)._stream()
+            union, signed = _graph_block(config, n, 50, _graph_draw(config, n)(gen, 50), run)
             users, starts = union._users, union._starts
-            assert union.n_users == union.n_rings == len(draws) * n
+            assert union.n_users == union.n_rings == 50 * n
             decoys = users != signed
             graph_starts = np.arange(0, union.n_users + 1, n)
             verdicts = _core_equal_graphs(graph_starts, users[decoys], signed[decoys]).tolist()
-            assert len(verdicts) == len(draws)
+            assert len(verdicts) == 50
             block_flags = _core_flags(union.n_users, users, signed)
+            reference = reference_graph_block(config, n, 50, LayoutStream(24, base))
             for b, verdict in enumerate(verdicts):
                 graph = _block_graph(n, n, union, b)
-                # graph b is the graph its stream gives alone, its signers those of the union
-                alone, matching = sample_transaction_graph(
-                    config, n, n, RandomSource(24, base + b)
-                )
+                # graph b is the reference's, its signers those of the union
+                alone, matching, _ = reference[b]
                 assert graph == alone
                 edges = slice(starts[b * n], starts[(b + 1) * n])
                 ring_signers = signed[starts[b * n:(b + 1) * n]] - b * n
@@ -360,13 +355,14 @@ def test_block_core_equality_equals_core_flags_on_sampled_blocks():
 def _campaign_outcomes(config, adversary, trials, rng, marble):
     """Per trial: guessed user and ring, win, core-equal; the engine's blocks concatenated."""
     engine = _Campaign(config, adversary, marble)
-    blocks = [engine.run(streams) for streams in _trial_blocks(rng, trials, 2 * config.n_users)]
+    blocks = [engine.run(stream, size)
+              for size, stream in _trial_blocks(rng, trials, 2 * config.n_users)]
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 class _GuessGenerator:
     """A trial's generator as the per-graph strategies use it: their one
-    bounded draw is the trial's guess, layout 2's value of its guess word."""
+    bounded draw is the trial's guess, layout 3's value of its guess word."""
 
     def __init__(self, stream, word):
         self._stream = stream
@@ -376,36 +372,46 @@ class _GuessGenerator:
         return low + self._stream.value(self._word, int(high - low))
 
 
-def _reference_trial(config, adversary, stream, marble):
-    """One trial as the per-trial loop ran it before the block engine: the reference.
+def _reference_block(config, adversary, trials, stream, marble):
+    """A block of trials run one by one on the block's stream: the reference.
 
     Every draw comes from ``stream``, a :class:`conftest.LayoutStream`: the
-    corruption permutations, the graph's (:func:`reference_transaction_graph`)
-    and, through the per-graph strategies, the guess, from the graph's last
-    word.  Returns the guessed edge, the win and whether the sampled graph
-    is core-equal.
+    corruption permutations, chunk by chunk and in each chunk trial by
+    trial; the graphs' (:func:`reference_graph_block`); and, through the
+    per-graph strategies, trial by trial, the guesses, each from its
+    graph's guess word.  Returns per trial the guessed edge, the win and
+    whether the sampled graph is core-equal.
     """
-    corrupted = set()
+    part = config.partition
+    corrupted = [set() for _ in range(trials)]
     if marble is not None:
-        corrupted = set(_corrupt_users(config, marble, stream.gen).tolist())
-    graph, matching, word = reference_transaction_graph(config, config.n_users, stream)
-    gen = _GuessGenerator(stream, word)
-    flags = _core_member_flags(graph, matching)
-    if corrupted:  # the reduced view has no core
-        guess = ADVERSARIES[adversary](remove_users(graph, corrupted), gen, None)
-    else:
-        guess = ADVERSARIES[adversary](graph, gen, core(graph))
-    success = guess in matching
-    if marble is not None:
-        success = success and marble.admissible(config.partition, corrupted)
-    return guess, success, bool(flags.all())
+        for start, size in zip(part._chunk_start.tolist(), part.chunk_sizes()):
+            count = marble.corrupted_count(size)
+            for bad in corrupted if count else []:
+                bad.update(part._chunk_flat[start + stream.gen.permutation(size)[:count]].tolist())
+    outcomes = []
+    for (graph, matching, word), bad in zip(
+        reference_graph_block(config, config.n_users, trials, stream), corrupted
+    ):
+        gen = _GuessGenerator(stream, word)
+        flags = _core_member_flags(graph, matching)
+        if bad:  # the reduced view has no core
+            guess = ADVERSARIES[adversary](remove_users(graph, bad), gen, None)
+        else:
+            guess = ADVERSARIES[adversary](graph, gen, core(graph))
+        success = guess in matching
+        if marble is not None:
+            success = success and marble.admissible(part, bad)
+        outcomes.append((guess, success, bool(flags.all())))
+    return outcomes
 
 
 def _reference_trials(config, adversary, trials, rng, marble):
-    """:func:`_reference_trial` of each trial t of a campaign on ``rng``: stream ``base + t``."""
+    """:func:`_reference_block` of each block of a campaign on ``rng``: stream ``base + j``."""
     return [
-        _reference_trial(config, adversary, LayoutStream(rng.seed, rng.stream_id + t), marble)
-        for t in range(trials)
+        outcome
+        for size, stream in block_streams(rng.seed, rng.stream_id, trials, 2 * config.n_users)
+        for outcome in _reference_block(config, adversary, size, stream, marble)
     ]
 
 
@@ -484,11 +490,11 @@ def test_run_experiment_is_a_one_trial_campaign(adversary, beta):
 
 def _reference_outcome(config, adversary, rng, marble):
     stream = LayoutStream(rng.seed, rng.stream_id)
-    guess, success, core_equal = _reference_trial(config, adversary, stream, marble)
+    (guess, success, core_equal), = _reference_block(config, adversary, 1, stream, marble)
     return adversary_module.ExperimentOutcome(guess, success, core_equal)
 
 
-# -- the campaign's raw-word draw against the layout-2 reference -----------------------
+# -- the campaign's raw-word draw against the layout-3 reference -----------------------
 
 # chunk 4 with k 3 puts a bound-1 row first; the others cover chunk 8, binomial
 # counts and unequal chunks
@@ -504,48 +510,57 @@ _DRAW_CONFIGS = [
 
 @pytest.mark.parametrize("part, kind", _DRAW_CONFIGS)
 def test_campaign_trial_draws_equal_numpys(part, kind):
-    # each trial of a block: its graph in the block's union, and the guess its
-    # last word makes for every length, against the layout-2 reference on its
-    # stream; lengths near 2**32 reject words, whose values then come from the
-    # trial's overflow run, after those its Floyd draw took
+    # each trial of a block of 8: its graph in the block's union, and the
+    # guess its guess word makes for every length, against the layout-3
+    # reference block on the block's stream; lengths near 2**32 reject words,
+    # whose values then come from the block's overflow run, after those its
+    # Floyd draw took
     config = SamplerConfig(part, kind)
     n = config.n_users
     lengths = [1, 2, 3, 4, 5, 7, n, 3 << 30, (1 << 32) - 1]
     rejections = 0
     for block in range(6):
-        draws, runs = graph_draws(config, n, _trial_streams(RandomSource(31, 50 * block), 8))
-        union, _ = _graph_block(config, n, draws, runs)
-        for b, (draw, run) in enumerate(zip(draws, runs)):
-            reference = LayoutStream(31, 50 * block + b)
-            graph, _, word = reference_transaction_graph(config, n, reference)
-            assert _block_graph(n, n, union, b) == graph and draw[2][-1] == word
+        gen, run = RandomSource(31, block)._stream()
+        signers, pools, counts, words = _graph_draw(config, n)(gen, 8)
+        union, _ = _graph_block(config, n, 8, (signers, pools, counts, words), run)
+        guess_words = words[int(counts.max(initial=0)) * 8 * n:][:8].tolist()
+        reference = LayoutStream(31, block)
+        for b, (graph, _, word) in enumerate(reference_graph_block(config, n, 8, reference)):
+            assert _block_graph(n, n, union, b) == graph and guess_words[b] == word
             for length in lengths:
-                picks, rejected = _lemire(
-                    np.array([[word]], dtype="<u4"), np.array([[length]], dtype="<u8")
+                pick = _block_draw(
+                    np.array([[word]], dtype="<u4"), np.array([[length]], dtype="<u8"), run
                 )
-                pick = _accept(run, length) if rejected else int(picks[0, 0])
-                rejections += len(rejected)
-                assert pick == reference.value(word, length)
+                assert int(pick[0, 0]) == reference.value(word, length)
+        rejections += reference.overflow_words
     assert rejections >= 5
 
 
-# chunk 4 with k 3 draws rows of bounds 1, 2 and 3 over 8 columns, so word 16 of
-# a trial's 25 is the first of bound 3; k 2 rings have three members, so every
-# trivial guess is below 3 and comes from a trial's last word.  Below 3 the
-# word 0 is rejected: the low half of 3 * 0 is below (2**32 - 3) % 3 = 1.
+# chunk 4 with k 3 draws rows of bounds 1, 2 and 3 over 8 columns a trial, so
+# in a block of B trials word 16*B + 8*t of its 25*B is trial t's first of
+# bound 3; k 2 rings have three members, so every trivial guess is below 3
+# and trial t's comes from word 16*B + t of the block's 17*B, its guess word.
+# Below 3 the word 0 is rejected: the low half of 3 * 0 is below
+# (2**32 - 3) % 3 = 1.
 _REJECTIONS = {
-    "floyd": ((Partition.equal_chunks(8, 4), Regular(3)), lambda count: 16),
-    "guess": ((Partition.equal_chunks(8, 4), Regular(2)), lambda count: count - 1),
+    "floyd": ((Partition.equal_chunks(8, 4), Regular(3)), 25, lambda block, t: 16 * block + 8 * t),
+    "guess": ((Partition.equal_chunks(8, 4), Regular(2)), 17, lambda block, t: 16 * block + t),
 }
 
 
-def _reject_word(monkeypatch, where, stream_id=None):
+def _reject_word(monkeypatch, where, stream_id=None, trials=None):
     """Make the word that ``_REJECTIONS[where]`` names the word 0, in the engine and the
-    reference: in the draws of stream ``stream_id``, or of every stream when it is None."""
-    position = _REJECTIONS[where][1]
-    inject_words(
-        monkeypatch, 0, lambda sid, count: [position(count)] if stream_id in (None, sid) else []
-    )
+    reference: in the block of stream ``stream_id``, or of every stream when it is None,
+    for the trials of the block listed in ``trials``, or for each of them when it is None."""
+    _, per_trial, position = _REJECTIONS[where]
+
+    def positions(sid, count):
+        block = count // per_trial
+        if stream_id not in (None, sid):
+            return []
+        return [position(block, t) for t in (range(block) if trials is None else trials)]
+
+    inject_words(monkeypatch, 0, positions)
 
 
 def _overflow_reads(monkeypatch):
@@ -564,18 +579,18 @@ def _overflow_reads(monkeypatch):
 @pytest.mark.parametrize("trial", [0, 2, 3])
 @pytest.mark.parametrize("where", ["floyd", "guess"])
 def test_campaign_redraws_a_rejected_word_through_numpy(monkeypatch, where, trial):
-    # one trial of a block of 4 rejects a word: its value comes from that
-    # trial's overflow run, the only one read, and every outcome equals the
-    # layout-2 reference's
-    (part, kind), _ = _REJECTIONS[where]
+    # one trial of a block of 4, on stream 7, rejects a word: its value comes
+    # from the block's overflow run, the only one read, and every outcome
+    # equals the layout-3 reference's
+    (part, kind), _, _ = _REJECTIONS[where]
     config = SamplerConfig(part, kind)
     monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * config.n_users)  # blocks of 4
     rng = RandomSource(32, 7)
-    _reject_word(monkeypatch, where, 7 + trial)
-    expected = _reference_trials(config, "trivial", 4, rng, None)
+    _reject_word(monkeypatch, where, 7, [trial])
     reads = _overflow_reads(monkeypatch)
+    expected = _reference_trials(config, "trivial", 4, rng, None)
     users, rings, success, _ = _campaign_outcomes(config, "trivial", 4, rng, None)
-    assert reads == [7 + trial]
+    assert reads == [7]
     assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
     assert success.tolist() == [e[1] for e in expected]
 
@@ -584,34 +599,37 @@ def test_campaign_redraws_a_rejected_word_through_numpy(monkeypatch, where, tria
 # where the word 0 is accepted
 @pytest.mark.parametrize("where, beta", [("floyd", None), ("floyd", 0.5), ("guess", None)])
 def test_run_experiment_is_a_campaign_trial_with_rejected_words(monkeypatch, where, beta):
-    # every trial rejects a word, so every trial reads its overflow run:
-    # run_experiment on RandomSource(seed, base + t) still equals trial t of
-    # a campaign on RandomSource(seed, base), in blocks of 4
-    (part, kind), _ = _REJECTIONS[where]
+    # every block rejects a word, so every block reads its overflow run:
+    # run_experiment on RandomSource(seed, sid) equals the one trial of a
+    # campaign of one trial on RandomSource(seed, sid), and the reference's
+    (part, kind), _, _ = _REJECTIONS[where]
     config = SamplerConfig(part, kind)
     marble = BlackMarbleConfig(beta) if beta else None
-    monkeypatch.setattr(samplers_module, "_BLOCK_NODES", 8 * config.n_users)
     _reject_word(monkeypatch, where)
     reads = _overflow_reads(monkeypatch)
-    trials, base = 9, 60
-    users, rings, success, core_equal = _campaign_outcomes(
-        config, "trivial", trials, RandomSource(36, base), marble
-    )
-    assert reads == list(range(base, base + trials))
-    for t in range(trials):
-        outcome = run_experiment(config, 8, "trivial", RandomSource(36, base + t), marble=marble)
-        assert outcome == adversary_module.ExperimentOutcome(
-            (users[t], rings[t]), success[t], core_equal[t]
+    for sid in range(60, 69):
+        users, rings, success, core_equal = _campaign_outcomes(
+            config, "trivial", 1, RandomSource(36, sid), marble
         )
+        outcome = run_experiment(config, 8, "trivial", RandomSource(36, sid), marble=marble)
+        assert outcome == adversary_module.ExperimentOutcome(
+            (users[0], rings[0]), success[0], core_equal[0]
+        )
+        assert outcome == _reference_outcome(config, "trivial", RandomSource(36, sid), marble)
+        result = run_campaign(config, 8, "trivial", 1, RandomSource(36, sid), marble=marble)
+        assert result.success.failures == outcome.success
+        assert result.core_mismatch.failures == (not outcome.graph_was_core_equal)
+    assert reads == [sid for sid in range(60, 69) for _ in range(3)]
 
 
 def test_rejected_campaign_values_come_from_the_overflow_run_and_are_uniform(monkeypatch):
-    # a chunk of 6 with k 2 draws rows of bounds 4 and 5 over 6 columns and
-    # guesses below 3: the word 0 replaces word 11 of each trial's 13, the last
-    # of bound 5, and word 12, its guess word, and both bounds reject it.  Both
-    # values come from the trial's overflow run, the Floyd one first, are
-    # uniform and give the reference's outcomes; every other Floyd value is
-    # the one drawn without the injection
+    # a chunk of 6 with k 2 draws rows of bounds 4 and 5 over 6 columns a
+    # trial and guesses below 3: in a block of B trials the word 0 replaces
+    # word 6*B + 6*t + 5 of the block's 13*B, trial t's last of bound 5, and
+    # word 12*B + t, its guess word, and both bounds reject it.  The values
+    # come from the block's overflow run, the Floyd ones first, are uniform
+    # and give the reference's outcomes; every other Floyd value is the one
+    # drawn without the injection
     config = SamplerConfig(Partition.single(6), Regular(2))
     trials, rng = 1500, RandomSource(38)
     floyd_draws = []
@@ -623,20 +641,22 @@ def test_rejected_campaign_values_come_from_the_overflow_run_and_are_uniform(mon
         return x
 
     accepted = []
+    accept = samplers_module._accept
 
-    def recording(accept):
-        def accept_and_record(run, bound):
-            accepted.append((bound, accept(run, bound)))
-            return accepted[-1][1]
-        return accept_and_record
+    def accept_and_record(run, bound):
+        accepted.append((bound, accept(run, bound)))
+        return accepted[-1][1]
+
+    def positions(sid, count):
+        block = count // 13
+        return [6 * block + 6 * t + 5 for t in range(block)] + [12 * block + t for t in range(block)]
 
     monkeypatch.setattr(samplers_module, "_block_draw", recording_draw)
-    for module in (samplers_module, adversary_module):
-        monkeypatch.setattr(module, "_accept", recording(module._accept))
+    monkeypatch.setattr(samplers_module, "_accept", accept_and_record)
     _campaign_outcomes(config, "trivial", trials, rng, None)
     clean, floyd_draws[:] = list(floyd_draws), []
     assert accepted == []
-    inject_words(monkeypatch, 0, lambda sid, count: [11, 12])
+    inject_words(monkeypatch, 0, positions)
     users, rings, success, _ = _campaign_outcomes(config, "trivial", trials, rng, None)
     expected = _reference_trials(config, "trivial", trials, rng, None)
     assert list(zip(users.tolist(), rings.tolist())) == [e[0] for e in expected]
@@ -649,6 +669,9 @@ def test_rejected_campaign_values_come_from_the_overflow_run_and_are_uniform(mon
     guesses = [v for bound, v in accepted if bound == 3]
     assert len(floyd) == len(guesses) == trials and len(accepted) == 2 * trials
     assert np.concatenate([x[1, 5::6] for x in floyd_draws]).tolist() == floyd
+    # each block's Floyd values are taken before its guesses
+    bounds = [bound for bound, _ in accepted]
+    assert bounds == [b for x in floyd_draws for b in [5] * (x.shape[1] // 6) + [3] * (x.shape[1] // 6)]
     assert chi_square(floyd, 5) < CHI_SQUARE_999[4]
     assert chi_square(guesses, 3) < CHI_SQUARE_999[2]
 
@@ -665,7 +688,7 @@ def _state_key(gen):
 ])
 def test_run_experiment_leaves_the_generator_where_numpy_does(monkeypatch, adversary, rejecting):
     # two trials and then numpy's draws on a reused source equal those of
-    # the layout-2 reference, with and without a half word that numpy
+    # the layout-3 reference, with and without a half word that numpy
     # buffered before the first call; k 0 rings have one member
     cases = [_REJECTIONS["floyd"][0], _REJECTIONS["guess"][0], (Partition.single(6), Regular(0)),
              (Partition.equal_chunks(9, 3), Binomial(0.4))]
@@ -680,7 +703,7 @@ def test_run_experiment_leaves_the_generator_where_numpy_does(monkeypatch, adver
             reference.gen.integers(0, 10)
         for _ in range(2):
             outcome = run_experiment(config, config.n_users, adversary, rng)
-            guess, success, core_equal = _reference_trial(config, adversary, reference, None)
+            (guess, success, core_equal), = _reference_block(config, adversary, 1, reference, None)
             assert outcome == adversary_module.ExperimentOutcome(guess, success, core_equal)
         assert _state_key(rng.generator) == _state_key(reference.gen)
         assert rng.generator.integers(0, 1000, size=3).tolist() == reference.gen.integers(
@@ -689,22 +712,24 @@ def test_run_experiment_leaves_the_generator_where_numpy_does(monkeypatch, adver
 
 
 class _CountingGenerator:
-    """A trial's generator that counts the raw-word draws, state restores and
-    ``integers`` calls made of it; ``integers`` calls with an array bound count apart."""
+    """A block's generator that counts the draws made of it: permutations,
+    binomial counts, raw-word draws, state restores and ``integers`` calls."""
 
     def __init__(self, gen, calls):
         self._gen = gen
         self._calls = calls
         self.bit_generator = self
 
-    def permutation(self, *args):
-        return self._gen.permutation(*args)
+    def permuted(self, *args, **kwargs):
+        self._calls["permuted"] += 1
+        return self._gen.permuted(*args, **kwargs)
 
     def binomial(self, *args):
+        self._calls["binomial"] += 1
         return self._gen.binomial(*args)
 
     def integers(self, low, high, **kwargs):
-        self._calls["array integers" if np.ndim(high) else "integers"] += 1
+        self._calls["integers"] += 1
         return self._gen.integers(low, high, **kwargs)
 
     def random_raw(self, size):
@@ -724,40 +749,44 @@ class _CountingGenerator:
 @pytest.mark.parametrize("part, kind", _DRAW_CONFIGS)
 @pytest.mark.parametrize("adversary, beta", [("trivial", None), ("core", None), ("core", 0.25)])
 def test_campaign_block_takes_one_raw_word_draw_per_trial(part, kind, adversary, beta):
-    # every trial's Floyd words and guess word come from one random_raw call;
-    # no numpy bounded draw and no state restore is made
+    # a block of 5 trials makes each draw once: one permuted call per
+    # corrupted chunk and one for the signers, one binomial call under the
+    # binomial model, and one random_raw call for every trial's Floyd words
+    # and guess word; no numpy bounded draw and no state restore is made
     config = SamplerConfig(part, kind)
     marble = BlackMarbleConfig(beta) if beta else None
     engine = _Campaign(config, adversary, marble)
+    corrupted_chunks = sum(1 for size in part.chunk_sizes() if marble and marble.corrupted_count(size))
+    want = Counter({"random_raw": 1, "permuted": 1 + corrupted_chunks})
+    if isinstance(kind, Binomial):
+        want["binomial"] = 1
     for block in range(3):
         calls = Counter()
-        ids = range(10 * block, 10 * block + 5)
-        streams = [
-            (_CountingGenerator(RandomSource(34, sid).generator, calls), _overflow_run(34, sid))
-            for sid in ids
-        ]
-        outcomes = engine.run(streams)
-        assert calls == Counter({"random_raw": 5})
-        expected = engine.run(_trial_streams(RandomSource(34, 10 * block), 5))
-        for got, want in zip(outcomes, expected):
-            assert np.array_equal(got, want)
+        stream = (_CountingGenerator(RandomSource(34, block).generator, calls),
+                  _overflow_run(34, block))
+        outcomes = engine.run(stream, 5)
+        assert calls == want
+        expected = engine.run(RandomSource(34, block)._stream(), 5)
+        for got, wanted in zip(outcomes, expected):
+            assert np.array_equal(got, wanted)
 
 
 def test_campaign_block_reads_an_overflow_run_only_for_a_rejected_word(monkeypatch):
-    # trial 2 rejects a Floyd word: it makes no more raw-word draws, no state
-    # restore and no numpy bounded draw, and only its overflow run is read
-    (part, kind), _ = _REJECTIONS["floyd"]
+    # a block of 5 reads no overflow run; once its trial 2 rejects a Floyd
+    # word it makes no more raw-word draws, no state restore and no numpy
+    # bounded draw, and reads its overflow run
+    (part, kind), _, _ = _REJECTIONS["floyd"]
     config = SamplerConfig(part, kind)
-    _reject_word(monkeypatch, "floyd", 2)
     reads = _overflow_reads(monkeypatch)
-    calls = Counter()
-    streams = [
-        (_CountingGenerator(RandomSource(35, t).generator, calls),
-         samplers_module._overflow_run(35, t))
-        for t in range(5)
-    ]
-    _Campaign(config, "trivial", None).run(streams)
-    assert calls == Counter({"random_raw": 5}) and reads == [2]
+    for rejecting in (False, True):
+        if rejecting:
+            _reject_word(monkeypatch, "floyd", 35, [2])
+        calls = Counter()
+        stream = (_CountingGenerator(RandomSource(0, 35).generator, calls),
+                  samplers_module._overflow_run(0, 35))
+        _Campaign(config, "trivial", None).run(stream, 5)
+        assert calls == Counter({"random_raw": 1, "permuted": 1})
+        assert reads == ([35] if rejecting else [])
 
 
 def test_campaign_peak_memory_does_not_grow_with_trials():
@@ -810,10 +839,11 @@ def test_black_marble_corruption_is_admissible():
     for beta in (0.2, 0.4, 0.79):
         marble = BlackMarbleConfig(beta)
         for sid in range(30):
-            corrupted = _corrupt_users(cfg, marble, RandomSource(16, sid).generator)
-            assert marble.admissible(part, corrupted)
-            per_chunk = Counter(part.chunk_of(u) for u in corrupted)
-            assert all(per_chunk[c] == math.floor(beta * 5) for c in range(4))
+            # a block of three trials: one row of corrupted users each
+            for corrupted in _corrupt_users(cfg, marble, RandomSource(16, sid).generator, 3):
+                assert marble.admissible(part, corrupted)
+                per_chunk = Counter(part.chunk_of(u) for u in corrupted)
+                assert all(per_chunk[c] == math.floor(beta * 5) for c in range(4))
 
 
 def test_black_marble_admissible_rejects_an_overfull_chunk():

@@ -339,7 +339,7 @@ def test_conjecture_small_grid(tmp_path, capsys):
 
 
 # sha256 of the `ringlab conjecture` CSV for the grid below (n from 4 to 4096).
-CONJECTURE_GOLDEN_SHA256 = "91f642cdcf55581cbc1a134f3e906e01e56b4c1c25543ac151f42d42350386f2"
+CONJECTURE_GOLDEN_SHA256 = "90749e3df6bac4bec3a6f0172bc279c6b53588cd5276bfe025de812fc17c18c7"
 
 
 def test_conjecture_output_golden(tmp_path):
@@ -517,7 +517,7 @@ def test_simulate_flag_validation(capsys):
         assert "need 0 <= --beta < 1" in capsys.readouterr().err
 
 
-# Output bytes of ``ringlab simulate`` under stream layout 2: both README
+# Output bytes of ``ringlab simulate`` under stream layout 3: both README
 # commands at reduced --trials, the binomial sampler, --beta, matching_count
 # and --chunk-size 1.
 @pytest.mark.parametrize(
@@ -526,13 +526,13 @@ def test_simulate_flag_validation(capsys):
         ("--users 40 --chunk-size 4 --k 3 --adversary trivial --trials 2000",
          "# seed 0\n"
          "simulate users=40 chunk_size=4 sampler=regular k=3 adversary=trivial trials=2000 beta=0\n"
-         "success trials=2000 successes=472 estimate=0.236 ci_low=0.217907190896 ci_high=0.255105047197\n"
+         "success trials=2000 successes=494 estimate=0.247 ci_low=0.22859583081 ci_high=0.266374230695\n"
          "core_mismatch trials=2000 mismatches=0 estimate=0 ci_low=0 ci_high=0.00191711760051\n"),
         ("--users 40 --chunk-size 8 --k 3 --adversary core --beta 0.25 --trials 1000",
          "# seed 0\n"
          "simulate users=40 chunk_size=8 sampler=regular k=3 adversary=core trials=1000 beta=0.25\n"
-         "success trials=1000 successes=223 estimate=0.223 ci_low=0.198287696478 ci_high=0.249832405339\n"
-         "core_mismatch trials=1000 mismatches=602 estimate=0.602 ci_low=0.571326625421 ci_high=0.631892687267\n"),
+         "success trials=1000 successes=262 estimate=0.262 ci_low=0.235693466154 ci_high=0.290128137573\n"
+         "core_mismatch trials=1000 mismatches=558 estimate=0.558 ci_low=0.527055080616 ci_high=0.588500999148\n"),
         ("--users 12 --chunk-size 4 --p 0.3 --adversary core --trials 500 --seed 2",
          "# seed 2\n"
          "simulate users=12 chunk_size=4 sampler=binomial p=0.3 adversary=core trials=500 beta=0\n"
@@ -541,18 +541,18 @@ def test_simulate_flag_validation(capsys):
         ("--users 12 --chunk-size 4 --k 2 --adversary core --beta 0.5 --trials 500 --seed 3",
          "# seed 3\n"
          "simulate users=12 chunk_size=4 sampler=regular k=2 adversary=core trials=500 beta=0.5\n"
-         "success trials=500 successes=148 estimate=0.296 ci_low=0.257664723439 ci_high=0.337446120922\n"
-         "core_mismatch trials=500 mismatches=210 estimate=0.42 ci_low=0.377508587406 ci_high=0.463711351559\n"),
+         "success trials=500 successes=164 estimate=0.328 ci_low=0.288295488973 ci_high=0.370327379802\n"
+         "core_mismatch trials=500 mismatches=195 estimate=0.39 ci_low=0.348240583905 ci_high=0.433436832172\n"),
         ("--users 9 --chunk-size 9 --p 0.2 --adversary matching_count --trials 200 --seed 4",
          "# seed 4\n"
          "simulate users=9 chunk_size=9 sampler=binomial p=0.2 adversary=matching_count trials=200 beta=0\n"
-         "success trials=200 successes=198 estimate=0.99 ci_low=0.964277514804 ci_high=0.997253399396\n"
-         "core_mismatch trials=200 mismatches=187 estimate=0.935 ci_low=0.891979962501 ci_high=0.96162401235\n"),
+         "success trials=200 successes=199 estimate=0.995 ci_low=0.97222560013 ci_high=0.999116854011\n"
+         "core_mismatch trials=200 mismatches=190 estimate=0.95 ci_low=0.910420943702 ci_high=0.972617650971\n"),
         ("--users 6 --chunk-size 3 --k 1 --adversary matching_count --beta 0.5 --trials 100 --seed 5",
          "# seed 5\n"
          "simulate users=6 chunk_size=3 sampler=regular k=1 adversary=matching_count trials=100 beta=0.5\n"
-         "success trials=100 successes=48 estimate=0.48 ci_low=0.384643843201 ci_high=0.576835949098\n"
-         "core_mismatch trials=100 mismatches=94 estimate=0.94 ci_low=0.875230314688 ci_high=0.972214254733\n"),
+         "success trials=100 successes=51 estimate=0.51 ci_low=0.413478404774 ci_high=0.605781699076\n"
+         "core_mismatch trials=100 mismatches=95 estimate=0.95 ci_low=0.888248034728 ci_high=0.978456638544\n"),
         ("--users 8 --chunk-size 1 --k 0 --adversary core --trials 100 --seed 6",
          "# seed 6\n"
          "simulate users=8 chunk_size=1 sampler=regular k=0 adversary=core trials=100 beta=0\n"
@@ -561,7 +561,7 @@ def test_simulate_flag_validation(capsys):
         ("--users 16 --chunk-size 4 --p 1 --adversary trivial --trials 300 --seed 7",
          "# seed 7\n"
          "simulate users=16 chunk_size=4 sampler=binomial p=1 adversary=trivial trials=300 beta=0\n"
-         "success trials=300 successes=63 estimate=0.21 ci_low=0.167721094884 ci_high=0.259612094515\n"
+         "success trials=300 successes=74 estimate=0.246666666667 ci_low=0.201293033786 ci_high=0.29844630408\n"
          "core_mismatch trials=300 mismatches=0 estimate=0 ci_low=0 ci_high=0.0126434299977\n"),
         ("--users 30 --chunk-size 10 --p 0 --adversary core --beta 0.3 --trials 50 --seed 8",
          "# seed 8\n"

@@ -1,7 +1,6 @@
 """Digraph-connectivity estimates against exhaustive oracles, bounds, and the grid."""
 import io
 import math
-from collections import Counter
 
 import pytest
 
@@ -21,11 +20,15 @@ from ringlab.graph import is_strongly_connected
 from ringlab.samplers import (
     _BLOCK_NODES,
     RandomSource,
-    sample_binomial_digraph,
-    sample_regular_digraph,
 )
 
-from conftest import exact_not_sc_binomial, exact_not_sc_regular
+from conftest import (
+    block_streams,
+    exact_not_sc_binomial,
+    exact_not_sc_regular,
+    reference_digraph_block,
+    reference_digraphs,
+)
 
 
 def grid_csv_text(cells):
@@ -106,55 +109,74 @@ BLOCK_CASES = [(2, 1, 0.5), (4, 1, 0.5), (16, 3, 0.2), (300, 6, 0.022), (1024, 7
                (_BLOCK_NODES, 8, 8 / (_BLOCK_NODES - 1))]
 
 
+def _reference_trials(n, k, p, trials, seed, base):
+    """Per trial of a campaign, from the layout-3 reference block by block: whether
+    it fails, whether its in-degrees decide it, and its largest in-degree."""
+    outcomes = []
+    for size, stream in block_streams(seed, base, trials, n):
+        degrees, x, rows = reference_digraph_block(n, k, p, size, stream, decide=True)
+        digraphs = iter(reference_digraphs(n, degrees, x))
+        for row in rows:
+            decided = n > 1 and not row.all()
+            fails = decided or not is_strongly_connected(next(digraphs))
+            outcomes.append((fails, decided, int(row.max())))
+    return outcomes
+
+
 @pytest.mark.parametrize("n, k, p", BLOCK_CASES)
 def test_block_estimates_match_per_trial_reference(n, k, p):
     block = _block_size(n)
     trial_counts = sorted({t for t in (1, block - 1, block, block + 1, 2 * block + 3) if t >= 1})
     seed, base = 41, (3 << 32) + 17
-    # the reference uses only the public API: trial t draws stream base + t
-    ids = range(base, base + trial_counts[-1])
-    regular = [sample_regular_digraph(k, n, RandomSource(seed, sid)) for sid in ids]
-    binomial = [sample_binomial_digraph(p, n, RandomSource(seed, sid)) for sid in ids]
-    reg_fail = [not is_strongly_connected(d) for d in regular]
-    bin_fail = [not is_strongly_connected(d) for d in binomial]
+    # the reference runs each block's trials one by one from the block's
+    # stream, base + j, and checks them with the public oracle
     for trials in trial_counts:
+        regular = _reference_trials(n, k, None, trials, seed, base)
+        binomial = _reference_trials(n, None, p, trials, seed, base)
         reg = estimate_not_sc_regular(k, n, trials, RandomSource(seed, base))
         bin_ = estimate_not_sc_binomial(p, n, trials, RandomSource(seed, base))
-        assert reg.failures == sum(reg_fail[:trials])
-        assert bin_.failures == sum(bin_fail[:trials])
+        assert reg.failures == sum(fails for fails, _, _ in regular)
+        assert bin_.failures == sum(fails for fails, _, _ in binomial)
+    reg_fail = [fails for fails, _, _ in regular]
+    bin_fail = [fails for fails, _, _ in binomial]
     assert 0 < sum(bin_fail) < len(bin_fail)
     assert 0 < sum(reg_fail) < len(reg_fail) or n == 2  # k = 1 at n = 2 is complete
-    # a trial with a node of in-degree 0 is decided before its subset draw;
-    # both kinds occur, side by side in the first block when it holds more
+    # a trial with a node of in-degree 0 is decided before the subset draw;
+    # both kinds occur, side by side in some block when blocks hold more
     # than one trial
-    decided = [len({b for _, b in d.edges()}) < n for d in binomial]
+    decided = [d for _, d, _ in binomial]
     assert any(decided) and not all(decided)
     if block > 1:
-        assert any(decided[:block]) and not all(decided[:block])
+        mixed = [set(decided[i:i + block]) == {False, True} for i in range(0, len(decided), block)]
+        assert any(mixed)
         # the binomial trials of some block have different largest in-degrees
-        k_max = [max(Counter(b for _, b in d.edges()).values(), default=0) for d in binomial]
+        k_max = [top for _, _, top in binomial]
         assert any(len(set(k_max[i:i + block])) > 1 for i in range(0, len(k_max), block))
 
 
 @pytest.mark.parametrize("n, p", [(2, 0.5), (16, 0.2), (1024, 0.0075)])
 def test_binomial_campaign_draws_subsets_only_for_undecided_trials(monkeypatch, n, p):
-    # one subset draw per trial whose in-degrees are all positive, none
-    # for a trial with a node of in-degree 0, and none at all at p = 0
+    # each block draws K*B*n subset words, B its trials with all in-degrees
+    # positive and K their largest in-degree: none for a trial with a node
+    # of in-degree 0, and none at all at p = 0
     seed, base, trials = 47, 5 << 32, 2 * _block_size(n) + 3
-    undecided = sum(
-        len({b for _, b in sample_binomial_digraph(p, n, RandomSource(seed, sid)).edges()}) == n
-        for sid in range(base, base + trials)
-    )
-    calls = []
+    expected = []
+    undecided = 0
+    for size, stream in block_streams(seed, base, trials, n):
+        degrees, _, _ = reference_digraph_block(n, None, p, size, stream, decide=True)
+        expected.append(int(degrees.max(initial=0)) * degrees.size)
+        undecided += degrees.size // n
+    words = []
     raw_words = samplers._raw_words
-    monkeypatch.setattr(samplers, "_raw_words", lambda *args: calls.append(1) or raw_words(*args))
+    monkeypatch.setattr(samplers, "_raw_words",
+                        lambda bitgen, count: words.append(count) or raw_words(bitgen, count))
     est = estimate_not_sc_binomial(p, n, trials, RandomSource(seed, base))
     assert 0 < undecided < trials
-    assert len(calls) == undecided
+    assert words == expected
     assert est.failures >= trials - undecided
-    calls.clear()
+    words.clear()
     assert estimate_not_sc_binomial(0.0, n, trials, RandomSource(seed, base)).failures == trials
-    assert calls == []
+    assert not any(words)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 300, 1024])

@@ -38,8 +38,8 @@ from ringlab.samplers import (
     _binomial_draw,
     _digraph_block,
     _graph_block,
+    _graph_draw,
     _regular_draw,
-    _trial_streams,
     sample_binomial_digraph,
     sample_regular_digraph,
     sample_transaction_graph,
@@ -47,7 +47,6 @@ from ringlab.samplers import (
 
 from conftest import (
     _core_member_flags,
-    graph_draws,
     make_graph,
     random_valid_graph,
     reach_matrix,
@@ -853,10 +852,12 @@ _UNION_CASES = [
 
 
 def _sampled_union(config, m, seed):
-    draws, runs = graph_draws(config, m, _trial_streams(RandomSource(seed), 3))
+    gen, run = RandomSource(seed)._stream()
+    draw = _graph_draw(config, m)(gen, 3)
     if isinstance(config.kind, Binomial):
-        assert len({int(d[1].max()) for d in draws}) > 1  # the graphs differ in k_max
-    return _graph_block(config, m, draws, runs)[0]
+        # the graphs differ in their largest counts
+        assert len(set(draw[2].reshape(3, m).max(axis=1).tolist())) > 1
+    return _graph_block(config, m, 3, draw, run)[0]
 
 
 _CSR_PRODUCERS = {

@@ -34,7 +34,6 @@ from ringlab.samplers import (
     _overflow_run,
     _raw_words,
     _regular_draw,
-    _StreamFamily,
     _trial_blocks,
     sample_binomial_digraph,
     sample_regular_digraph,
@@ -47,9 +46,10 @@ from conftest import (
     LayoutStream,
     chi_square,
     floyd_column,
-    graph_draws,
     inject_words,
-    reference_transaction_graph,
+    reference_digraph_block,
+    reference_digraphs,
+    reference_graph_block,
 )
 
 
@@ -72,12 +72,21 @@ def test_random_source_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_stream_family_matches_fresh_sources():
-    fam = _StreamFamily(99)
-    for sid in (0, 1, 7, 1 << 40):
-        fast = fam.generator(sid).integers(0, 1 << 62, size=8)
-        slow = RandomSource(99, sid).generator.integers(0, 1 << 62, size=8)
-        assert np.array_equal(fast, slow)
+@pytest.mark.parametrize("n, trials, sizes", [
+    (300, 15, [6, 6, 3]), (2048, 2, [1, 1]), (4096, 1, [1]), (1, 2049, [2048, 1]),
+])
+def test_trial_blocks_put_block_j_on_stream_base_plus_j(n, trials, sizes):
+    # blocks of max(1, 2048 // n) trials, the last one the rest; block j's
+    # main run and overflow run are those of stream base + j, which wraps
+    # at 2**64
+    base = (1 << 64) - 2
+    blocks = list(_trial_blocks(RandomSource(99, base), trials, n))
+    assert [size for size, _ in blocks] == sizes
+    for j, (_, (gen, run)) in enumerate(blocks):
+        reference = LayoutStream(99, (base + j) % (1 << 64))
+        assert gen.bit_generator.random_raw(3).tolist() == (
+            reference.gen.bit_generator.random_raw(3).tolist())
+        assert [next(run) for _ in range(3)] == [reference._overflow_word() for _ in range(3)]
 
 
 # -- the subset kernel --------------------------------------------------------------
@@ -85,9 +94,9 @@ def test_stream_family_matches_fresh_sources():
 
 def _floyd_subsets(rng, pools, counts):
     """Per column, a uniform ``counts[i]``-subset of ``range(pools[i])``: a Floyd block of one."""
-    (gen, run), = rng._streams()
+    gen, run = rng._stream()
     words = _raw_words(gen.bit_generator, int(counts.max()) * pools.size)
-    return _floyd_block(pools, counts, [words], [run])
+    return _floyd_block(pools, counts, words, run)
 
 
 def test_floyd_subsets_shapes_and_validity():
@@ -265,13 +274,11 @@ def test_sample_transaction_graph_validates_and_matching_is_true_assignment(part
 def test_block_covering_check_raises_on_a_corrupted_signer_row():
     # blocks of three graphs over chunks of 3: k = 0 gives singleton rings,
     # k = 2 rings that are their signers' whole chunks (union users 3c..3c+2)
-    fam = _StreamFamily(3)
     blocks = {}
     for k in (0, 2):
         cfg = SamplerConfig(Partition.equal_chunks(6, 3), Regular(k))
-        draw = _graph_draw(cfg, 6)
-        draws = [draw(fam.generator(t)) for t in range(3)]
-        union, signed = _graph_block(cfg, 6, draws, [_overflow_run(3, t) for t in range(3)])
+        gen, run = RandomSource(3)._stream()
+        union, signed = _graph_block(cfg, 6, 3, _graph_draw(cfg, 6)(gen, 3), run)
         signers = signed[union._starts[:-1]]
         _require_covering(union, signers)
         blocks[k] = union, signers
@@ -295,7 +302,7 @@ def test_block_covering_check_raises_on_a_corrupted_signer_row():
 @pytest.mark.parametrize("rejecting", [False, True])
 def test_sample_transaction_graph_leaves_the_generator_where_numpy_does(monkeypatch, rejecting):
     # two graphs and then numpy's draws on a reused source equal those of the
-    # layout-2 reference, with and without a half word that numpy buffered
+    # layout-3 reference, with and without a half word that numpy buffered
     # before the first call; with rejecting, word 2m of the 3m + 1, the first
     # of the row of bound 3 (rows of bounds 1, 2, 3 over m columns), is the
     # word 0, which that bound rejects, so its value comes from the overflow run
@@ -316,7 +323,7 @@ def test_sample_transaction_graph_leaves_the_generator_where_numpy_does(monkeypa
                 reference.gen.integers(0, 10)
             for _ in range(2):
                 graph, matching = sample_transaction_graph(config, config.n_users, m, rng)
-                assert (graph, matching) == reference_transaction_graph(config, m, reference)[:2]
+                assert (graph, matching) == reference_graph_block(config, m, 1, reference)[0][:2]
             assert rng.generator.integers(0, 1000, size=3).tolist() == reference.gen.integers(
                 0, 1000, size=3).tolist()
             assert (reference.overflow_words >= 2) == (rejecting and m > 0)
@@ -375,8 +382,8 @@ def test_digraph_block_table_layout(n, k, model):
     # sentinel N fills the rows above
     draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, k / (n - 1))
     padded = 0
-    for gens in _trial_blocks(RandomSource(17, 5), 2 * max(1, _BLOCK_NODES // n) + 1, n):
-        starts, table, in_degrees = _digraph_block(n, *draw.block(gens))
+    for size, stream in _trial_blocks(RandomSource(17, 5), 2 * max(1, _BLOCK_NODES // n) + 1, n):
+        starts, table, in_degrees = _digraph_block(n, *draw.block(stream, size))
         k_max, n_nodes = table.shape
         assert starts.tolist() == list(range(0, n_nodes + 1, n))
         if model == "regular":
@@ -396,8 +403,8 @@ def test_digraph_block_table_layout(n, k, model):
     assert (padded > 0) == (model == "binomial" and k < n - 1)
 
 
-def test_block_draw_equals_the_numpy_floyd_draw():
-    # a draw against the layout-2 reference on the same key: the digraphs'
+def test_block_draw_equals_the_layout_reference():
+    # a draw against the layout-3 reference on the same key: the digraphs'
     # row bounds n - K .. n - 1 (K = 0, n = 1, K = n - 1 with its leading
     # bound-1 row), then sorted bounds in [2**31, 2**32], where about one word
     # in four is rejected and its value comes from the overflow run
@@ -413,7 +420,8 @@ def test_block_draw_equals_the_numpy_floyd_draw():
             picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(0, 6)))
             tops = np.unique(picks).astype(np.uint64)
         words = _raw_words(RandomSource(3, sid).generator.bit_generator, tops.size * n)
-        x = _block_draw(tops[:, None, None], n, [tops.size], [words], [_overflow_run(3, sid)])
+        words = words[:tops.size * n].reshape(tops.size, n)
+        x = _block_draw(words, tops[:, None], _overflow_run(3, sid))
         bound = np.broadcast_to(tops.astype(np.int64)[:, None], (tops.size, n))
         assert x.shape == bound.shape and x.dtype.kind == "i"
         reference = LayoutStream(3, sid)
@@ -422,50 +430,50 @@ def test_block_draw_equals_the_numpy_floyd_draw():
     assert most_rejected >= 10
 
 
-def test_block_draw_of_several_streams_equals_the_numpy_floyd_draws():
-    # draws of 0..K rows side by side, each from its own stream and bottom-
-    # aligned, against the layout-2 reference; bounds in [2**31, 2**32]
-    # reject words at every slot of a block
-    shapes = np.random.default_rng(29)
-    rejected_slots = set()
-    for block in range(60):
-        n = int(shapes.integers(1, 12))
-        picks = shapes.integers(1 << 31, (1 << 32) + 1, size=int(shapes.integers(1, 6)))
-        tops = np.unique(picks).astype(np.uint64)
-        if block % 2:
-            tops[0] = 1
-        count = int(shapes.integers(2, 6))
-        k_max = tops.size
-        ks = [int(k) for k in shapes.integers(0, k_max + 1, size=count)]
-        ids = [100 * block + b for b in range(count)]
-        words = [_raw_words(RandomSource(5, sid).generator.bit_generator, k * n)
-                 for sid, k in zip(ids, ks)]
-        runs = [_overflow_run(5, sid) for sid in ids]
-        x = _block_draw(tops[:, None, None], n, ks, words, runs)
-        assert x.shape == (k_max, count * n) and x.dtype.kind == "i"
-        for b, k in enumerate(ks):
-            bound = np.broadcast_to(tops[k_max - k:].astype(np.int64)[:, None], (k, n))
-            reference = LayoutStream(5, ids[b])
-            assert np.array_equal(x[k_max - k:, b * n:(b + 1) * n], reference.draw(bound))
-            if reference.overflow_words:
-                rejected_slots.add("last" if b == count - 1 else "inner")
-    assert rejected_slots == {"inner", "last"}
+# (n, regular k or binomial p) of the digraph blocks below; the binomial
+# cases at p = 1/(n - 1) and 2/(n - 1) drop about a third of their trials
+# and more for their in-degrees of 0
+_DIGRAPH_BLOCK_CASES = [(1, 0, None), (2, 1, None), (5, 2, None), (33, 0, None), (33, 32, None),
+                        (2, None, 0.5), (5, None, 0.25), (16, None, 2 / 15), (33, None, 1 / 32),
+                        (33, None, 1.0), (150, None, 3 / 149)]
+
+
+@pytest.mark.parametrize("decide", [False, True])
+@pytest.mark.parametrize("n, k, p", _DIGRAPH_BLOCK_CASES)
+def test_block_draw_of_several_trials_equals_the_layout_reference(n, k, p, decide):
+    # a digraph block of 1..B trials on one stream, the last block partial,
+    # against the layout-3 reference: the in-degrees of every trial, then,
+    # with decide, the trials with an in-degree of 0 dropped, and one draw
+    # for the kept ones below the block's own row bounds
+    draw = _regular_draw(n, k) if p is None else _binomial_draw(n, p)
+    block = max(1, _BLOCK_NODES // n)
+    dropped = partial = 0
+    for sid, trials in enumerate([1, 2, 3, block - 1, block, block + 1, 2 * block + 1]):
+        for j, (size, stream) in enumerate(_trial_blocks(RandomSource(6, 40 * sid), trials, n)):
+            degrees, x = draw.block(stream, size, decide)
+            want_degrees, want_x, _ = reference_digraph_block(
+                n, k, p, size, LayoutStream(6, 40 * sid + j), decide
+            )
+            assert np.array_equal(degrees, want_degrees) and np.array_equal(x, want_x)
+            dropped += degrees.size < size * n
+            partial += size < block
+    assert partial > 0
+    assert (dropped > 0) == (decide and n > 1 and (k == 0 or p is not None and p < 1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 33])
 def test_digraph_draws_equal_the_numpy_floyd_draw(n):
-    # each model's draws against the layout-2 reference on the same key;
-    # k = 0 draws nothing, k = n - 1 (p = 1) has a bound-1 row
-    pools = np.full(n, n - 1, dtype=np.int64)
+    # each public digraph sampler's draws, a block of one on its source,
+    # against the layout-3 reference block on the same key; k = 0 draws
+    # nothing, k = n - 1 (p = 1) has a bound-1 row
     for k in sorted({0, n // 2, n - 1}):
         p = k / (n - 1) if n > 1 else 0.5
         for draw, binomial in ((_regular_draw(n, k), False), (_binomial_draw(n, p), True)):
             for sid in range(20):
                 degrees, x = draw(RandomSource(4, sid))
-                reference = LayoutStream(4, sid)
-                if binomial and n > 1:
-                    reference.gen.binomial(n - 1, p, size=n)
-                assert np.array_equal(x, reference.draw(_floyd_bound(pools, degrees)))
+                want = reference_digraph_block(n, k, p if binomial else None, 1,
+                                               LayoutStream(4, sid))
+                assert np.array_equal(degrees, want[0]) and np.array_equal(x, want[1])
 
 
 def test_grid_stream_with_a_rejected_word_is_pinned():
@@ -481,78 +489,75 @@ def test_grid_stream_with_a_rejected_word_is_pinned():
     )
 
 
-# Seed 0, n = 512: the regular (k = 8) draw of stream 2468 rejects a word,
-# and so does the binomial (p = 6/511) draw of stream 407, whose in-degrees
-# are all positive while those of stream 408 are not.  The regular stream
-# takes the first slot of its block; the binomial one is the last trial of
-# its block to make a subset draw, and the block's last trial is decided
-# by its in-degrees.
+# (model, stream of the block, slot of the rejecting trial among the kept
+# ones) at n = 512, blocks of 4: seed 0's regular block on stream 2468, and
+# its binomial (p = 6/511) block on stream 407, whose first two trials are
+# kept, with different largest in-degrees, and whose last two are decided
+# by their in-degrees
 REJECTION_CASES = [("regular", 2468, 0), ("binomial", 407, -2)]
 
 
-@pytest.mark.parametrize("model, rejecting, slot", REJECTION_CASES)
-def test_rejected_word_inside_a_block_is_redrawn(model, rejecting, slot):
+@pytest.mark.parametrize("model, stream_id, slot", REJECTION_CASES)
+def test_rejected_word_inside_a_block_is_redrawn(monkeypatch, model, stream_id, slot):
+    # the word 0, which the last row's bound n - 1 rejects, replaces the
+    # first word of that row in the slot trial's columns: that value takes
+    # the block's overflow run, and no other value moves
     n, k, p = 512, 8, 6 / 511
     draw = _regular_draw(n, k) if model == "regular" else _binomial_draw(n, p)
+    p = None if model == "regular" else p
     block = _BLOCK_NODES // n
-    assert block >= 2
-    base = rejecting - slot % block
-    ids = range(base, base + block)
-    reference = LayoutStream(0, rejecting)
-    degrees, positive, _ = draw.in_degrees(reference.gen)
-    reference.draw(_floyd_bound(np.full(n, n - 1), degrees))
-    assert positive and reference.overflow_words >= 1
-    # the block's draws equal the per-trial draws of the trials it keeps
-    draws = {sid: draw(RandomSource(0, sid)) for sid in ids}
-    kept = [sid for sid in ids if draws[sid][0].all()]
-    if model == "binomial":
-        assert kept[-1] == rejecting and ids[-1] == rejecting + 1 and len(kept) >= 2
-    else:
-        assert kept == list(ids) and kept[0] == rejecting
-    gens = next(_trial_blocks(RandomSource(0, base), block, n))
-    degrees, x = draw.block(gens, decide=True)
-    assert np.array_equal(degrees, np.concatenate([draws[sid][0] for sid in kept]))
-    for b, sid in enumerate(kept):
-        xb = draws[sid][1]
-        assert np.array_equal(x[x.shape[0] - xb.shape[0]:, b * n:(b + 1) * n], xb)
-    # and the campaign counts equal the public samplers'
+    clean_degrees, clean, _ = reference_digraph_block(
+        n, k, p, block, LayoutStream(0, stream_id), True
+    )
+    kept = clean_degrees.size // n
+    assert kept == block if model == "regular" else 2 == kept < block
+    column = slot % kept * n
+    at = (clean.shape[0] - 1) * clean.size // clean.shape[0] + column
+
+    inject_words(monkeypatch, 0, lambda sid, count: [at] if sid == stream_id and count > at else [])
+    reference = LayoutStream(0, stream_id)
+    degrees, want, _ = reference_digraph_block(n, k, p, block, reference, True)
+    assert reference.overflow_words >= 1
+    moved = want != clean
+    assert np.flatnonzero(moved).tolist() in ([], [at])
+    got_degrees, x = draw.block(RandomSource(0, stream_id)._stream(), block, decide=True)
+    assert np.array_equal(got_degrees, degrees) and np.array_equal(x, want)
+    # and the campaign counts equal those of the reference's digraphs
     if model == "regular":
-        reference = [sample_regular_digraph(k, n, RandomSource(0, sid)) for sid in ids]
-        estimate = estimate_not_sc_regular(k, n, block, RandomSource(0, base))
+        estimate = estimate_not_sc_regular(k, n, block, RandomSource(0, stream_id))
     else:
-        reference = [sample_binomial_digraph(p, n, RandomSource(0, sid)) for sid in ids]
-        estimate = estimate_not_sc_binomial(p, n, block, RandomSource(0, base))
-    assert estimate.failures == sum(not is_strongly_connected(d) for d in reference)
+        estimate = estimate_not_sc_binomial(p, n, block, RandomSource(0, stream_id))
+    connected = sum(map(is_strongly_connected, reference_digraphs(n, degrees, want)))
+    assert estimate.failures == block - connected
 
 
 def test_rejected_block_values_come_from_the_overflow_run_and_are_uniform():
-    # blocks of 4 draws with rows of bounds 3, 5 and 2**32 - 1: the word 0,
-    # which each of them rejects, replaces every main-run word of an inner
-    # draw and of the last one.  Their values come from their overflow runs,
-    # in value order, and are uniform; the other draws' values are those the
-    # block makes without the injection
+    # blocks of 4 trials' draws, side by side, with rows of bounds 3, 5 and
+    # 2**32 - 1: the word 0, which each of them rejects, replaces every word
+    # in the columns of an inner trial and of the last one.  Their values
+    # come from the block's overflow run, in value order, and are uniform;
+    # the other trials' values are those the block makes without the
+    # injection
     tops = np.array([3, 5, (1 << 32) - 1], dtype=np.uint64)
     n, count, injected = 16, 4, (1, 3)
     values = {r: [] for r in tops.tolist()}
     for block in range(250):
-        ids = range(count * block, count * (block + 1))
-        words = [_raw_words(RandomSource(37, sid).generator.bit_generator, 3 * n) for sid in ids]
-        clean = _block_draw(tops[:, None, None], n, [3] * count, list(words),
-                            [_overflow_run(37, sid) for sid in ids])
+        words = _raw_words(RandomSource(37, block).generator.bit_generator, 3 * count * n)
+        words = words.reshape(3, count * n)
+        clean = _block_draw(words, tops[:, None], _overflow_run(37, block))
+        words = words.copy()
         for b in injected:
-            words[b] = np.zeros_like(words[b])
-        x = _block_draw(tops[:, None, None], n, [3] * count, words,
-                        [_overflow_run(37, sid) for sid in ids])
-        for b, sid in enumerate(ids):
-            xb = x[:, b * n:(b + 1) * n]
-            if b in injected:
-                reference = LayoutStream(37, sid)
-                expected = [[reference.value(0, r) for _ in range(n)] for r in tops.tolist()]
-                assert xb.tolist() == expected
-                for r, row in zip(tops.tolist(), xb.tolist()):
-                    values[r] += row
-            else:
-                assert np.array_equal(xb, clean[:, b * n:(b + 1) * n])
+            words[:, b * n:(b + 1) * n] = 0
+        x = _block_draw(words, tops[:, None], _overflow_run(37, block))
+        reference = LayoutStream(37, block)
+        for r, row, clean_row in zip(tops.tolist(), x.tolist(), clean.tolist()):
+            for b in range(count):
+                got = row[b * n:(b + 1) * n]
+                if b in injected:
+                    assert got == [reference.value(0, r) for _ in range(n)]
+                    values[r] += got
+                else:
+                    assert got == clean_row[b * n:(b + 1) * n]
     assert chi_square(values[3], 3) < CHI_SQUARE_999[2]
     assert chi_square(values[5], 5) < CHI_SQUARE_999[4]
     top = (1 << 32) - 1
@@ -586,7 +591,7 @@ def test_successive_draws_on_a_source_never_share_an_overflow_word(monkeypatch):
 
 def test_digraph_samplers_on_a_reused_source_are_pinned():
     # the digraph draws continue a reused source's main run and overflow run
-    # as the layout-2 reference does: a 32-bit half word numpy buffered
+    # as the layout-3 reference does: a 32-bit half word numpy buffered
     # before the call is neither used nor dropped, so it stays for numpy's
     # next draw, and none is left behind
     rng, reference = RandomSource(1, 6), LayoutStream(1, 6)

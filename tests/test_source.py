@@ -213,7 +213,7 @@ def _second_rule_uses(node, allowed=frozenset()):
     """Lines under ``node`` that call ``.integers(...)`` or name a ``.state`` attribute.
 
     The classes named in ``allowed`` are skipped.  Either use would make
-    bounded integers by a rule other than stream layout 2's: numpy's own,
+    bounded integers by a rule other than stream layout 3's: numpy's own,
     or a replay from a saved generator state.
     """
     if isinstance(node, ast.ClassDef) and node.name in allowed:
@@ -239,11 +239,12 @@ def test_second_rule_uses_finds_integers_calls_and_state_outside_allowed_classes
 
 
 def test_samplers_and_the_campaign_engine_keep_one_bounded_integer_rule():
-    # no numpy integers call and no generator state outside the per-trial re-key
+    # no numpy integers call and no generator state anywhere in the samplers
+    # or the campaign engine
     samplers = ast.parse((SRC / "samplers.py").read_text(encoding="utf-8"))
     adversary = ast.parse((SRC / "adversary.py").read_text(encoding="utf-8"))
     (campaign,) = [
         n for n in adversary.body if isinstance(n, ast.ClassDef) and n.name == "_Campaign"
     ]
-    assert _second_rule_uses(samplers, {"_StreamFamily"}) == []
+    assert _second_rule_uses(samplers) == []
     assert _second_rule_uses(campaign) == []
