@@ -30,7 +30,7 @@ from .graph import (
     _member_lists,
     _occurring_users,
     _ring_signers,
-    _tarjan,
+    _strong_components,
 )
 
 __all__ = [
@@ -70,9 +70,10 @@ def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndar
     plus, when some user signs nothing, the virtual node ``n_users``
     after every user and before each user that signs nothing.  Any cycle
     through the virtual node lies in its component, so the other
-    components are those of the decoy-to-signer digraph.  The work is
-    sized by ``n_users``: callers with a header wider than the edges cut
-    it down first (:func:`_covering_core_flags`).
+    components are those of the decoy-to-signer digraph, and
+    :func:`_strong_components` labels them.  The work is sized by
+    ``n_users``: callers with a header wider than the edges cut it down
+    first (:func:`_covering_core_flags`).
     """
     decoys = users != signers
     tails, heads = users[decoys], signers[decoys]
@@ -80,7 +81,7 @@ def _core_flags(n_users: int, users: np.ndarray, signers: np.ndarray) -> np.ndar
     if unsigned.size:
         tails = np.concatenate((tails, np.arange(n_users), np.full(unsigned.size, n_users)))
         heads = np.concatenate((heads, np.full(n_users, n_users), unsigned))
-    comp = _tarjan(n_users + 1, tails, heads)
+    comp = _strong_components(n_users + 1, tails, heads)
     return comp[users] == comp[signers]
 
 

@@ -374,12 +374,31 @@ def test_core_of_a_deep_chain(step):
     # step 1: ring j = {j, j+1}, last ring {m-1}; ring m-1 forces signer
     # m-1, which forces every ring's signer down the chain.  The digraph is
     # a path of 2^15 single-node components: a label-propagation core
-    # would need one round per ring, the O(n + m) strong-components pass
-    # needs one.  step -1 mirrors the chain (ring j = {j-1, j}, first ring
-    # {0}), so the depth-first search runs 2^15 nodes deep.
+    # would need one round per ring, and the strong-components pass trims
+    # two nodes a sweep until its sweep budget is spent and Tarjan labels
+    # the rest.  step -1 mirrors the chain (ring j = {j-1, j}, first ring
+    # {0}), so Tarjan's depth-first search runs nearly 2^15 nodes deep.
     m = 2**15
     decoys = [(j + step, j) for j in range(m) if 0 <= j + step < m]
     rep = core_report(make_graph(m, m, [(j, j) for j in range(m)] + decoys))
     assert rep.removed_edges == frozenset(decoys)
     assert rep.deanonymised_rings == tuple((j, j) for j in range(m))
     assert rep.per_ring_core_degree == (1,) * m
+
+
+@pytest.mark.parametrize("length", [2**15, 16])
+def test_core_of_a_chain_of_cycles(length):
+    # Cycle c holds users and rings c*length .. (c+1)*length - 1, ring j =
+    # {j, j+1} around it; the first ring of every cycle but the last also
+    # holds the first user of the next cycle.  Each cycle is one strong
+    # component, and its link edges, which no perfect matching uses, point
+    # to the cycle before it.  So the colouring closes one cycle per round,
+    # and one cycle of 2^15 nodes alone takes 2^15 colour sweeps: both
+    # outlast the sweep budget.
+    m = 2**15
+    ring = [(j + 1 if (j + 1) % length else j + 1 - length, j) for j in range(m)]
+    links = [(first + length, first) for first in range(0, m - length, length)]
+    rep = core_report(make_graph(m, m, [(j, j) for j in range(m)] + ring + links))
+    assert rep.removed_edges == frozenset(links)
+    assert rep.deanonymised_rings == ()
+    assert rep.per_ring_core_degree == (2,) * m

@@ -2,10 +2,13 @@
 import hashlib
 import itertools
 import tracemalloc
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ringlab import graph as graph_module
 from ringlab.core import core
 from ringlab.errors import (
     EmptyRing,
@@ -20,7 +23,9 @@ from ringlab.graph import (
     Partition,
     TransactionGraph,
     _core_equal_graphs,
+    _SWEEP_BUDGET,
     _occurring_users,
+    _strong_components,
     _strongly_connected_graphs,
     _tarjan,
     induced_digraph,
@@ -438,12 +443,35 @@ def test_induced_digraph_relabels_unmatched_ascending():
 # -- scc / reachability kernels --------------------------------------------------------
 
 
-def _components(d: Digraph) -> list[tuple[int, ...]]:
-    """Strong components of ``d`` by ``_tarjan``, as sorted node tuples in order."""
+def _sweeping(budget: int):
+    """``_strong_components`` sweeps every graph, whatever its size, within ``budget`` sweeps."""
+    return mock.patch.multiple(graph_module, _SWEEP_MIN_EDGES=0, _SWEEP_BUDGET=budget)
+
+
+def _labellings(n_nodes: int, tails: np.ndarray, heads: np.ndarray):
+    """Component labels from ``_tarjan``, from ``_strong_components``, and from
+    its sweeps under every budget up to the full one, so that Tarjan finishes
+    after each kind of sweep."""
+    yield _tarjan(n_nodes, tails, heads)
+    yield _strong_components(n_nodes, tails, heads)
+    for budget in range(_SWEEP_BUDGET + 1):
+        with _sweeping(budget):
+            yield _strong_components(n_nodes, tails, heads)
+
+
+def _partition(labels: np.ndarray) -> list[tuple[int, ...]]:
+    """The node sets that share a label, as sorted node tuples in order."""
     groups: dict[int, list[int]] = {}
-    for v, c in enumerate(_tarjan(d.n_nodes, d._src, d._dst)):
+    for v, c in enumerate(labels.tolist()):
         groups.setdefault(c, []).append(v)
     return sorted(tuple(vs) for vs in groups.values())
+
+
+def _components(d: Digraph) -> list[tuple[int, ...]]:
+    """Strong components of ``d``, the same from every labelling, as sorted node tuples in order."""
+    found = [_partition(labels) for labels in _labellings(d.n_nodes, d._src, d._dst)]
+    assert all(p == found[0] for p in found)
+    return found[0]
 
 
 def test_scc_cycle():
@@ -481,12 +509,33 @@ def test_scc_partitions_nodes_and_matches_mutual_reachability():
     gen = np.random.default_rng(23)
     for _ in range(60):
         d = _random_digraph(gen)
-        comp_of = _tarjan(d.n_nodes, d._src, d._dst)
         reach = reach_matrix(d)
-        assert len(comp_of) == d.n_nodes and min(comp_of) >= 0
-        for i in range(d.n_nodes):
-            for j in range(d.n_nodes):
-                assert (comp_of[i] == comp_of[j]) == (reach[i][j] and reach[j][i])
+        for comp_of in _labellings(d.n_nodes, d._src, d._dst):
+            assert len(comp_of) == d.n_nodes and min(comp_of) >= 0
+            for i in range(d.n_nodes):
+                for j in range(d.n_nodes):
+                    assert (comp_of[i] == comp_of[j]) == (reach[i][j] and reach[j][i])
+
+
+@pytest.mark.parametrize("n_edges", [600, 1023, 1024, 1600, 6000])
+def test_strong_components_equal_tarjans_on_both_sides_of_the_size_switch(n_edges):
+    # sparse random digraphs (trimmed nodes, many components, cross edges)
+    # and block-diagonal unions of small ones (many colour rounds)
+    gen = np.random.default_rng(n_edges)
+    for density in (1.2, 2.0, 4.0):
+        n = int(n_edges / density)
+        pairs = np.unique(gen.integers(0, n, size=(2 * n_edges, 2)), axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = pairs[gen.permutation(len(pairs))[:n_edges]]
+        assert len(pairs) == n_edges
+        graphs = [Digraph(n, pairs.tolist())]
+        while sum(d.n_edges for d in graphs[1:]) < n_edges:
+            graphs.append(_random_digraph(gen, max_nodes=12, p=density / 8))
+        starts, src, dst = _ragged_edges(graphs[1:])
+        graphs.append(Digraph._from_arrays(int(starts[-1]), src, dst))
+        for d in graphs[:1] + graphs[-1:]:
+            found = [_partition(labels) for labels in _labellings(d.n_nodes, d._src, d._dst)]
+            assert all(p == found[0] for p in found)
 
 
 def _single_scc(d: Digraph) -> bool:
@@ -494,16 +543,18 @@ def _single_scc(d: Digraph) -> bool:
 
 
 def test_is_strongly_connected_cases():
-    assert is_strongly_connected(Digraph(1))
-    assert not is_strongly_connected(Digraph(3, [(0, 1), (1, 2)]))
-    n = 6
-    cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
-    assert is_strongly_connected(cycle)
-    triangle = [(0, 1), (1, 2), (2, 0)]
-    # both pass the m < n exit: node 0 cannot reach node 3 (forward walk fails)
-    assert not is_strongly_connected(Digraph(4, triangle + [(3, 0), (3, 1)]))
-    # node 3 cannot reach node 0 (only the reverse walk fails)
-    assert not is_strongly_connected(Digraph(4, triangle + [(0, 3), (1, 3)]))
+    for sweeps in (nullcontext(), _sweeping(0), _sweeping(3), _sweeping(_SWEEP_BUDGET)):
+        with sweeps:
+            assert is_strongly_connected(Digraph(1))
+            assert not is_strongly_connected(Digraph(3, [(0, 1), (1, 2)]))
+            n = 6
+            cycle = Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+            assert is_strongly_connected(cycle)
+            triangle = [(0, 1), (1, 2), (2, 0)]
+            # both pass the m < n exit: node 0 cannot reach node 3 (forward walk fails)
+            assert not is_strongly_connected(Digraph(4, triangle + [(3, 0), (3, 1)]))
+            # node 3 cannot reach node 0 (only the reverse walk fails)
+            assert not is_strongly_connected(Digraph(4, triangle + [(0, 3), (1, 3)]))
 
 
 def test_is_strongly_connected_equals_single_scc():
@@ -511,6 +562,8 @@ def test_is_strongly_connected_equals_single_scc():
     for _ in range(200):
         d = _random_digraph(gen)
         assert is_strongly_connected(d) == _single_scc(d) == sc_bruteforce(d)
+        with _sweeping(_SWEEP_BUDGET):
+            assert is_strongly_connected(d) == _single_scc(d)
 
 
 @pytest.mark.parametrize("n", [1500, 2048])
