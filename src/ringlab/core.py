@@ -29,7 +29,6 @@ from .graph import (
     _covering_matching,
     _member_lists,
     _occurring_users,
-    _ring_signers,
     _strong_components,
 )
 
@@ -93,7 +92,7 @@ def _covering_core_flags(graph: TransactionGraph) -> tuple[np.ndarray, np.ndarra
     order, so the flags are ``graph``'s.
     """
     cut = _occurring_users(graph)[0]
-    signers = _ring_signers(cut, _covering_matching(cut))
+    signers = _covering_matching(cut)
     rings = graph._ring_ids()
     return graph._users, rings, _core_flags(cut.n_users, cut._users, signers[rings])
 

@@ -15,9 +15,12 @@ structurally valid but *unvalidated* graphs is the corrupted-user
 reduction in :mod:`ringlab.adversary`, which may leave rings empty.
 
 A transaction graph is two read-only CSR arrays, which every producer
-writes and every consumer reads directly; only the pure-Python matching
-loops take per-ring lists (:func:`_member_lists`).  All types are
-immutable after construction; every operation returns new values.
+writes and every consumer reads directly; only the pure-Python
+Hopcroft-Karp, which matches small graphs and finishes what the numpy
+matching rounds leave, takes per-ring lists (:func:`_member_lists`).  A
+matching is an array of each ring's user until a caller asks for a
+:class:`Matching`.  All types are immutable after construction; every
+operation returns new values.
 Indices are 0-based throughout, including file formats.
 """
 from __future__ import annotations
@@ -198,6 +201,7 @@ def _member_lists(graph: TransactionGraph) -> list[list[int]]:
 
 
 _INT64_MAX = 2**63 - 1
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 def _edge_columns(edges: Iterable[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -405,33 +409,67 @@ class GraphChunk:
 
 
 def maximum_matching(graph: TransactionGraph) -> Matching:
-    """A maximum matching (Hopcroft-Karp), deterministic for a fixed input.
+    """A maximum matching, deterministic for a fixed input.
 
-    A greedy pass gives each ring, in ascending order, its lowest free
-    member.  Each phase then grows the matching along a maximal set of
-    shortest augmenting paths: a BFS from the free rings layers the rings
-    by alternating-path distance, and a DFS from each free ring follows
-    only edges into the next layer, abandoning rings that lead nowhere.
-    Rings and members are always scanned in ascending order, so repeated
-    calls return the identical matching.  Which maximum matching is
-    returned is irrelevant to the core computation (the core is invariant
-    under the choice; a property test pins this against the matching of a
-    randomly relabelled copy of the graph).  It runs on the users that occur.
+    The array of :func:`_matched_users`, wrapped as a :class:`Matching`;
+    the core reads the array itself.  Which maximum matching is returned
+    is irrelevant to the core computation (the core is invariant under the
+    choice; a property test pins this against the matching of a randomly
+    relabelled copy of the graph).
     """
-    graph, users = _occurring_users(graph)
-    members = _member_lists(graph)
-    ring_of = [-1] * graph.n_users  # user -> ring
-    user_of = [-1] * graph.n_rings  # ring -> user
-    for r, ms in enumerate(members):
-        for u in ms:
-            if ring_of[u] == -1:
-                ring_of[u] = r
-                user_of[r] = u
-                break
+    user_of = _matched_users(graph)
+    rings = np.flatnonzero(user_of >= 0)
+    return Matching(zip(user_of[rings].tolist(), rings.tolist()))
+
+
+# Below this many edges :func:`_matched_users` runs Hopcroft-Karp alone: on
+# bench edge lists the numpy rounds' fixed cost ties with it between about
+# 2,000 and 3,900 edges, and they win by a quarter from about 5,000 (2-vCPU
+# Xeon, numpy 2.4).
+_MATCH_MIN_EDGES = 4096
+# O(E) passes, proposal rounds and BFS levels together, that
+# :func:`_array_matching` may spend before Hopcroft-Karp finishes.  One
+# augmenting path through the whole graph takes one BFS level per ring.
+_MATCH_BUDGET = 32
+
+
+def _matched_users(graph: TransactionGraph) -> np.ndarray:
+    """The user of each ring in one maximum matching, -1 for an unmatched ring.
+
+    Graphs of fewer than ``_MATCH_MIN_EDGES`` edges go to
+    :func:`_hopcroft_karp` alone, larger ones to :func:`_array_matching`.
+    Both break every tie by the lowest ring, member or edge position, so
+    repeated calls return the identical matching.  It runs on the users
+    that occur.
+    """
+    cut, users = _occurring_users(graph)
+    if cut.edge_count < _MATCH_MIN_EDGES:
+        user_of = _hopcroft_karp(_member_lists(cut), [-1] * cut.n_users, [-1] * cut.n_rings)
+    else:
+        user_of = _array_matching(cut)
+    if cut is graph:
+        return user_of
+    return np.append(users, -1)[user_of]  # an unmatched ring's -1 picks the appended -1
+
+
+def _hopcroft_karp(members: list[list[int]], ring_of: list[int], user_of: list[int]) -> np.ndarray:
+    """The user of each ring in a maximum matching grown from a given one (Hopcroft-Karp).
+
+    ``ring_of`` gives each user's ring and ``user_of`` each ring's user,
+    -1 where free; both are updated in place.  Each phase grows the
+    matching along a maximal set of shortest augmenting paths: a BFS from
+    the free rings layers the rings by alternating-path distance, up to
+    the first layer with a free member, and a DFS from each free ring
+    follows only edges into the next layer, abandoning rings that lead
+    nowhere.  Rings and members are always scanned in ascending order, so
+    from an empty matching the first phase gives each ring in turn its
+    lowest free member.
+    """
+    n_rings = len(user_of)
     while True:
         free = [r for r, u in enumerate(user_of) if u == -1 and members[r]]
         # layer[r]: alternating-path distance of ring r from the free rings
-        layer = [-1] * graph.n_rings
+        layer = [-1] * n_rings
         for r in free:
             layer[r] = 0
         frontier = free
@@ -447,11 +485,13 @@ def maximum_matching(graph: TransactionGraph) -> Matching:
                     elif layer[owner] == -1:
                         layer[owner] = depth + 1
                         nxt.append(owner)
+                if found:
+                    break
             if not found:
                 frontier = nxt
                 depth += 1
         if not found:
-            break
+            return np.array(user_of, dtype=np.int64)
         # shortest augmenting paths end at a free user next to a ring of layer
         # ``depth``; rings deeper than that were labelled in the last BFS
         # layer and are not descended into
@@ -481,7 +521,108 @@ def maximum_matching(graph: TransactionGraph) -> Matching:
                     iters.pop()
                     if via:
                         via.pop()
-    return Matching((users[u], r) for r, u in enumerate(user_of) if u != -1)
+
+
+def _array_matching(graph: TransactionGraph) -> np.ndarray:
+    """The user of each ring in a maximum matching, -1 where unmatched, by numpy rounds.
+
+    1. proposals: each free ring proposes to its first free member and
+       each user takes the lowest ring that proposes to it
+       (``np.minimum.at``), round after round on the edges between free
+       rings and free users until none is left;
+    2. augmenting rounds: a BFS forest grows level by level from every
+       free ring, from a ring to its members and from a matched member to
+       its ring.  A ring joins the tree of the lowest edge that reaches it
+       first, a free user goes to the tree of its lowest edge, and a tree
+       that holds a free user keeps its lowest one and stops growing.  So
+       the trees' augmenting paths are vertex-disjoint, and one walk up
+       the ``parent`` pointers flips them all (Azad, Buluç & Pothen 2017,
+       without grafting).  A round without a path leaves the matching
+       maximum (Berge).
+
+    Every proposal round and BFS level is one O(E) pass.  Once
+    ``_MATCH_BUDGET`` passes are spent, :func:`_hopcroft_karp` finishes
+    from the matching so far.  Ids are held in the narrowest signed type
+    that holds them, which keeps the E-sized arrays small.
+    """
+    n_users, n_rings = graph.n_users, graph.n_rings
+    dtype = np.min_scalar_type(-1 - max(n_users, n_rings))
+    sizes = np.diff(graph._starts)
+    users = graph._users.astype(dtype)
+    rings = np.repeat(np.arange(n_rings, dtype=dtype), sizes)
+    user_of = np.full(n_rings, -1, dtype)
+    ring_of = np.full(n_users, -1, dtype)
+    budget = _MATCH_BUDGET
+    first = np.full(max(n_users, n_rings), _INTP_MAX, dtype=np.intp)
+    # 1. proposals, each ring's first live edge; ascending positions are ascending rings
+    live_r, live_u = rings, users
+    while live_r.size and budget:
+        budget -= 1
+        heads = np.ones(live_r.size, dtype=bool)
+        np.not_equal(live_r[1:], live_r[:-1], out=heads[1:])
+        heads = np.flatnonzero(heads)
+        won = _first_claims(first, live_u[heads], heads)
+        user_of[live_r[won]] = live_u[won]
+        ring_of[live_u[won]] = live_r[won]
+        keep = (user_of.take(live_r) < 0) & (ring_of.take(live_u) < 0)
+        live_r, live_u = live_r[keep], live_u[keep]
+    # 2. augmenting rounds
+    tree = np.empty(n_rings + 1, dtype)  # slot n_rings, the ring -1 of a free user, is never reached
+    parent = np.empty(n_rings, dtype)
+    while budget:
+        frontier = np.flatnonzero(user_of < 0).astype(dtype)
+        tree.fill(-1)
+        tree[frontier] = frontier
+        tree[n_rings] = n_rings
+        done = np.zeros(n_rings, dtype=bool)  # by root: the tree holds a free user
+        ends, free_users = [frontier[:0]], [frontier[:0]]  # each path's last ring and free user
+        while frontier.size and budget:
+            budget -= 1
+            count = sizes[frontier]
+            edges = np.repeat(graph._starts[frontier] - _offsets(count)[:-1], count)
+            edges += np.arange(edges.size)
+            at, member = rings.take(edges), users.take(edges)
+            owner = ring_of.take(member)
+            # free members: each goes to its lowest edge's tree, and each tree keeps its lowest
+            hit = np.flatnonzero(owner < 0)
+            hit = _first_claims(first, member[hit], hit)
+            hit = _first_claims(first, tree.take(at[hit]), hit)
+            done[tree.take(at[hit])] = True
+            ring_of[member[hit]] = at[hit]  # taken for the rest of the round
+            ends.append(at[hit])
+            free_users.append(member[hit])
+            # matched members: each unreached ring joins the tree of its lowest edge
+            step = np.flatnonzero((tree.take(owner) < 0) & ~done[tree.take(at)])
+            step = _first_claims(first, owner[step], step)
+            frontier = owner[step]
+            tree[frontier] = tree.take(at[step])
+            parent[frontier] = at[step]
+        r, u = np.concatenate(ends), np.concatenate(free_users)
+        if not (r.size or frontier.size):
+            return user_of.astype(np.int64)  # no augmenting path is left (Berge)
+        while r.size:  # flip every path at once, a ring of each a step, from its free user up
+            old = user_of[r]
+            user_of[r] = u
+            ring_of[u] = r
+            up = old >= 0
+            r, u = parent[r[up]], old[up]
+        if frontier.size:  # the budget ran out inside the round
+            break
+    return _hopcroft_karp(_member_lists(graph), ring_of.tolist(), user_of.tolist())
+
+
+def _first_claims(first: np.ndarray, keys: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Of ascending ``positions``, each that comes first among those of its key in ``keys``.
+
+    ``first`` is scratch space with a slot per key, each at the largest
+    ``intp``, as it is left on return.  ``np.minimum.at`` picks the
+    winners: a fancy assignment with repeated keys leaves which write wins
+    unspecified.
+    """
+    np.minimum.at(first, keys, positions)
+    won = first.take(keys) == positions
+    first[keys] = _INTP_MAX
+    return positions[won]
 
 
 def _occurring_users(graph: TransactionGraph) -> tuple[TransactionGraph, Sequence[int]]:
@@ -498,14 +639,15 @@ def _occurring_users(graph: TransactionGraph) -> tuple[TransactionGraph, Sequenc
     return TransactionGraph._from_csr(users.shape[0], relabelled, graph._starts), users.tolist()
 
 
-def _covering_matching(graph: TransactionGraph) -> Matching:
-    """A maximum matching that covers every ring: the transaction-graph certificate.
+def _covering_matching(graph: TransactionGraph) -> np.ndarray:
+    """The user of each ring in a matching that covers every ring: the transaction-graph certificate.
 
+    The array of :func:`_matched_users`, which the core reads as it is.
     Cheap necessary conditions are checked before any matching runs: every
     ring has a member (:class:`EmptyRing`) and all rings together touch at
     least as many users as there are rings (Hall's condition for the whole
-    ring set).  Raises :class:`NotATransactionGraph` when no matching
-    covers every ring.
+    ring set).  Raises :class:`NotATransactionGraph` when the maximum
+    matching leaves a ring unmatched.
     """
     sizes = np.diff(graph._starts)
     if not sizes.all():
@@ -516,12 +658,13 @@ def _covering_matching(graph: TransactionGraph) -> Matching:
         raise NotATransactionGraph(
             f"{graph.n_rings} rings have only {touched} distinct members"
         )
-    matching = maximum_matching(graph)
-    if matching.size != graph.n_rings:
+    user_of = _matched_users(graph)
+    size = int(np.count_nonzero(user_of >= 0))
+    if size != graph.n_rings:
         raise NotATransactionGraph(
-            f"maximum matching has size {matching.size} < {graph.n_rings} rings"
+            f"maximum matching has size {size} < {graph.n_rings} rings"
         )
-    return matching
+    return user_of
 
 
 def validate(graph: TransactionGraph) -> TransactionGraph:

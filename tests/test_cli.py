@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ringlab.cli import _resolve_threads, main, parse_edge_list
+from ringlab.graph import _MATCH_MIN_EDGES
 
 TOY = """\
 # three users, three rings
@@ -844,6 +845,25 @@ def test_import_pulls_in_neither_scipy_nor_mpmath():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_core_run_at_scale_imports_neither_numpy_ma_nor_scipy(tmp_path):
+    # a 2^12-user edge list is past the matching's switch to numpy rounds;
+    # a plain np.unique call there would import numpy.ma, which costs start-up
+    # time and memory.  Only the modules the run adds count, as in
+    # test_core_run_imports_no_numpy_ma.
+    text = _seeded_core_input(seed=12, n_users=2**12, n_rings=3840)
+    assert text.count("\n") - 1 >= _MATCH_MIN_EDGES
+    path = _write(tmp_path, "edges.txt", text)
+    out = str(tmp_path / "core.csv")
+    code = (
+        "import sys, ringlab.cli; before = set(sys.modules); "
+        f"status = ringlab.cli.main(['core', {path!r}, '--format', 'csv', '--out', {out!r}]); "
+        "print(status, sorted({'numpy.ma', 'scipy'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
 
 
 def test_import_pulls_in_no_process_pool():

@@ -1,10 +1,12 @@
 """Core computation against exhaustive enumeration and the structural lemmas."""
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ringlab import graph as graph_module
 from ringlab.core import (
     CoreReport,
     core,
@@ -18,6 +20,7 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
+    _matched_users,
     induced_digraph,
     is_strongly_connected,
     maximum_matching,
@@ -384,6 +387,41 @@ def test_core_of_a_deep_chain(step):
     assert rep.removed_edges == frozenset(decoys)
     assert rep.deanonymised_rings == tuple((j, j) for j in range(m))
     assert rep.per_ring_core_degree == (1,) * m
+
+
+def _long_augmenting_path(m):
+    # ring 0 = {1}, ring j = {j, j+1}: the proposals give user 1 to ring 0
+    # and user j to ring j, which strands ring 1 at the far end of one
+    # augmenting path through every ring, to the free user m
+    return make_graph(m + 1, m, [(1, 0)] + [(u, j) for j in range(1, m) for u in (j, j + 1)])
+
+
+def _far_chains(m, length):
+    # chains of rings c_0..c_L, c_i = {a_i, a_(i+1)} and c_L = {a_L}, users
+    # labelled in descending chain order: the proposals give c_i the user
+    # a_(i+1) and strand c_L, L + 1 rings from the free user a_0 of its chain
+    edges = []
+    for c in range(0, m, length + 1):
+        a = [c + length - i for i in range(length + 1)]
+        edges += [(a[i], c + i) for i in range(length + 1)]
+        edges += [(a[i + 1], c + i) for i in range(length)]
+    return make_graph(m, m, edges)
+
+
+@pytest.mark.parametrize("build, args", [(_long_augmenting_path, (2**14,)), (_far_chains, (65 * 252, 64))])
+def test_core_where_augmenting_paths_outlast_the_pass_budget(build, args):
+    # each graph has one perfect matching, found only by paths longer than
+    # the pass budget, so Hopcroft-Karp finishes after the numpy rounds
+    graph = build(*args)
+    assert graph.edge_count >= graph_module._MATCH_MIN_EDGES
+    with mock.patch.object(graph_module, "_hopcroft_karp", wraps=graph_module._hopcroft_karp) as hk:
+        assert (_matched_users(graph) >= 0).all()
+    assert hk.call_count == 1
+    rep = core_report(graph)
+    with mock.patch.object(graph_module, "_MATCH_MIN_EDGES", graph.edge_count + 1):
+        assert core_report(graph) == rep
+    assert rep.per_ring_core_degree == (1,) * graph.n_rings
+    assert len(rep.removed_edges) == graph.edge_count - graph.n_rings
 
 
 @pytest.mark.parametrize("length", [2**15, 16])

@@ -23,7 +23,9 @@ from ringlab.graph import (
     Partition,
     TransactionGraph,
     _core_equal_graphs,
+    _MATCH_BUDGET,
     _SWEEP_BUDGET,
+    _matched_users,
     _occurring_users,
     _strong_components,
     _strongly_connected_graphs,
@@ -332,6 +334,53 @@ def test_matching_pairs_are_edges():
         m = maximum_matching(g)
         assert m.size == g.n_rings
         assert all(g.has_edge(u, r) for u, r in m)
+
+
+def _matching_rounds(budget: int):
+    """``_matched_users`` runs its numpy rounds on every graph, whatever its size,
+    within ``budget`` passes, and Hopcroft-Karp finishes what they leave."""
+    return mock.patch.multiple(graph_module, _MATCH_MIN_EDGES=0, _MATCH_BUDGET=budget)
+
+
+def _random_bipartite(gen, max_users, max_rings, reach):
+    """Rings of 1-3 members drawn from the first ``reach`` share of the users, so
+    that some graphs have no covering matching."""
+    n = int(gen.integers(1, max_users + 1))
+    m = int(gen.integers(0, min(n, max_rings) + 1))
+    pool = max(1, int(reach * n))
+    edges = {(int(u), r) for r in range(m) for u in gen.integers(0, pool, size=int(gen.integers(1, 4)))}
+    return make_graph(n, m, edges)
+
+
+def test_array_matching_is_maximum_under_every_budget():
+    # every pass budget, so that Hopcroft-Karp finishes after each proposal
+    # round and each BFS level; small graphs against the exhaustive size,
+    # larger ones, with longer augmenting paths, against Berge's condition
+    gen = np.random.default_rng(29)
+    graphs = [_random_bipartite(gen, 6, 5, reach) for reach in (1.0, 0.6) for _ in range(12)]
+    graphs += [_random_bipartite(gen, 80, 80, reach) for reach in (1.0, 0.8) for _ in range(8)]
+    graphs += [random_valid_graph(gen, 40, extra_edge_prob=0.06) for _ in range(8)]
+    deficient = 0
+    for g in graphs:
+        exact = _bruteforce_max_matching_size(g) if g.n_users <= 6 else None
+        for budget in range(_MATCH_BUDGET + 1):
+            with _matching_rounds(budget):
+                user_of = _matched_users(g)
+                assert np.array_equal(_matched_users(g), user_of)
+                matching = maximum_matching(g)
+                assert matching.pairs == tuple(
+                    (int(u), r) for r, u in enumerate(user_of.tolist()) if u >= 0
+                )
+                _assert_maximum(g, matching)
+                if exact is not None:
+                    assert matching.size == exact
+                if matching.size == g.n_rings:
+                    alt = relabelled_matching(g, gen)
+                    assert np.array_equal(
+                        _core_member_flags(g, matching), _core_member_flags(g, alt)
+                    )
+        deficient += matching.size < g.n_rings
+    assert deficient > 0
 
 
 # -- upper graph -----------------------------------------------------------------
