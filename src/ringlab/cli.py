@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import io
 import os
 import re
@@ -34,7 +35,7 @@ from . import conjecture as conj
 from . import entropy as ent
 from .recommend import minimal_decoys_numeric, recommend as make_recommendation
 from .adversary import ADVERSARIES, BlackMarbleConfig, run_campaign
-from .core import BRUTE_FORCE_USER_CAP, core_report
+from .core import BRUTE_FORCE_USER_CAP, _core_degrees
 from .errors import IndexOutOfRange, NoFeasibleK, NotATransactionGraph, RinglabError
 from .graph import Partition, TransactionGraph
 from .samplers import Binomial, RandomSource, Regular, SamplerConfig
@@ -197,35 +198,55 @@ def _resolve_threads(flag_value: int | None) -> int:
 # -- core ----------------------------------------------------------------------
 
 
+# Rows go out this many to a ``write``: one write per row costs a call per
+# line, and one write of the whole report holds all of it in memory at once.
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(out, n_rows: int, rows: Callable[[int, int], list[str]]) -> None:
+    """Write rows ``0..n_rows - 1`` to ``out``, ``rows(a, b)`` giving rows ``a..b - 1``."""
+    for a in range(0, n_rows, _ROWS_PER_WRITE):
+        out.write("".join(rows(a, min(a + _ROWS_PER_WRITE, n_rows))))
+
+
 def _cmd_core(args: argparse.Namespace, out) -> None:
+    """Both formats straight from the arrays of one core pass, with no report object.
+
+    A ring is deanonymised when its core degree is 1.  The text lists the
+    removed edges ordered by user, then ring, and the sole user of each
+    deanonymised ring.
+    """
     graph = _read(parse_edge_list, args.input)
-    report = core_report(graph)
+    users, rings, flags, degrees = _core_degrees(graph)
     if args.format == "csv":
         out.write("ring_index,core_degree,deanonymised\n")
-        deanon = {r for r, _ in report.deanonymised_rings}
-        for r, degree in enumerate(report.per_ring_core_degree):
-            flag = "true" if r in deanon else "false"
-            out.write(f"{r},{degree},{flag}\n")
+        _write_rows(out, graph.n_rings, lambda a, b: [
+            f"{r},1,true\n" if d == 1 else f"{r},{d},false\n"
+            for r, d in enumerate(degrees[a:b].tolist(), a)
+        ])
         return
+    removed = ~flags
+    removed_users, removed_rings = users[removed], rings[removed]
+    order = np.lexsort((removed_rings, removed_users))
+    removed_users, removed_rings = removed_users[order], removed_rings[order]
+    sole = flags & (degrees == 1)[rings]
+    sole_users = np.full(graph.n_rings, -1, dtype=users.dtype)
+    sole_users[rings[sole]] = users[sole]
     out.write(f"# seed {args.seed}\n")
     out.write(
         f"graph users={graph.n_users} rings={graph.n_rings} edges={graph.edge_count}\n"
     )
-    out.write(
-        f"core edges={graph.edge_count - len(report.removed_edges)} "
-        f"removed={len(report.removed_edges)}\n"
-    )
-    for u, r in sorted(report.removed_edges):
-        out.write(f"removed_edge user={u} ring={r}\n")
-    deanon = dict(report.deanonymised_rings)
-    for r, degree in enumerate(report.per_ring_core_degree):
-        line = f"ring index={r} core_degree={degree}"
-        if r in deanon:
-            line += f" deanonymised=true sole_user={deanon[r]}"
-        else:
-            line += " deanonymised=false"
-        out.write(line + "\n")
-    out.write(f"deanonymised_rings count={len(report.deanonymised_rings)}\n")
+    out.write(f"core edges={graph.edge_count - order.size} removed={order.size}\n")
+    _write_rows(out, order.size, lambda a, b: [
+        f"removed_edge user={u} ring={r}\n"
+        for u, r in zip(removed_users[a:b].tolist(), removed_rings[a:b].tolist())
+    ])
+    _write_rows(out, graph.n_rings, lambda a, b: [
+        f"ring index={r} core_degree=1 deanonymised=true sole_user={u}\n" if d == 1
+        else f"ring index={r} core_degree={d} deanonymised=false\n"
+        for r, d, u in zip(range(a, b), degrees[a:b].tolist(), sole_users[a:b].tolist())
+    ])
+    out.write(f"deanonymised_rings count={np.count_nonzero(sole)}\n")
 
 
 # -- conjecture ------------------------------------------------------------------
@@ -460,7 +481,14 @@ def _cmd_entropy(args: argparse.Namespace, out) -> None:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built at the first call and shared after it.
+
+    ``parse_args`` leaves the parser as it was, so one :func:`main` call
+    cannot change the next; building it at import would add its cost to
+    every ``import ringlab.cli``.
+    """
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="Graph-analysis resistance of ring samplers: cores, experiments, "
@@ -526,9 +554,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     handler = _COMMANDS[args.command]

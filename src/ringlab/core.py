@@ -116,14 +116,27 @@ class CoreReport:
     per_ring_core_degree: tuple[int, ...]
 
 
+def _core_degrees(
+    graph: TransactionGraph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """User, ring and core flag of every edge, and the core degree of every ring.
+
+    The one array step behind :func:`core_report` and ``ringlab core``.  A
+    ring is deanonymised when its core degree is 1; as the edges run ring
+    by ring, the users of the core edges of those rings are their sole
+    users in ring order.
+    """
+    users, rings, flags = _covering_core_flags(graph)
+    return users, rings, flags, np.bincount(rings[flags], minlength=graph.n_rings)
+
+
 def core_report(graph: TransactionGraph) -> CoreReport:
     """Removed edges, core degrees and deanonymised rings of ``graph``.
 
-    Every field is read from one set of flat core flags; no core graph is
-    built.  Raises as :func:`core` does.
+    Every field is read from the arrays of :func:`_core_degrees`; no core
+    graph is built.  Raises as :func:`core` does.
     """
-    users, rings, flags = _covering_core_flags(graph)
-    degrees = np.bincount(rings[flags], minlength=graph.n_rings)
+    users, rings, flags, degrees = _core_degrees(graph)
     removed = ~flags
     sole = flags & (degrees == 1)[rings]
     return CoreReport(

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ringlab import cli
 from ringlab.cli import _resolve_threads, main, parse_edge_list
+from ringlab.core import core_report
 from ringlab.graph import _MATCH_MIN_EDGES
 
 TOY = """\
@@ -114,6 +116,65 @@ def test_core_output_golden(tmp_path, capsys, fmt):
         deanonymised = int(out.splitlines()[-1].split("count=")[1])
         assert removed > 0 and 0 < deanonymised < 450
     assert hashlib.sha256(out.encode()).hexdigest() == CORE_GOLDEN_SHA256[fmt]
+
+
+def _reference_core_output(graph, report, fmt):
+    """``ringlab core`` output built from the ``core_report`` fields, one line per row."""
+    degrees = report.per_ring_core_degree
+    deanon = dict(report.deanonymised_rings)
+    if fmt == "csv":
+        lines = ["ring_index,core_degree,deanonymised"]
+        lines += [f"{r},{d},{'true' if r in deanon else 'false'}" for r, d in enumerate(degrees)]
+        return "\n".join(lines) + "\n"
+    lines = [
+        "# seed 0",
+        f"graph users={graph.n_users} rings={graph.n_rings} edges={graph.edge_count}",
+        f"core edges={graph.edge_count - len(report.removed_edges)} "
+        f"removed={len(report.removed_edges)}",
+    ]
+    lines += [f"removed_edge user={u} ring={r}" for u, r in sorted(report.removed_edges)]
+    for r, d in enumerate(degrees):
+        sole = f"true sole_user={deanon[r]}" if r in deanon else "false"
+        lines.append(f"ring index={r} core_degree={d} deanonymised={sole}")
+    lines.append(f"deanonymised_rings count={len(deanon)}")
+    return "\n".join(lines) + "\n"
+
+
+class _CountingOut(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_core_output_across_write_chunks(tmp_path, monkeypatch, fmt):
+    # more rings than one write holds: the rows are written a chunk at a time
+    # and equal the rows of the report, at the default chunk size and at one
+    # that divides neither the rings nor the removed edges
+    path = _write(tmp_path, "big.txt", _seeded_core_input(seed=13, n_users=2**13, n_rings=7500))
+    graph = parse_edge_list(path)
+    assert graph.n_rings > cli._ROWS_PER_WRITE
+    report = core_report(graph)
+    expected = _reference_core_output(graph, report, fmt)
+    n_removed = len(report.removed_edges)
+    assert n_removed > 1000
+    for rows_per_write in (cli._ROWS_PER_WRITE, 1000):
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        out = _CountingOut()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["core", path, "--format", fmt]) == 0
+        assert out.getvalue() == expected
+        # one write per header or closing line, one per chunk of rows
+        writes = math.ceil(graph.n_rings / rows_per_write)
+        if fmt == "csv":
+            writes += 1
+        else:
+            writes += 4 + math.ceil(n_removed / rows_per_write)
+        assert out.writes == writes
 
 
 def test_core_empty_ring_exit3(tmp_path, capsys):
@@ -834,6 +895,48 @@ def test_unknown_command_usage_error(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses the parser that build_parser made at its first call; each
+    # output must equal that of the same call on a freshly built parser
+    path = _write(tmp_path, "seeded.txt", _seeded_core_input())
+    csv_out = str(tmp_path / "core.csv")
+    argvs = [
+        ["core", path, "--format", "csv", "--out", csv_out],
+        ["core", path, "--seed", "5"],
+        ["core", path],
+        ["entropy", "--chunk-size", "6", "--k", "2", "--exact"],
+        ["entropy", "--chunk-size", "6", "--k", "2"],
+        ["recommend", "--users", "100", "--beta", "0.5"],
+        ["recommend", "--users", "100"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        with open(csv_out, encoding="utf-8") as fh:
+            return code, captured.out, captured.err, fh.read()
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert shared[1][1].startswith("# seed 5\n") and shared[2][1].startswith("# seed 0\n")
+    assert "alpha_exact_nats" in shared[3][1] and "alpha_exact_nats" not in shared[4][1]
+    assert "heuristic" in shared[5][1] and "heuristic" not in shared[6][1]
+
+
+def test_import_builds_no_parser():
+    # the parser is built at the first main call, so an import does not pay for it
+    code = "import ringlab.cli; print(ringlab.cli.build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_import_pulls_in_neither_scipy_nor_mpmath():
     # scipy's import costs start-up time and memory; mpmath is not a declared
     # dependency.  Both are often installed, so only a fresh interpreter shows
@@ -851,19 +954,21 @@ def test_core_run_at_scale_imports_neither_numpy_ma_nor_scipy(tmp_path):
     # a 2^12-user edge list is past the matching's switch to numpy rounds;
     # a plain np.unique call there would import numpy.ma, which costs start-up
     # time and memory.  Only the modules the run adds count, as in
-    # test_core_run_imports_no_numpy_ma.
+    # test_core_run_imports_no_numpy_ma.  Both formats run: the text sorts
+    # the removed edges.
     text = _seeded_core_input(seed=12, n_users=2**12, n_rings=3840)
     assert text.count("\n") - 1 >= _MATCH_MIN_EDGES
     path = _write(tmp_path, "edges.txt", text)
-    out = str(tmp_path / "core.csv")
-    code = (
-        "import sys, ringlab.cli; before = set(sys.modules); "
-        f"status = ringlab.cli.main(['core', {path!r}, '--format', 'csv', '--out', {out!r}]); "
-        "print(status, sorted({'numpy.ma', 'scipy'} & (set(sys.modules) - before)))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 []\n"
+    for fmt in ("csv", "text"):
+        out = str(tmp_path / f"core.{fmt}")
+        code = (
+            "import sys, ringlab.cli; before = set(sys.modules); "
+            f"status = ringlab.cli.main(['core', {path!r}, '--format', {fmt!r}, '--out', {out!r}]); "
+            "print(status, sorted({'numpy.ma', 'scipy'} & (set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n", fmt
 
 
 def test_import_pulls_in_no_process_pool():
