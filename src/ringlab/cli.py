@@ -9,6 +9,10 @@ codes: 0 success, 2 usage or parse error, 3 invalid input graph.  Every
 run is a deterministic function of its flags and seed; the worker count
 never changes any output byte.
 
+Each handler imports the engine modules it runs (``samplers``,
+``adversary``, ``conjecture``, ``entropy``), so ``import ringlab.cli`` and a
+``core`` run load neither them nor ``numpy.random``.
+
 Errors take one path.  A handler ``_cmd_*`` returns nothing and raises on
 failure: :class:`_UsageError` for a bad flag or a file that cannot be
 opened, :class:`_ParseError` for a malformed input file, and the library's
@@ -27,19 +31,18 @@ import re
 import sys
 import warnings
 from math import ceil
-from typing import Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 import numpy as np
 
-from . import conjecture as conj
-from . import entropy as ent
-from .recommend import minimal_decoys_numeric, recommend as make_recommendation
-from .adversary import ADVERSARIES, BlackMarbleConfig, run_campaign
 from .core import BRUTE_FORCE_USER_CAP, _core_degrees
 from .errors import IndexOutOfRange, NoFeasibleK, NotATransactionGraph, RinglabError
 from .graph import Partition, TransactionGraph
-from .samplers import Binomial, RandomSource, Regular, SamplerConfig
 from .stats import format_number
+
+if TYPE_CHECKING:
+    from .entropy import SignerDistribution
+    from .samplers import Binomial, Regular
 
 __all__ = ["main", "entrypoint", "parse_edge_list"]
 
@@ -253,6 +256,8 @@ def _cmd_core(args: argparse.Namespace, out) -> None:
 
 
 def _cmd_conjecture(args: argparse.Namespace, out) -> None:
+    from . import conjecture as conj
+
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     if args.k_min < 1 or args.k_min > args.k_max:
@@ -315,6 +320,8 @@ def _sampler_kind(
     ``(failed, message)`` pair of ``size_checks``; ``k_low <= --k <
     --chunk-size`` or ``0 <= --p <= 1``.
     """
+    from .samplers import Binomial, Regular
+
     checks = [
         ((args.k is None) == (args.p is None), "exactly one of --k / --p is required"),
         *size_checks,
@@ -333,6 +340,9 @@ def _sampler_kind(
 
 
 def _cmd_simulate(args: argparse.Namespace, out) -> None:
+    from .adversary import BlackMarbleConfig, run_campaign
+    from .samplers import RandomSource, SamplerConfig
+
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     memberships = args.users * args.chunk_size
@@ -387,6 +397,8 @@ def _cmd_simulate(args: argparse.Namespace, out) -> None:
 
 
 def _cmd_recommend(args: argparse.Namespace, out) -> None:
+    from .recommend import minimal_decoys_numeric, recommend as make_recommendation
+
     if (args.chunks is None) != (args.chunk_size is None):
         raise _UsageError("--chunks and --chunk-size must be given together")
     beta = args.beta or 0.0
@@ -428,7 +440,9 @@ def _cmd_recommend(args: argparse.Namespace, out) -> None:
 # -- entropy ---------------------------------------------------------------------
 
 
-def _parse_weights_file(path: str, expected: int) -> ent.SignerDistribution:
+def _parse_weights_file(path: str, expected: int) -> SignerDistribution:
+    from .entropy import SignerDistribution
+
     weights: list[float] = []
     for line_no, line in _data_lines(path):
         try:
@@ -438,12 +452,15 @@ def _parse_weights_file(path: str, expected: int) -> ent.SignerDistribution:
     if len(weights) != expected:
         raise _ParseError(path, 1, f"expected {expected} weights, got {len(weights)}")
     try:
-        return ent.SignerDistribution(weights)
+        return SignerDistribution(weights)
     except RinglabError as exc:
         raise _ParseError(path, 1, str(exc)) from exc
 
 
 def _cmd_entropy(args: argparse.Namespace, out) -> None:
+    from . import entropy as ent
+    from .samplers import SamplerConfig
+
     kind, kind_txt = _sampler_kind(args, 1, [
         (args.chunk_size < 1, "--chunk-size must be >= 1"),
         (
@@ -517,7 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--chunk-size", type=int, required=True)
     p_sim.add_argument("--k", type=int, default=None)
     p_sim.add_argument("--p", type=float, default=None)
-    p_sim.add_argument("--adversary", choices=tuple(ADVERSARIES), default="trivial")
+    # adversary.ADVERSARIES, written out so that the parser loads no engine
+    p_sim.add_argument(
+        "--adversary", choices=("trivial", "core", "matching_count"), default="trivial"
+    )
     p_sim.add_argument("--trials", type=int, default=10000)
     p_sim.add_argument("--beta", type=float, default=None)
     p_sim.add_argument("--seed", type=int, default=0)

@@ -42,7 +42,7 @@ from .samplers import (
     _regular_draw,
     _trial_blocks,
 )
-from .stats import EstimateResult, format_number
+from .stats import EstimateResult, format_number, graham_pike_limit
 
 __all__ = [
     "GridSpec",
@@ -106,11 +106,6 @@ def binomial_bound(k: float, n: int) -> float:
         raise InvalidParams(f"need n >= 2, got n={n}")
     p = k / (n - 1)
     return graham_pike_limit(p * n - math.log(n))
-
-
-def graham_pike_limit(c: float) -> float:
-    """Limiting failure probability 1 - exp(-2 exp(-c)) at p = (ln n + c)/n."""
-    return -math.expm1(-2.0 * math.exp(-c))
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conjecture import graham_pike_limit
 from .errors import DomainError, InvalidBeta, NoFeasibleK
+from .stats import graham_pike_limit
 
 __all__ = [
     "Recommendation",

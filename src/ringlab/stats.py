@@ -1,13 +1,20 @@
 """Bernoulli-proportion estimates with Wilson score confidence intervals,
-and the one number format of every CLI and CSV output."""
+the one number format of every CLI and CSV output, and the Graham–Pike
+limit that both the conjecture grid and the recommendations evaluate."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import exp, expm1, sqrt
+
 
 def format_number(value: float) -> str:
     """``value`` to 12 significant digits, as every output line writes it."""
     return f"{value:.12g}"
+
+
+def graham_pike_limit(c: float) -> float:
+    """Limiting failure probability 1 - exp(-2 exp(-c)) at p = (ln n + c)/n."""
+    return -expm1(-2.0 * exp(-c))
 
 
 # two-sided 95% normal quantile

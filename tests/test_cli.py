@@ -468,7 +468,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, capsys, monke
     def no_grid(*args, **kwargs):
         raise AssertionError("the grid ran before the output was opened")
 
-    monkeypatch.setattr("ringlab.cli.conj.check_conjectures_grid", no_grid)
+    monkeypatch.setattr("ringlab.conjecture.check_conjectures_grid", no_grid)
     target = tmp_path / "missing" / "out.txt"
     argv = [_write(tmp_path, "toy.txt", TOY) if a == "TOY" else a for a in argv]
     assert main(argv + ["--out", str(target)]) == 2
@@ -937,12 +937,16 @@ def test_import_builds_no_parser():
     assert proc.stdout == "0\n"
 
 
+_ENGINES = "ringlab.adversary, ringlab.conjecture, ringlab.entropy, ringlab.samplers"
+
+
 def test_import_pulls_in_neither_scipy_nor_mpmath():
     # scipy's import costs start-up time and memory; mpmath is not a declared
     # dependency.  Both are often installed, so only a fresh interpreter shows
-    # whether the package imports them.
+    # whether the package imports them.  The engines load at first use, so
+    # each is imported here.
     code = (
-        "import sys, ringlab, ringlab.cli; "
+        f"import sys, ringlab, ringlab.cli, {_ENGINES}; "
         "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -973,9 +977,10 @@ def test_core_run_at_scale_imports_neither_numpy_ma_nor_scipy(tmp_path):
 
 def test_import_pulls_in_no_process_pool():
     # only ``--threads`` above 1 makes a process pool; a serial run should not
-    # pay for loading concurrent.futures and multiprocessing at import
+    # pay for loading concurrent.futures and multiprocessing at import of
+    # the package or of any engine
     code = (
-        "import sys, ringlab, ringlab.cli; "
+        f"import sys, ringlab, ringlab.cli, {_ENGINES}; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -997,3 +1002,108 @@ def test_core_run_imports_no_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 False\n"
+
+
+def test_core_run_loads_no_engine(tmp_path):
+    # ``import ringlab`` and a ``core`` run load only the core path; the
+    # engines, and numpy.random with them, load at their first use
+    path = _write(tmp_path, "edges.txt", "4 3\n0 0\n1 0\n1 1\n2 1\n0 2\n2 2\n3 2\n")
+    engines = (*_ENGINES.split(", "), "numpy.random")
+    for fmt in ("csv", "text"):
+        out = str(tmp_path / f"core.{fmt}")
+        code = (
+            "import sys, ringlab, ringlab.cli; "
+            f"status = ringlab.cli.main(['core', {path!r}, '--format', {fmt!r}, '--out', {out!r}]); "
+            f"print(status, sorted(m for m in {engines!r} if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n", fmt
+
+
+# Every public name of the package, by the submodule that defines it.
+_PACKAGE_NAMES = {
+    "adversary": (
+        "ADVERSARIES", "BlackMarbleConfig", "CampaignResult", "ExperimentOutcome",
+        "adversary_core", "adversary_matching_count", "adversary_trivial",
+        "estimate_success", "run_campaign", "run_experiment",
+    ),
+    "conjecture": (
+        "GridCell", "GridSpec", "binomial_bound", "check_conjectures_grid",
+        "estimate_not_sc_binomial", "estimate_not_sc_regular", "write_grid_csv",
+    ),
+    "core": (
+        "BRUTE_FORCE_USER_CAP", "CoreReport", "core", "core_bruteforce_oracle",
+        "core_report", "enumerate_maximum_matchings", "is_core_equal",
+    ),
+    "entropy": (
+        "DistributionDeviation", "SignerDistribution", "anonymity_bound_binomial",
+        "anonymity_bound_regular", "anonymity_exact",
+    ),
+    "errors": (
+        "DomainError", "EmptyRing", "HypothesisViolated", "IndexOutOfRange",
+        "InstanceTooLarge", "InvalidBeta", "InvalidConfig", "InvalidParams",
+        "MatchingNotMaximum", "NoFeasibleK", "NotATransactionGraph",
+        "RingCrossesChunks", "RinglabError",
+    ),
+    "graph": (
+        "Digraph", "GraphChunk", "Matching", "Partition", "TransactionGraph",
+        "induced_digraph", "is_strongly_connected", "maximum_matching",
+        "partition_graph", "upper_graph", "validate",
+    ),
+    "recommend": (
+        "Recommendation", "core_mismatch_bound", "minimal_decoys_numeric", "recommend",
+        "recommended_decoys", "recommended_decoys_black_marble",
+    ),
+    "samplers": (
+        "Binomial", "RandomSource", "Regular", "SamplerConfig", "sample_binomial_digraph",
+        "sample_regular_digraph", "sample_ring", "sample_transaction_graph",
+    ),
+    "stats": ("EstimateResult", "graham_pike_limit", "wilson_interval"),
+}
+
+
+def test_every_package_name_is_the_object_of_its_submodule():
+    # in a fresh interpreter, so that each engine name is first resolved
+    # through the package and not found already bound
+    code = (
+        "import importlib, ringlab; "
+        f"names = {_PACKAGE_NAMES!r}; "
+        "print(sorted(f'{m}.{n}' for m, ns in names.items() for n in ns "
+        "if getattr(ringlab, n) is not getattr(importlib.import_module(f'ringlab.{m}'), n)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    import ringlab.conjecture
+
+    assert ringlab.conjecture.graham_pike_limit is ringlab.graham_pike_limit
+
+
+def test_core_and_recommend_stay_the_functions():
+    # the two names shadow their submodules; neither a later import of the
+    # submodule nor a ``recommend`` run may rebind them to the module
+    code = (
+        "import importlib, ringlab, ringlab.cli; "
+        "importlib.import_module('ringlab.core'); importlib.import_module('ringlab.recommend'); "
+        "status = ringlab.cli.main(['recommend', '--users', '100']); "
+        "print(status, type(ringlab.core).__name__, type(ringlab.recommend).__name__)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 function function\n")
+
+
+def test_dir_lists_every_package_name():
+    import ringlab
+
+    names = {n for ns in _PACKAGE_NAMES.values() for n in ns}
+    assert names - set(dir(ringlab)) == set()
+
+
+def test_adversary_choices_are_the_adversaries():
+    from ringlab.adversary import ADVERSARIES
+
+    simulate = cli.build_parser()._subparsers._group_actions[0].choices["simulate"]
+    (action,) = [a for a in simulate._actions if a.dest == "adversary"]
+    assert action.choices == tuple(ADVERSARIES)
