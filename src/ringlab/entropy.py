@@ -45,28 +45,30 @@ _WEIGHT_SUM_TOL = 1e-12
 
 
 class SignerDistribution:
-    """Per-user signing probabilities (single-signer model)."""
+    """Per-user signing probabilities (single-signer model), as a read-only float64 array."""
 
     __slots__ = ("weights",)
 
     def __init__(self, weights: Iterable[float]):
-        ws = tuple(float(w) for w in weights)
-        if ws and min(ws) < 0.0:
+        vector = isinstance(weights, np.ndarray) and weights.ndim == 1
+        ws = weights.astype(np.float64) if vector else np.fromiter(weights, dtype=np.float64)
+        if (ws < 0.0).any():
             raise InvalidParams("negative signer weight")
-        total = math.fsum(ws)
+        total = math.fsum(ws.tolist())
         if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # a NaN weight makes the sum NaN
             raise InvalidParams(f"weights sum to {total!r}, expected 1")
+        ws.flags.writeable = False
         self.weights = ws
 
     @classmethod
     def uniform(cls, n_users: int) -> "SignerDistribution":
         if n_users < 1:
             raise InvalidParams("need at least one user")
-        return cls([1.0 / n_users] * n_users)
+        return cls(np.full(n_users, 1.0 / n_users))
 
     @property
     def n_users(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     def __repr__(self) -> str:
         return f"SignerDistribution(n_users={self.n_users})"
@@ -94,23 +96,18 @@ class DistributionDeviation:
             raise InvalidParams(
                f"distribution covers {dist.n_users} users, partition {partition.n_users}"
             )
-        means = []
-        devs = []
-        total = 0.0
-        for chunk in partition.chunks:
-            ws = [dist.weights[u] for u in chunk]
-            mu = math.fsum(ws) / len(ws)
-            # rounding is monotone and negation exact, so this is max |w - mu|
-            eps = max(max(ws) - mu, mu - min(ws))
-            means.append(mu)
-            devs.append(eps)
-            total += len(ws) * eps
-        return cls(tuple(means), tuple(devs), total)
+        weights, starts = dist.weights[partition._chunk_flat], partition._chunk_start
+        flat, ends = weights.tolist(), starts.tolist()
+        means = [math.fsum(flat[a:b]) / (b - a) for a, b in zip(ends, ends[1:])]  # exact sums
+        mu, firsts = np.array(means), starts[:-1]
+        hi, lo = np.maximum.reduceat(weights, firsts), np.minimum.reduceat(weights, firsts)
+        eps = np.maximum(hi - mu, mu - lo)  # rounding is monotone, negation exact: max |w - mu|
+        total = np.cumsum(np.diff(starts) * eps)[-1]  # left to right, as a running += adds
+        return cls(tuple(means), tuple(eps.tolist()), float(total))
 
     @classmethod
     def exact_uniform(cls, partition: Partition) -> "DistributionDeviation":
-        n = partition.n_users
-        return cls.from_distribution(partition, SignerDistribution.uniform(n))
+        return cls.from_distribution(partition, SignerDistribution.uniform(partition.n_users))
 
 
 def _rank_coefficients(size: int, kind: Regular | Binomial) -> np.ndarray:
@@ -142,8 +139,7 @@ def anonymity_exact(config: SamplerConfig, dist: SignerDistribution) -> float:
             f"distribution covers {dist.n_users} users, config {config.n_users}"
         )
     part = config.partition
-    weights = np.asarray(dist.weights)[part._chunk_flat]
-    starts = part._chunk_start.tolist()
+    weights, starts = dist.weights[part._chunk_flat], part._chunk_start.tolist()
     terms = [
         np.sort(weights[a:b]) * _rank_coefficients(b - a, config.kind)
         for a, b in zip(starts, starts[1:])
@@ -173,10 +169,8 @@ def anonymity_bound_binomial(
     if config is not None:
         if not isinstance(config.kind, Binomial):
             raise InvalidParams("config must use the binomial sampler")
-        p = config.kind.p
-        for chunk in config.partition.chunks:
-            if p * len(chunk) <= k:
-                raise HypothesisViolated(
-                    f"p*|C| = {p * len(chunk)} <= k = {k} for a chunk of {len(chunk)}"
-                )
+        p, sizes = config.kind.p, np.diff(config.partition._chunk_start)
+        short = sizes[p * sizes <= k].tolist()
+        if short:
+            raise HypothesisViolated(f"p*|C| = {p * short[0]} <= k = {k} for a chunk of {short[0]}")
     return math.log(k) - math.log1p(deviation.total)

@@ -330,16 +330,16 @@ class Digraph:
 class Partition:
     """Disjoint cover of the user set ``[0, n_users)`` by non-empty chunks.
 
-    The chunk layout, as arrays: ``_chunk_flat`` holds the chunks' users in
-    order, chunk c at ``_chunk_start[c]:_chunk_start[c + 1]``;
-    ``_chunk_of`` and ``_pos_in_chunk`` give each user's chunk and its
-    position there.
+    The chunk layout, as read-only arrays only: ``_chunk_flat`` holds the
+    users ascending within each chunk, chunks by first user, chunk c at
+    ``_chunk_start[c]:_chunk_start[c + 1]``; ``_chunk_of`` and
+    ``_pos_in_chunk`` give each user's chunk and its position there.
     """
 
-    __slots__ = ("chunks", "n_users", "_chunk_of", "_pos_in_chunk", "_chunk_flat", "_chunk_start")
+    __slots__ = ("n_users", "_chunk_of", "_pos_in_chunk", "_chunk_flat", "_chunk_start")
 
     def __init__(self, chunks: Iterable[Iterable[int]]):
-        canon = [tuple(sorted(int(u) for u in c)) for c in chunks]
+        canon = [sorted(int(u) for u in c) for c in chunks]
         if any(len(c) == 0 for c in canon):
             raise ValueError("empty chunk")
         canon.sort(key=lambda c: c[0])
@@ -353,44 +353,51 @@ class Partition:
         if twice.size:
             raise ValueError(f"user {twice[0]} appears in two chunks")
         # disjointness plus total size n implies the union covers [0, n)
-        self.chunks = tuple(canon)
-        self.n_users = n
-        self._chunk_flat = flat
-        self._chunk_start = np.cumsum([0] + sizes, dtype=np.int64)
+        self._set_layout(flat, np.cumsum([0] + sizes, dtype=np.int64))
+
+    def _set_layout(self, flat: np.ndarray, start: np.ndarray) -> "Partition":
+        """Hold a canonical layout, read-only, with each user's chunk and position."""
+        n, sizes = flat.shape[0], np.diff(start)
+        self.n_users, self._chunk_flat, self._chunk_start = n, flat, start
         self._chunk_of = np.empty(n, dtype=np.int64)
-        self._chunk_of[flat] = np.repeat(np.arange(len(canon)), sizes)
+        self._chunk_of[flat] = np.repeat(np.arange(sizes.shape[0]), sizes)
         self._pos_in_chunk = np.empty(n, dtype=np.int64)
-        self._pos_in_chunk[flat] = np.arange(n) - np.repeat(self._chunk_start[:-1], sizes)
+        self._pos_in_chunk[flat] = np.arange(n) - np.repeat(start[:-1], sizes)
+        for a in (flat, start, self._chunk_of, self._pos_in_chunk):
+            a.flags.writeable = False
+        return self
 
     @classmethod
     def equal_chunks(cls, n_users: int, chunk_size: int) -> "Partition":
         if chunk_size <= 0 or n_users % chunk_size != 0:
             raise ValueError("chunk_size must divide n_users")
-        return cls(
-            range(i, i + chunk_size) for i in range(0, n_users, chunk_size)
-        )
+        users = np.arange(max(n_users, 0), dtype=np.int64)  # a negative count gives no users
+        return cls.__new__(cls)._set_layout(users, np.append(users[::chunk_size], users.size))
 
     @classmethod
     def single(cls, n_users: int) -> "Partition":
-        return cls([range(n_users)])
+        if n_users < 1:
+            raise ValueError("empty chunk")
+        return cls.equal_chunks(n_users, n_users)
 
     @property
     def n_chunks(self) -> int:
-        return len(self.chunks)
+        return self._chunk_start.shape[0] - 1
 
     def chunk_of(self, user: int) -> int:
         return int(self._chunk_of[user])
 
     def chunk_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.chunks)
+        return tuple(np.diff(self._chunk_start).tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.chunks == other.chunks
+        same_sizes = np.array_equal(self._chunk_start, other._chunk_start)
+        return same_sizes and np.array_equal(self._chunk_flat, other._chunk_flat)
 
     def __hash__(self) -> int:
-        return hash(self.chunks)
+        return hash((self._chunk_start.tobytes(), self._chunk_flat.tobytes()))
 
     def __repr__(self) -> str:
         return f"Partition(n_users={self.n_users}, chunks={self.n_chunks})"
@@ -1023,11 +1030,10 @@ def partition_graph(graph: TransactionGraph, partition: Partition) -> list[Graph
     first_ring = _offsets(np.bincount(home, minlength=partition.n_chunks)).tolist()
     offsets = _offsets(sizes[order])
     local = partition._pos_in_chunk[users[np.argsort(chunk, kind="stable")]]
+    flat, bounds = partition._chunk_flat.tolist(), partition._chunk_start.tolist()
     out: list[GraphChunk] = []
-    for cid, chunk_users in enumerate(partition.chunks):
-        a, b = first_ring[cid], first_ring[cid + 1]
-        sub = TransactionGraph._from_csr(
-            len(chunk_users), local[offsets[a]:offsets[b]], offsets[a:b + 1] - offsets[a]
-        )
-        out.append(GraphChunk(graph=sub, users=chunk_users, rings=tuple(order[a:b].tolist())))
+    for s, e, a, b in zip(bounds, bounds[1:], first_ring, first_ring[1:]):
+        ring_users = local[offsets[a]:offsets[b]]
+        sub = TransactionGraph._from_csr(e - s, ring_users, offsets[a:b + 1] - offsets[a])
+        out.append(GraphChunk(graph=sub, users=tuple(flat[s:e]), rings=tuple(order[a:b].tolist())))
     return out

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ringlab.cli import main
@@ -99,8 +100,9 @@ def _enumerated_alpha(partition, weights, kind):
     subset of size s with probability p^(s-1) (1-p)^(c-s).
     """
     total = Fraction(0)
-    for chunk in partition.chunks:
-        c = len(chunk)
+    starts = partition._chunk_start.tolist()
+    for a, b in zip(starts, starts[1:]):
+        chunk, c = partition._chunk_flat[a:b].tolist(), b - a
         for size in range(1, c + 1):
             if isinstance(kind, Regular):
                 if size != kind.k + 1:
@@ -161,14 +163,64 @@ def test_signer_distribution_validation():
     SignerDistribution([0.25, 0.75])
 
 
+def test_signer_distribution_weights_are_one_read_only_array():
+    values = [0.125, 0.5, 0.25, 0.125]
+    built = [
+        SignerDistribution(values),
+        SignerDistribution(tuple(values)),
+        SignerDistribution(w for w in values),
+        SignerDistribution(np.array(values, dtype=np.float32)),
+    ]
+    source = np.array(values)
+    built.append(SignerDistribution(source))
+    source[0] = 0.5  # the distribution keeps its own copy
+    for dist in built:
+        assert dist.weights.dtype == np.float64
+        assert dist.weights.tolist() == values
+        assert dist.n_users == 4
+        with pytest.raises(ValueError):
+            dist.weights[0] = 0.0
+    assert SignerDistribution.uniform(4).weights.flags.writeable is False
+
+
+def test_deviation_equals_a_per_chunk_reference():
+    # at least 100 chunks of unequal sizes, in shuffled order, with random weights
+    gen = random.Random(11)
+    n = 1000
+    users = list(range(n))
+    gen.shuffle(users)
+    cuts = sorted(gen.sample(range(1, n), 149))
+    chunks = [users[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    part = Partition(chunks)
+    raw = [gen.random() ** 3 for _ in range(n)]
+    dist = SignerDistribution([w / math.fsum(raw) for w in raw])
+    dev = DistributionDeviation.from_distribution(part, dist)
+    ordered = sorted(chunks, key=min)
+    weights = dist.weights.tolist()
+    means, devs, total = [], [], 0.0
+    for chunk in ordered:
+        ws = [weights[u] for u in chunk]
+        mu = math.fsum(ws) / len(ws)
+        eps = max(max(ws) - mu, mu - min(ws))
+        means.append(mu)
+        devs.append(eps)
+        total += len(ws) * eps
+    assert len(dev.chunk_means) == 150
+    assert dev.chunk_means == tuple(means)
+    assert dev.chunk_deviations == tuple(devs)
+    assert dev.total == total and type(dev.total) is float
+    assert all(type(x) is float for x in dev.chunk_means + dev.chunk_deviations)
+
+
 def test_deviation_computation():
-    part = Partition([[0, 1], [2, 3]])
+    chunks = [[0, 1], [2, 3]]
+    part = Partition(chunks)
     dist = SignerDistribution([0.1, 0.3, 0.25, 0.35])
     dev = DistributionDeviation.from_distribution(part, dist)
     assert dev.chunk_means == (0.2, 0.3)
     assert dev.chunk_deviations == (pytest.approx(0.1), pytest.approx(0.05))
     assert dev.total == pytest.approx(2 * 0.1 + 2 * 0.05)
-    for mu, eps, chunk in zip(dev.chunk_means, dev.chunk_deviations, part.chunks):
+    for mu, eps, chunk in zip(dev.chunk_means, dev.chunk_deviations, chunks):
         assert eps >= max(abs(dist.weights[u] - mu) for u in chunk) - 1e-15
 
 

@@ -857,6 +857,25 @@ def test_partition_equal_chunks():
     assert p.chunk_sizes() == (4, 4)
     with pytest.raises(ValueError):
         Partition.equal_chunks(9, 4)
+    # the array builders equal the general constructor on the same chunks,
+    # given in any order, and hash alike
+    for n, size in [(12, 3), (12, 12), (7, 1)]:
+        chunks = [list(range(i, i + size))[::-1] for i in range(0, n, size)][::-1]
+        for built in (Partition.equal_chunks(n, size), Partition(chunks)):
+            assert built == Partition(range(i, i + size) for i in range(0, n, size))
+            assert hash(built) == hash(Partition(chunks))
+    assert Partition.single(5) == Partition([[4, 2, 0, 3, 1]]) != Partition([[0, 1], [2, 3, 4]])
+    assert hash(Partition.single(5)) == hash(Partition([[4, 2, 0, 3, 1]]))
+    # users ascend within a chunk, chunks by their first user
+    shuffled = Partition([[5, 3], [4, 0], [2, 1]])
+    assert shuffled == Partition([[1, 2], [0, 4], [3, 5]])
+    assert shuffled._chunk_flat.tolist() == [0, 4, 1, 2, 3, 5]
+    assert shuffled._chunk_start.tolist() == [0, 2, 4, 6]
+    empty = Partition.equal_chunks(0, 3)
+    assert empty == Partition([]) and hash(empty) == hash(Partition([]))
+    assert (empty.n_users, empty.n_chunks) == (0, 0)
+    with pytest.raises(ValueError, match="empty chunk"):
+        Partition.single(0)
 
 
 def test_partition_graph_single_chunk_is_graph(toy_graph):

@@ -172,7 +172,8 @@ def test_sample_ring_regular_contains_signer_and_stays_in_chunk():
         ring = sample_ring(cfg, 12, signer, rng)
         assert signer in ring
         assert len(ring) == 3
-        chunk = set(part.chunks[part.chunk_of(signer)])
+        c = part.chunk_of(signer)
+        chunk = set(part._chunk_flat[part._chunk_start[c]:part._chunk_start[c + 1]].tolist())
         assert ring <= chunk
 
 

@@ -248,3 +248,55 @@ def test_samplers_and_the_campaign_engine_keep_one_bounded_integer_rule():
     ]
     assert _second_rule_uses(samplers) == []
     assert _second_rule_uses(campaign) == []
+
+
+def _fsum_over_comprehensions(tree):
+    """Line numbers of ``fsum(...)`` calls whose argument is a generator expression or list comprehension.
+
+    Either builds one Python float per element before summing; the engines
+    sum a ``tolist()`` of an array, or slices of one.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "fsum" and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp)):
+            yield node.lineno
+
+
+def _class_slots(tree, name):
+    """The names in the ``__slots__`` of the top-level class ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                ):
+                    return [elt.value for elt in stmt.value.elts]
+    return []
+
+
+def test_fsum_over_comprehensions_and_class_slots_read_the_tree():
+    code = (
+        "import math\nfrom math import fsum\n"
+        "class P:\n    __slots__ = ('a', '_b')\n"
+        "def f(ws, xs):\n    s = math.fsum(w for w in ws)\n    t = fsum([x for x in xs])\n"
+        "    return math.fsum(ws.tolist()) + fsum(xs[1:]) + s + t\n"
+    )
+    tree = ast.parse(code)
+    assert sorted(_fsum_over_comprehensions(tree)) == [6, 7]
+    assert _class_slots(tree, "P") == ["a", "_b"]
+    assert _class_slots(tree, "Q") == []
+
+
+def test_chunk_layout_and_weights_have_one_array_form():
+    # the per-user forms (a tuple of chunk tuples, one Python float per
+    # weight summed from a generator) must not come back
+    entropy = ast.parse((SRC / "entropy.py").read_text(encoding="utf-8"))
+    graph = ast.parse((SRC / "graph.py").read_text(encoding="utf-8"))
+    assert list(_fsum_over_comprehensions(entropy)) == []
+    slots = _class_slots(graph, "Partition")
+    assert "_chunk_flat" in slots and "chunks" not in slots
+    for tree in (entropy, graph):
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "chunks" for n in ast.walk(tree))
