@@ -11,7 +11,10 @@ Three adversaries are provided: the trivial smallest-ring guesser, a
 core-based analyst that first discards edges outside the union of
 maximum matchings, and an exact matching-count oracle that is
 Bayes-optimal under the uniform signer model but only feasible at
-brute-force scale.
+brute-force scale.  The first two make one guess, for a campaign block
+and for one graph alike (:func:`_smallest_ring_guesses`): a member of the
+smallest ring, on the core for the second, that one guess word picks
+under the one bounded-integer rule of :mod:`ringlab.samplers`.
 
 Campaigns run in the blocks of ``samplers._trial_blocks``, of
 ``max(1, _BLOCK_NODES // (2 * n_users))`` trials each: a trial's graph has
@@ -51,12 +54,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.random import Generator
 
-from .core import BRUTE_FORCE_USER_CAP, _core_flags, core, enumerate_maximum_matchings
+from .core import (
+    BRUTE_FORCE_USER_CAP, _core_flags, _covering_core_flags, enumerate_maximum_matchings
+)
 from .errors import InstanceTooLarge, InvalidBeta, InvalidConfig, NotATransactionGraph
 from .graph import Partition, TransactionGraph, _core_equal_graphs, _offsets
 from .samplers import (
@@ -67,6 +72,7 @@ from .samplers import (
     _block_graph,
     _graph_block,
     _graph_draw,
+    _raw_words,
     _trial_blocks,
 )
 from .stats import EstimateResult
@@ -128,66 +134,70 @@ class BlackMarbleConfig:
 
 
 # -- adversaries ---------------------------------------------------------------
-#
-# Adversaries receive the published graph only.  Reduced graphs produced by
-# the corrupted-user experiment may contain empty rings or may not admit a
-# full signer assignment; every strategy degrades to the trivial one when
-# its analysis is impossible, and empty rings are never guessed into.  Each
-# strategy takes (view, gen, view_core), where view_core is core(view) or None
-# when no matching covers the view's rings; only the core strategy uses it.
-# Campaigns apply the smallest-ring rule to whole blocks of arrays instead
-# (:class:`_Campaign`); these per-graph forms serve the single-graph API.
+
+ADVERSARIES = ("trivial", "core", "matching_count")
 
 
-def _guess_min_degree_ring(
-    view: TransactionGraph, gen: Generator
-) -> tuple[int, int]:
-    sizes = np.diff(view._starts)
-    if not sizes.any():
-        return (0, 0)  # nothing visible; a fixed blind guess
-    best_j = int(np.where(sizes > 0, sizes, view.n_users + 1).argmin())
-    members = view.ring_members(best_j)
-    u = members[int(gen.integers(0, len(members)))]
-    return (u, best_j)
+def _smallest_ring_guesses(
+    union: TransactionGraph,
+    graphs: int,
+    keep: np.ndarray | None,
+    words: np.ndarray,
+    run: Iterator[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each graph's smallest-ring guess: the one guess rule of the trivial and core adversaries.
+
+    ``union`` is the disjoint union of ``graphs`` graphs of n users and m
+    rings each: user u and ring j of graph b are union user ``b*n + u``
+    and union ring ``b*m + j``.  ``keep`` flags the members a guess may
+    name, one flag per union edge (None: every member).  Graph b guesses
+    its smallest ring with a kept member, lowest index on ties, and the
+    member of it that its guess word ``words[b]`` picks among the kept
+    ones in ascending order (:func:`~ringlab.samplers._block_draw`, a
+    rejected word taking its value from the overflow ``run``).  A graph
+    whose rings keep no member, or that has none, makes the fixed blind
+    guess ``(0, 0)`` and uses no word.  Returns each graph's guessed user
+    and ring.
+    """
+    n, m = union.n_users // graphs, union.n_rings // graphs
+    users, starts = union._users, union._starts
+    if m == 0:  # no ring: the blind guess
+        return np.zeros((2, graphs), dtype=np.int64)
+    # each ring's first kept member, numbered among the kept members
+    kept = starts if keep is None else _offsets(keep)[starts]
+    sizes = np.diff(kept).reshape(graphs, m)
+    rings = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
+    lengths = sizes[np.arange(graphs), rings]
+    guessing = np.flatnonzero(lengths)
+    picks = _block_draw(words[None, guessing], lengths[None, guessing].astype("<u8"), run)[0]
+    # the picks-th kept member of the guessed ring, in ascending order
+    at = kept[guessing * m + rings[guessing]] + picks
+    if keep is not None:
+        at = np.flatnonzero(keep)[at]
+    guesses = np.zeros(graphs, dtype=np.int64)
+    guesses[guessing] = users[at] - guessing * n
+    return guesses, rings
 
 
-def _adv_trivial(view: TransactionGraph, gen: Generator, view_core) -> tuple[int, int]:
-    return _guess_min_degree_ring(view, gen)
-
-
-def _adv_core(view: TransactionGraph, gen: Generator, view_core) -> tuple[int, int]:
-    """Smallest-ring guess on core(view), or on view when it has no core."""
-    return _guess_min_degree_ring(view if view_core is None else view_core, gen)
-
-
-def _adv_matching_count(
-    view: TransactionGraph, gen: Generator, view_core
-) -> tuple[int, int]:
-    try:
-        return adversary_matching_count(view)
-    except NotATransactionGraph:
-        return _guess_min_degree_ring(view, gen)
-
-
-ADVERSARIES = {
-    "trivial": _adv_trivial,
-    "core": _adv_core,
-    "matching_count": _adv_matching_count,
-}
+def _guess(graph: TransactionGraph, keep: np.ndarray | None, rng: RandomSource) -> tuple[int, int]:
+    """:func:`_smallest_ring_guesses` of one graph, from one main-run word of ``rng``."""
+    gen, run = rng._stream()
+    users, rings = _smallest_ring_guesses(graph, 1, keep, _raw_words(gen.bit_generator, 1), run)
+    return int(users[0]), int(rings[0])
 
 
 def adversary_trivial(graph: TransactionGraph, rng: RandomSource) -> tuple[int, int]:
     """Pick the smallest ring (lowest index on ties), guess a uniform member."""
-    return _adv_trivial(graph, rng.generator, None)
+    return _guess(graph, None, rng)
 
 
 def adversary_core(graph: TransactionGraph, rng: RandomSource) -> tuple[int, int]:
-    """Guess a uniform core-connected member of the ring with least core degree."""
+    """Guess a uniform core member of the ring with least core degree; trivially without a core."""
     try:
-        graph_core = core(graph)
+        keep = _covering_core_flags(graph)[2]
     except NotATransactionGraph:
-        graph_core = None
-    return _adv_core(graph, rng.generator, graph_core)
+        keep = None
+    return _guess(graph, keep, rng)
 
 
 def adversary_matching_count(graph: TransactionGraph) -> tuple[int, int]:
@@ -242,7 +252,10 @@ class _Campaign:
     def __init__(
         self, config: SamplerConfig, adversary: str, marble: BlackMarbleConfig | None
     ):
-        _resolve_adversary(adversary)
+        if adversary not in ADVERSARIES:
+            raise InvalidConfig(
+                f"unknown adversary {adversary!r}; expected one of {sorted(ADVERSARIES)}"
+            )
         if adversary == "matching_count" and config.n_users > BRUTE_FORCE_USER_CAP:
             raise InstanceTooLarge(
                 f"{config.n_users} users exceeds the brute-force cap of {BRUTE_FORCE_USER_CAP}"
@@ -279,44 +292,21 @@ class _Campaign:
         if self.analysis == "core" and not core_equal.all():
             # the passive core adversary guesses on the core: one flag per member
             keep = _core_flags(union.n_users, users, signed)
-        # each ring's first kept member, numbered among the kept members
-        kept = starts if keep is None else _offsets(keep)[starts]
-
-        # the smallest nonempty view ring, lowest index on ties; with every
-        # ring empty, ring 0 and user 0: a fixed blind guess
-        sizes = np.diff(kept).reshape(trials, n)
-        rings = np.where(sizes > 0, sizes, n + 1).argmin(axis=1)
-        block = np.arange(trials)
-        lengths = sizes[block, rings]
-        guesses = np.zeros(trials, dtype=np.int64)
         if self.analysis == "matching_count":  # sampled graphs always have a covering matching
-            for b in range(trials):
-                guesses[b], rings[b] = adversary_matching_count(_block_graph(n, n, union, b))
-            guessing = np.empty(0, dtype=np.int64)
+            guesses, rings = np.array(
+                [adversary_matching_count(_block_graph(n, n, union, b)) for b in range(trials)],
+                dtype=np.int64,
+            ).T
         else:
-            guessing = np.flatnonzero(lengths > 0)
-        # each guess is below its ring's length, from its trial's guess word
-        counts, words = draw[2], draw[3]
-        guess_words = words[int(counts.max(initial=0)) * counts.shape[0]:][guessing]
-        picks = _block_draw(guess_words[None], lengths[None, guessing].astype("<u8"), run)[0]
-        # the picks-th kept member of the guessed ring, in ascending order
-        at = kept[guessing * n + rings[guessing]] + picks
-        if keep is not None:
-            at = np.flatnonzero(keep)[at]
-        guesses[guessing] = users[at] - guessing * n
+            # each trial's guess word follows the block's Floyd draw
+            counts, words = draw[2], draw[3]
+            guess_words = words[int(counts.max(initial=0)) * counts.shape[0]:]
+            guesses, rings = _smallest_ring_guesses(union, trials, keep, guess_words, run)
+        block = np.arange(trials)
         success = signed[starts[block * n + rings]] - block * n == guesses
         if self.marble is not None:
             success &= self.marble._admissible_rows(config.partition, is_corrupted)
         return guesses, rings, success, core_equal
-
-
-def _resolve_adversary(adversary: str):
-    try:
-        return ADVERSARIES[adversary]
-    except KeyError:
-        raise InvalidConfig(
-            f"unknown adversary {adversary!r}; expected one of {sorted(ADVERSARIES)}"
-        ) from None
 
 
 def _check_experiment_args(config: SamplerConfig, n_users: int) -> None:

@@ -369,9 +369,11 @@ class Partition:
 
     @classmethod
     def equal_chunks(cls, n_users: int, chunk_size: int) -> "Partition":
+        if n_users < 0:
+            raise ValueError("n_users must be >= 0")
         if chunk_size <= 0 or n_users % chunk_size != 0:
             raise ValueError("chunk_size must divide n_users")
-        users = np.arange(max(n_users, 0), dtype=np.int64)  # a negative count gives no users
+        users = np.arange(n_users, dtype=np.int64)
         return cls.__new__(cls)._set_layout(users, np.append(users[::chunk_size], users.size))
 
     @classmethod

@@ -308,6 +308,8 @@ class SamplerConfig:
         if isinstance(kind, Regular):
             if kind.k < 0:
                 raise InvalidConfig("decoy count k must be >= 0")
+            if not partition.n_chunks:
+                raise InvalidConfig(f"k={kind.k} needs a partition with at least one chunk")
             smallest = min(partition.chunk_sizes())
             if kind.k >= smallest:
                 raise InvalidConfig(

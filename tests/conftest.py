@@ -15,7 +15,7 @@ from ringlab.graph import (
     _ring_signers,
     maximum_matching,
 )
-from ringlab import samplers
+from ringlab import adversary, samplers
 from ringlab.samplers import Binomial
 
 
@@ -265,12 +265,13 @@ def block_streams(seed: int, base: int, trials: int, n: int):
 
 
 def inject_words(monkeypatch, word: int, where) -> None:
-    """Replace main-run words of every draw, in the samplers and in :class:`LayoutStream`.
+    """Replace main-run words of every draw, in the engines and in :class:`LayoutStream`.
 
     ``where(stream_id, count)`` gives the positions among the ``count``
     words of a draw on stream ``stream_id``, a block's stream, and each of
     them becomes ``word``: one draw is one ``_raw_words`` call of the
-    samplers and one ``main_words`` call of the reference.
+    samplers or the single-graph adversaries and one ``main_words`` call
+    of the reference.
     """
     raw_words = samplers._raw_words
     main_words = LayoutStream.main_words
@@ -287,6 +288,7 @@ def inject_words(monkeypatch, word: int, where) -> None:
         return out
 
     monkeypatch.setattr(samplers, "_raw_words", engine)
+    monkeypatch.setattr(adversary, "_raw_words", engine)
     monkeypatch.setattr(LayoutStream, "main_words", reference)
 
 

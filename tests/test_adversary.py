@@ -10,7 +10,6 @@ import pytest
 from ringlab import adversary as adversary_module
 from ringlab import samplers as samplers_module
 from ringlab.adversary import (
-    ADVERSARIES,
     BlackMarbleConfig,
     _Campaign,
     adversary_core,
@@ -19,12 +18,10 @@ from ringlab.adversary import (
     estimate_success,
     run_campaign,
     run_experiment,
-    _adv_core,
-    _adv_trivial,
     _corrupt_users,
 )
 from ringlab.core import _core_flags, core, is_core_equal
-from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig
+from ringlab.errors import InstanceTooLarge, InvalidBeta, InvalidConfig, NotATransactionGraph
 from ringlab.graph import Partition, _core_equal_graphs, _tarjan, induced_digraph
 from ringlab.samplers import (
     Binomial,
@@ -113,6 +110,69 @@ def test_core_adversary_uniform_over_core_members_when_core_equal():
         assert abs(seen[(u, 0)] / trials - 1 / 3) < 4 * math.sqrt((1 / 3) * (2 / 3) / trials)
 
 
+def _layout_single_guess(graph, adversary, seed, sid):
+    """A single-graph adversary's guess by the layout reference, and the reference's stream.
+
+    The guess is the value of main-run word 0 of ``LayoutStream(seed, sid)``
+    in the smallest ring of the adversary's view: the graph, or for the core
+    adversary its core when a matching covers every ring.
+    """
+    view = graph
+    if adversary is adversary_core:
+        try:
+            view = core(graph)
+        except NotATransactionGraph:  # no core: the trivial guess
+            pass
+    stream = LayoutStream(seed, sid)
+    return _reference_guess(view, stream, stream.main_words(1)[0]), stream
+
+
+_SINGLE_GRAPHS = {
+    "ties": make_graph(4, 3, [(0, 0), (1, 0), (2, 0), (1, 1), (3, 1), (2, 2), (3, 2)]),
+    # ring 0's core is {2, 3}: the core adversary guesses ring 0, the trivial one ring 1
+    "core_mismatch": make_graph(
+        4, 3, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    ),
+    "fewer_rings": make_graph(6, 2, [(0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (4, 1), (5, 1)]),
+    "no_covering": make_graph(3, 3, [(u, r) for u in (0, 2) for r in range(3)]),
+    "no_rings": make_graph(3, 0, []),
+    "all_empty": remove_users(make_graph(3, 2, [(0, 0), (1, 0), (1, 1)]), {0, 1}),
+}
+
+
+@pytest.mark.parametrize("adversary", [adversary_trivial, adversary_core], ids=["trivial", "core"])
+@pytest.mark.parametrize("name", list(_SINGLE_GRAPHS))
+def test_single_graph_adversaries_guess_from_one_layout_word(adversary, name):
+    graph = _SINGLE_GRAPHS[name]
+    for sid in range(40):
+        rng = RandomSource(12, sid)
+        expected, stream = _layout_single_guess(graph, adversary, 12, sid)
+        assert adversary(graph, rng) == expected
+        # the guess took one raw word: the source goes on where the reference does
+        assert rng.generator.bit_generator.random_raw() == stream.gen.bit_generator.random_raw()
+    if name in ("no_rings", "all_empty"):
+        assert expected == (0, 0)  # the fixed blind guess
+
+
+@pytest.mark.parametrize("adversary", [adversary_trivial, adversary_core], ids=["trivial", "core"])
+def test_single_graph_adversaries_take_rejected_words_from_the_overflow_run(
+    monkeypatch, adversary
+):
+    # ring 1 has 3 members, and word 0 is rejected below 3; two guesses on one
+    # source take successive words of its one overflow run
+    graph = make_graph(4, 2, [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)])
+    inject_words(monkeypatch, 0, lambda sid, count: [0])
+    seen = set()
+    for sid in range(30):
+        rng = RandomSource(13, sid)
+        first, stream = _layout_single_guess(graph, adversary, 13, sid)
+        second = _reference_guess(graph, stream, stream.main_words(1)[0])
+        assert stream.overflow_words >= 2
+        assert (adversary(graph, rng), adversary(graph, rng)) == (first, second)
+        seen.update((first, second))
+    assert seen == {(1, 1), (2, 1), (3, 1)}
+
+
 def test_matching_count_toy_picks_matched_edge(toy_graph):
     assert adversary_matching_count(toy_graph) == (0, 0)
 
@@ -142,13 +202,13 @@ def test_paired_core_beats_trivial_on_core_mismatched_instances():
     cfg = SamplerConfig(Partition.single(4), Regular(1))
     triv = core_adv = considered = 0
     for t in range(10000):
-        gen = RandomSource(7, t).generator
-        g, m = sample_transaction_graph(cfg, 4, 4, RandomSource(7, t))
+        rng = RandomSource(7, t)
+        g, m = sample_transaction_graph(cfg, 4, 4, rng)
         if is_core_equal(g):
             continue
         considered += 1
-        triv += _adv_trivial(g, gen, None) in m
-        core_adv += _adv_core(g, gen, core(g)) in m
+        triv += adversary_trivial(g, rng) in m
+        core_adv += adversary_core(g, rng) in m
     assert considered > 1000
     p1, p2 = core_adv / considered, triv / considered
     noise = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / considered)
@@ -161,9 +221,9 @@ def test_paired_matching_count_beats_core_on_small_instances():
     core_adv = count_adv = 0
     trials = 10000
     for t in range(trials):
-        gen = RandomSource(8, t).generator
-        g, m = sample_transaction_graph(cfg, 6, 6, RandomSource(8, t))
-        core_adv += _adv_core(g, gen, core(g)) in m
+        rng = RandomSource(8, t)
+        g, m = sample_transaction_graph(cfg, 6, 6, rng)
+        core_adv += adversary_core(g, rng) in m
         count_adv += adversary_matching_count(g) in m
     p1, p2 = count_adv / trials, core_adv / trials
     noise = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / trials)
@@ -360,16 +420,15 @@ def _campaign_outcomes(config, adversary, trials, rng, marble):
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-class _GuessGenerator:
-    """A trial's generator as the per-graph strategies use it: their one
-    bounded draw is the trial's guess, layout 3's value of its guess word."""
-
-    def __init__(self, stream, word):
-        self._stream = stream
-        self._word = word
-
-    def integers(self, low, high):
-        return low + self._stream.value(self._word, int(high - low))
+def _reference_guess(view, stream, word):
+    """The smallest nonempty ring of ``view``, lowest index on ties, and its member
+    ``stream.value(word, size)`` in ascending order; ``(0, 0)`` when no ring has a member."""
+    rings = [view.ring_members(j) for j in range(view.n_rings)]
+    smallest = min((len(members) for members in rings if members), default=0)
+    if not smallest:
+        return (0, 0)
+    j = next(j for j, members in enumerate(rings) if len(members) == smallest)
+    return (rings[j][stream.value(word, len(rings[j]))], j)
 
 
 def _reference_block(config, adversary, trials, stream, marble):
@@ -377,10 +436,12 @@ def _reference_block(config, adversary, trials, stream, marble):
 
     Every draw comes from ``stream``, a :class:`conftest.LayoutStream`: the
     corruption permutations, chunk by chunk and in each chunk trial by
-    trial; the graphs' (:func:`reference_graph_block`); and, through the
-    per-graph strategies, trial by trial, the guesses, each from its
-    graph's guess word.  Returns per trial the guessed edge, the win and
-    whether the sampled graph is core-equal.
+    trial; the graphs' (:func:`reference_graph_block`); and, trial by
+    trial, the guesses, each the value of its graph's guess word
+    (:func:`_reference_guess`).  A corrupted view is guessed on as it is;
+    otherwise the core adversary guesses on the core and the
+    matching-count adversary takes its oracle's edge.  Returns per trial
+    the guessed edge, the win and whether the sampled graph is core-equal.
     """
     part = config.partition
     corrupted = [set() for _ in range(trials)]
@@ -393,12 +454,13 @@ def _reference_block(config, adversary, trials, stream, marble):
     for (graph, matching, word), bad in zip(
         reference_graph_block(config, config.n_users, trials, stream), corrupted
     ):
-        gen = _GuessGenerator(stream, word)
         flags = _core_member_flags(graph, matching)
         if bad:  # the reduced view has no core
-            guess = ADVERSARIES[adversary](remove_users(graph, bad), gen, None)
+            guess = _reference_guess(remove_users(graph, bad), stream, word)
+        elif adversary == "matching_count":
+            guess = adversary_matching_count(graph)
         else:
-            guess = ADVERSARIES[adversary](graph, gen, core(graph))
+            guess = _reference_guess(core(graph) if adversary == "core" else graph, stream, word)
         success = guess in matching
         if marble is not None:
             success = success and marble.admissible(part, bad)

@@ -878,6 +878,12 @@ def test_partition_equal_chunks():
         Partition.single(0)
 
 
+def test_equal_chunks_rejects_a_negative_user_count():
+    for n, size in [(-4, 2), (-1, 1), (-3, 3)]:
+        with pytest.raises(ValueError, match="^n_users must be >= 0$"):
+            Partition.equal_chunks(n, size)
+
+
 def test_partition_graph_single_chunk_is_graph(toy_graph):
     chunks = partition_graph(toy_graph, Partition.single(3))
     assert len(chunks) == 1

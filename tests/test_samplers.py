@@ -235,6 +235,14 @@ def test_sampler_config_validation():
         sample_ring(cfg, 8, 8, RandomSource(0))
 
 
+def test_regular_config_rejects_a_partition_without_chunks():
+    for empty in (Partition([]), Partition.equal_chunks(0, 3)):
+        for k in (0, 1):
+            with pytest.raises(InvalidConfig, match=f"^k={k} needs a partition with at least one chunk$"):
+                SamplerConfig(empty, Regular(k))
+    SamplerConfig(Partition([]), Binomial(0.5))  # no decoy count to check
+
+
 # -- transaction graph sampling -------------------------------------------------------
 
 

@@ -239,15 +239,14 @@ def test_second_rule_uses_finds_integers_calls_and_state_outside_allowed_classes
 
 
 def test_samplers_and_the_campaign_engine_keep_one_bounded_integer_rule():
-    # no numpy integers call and no generator state anywhere in the samplers
-    # or the campaign engine
-    samplers = ast.parse((SRC / "samplers.py").read_text(encoding="utf-8"))
-    adversary = ast.parse((SRC / "adversary.py").read_text(encoding="utf-8"))
-    (campaign,) = [
-        n for n in adversary.body if isinstance(n, ast.ClassDef) and n.name == "_Campaign"
+    # no numpy integers call and no generator state in any module: the
+    # samplers, the campaign engine and the single-graph adversaries included
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _second_rule_uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert _second_rule_uses(samplers) == []
-    assert _second_rule_uses(campaign) == []
+    assert found == []
 
 
 def _fsum_over_comprehensions(tree):
