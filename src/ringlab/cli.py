@@ -347,8 +347,10 @@ def _cmd_simulate(args: argparse.Namespace, out) -> None:
         raise _UsageError("--trials must be >= 1")
     memberships = args.users * args.chunk_size
     kind, kind_txt = _sampler_kind(args, 0, [
+        (args.users < 1, "--users must be >= 1"),
+        (args.chunk_size < 1, "--chunk-size must be >= 1"),
         (
-            args.users < 1 or args.chunk_size < 1 or args.users % args.chunk_size != 0,
+            args.chunk_size >= 1 and args.users % args.chunk_size != 0,
             "--chunk-size must divide --users",
         ),
         (

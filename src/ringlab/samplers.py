@@ -252,21 +252,33 @@ def _floyd_resolve(x: np.ndarray, pool_sizes: np.ndarray, counts: np.ndarray) ->
     at step s a drawn value already taken is replaced by the bound
     ``pool_sizes[i] - K + s``.  Because the bound depends on the step only
     through ``s - K``, a column drawn with a smaller ``k_max`` and placed in
-    the last ``k_max`` rows resolves exactly as it would alone.  The unused
-    slots are marked once, in ``x``, before the steps: slot s becomes
-    ``-1 - s``, which equals no drawn value and no other slot of its column,
-    so it is never taken or replaced.  The steps compare in the narrowest
-    signed integer type that holds the pools, and so the markers (no count
-    exceeds its pool, so K does not either), and the resolved subsets are
-    returned in that type (``x`` itself when it is int64), the unused slots
+    the last ``k_max`` rows resolves exactly as it would alone.  The draw is
+    first copied into the narrowest signed integer type that holds the
+    pools and ``-1 - pool`` (no count exceeds its pool, so K does not
+    either).  Then each unused slot s becomes ``-1 - s``, which equals no
+    drawn value and no other slot of its column, so it is never taken or
+    replaced.  That marking is arithmetic, not a masked write: read
+    unsigned, ``-1 - s`` exceeds every drawn value, so the maximum of the
+    copy and ``pad * (-1 - s)``, ``pad`` true at the unused slots, marks
+    them and leaves the rest.  ``pad`` and the product live in ``x``'s
+    buffer, which the copy no longer needs and the caller may reuse (in new
+    memory when the copy is ``x``).  The resolved subsets are returned in
+    the narrow type (``x`` itself when it is int64), the unused slots
     negative.
     """
     k_max = x.shape[0]
-    if (counts < k_max).any():
-        steps = np.arange(k_max, dtype=np.int64)[:, None]
-        np.copyto(x, -1 - steps, where=steps < k_max - counts)
     narrow = np.min_scalar_type(-1 - int(pool_sizes.max(initial=0)))
     y = x.astype(narrow, copy=False)
+    if (counts < k_max).any():
+        unsigned = y.view(f"u{y.itemsize}")
+        width = y.nbytes
+        buf = np.empty(width + y.size, dtype=np.uint8) if y is x else x.reshape(-1).view(np.uint8)
+        fill = buf[:width].view(unsigned.dtype).reshape(y.shape)
+        pad = buf[width:width + y.size].view(np.bool_).reshape(y.shape)
+        steps = np.arange(k_max, dtype=narrow)[:, None]
+        np.less(steps, (k_max - counts).astype(narrow), out=pad)
+        np.multiply(pad, (-1 - steps).view(unsigned.dtype), out=fill)
+        np.maximum(unsigned, fill, out=unsigned)
     last = (pool_sizes - k_max).astype(narrow)  # the step-s bound is last + s
     for s in range(1, k_max):
         ys = y[s]
@@ -479,23 +491,33 @@ def _digraph_block(
 
     ``degrees`` and ``x`` are the in-degrees and the Floyd draw of B n-node
     digraphs, as :meth:`_DigraphDraw.block` returns them.  All subsets are
-    resolved in one lockstep pass, and the table is built in place in the
-    draw's int64 buffer.  Returns ``(starts, table, in_degrees)``, the
-    arguments of :func:`~ringlab.graph._strongly_connected_graphs`: graph b
-    owns nodes ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and column
-    v of the ``(K, N)`` table holds v's in-neighbours in its last
-    ``in_degrees[v]`` rows, the sentinel node N in the rows above.  No
-    draws give the empty block.
+    resolved in one lockstep pass into a narrow copy, and the table is
+    built in the draw's int64 buffer.  Returns ``(starts, table,
+    in_degrees)``, the arguments of
+    :func:`~ringlab.graph._strongly_connected_graphs`: graph b owns nodes
+    ``b*n .. b*n + n - 1`` of the ``N = B*n`` nodes, and column v of the
+    ``(K, N)`` table holds v's in-neighbours in its last ``in_degrees[v]``
+    rows, the sentinel node N in the rows above.  Each value is moved
+    into its graph's node range: one is added past the node itself, then
+    ``base``, the graph's first node.  A padded block first sets its
+    unused slots to ``N - base - 1``, so that the same two steps take them
+    to N, with no masked write: read unsigned, the negative markers exceed
+    every ``N - base - 1``, and the used values fall below it, so one
+    minimum rewrites the markers alone.  The resolved copy is widened
+    first when N does not fit its type.  No draws give the empty block.
     """
     chosen = _floyd_resolve(x, np.full(degrees.shape, n - 1, dtype=np.int64), degrees)
-    n_nodes = degrees.shape[0]
-    padding = chosen < 0
+    k_max, n_nodes = chosen.shape
+    base = np.repeat(np.arange(0, n_nodes, n), n)  # each node's graph's first node
+    if degrees.min(initial=k_max) < k_max:
+        if n_nodes > np.iinfo(chosen.dtype).max:
+            chosen = chosen.astype(np.min_scalar_type(-1 - n_nodes))
+        unsigned = chosen.view(f"u{chosen.itemsize}")
+        np.minimum(unsigned, (n_nodes - 1 - base).astype(unsigned.dtype), out=unsigned)
     # skip the node itself, then move into its graph's node range
-    cols = np.arange(n_nodes, dtype=np.int64)
-    local = cols % n
-    np.add(chosen, chosen >= local.astype(chosen.dtype), out=x)
-    x += cols - local
-    np.copyto(x, n_nodes, where=padding)
+    local = (np.arange(n_nodes) - base).astype(chosen.dtype)
+    np.add(chosen, chosen >= local, out=x)
+    x += base
     return np.arange(0, n_nodes + 1, n, dtype=np.int64), x, degrees
 
 

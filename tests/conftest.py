@@ -329,6 +329,36 @@ def reference_digraphs(n: int, degrees: np.ndarray, x: np.ndarray) -> list[Digra
     return digraphs
 
 
+def masked_digraph_block(n: int, degrees: np.ndarray, x: np.ndarray):
+    """The table of a digraph block built with masked writes: the reference of ``_digraph_block``.
+
+    The unused slots of the int64 draw ``x`` are marked ``-1 - s`` by a
+    masked copy before it is narrowed; the Floyd steps run in the narrow
+    type; each value skips its node and moves into its graph's node range;
+    a second masked copy puts the sentinel N at the unused slots.  Returns
+    ``(starts, table, in_degrees)``; ``x`` is left as it was.
+    """
+    x = x.copy()
+    k_max, n_nodes = x.shape
+    pools = np.full(n_nodes, n - 1, dtype=np.int64)
+    if (degrees < k_max).any():
+        steps = np.arange(k_max, dtype=np.int64)[:, None]
+        np.copyto(x, -1 - steps, where=steps < k_max - degrees)
+    narrow = np.min_scalar_type(-1 - int(pools.max(initial=0)))
+    chosen = x.astype(narrow, copy=False)
+    last = (pools - k_max).astype(narrow)
+    for s in range(1, k_max):
+        row = chosen[s]
+        np.copyto(row, last + s, where=(chosen[:s] == row).any(axis=0))
+    padding = chosen < 0
+    cols = np.arange(n_nodes, dtype=np.int64)
+    local = cols % n
+    np.add(chosen, chosen >= local.astype(chosen.dtype), out=x)
+    x += cols - local
+    np.copyto(x, n_nodes, where=padding)
+    return np.arange(0, n_nodes + 1, n, dtype=np.int64), x, degrees
+
+
 def reference_graph_block(config, m: int, graphs: int, stream: LayoutStream):
     """The reference of a block of ``graphs`` m-signer transaction graphs under layout 3.
 

@@ -579,6 +579,22 @@ def test_simulate_flag_validation(capsys):
         assert "need 0 <= --beta < 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("users", ["0", "-4"])
+def test_simulate_rejects_users_below_one_by_name(capsys, users):
+    assert main(["simulate", "--users", users, "--chunk-size", "2", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--users must be >= 1" in captured.err
+    assert "--chunk-size must divide" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("chunk_size", ["0", "-3"])
+def test_simulate_rejects_chunk_size_below_one_by_name(capsys, chunk_size):
+    assert main(["simulate", "--users", "12", "--chunk-size", chunk_size, "--k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--chunk-size must be >= 1" in captured.err
+    assert "--chunk-size must divide" not in captured.err and captured.out == ""
+
+
 # Output bytes of ``ringlab simulate`` under stream layout 3: both README
 # commands at reduced --trials, the binomial sampler, --beta, matching_count
 # and --chunk-size 1.

@@ -1,6 +1,7 @@
 """Sampler distributions, determinism, and the shared subset kernel."""
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 
@@ -47,6 +48,7 @@ from conftest import (
     chi_square,
     floyd_column,
     inject_words,
+    masked_digraph_block,
     reference_digraph_block,
     reference_digraphs,
     reference_graph_block,
@@ -122,6 +124,7 @@ def test_floyd_subsets_shapes_and_validity():
         ((300, 32767), np.int16),
         ((32767, 32768), np.int32),
         ((5, 32769), np.int32),
+        ((5, 2**31), np.int64),
     ],
 )
 @pytest.mark.parametrize("repeats", [False, True])
@@ -410,6 +413,60 @@ def test_digraph_block_table_layout(n, k, model):
         assert not ((ordered[1:] == ordered[:-1]) & (ordered[1:] < n_nodes)).any()
         padded += int(np.count_nonzero(is_sentinel))
     assert (padded > 0) == (model == "binomial" and k < n - 1)
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 100, 300, 2048])
+@pytest.mark.parametrize("model", ["regular", "binomial"])
+def test_digraph_block_equals_the_masked_construction(n, model):
+    # the table built by arithmetic against the reference that writes the
+    # Floyd markers and the sentinel through masks: the same starts, table
+    # (sentinel included) and in-degrees, for in-degree k = 3 (or 1) or a
+    # mean in-degree of k / 2, for in-degree 0 (K = 0), with and without
+    # the trials that their in-degrees decide
+    kinds = set()
+    for k in sorted({0, min(3, n - 1)}):
+        if model == "regular":
+            draw = _regular_draw(n, k)
+        else:
+            draw = _binomial_draw(n, k / (2 * (n - 1)))
+        for decide in (False, True):
+            trials = max(1, _BLOCK_NODES // n) + 1
+            for size, stream in _trial_blocks(RandomSource(34, 10 * k + decide), trials, n):
+                degrees, x = draw.block(stream, size, decide)
+                want = masked_digraph_block(n, degrees, x)
+                got = _digraph_block(n, degrees, x)
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+                k_max, n_nodes = x.shape
+                if degrees.min(initial=k_max) < k_max:
+                    # the resolve type holds -n, the sentinel does not always fit it
+                    fits = n_nodes <= np.iinfo(np.min_scalar_type(-n)).max
+                    kinds.add("padded" if fits else "padded, N wider than the pools")
+                else:
+                    kinds.add("K = 0" if k_max == 0 else "full")
+    if model == "binomial":
+        assert kinds >= {"K = 0", "padded" if n >= 128 else "padded, N wider than the pools"}
+    else:
+        assert kinds == {"K = 0", "full"}
+
+
+def test_digraph_block_peak_memory_stays_within_4_bytes_per_slot():
+    # a padded binomial block of one trial at (k 16, n 4096): the table is
+    # built in the draw's buffer, and the resolve's int16 copy, its
+    # compares and the skip flags stay within 4 bytes per (K, N) slot; the
+    # masked construction took about 4.8
+    n = 4096
+    draw = _binomial_draw(n, 16 / (n - 1))
+    _digraph_block(n, *draw(RandomSource(34, 0)))  # one-off allocations
+    degrees, x = draw(RandomSource(34, 1))
+    k_max, n_nodes = x.shape
+    assert degrees.min() < k_max
+    tracemalloc.start()
+    try:
+        _digraph_block(n, degrees, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * k_max * n_nodes
 
 
 def test_block_draw_equals_the_layout_reference():
