@@ -22,6 +22,7 @@ from ringlab.graph import (
     Matching,
     Partition,
     TransactionGraph,
+    _BAND_ROWS,
     _core_equal_graphs,
     _MATCH_BUDGET,
     _SWEEP_BUDGET,
@@ -619,7 +620,7 @@ def test_is_strongly_connected_equals_single_scc():
 def test_block_kernel_matches_scc_on_sampled_digraphs(n):
     # the grid kernel reads the sampler's table; Tarjan reads the same
     # digraph's flat edges
-    for k in (1, 2, 8):
+    for k in (1, 2, 8, 16):  # regular tables of k > 8 rows walk the band first
         for seed in range(3):
             for draw, stream, sample in (
                 (_regular_draw(n, k), k, lambda rng: sample_regular_digraph(k, n, rng)),
@@ -755,6 +756,63 @@ def test_kernel_on_hand_built_tables(sizes, rows, expected):
         inside = (dst >= first) & (dst < stop)
         d = Digraph(stop - first, zip((src[inside] - first).tolist(), (dst[inside] - first).tolist()))
         assert is_strongly_connected(d) == verdict
+
+
+# Graphs as in-neighbour columns, top to bottom.  In the first, a cycle
+# 0 -> 1 -> 2 -> 3 -> 4 -> 0 joins node 5, whose in-neighbours are 0 and
+# _BAND_ROWS spokes, each spoke having 5 as its one in-neighbour, and 5 -> 0.
+# Node 0 sits in 5's column above the bottom _BAND_ROWS rows, so a forward
+# walk on those rows alone never reaches 5 or its spokes.
+_SPOKES = list(range(6, 6 + _BAND_ROWS))
+_NEEDS_FULL_ROWS = [[4, 5], [0], [1], [2], [3], [0] + _SPOKES] + [[5]] * _BAND_ROWS
+# the same graph without the edge 0 -> 5: 5 has an out-edge but no path from 0
+_WITHOUT_THE_EDGE = _NEEDS_FULL_ROWS[:5] + [_SPOKES] + [[5]] * _BAND_ROWS
+# a path 0 -> 1 -> 2 -> 3 -> 4 closed by 1, 2, 3, 4 -> 0: node 0's column
+# fills the band, every other column has one in-neighbour under the sentinel
+_BAND_COVERS = [[1, 2, 3, 4], [0], [1], [2], [3]]
+
+
+def _bottom_aligned(graphs, rows):
+    """The kernel's arguments for ``graphs`` side by side in a table of ``rows`` rows.
+
+    Column v holds v's in-neighbours in its last rows, in the listed order,
+    and the sentinel N in the rows above.
+    """
+    starts = np.cumsum([0] + [len(columns) for columns in graphs])
+    n_nodes = int(starts[-1])
+    table = np.full((rows, n_nodes), n_nodes, dtype=np.int64)
+    for columns, first in zip(graphs, starts):
+        for v, ins in enumerate(columns, start=first):
+            table[rows - len(ins):, v] = [first + u for u in ins]
+    return starts, table, np.count_nonzero(table < n_nodes, axis=0)
+
+
+@pytest.mark.parametrize("rows", [2 * _BAND_ROWS, 2 * _BAND_ROWS + 1, 16])
+@pytest.mark.parametrize(
+    "graphs, expected, band_alone",
+    [
+        ([_NEEDS_FULL_ROWS], [True], [False]),
+        ([_WITHOUT_THE_EDGE], [False], [False]),
+        ([_BAND_COVERS, _NEEDS_FULL_ROWS, [[]], _WITHOUT_THE_EDGE],
+         [True, True, True, False], [True, False, True, False]),
+    ],
+    ids=["band-stalls", "no-edge-above-the-band", "mixed-block"],
+)
+def test_kernel_finishes_on_the_full_rows_when_the_band_stalls(graphs, expected, band_alone, rows):
+    # tables of more than 2 * _BAND_ROWS rows walk the band first, and
+    # 2 * _BAND_ROWS rows walk the full table at once; the verdicts agree
+    starts, table, in_degrees = _bottom_aligned(graphs, rows)
+    before = table.copy()
+    assert _strongly_connected_graphs(starts, table, in_degrees).tolist() == expected
+    assert (table == before).all()
+    for columns, verdict in zip(graphs, expected):
+        d = Digraph(len(columns), [(u, v) for v, ins in enumerate(columns) for u in ins])
+        assert is_strongly_connected(d) == verdict
+    # the band's rows on their own: where they fail a graph that passes,
+    # only the full rows can have finished its forward walk
+    band = table[-_BAND_ROWS:]
+    band_degrees = np.count_nonzero(band < starts[-1], axis=0)
+    assert _strongly_connected_graphs(starts, band, band_degrees).tolist() == band_alone
 
 
 # -- the core-equality label test ---------------------------------------------------
